@@ -7,7 +7,7 @@ BENCH_PKGS  := . ./internal/core ./internal/stream ./internal/pubsub ./internal/
 BENCH_TIME  ?= 300ms
 BENCH_COUNT ?= 1
 
-.PHONY: ci vet build test race bench bench-smoke alloc-smoke profile lint lint-json metrics-smoke obs-smoke chaos overload e2e
+.PHONY: ci vet build test race flake bench bench-smoke alloc-smoke profile lint lint-json metrics-smoke obs-smoke chaos overload e2e
 
 ## ci: the full gate — vet, build, the test suite under the race detector,
 ## the stratalint analyzers (see DESIGN.md, "Static contracts") diffed
@@ -16,8 +16,15 @@ BENCH_COUNT ?= 1
 ## the data-plane benchmarks so the batched fast paths run under -race too,
 ## the kill-and-recover chaos suite, the overload degradation suite
 ## (DESIGN.md §11), the cross-process observability smoke (DESIGN.md §12),
-## and the multi-process chaos scenarios (DESIGN.md §14).
-ci: vet build race lint lint-json bench-smoke alloc-smoke chaos overload obs-smoke e2e
+## the multi-process chaos scenarios (DESIGN.md §14), and ten repeats of the
+## durable-log packages so a one-in-ten flake fails here, not on main.
+ci: vet build race flake lint lint-json bench-smoke alloc-smoke chaos overload obs-smoke e2e
+
+## selected: prefix for a `go test -run <pattern>` target. `go test` exits 0
+## when the pattern selects nothing ("no tests to run"), so a renamed test
+## would silently leave CI; this fails the target if that happens in any of
+## the listed packages.
+selected = bash -o pipefail -c '"$$0" "$$@" 2>&1 | awk "{print} /no tests to run/ {none=1} END {exit none}"'
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +39,11 @@ test:
 ## accidental inter-test ordering dependencies surface instead of hiding.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+## flake: the durable log and the two layers on it, ten times under -race —
+## the group-commit and crash-recovery tests are the concurrent ones.
+flake:
+	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation) diffed against the committed
@@ -86,16 +98,16 @@ profile:
 ## pipelines are crashed at armed crashpoints (mid-run and mid-checkpoint)
 ## and must recover to outputs identical to an uncrashed run (DESIGN.md §10).
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/core
+	$(selected) $(GO) test -race -count=1 -run 'TestChaos' ./internal/core
 
 ## overload: the graceful-degradation suite under -race (DESIGN.md §11) —
 ## the controller ladder, shed-gate accounting, deadline termini, circuit
 ## breaker, broker admission quotas, and slow-consumer eviction.
 overload:
-	$(GO) test -race -count=1 \
+	$(selected) $(GO) test -race -count=1 \
 		-run 'TestOverload|TestShed|TestSinkGate|TestPauseGate|TestDeliverDurableSuppressesExpiredEffects' \
 		./internal/core ./internal/stream
-	$(GO) test -race -count=1 \
+	$(selected) $(GO) test -race -count=1 \
 		-run 'TestBreaker|TestBrokerSubjectQuota|TestBrokerSlowConsumerEviction|TestCursorLagAndSkipToLatest|TestOverflowPoliciesUnderHeartbeatRedial' \
 		./internal/pubsub
 
@@ -105,7 +117,7 @@ overload:
 ## sampled multi-operator trace. Validation is the stdlib-only line parser
 ## in internal/telemetry/validate.go — no external dependencies.
 metrics-smoke:
-	$(GO) test -count=1 -v -run TestEndToEndMetricsSmoke ./internal/telemetry
+	$(selected) $(GO) test -count=1 -v -run TestEndToEndMetricsSmoke ./internal/telemetry
 
 ## obs-smoke: split one pipeline across three OS processes (source in the
 ## test binary, re-exec'ed broker and worker helpers) and assert a single
@@ -114,7 +126,7 @@ metrics-smoke:
 ## join `strata-trace` performs — then SIGQUIT the worker and assert the
 ## flight recorder dumped flightrec-<pid>.json (DESIGN.md §12).
 obs-smoke:
-	$(GO) test -count=1 -v -run 'TestObsSmokeCrossProcess' ./internal/core
+	$(selected) $(GO) test -count=1 -v -run 'TestObsSmokeCrossProcess' ./internal/core
 
 ## e2e: the multi-process chaos scenarios (DESIGN.md §14) — a real
 ## strata-broker and strata-worker spawned as OS processes, their link
@@ -125,4 +137,4 @@ obs-smoke:
 ## failure snapshots land under bench-out/e2e/<TestName>/. The -timeout is
 ## the hard stop: a wedged scenario fails instead of hanging CI.
 e2e:
-	$(GO) test -count=1 -v -timeout 300s -run 'TestE2E' ./internal/harness
+	$(selected) $(GO) test -count=1 -v -timeout 300s -run 'TestE2E' ./internal/harness

@@ -121,5 +121,5 @@ func (db *DB) Apply(b *Batch) error {
 	if err != nil {
 		return err
 	}
-	return w.commit(off)
+	return w.log.Commit(off)
 }

@@ -75,7 +75,6 @@ func TestBatchSurvivesRestart(t *testing.T) {
 	}
 	// Crash-style reopen: replay must restore the full batch atomically.
 	db.mu.Lock()
-	db.wal.w.Flush()
 	db.closed = true
 	db.mu.Unlock()
 

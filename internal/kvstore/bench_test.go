@@ -63,8 +63,8 @@ func BenchmarkPutSyncParallel(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	commits := db.walCommits.Load()
-	syncs := db.walGroupSyncs.Load()
+	commits := db.walStats.Commits.Load()
+	syncs := db.walStats.Syncs.Load()
 	if commits > 0 {
 		b.ReportMetric(float64(commits-syncs)/float64(commits), "fsyncs-coalesced/op")
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"strata/internal/obslog"
+	"strata/internal/seglog"
 	"strata/internal/telemetry"
 )
 
@@ -105,8 +106,7 @@ type DB struct {
 	compactionSeconds *telemetry.Histogram
 	walAppendSeconds  *telemetry.Histogram
 	walFsyncSeconds   *telemetry.Histogram
-	walCommits        atomic.Uint64
-	walGroupSyncs     atomic.Uint64
+	walStats          seglog.Stats // shared by every WAL generation, so it survives rotation
 	bloomChecks       atomic.Uint64
 	bloomSkips        atomic.Uint64
 	bloomFalsePos     atomic.Uint64
@@ -151,6 +151,7 @@ func Open(dir string, optFns ...Option) (*DB, error) {
 		walFsyncSeconds:   telemetry.NewDurationHistogram(),
 	}
 	db.cache = newBlockCache(opts.blockCacheBytes)
+	db.walStats.ObserveFsync = db.walFsyncSeconds.ObserveDuration
 
 	// Load existing SSTables in file-number order (oldest first).
 	names, err := os.ReadDir(dir)
@@ -182,23 +183,26 @@ func Open(dir string, optFns ...Option) (*DB, error) {
 	}
 
 	// Replay the WAL into a fresh memtable (crash recovery).
-	walPath := filepath.Join(dir, walFileName)
-	if err := replayWAL(walPath, func(kind byte, key, value []byte) {
+	if err := db.openWAL(func(kind byte, key, value []byte) {
 		k := append([]byte(nil), key...)
 		v := append([]byte(nil), value...)
 		db.mem.put(k, v, kind == walDelete)
 	}); err != nil {
 		return nil, errors.Join(err, db.closeTables())
 	}
-
-	w, err := openWAL(walPath, opts.syncWrites)
-	if err != nil {
-		return nil, errors.Join(err, db.closeTables())
-	}
-	w.appendHist, w.syncHist = db.walAppendSeconds, db.walFsyncSeconds
-	w.commits, w.syncs = &db.walCommits, &db.walGroupSyncs
-	db.wal = w
 	return db, nil
+}
+
+// openWAL opens the store's log as db.wal, replaying what it holds into
+// apply.
+func (db *DB) openWAL(apply func(kind byte, key, value []byte)) error {
+	w, err := openWAL(filepath.Join(db.dir, walFileName), db.opts.syncWrites, &db.walStats, apply)
+	if err != nil {
+		return err
+	}
+	w.appendHist = db.walAppendSeconds
+	db.wal = w
+	return nil
 }
 
 func (db *DB) sstPath(num uint64) string {
@@ -247,7 +251,7 @@ func (db *DB) Put(key, value []byte) error {
 	}
 	// Group commit outside the DB lock: writers arriving while the leader
 	// is in fsync form the next cohort instead of queueing on the disk.
-	return w.commit(off)
+	return w.log.Commit(off)
 }
 
 // Delete removes key. Deleting an absent key is not an error.
@@ -273,7 +277,7 @@ func (db *DB) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	return w.commit(off)
+	return w.log.Commit(off)
 }
 
 // Get returns a copy of the value stored under key, or ErrNotFound.
@@ -382,7 +386,7 @@ func (db *DB) Close() error {
 			errs = append(errs, err)
 		}
 	}
-	if err := db.wal.close(); err != nil {
+	if err := db.wal.log.Close(); err != nil {
 		errs = append(errs, err)
 	}
 	if err := db.closeTables(); err != nil {
@@ -427,20 +431,15 @@ func (db *DB) flushLocked() error {
 	db.mem = newMemtable(db.opts.seed + int64(num) + 1)
 
 	// The flushed entries are durable in the SSTable; start a fresh WAL.
-	if err := db.wal.close(); err != nil {
+	if err := db.wal.log.Close(); err != nil {
 		return err
 	}
-	walPath := filepath.Join(db.dir, walFileName)
-	if err := os.Remove(walPath); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(filepath.Join(db.dir, walFileName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("kvstore: remove wal: %w", err)
 	}
-	w, err := openWAL(walPath, db.opts.syncWrites)
-	if err != nil {
+	if err := db.openWAL(nil); err != nil {
 		return err
 	}
-	w.appendHist, w.syncHist = db.walAppendSeconds, db.walFsyncSeconds
-	w.commits, w.syncs = &db.walCommits, &db.walGroupSyncs
-	db.wal = w
 	db.flushes++
 	db.flushSeconds.ObserveDuration(time.Since(start))
 	obslog.L("kvstore").Debug("memtable flushed",

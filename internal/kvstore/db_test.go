@@ -257,7 +257,6 @@ func TestRecoveryFromWAL(t *testing.T) {
 	// Simulate a crash: drop the handle WITHOUT Close (the WAL is already
 	// on disk because appends flush).
 	db.mu.Lock()
-	db.wal.w.Flush()
 	db.closed = true
 	db.mu.Unlock()
 

@@ -240,71 +240,6 @@ func TestSSTableTruncatedFile(t *testing.T) {
 	}
 }
 
-func TestWALTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	w, err := openWAL(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.append(walPut, []byte("good"), []byte("record")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append garbage that looks like a torn record (header promising more
-	// bytes than exist).
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{1, 2, 3, 4, 200, 0, 0, 0, 9}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var keys []string
-	if err := replayWAL(path, func(kind byte, key, value []byte) {
-		keys = append(keys, string(key))
-	}); err != nil {
-		t.Fatalf("replayWAL error = %v (torn tail should be tolerated)", err)
-	}
-	if fmt.Sprint(keys) != "[good]" {
-		t.Fatalf("replayed keys = %v, want [good]", keys)
-	}
-}
-
-func TestWALCorruptMiddleDetected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	w, err := openWAL(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.append(walPut, []byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.append(walPut, []byte("b"), []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[9] ^= 0xFF // flip a payload byte of the first record
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = replayWAL(path, func(byte, []byte, []byte) {})
-	if err == nil {
-		t.Fatal("replayWAL should report mid-log corruption")
-	}
-}
-
 // TestSSTablePropertyRoundTrip writes random sorted entry sets and verifies
 // every entry survives the round trip, via both point gets and a full scan.
 func TestSSTablePropertyRoundTrip(t *testing.T) {

@@ -11,10 +11,7 @@ import (
 func (db *DB) Collect(w *telemetry.Writer) {
 	st := db.Stats()
 	db.mu.RLock()
-	var walBytes int64
-	if db.wal != nil {
-		walBytes = db.wal.len
-	}
+	walBytes := db.wal.log.Size()
 	db.mu.RUnlock()
 
 	dir := telemetry.L("dir", db.dir)
@@ -42,8 +39,8 @@ func (db *DB) Collect(w *telemetry.Writer) {
 		"WAL fsync latency (only populated with WithSyncWrites).",
 		db.walFsyncSeconds.Snapshot(), dir)
 
-	commits := db.walCommits.Load()
-	groupSyncs := db.walGroupSyncs.Load()
+	commits := db.walStats.Commits.Load()
+	groupSyncs := db.walStats.Syncs.Load()
 	w.Counter("strata_kvstore_wal_commits_total",
 		"Durability points requested (one per Put/Delete/Apply).",
 		float64(commits), dir)

@@ -1,33 +1,22 @@
 package kvstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"strata/internal/seglog"
 	"strata/internal/telemetry"
 )
 
-// WAL record layout (little endian):
+// The write-ahead log is a seglog.Log (framing, group commit and crash
+// recovery live there — DESIGN.md, "Durable log"). Record payload:
 //
-//	crc32(payload)  uint32
-//	payloadLen      uint32
-//	payload:
-//	    kind     byte (walPut | walDelete)
-//	    keyLen   uvarint
-//	    key      bytes
-//	    value    bytes (remainder; absent for walDelete)
-//
-// A torn final record (partial write during a crash) is tolerated and
-// truncated at replay; a CRC mismatch anywhere else is reported as
-// ErrCorrupt.
+//	kind     byte (walPut | walDelete | walBatch)
+//	keyLen   uvarint
+//	key      bytes
+//	value    bytes (remainder; absent for walDelete)
 const (
 	walPut    byte = 1
 	walDelete byte = 2
@@ -36,207 +25,72 @@ const (
 	walBatch byte = 3
 )
 
-// wal is a write-ahead log with group commit. append only buffers a record
-// (serialized by the owning DB's lock plus wmu) and returns the log offset
-// past it; commit makes that offset durable. Concurrent committers coalesce:
-// the first to take cmu becomes the leader and flushes (and fsyncs, in sync
-// mode) everything appended so far, so every waiter queued behind it finds
-// its own offset already covered and returns without touching the disk. One
-// fsync per cohort instead of one per write is where concurrent
-// Put(sync=true) throughput comes from.
+// wal encodes store operations onto the log. append only buffers a record
+// and returns the log offset past it; log.Commit makes that offset durable,
+// and must be called without the DB lock so concurrent writers share one
+// fsync.
 type wal struct {
-	f    *os.File
-	sync bool
-
-	// wmu guards the buffered writer against the one concurrency the DB lock
-	// does not cover: a commit leader flushing while another goroutine
-	// appends under the DB lock.
-	wmu      sync.Mutex
-	w        *bufio.Writer
-	len      int64 // bytes appended (buffered + flushed)
-	appended int64 // offset high-water mark handed to committers
-	// scratch is the reusable record-assembly buffer (header + payload),
-	// guarded by wmu — appends are serialized, so one buffer serves them
-	// all without a per-record allocation.
+	log *seglog.Log
+	// scratch is the reusable payload-assembly buffer. Appends are
+	// serialized by the owning DB's lock, so one buffer serves them all
+	// without a per-record allocation.
 	scratch []byte
-
-	// cmu serializes commit cohorts. committed/closed/commitErr are guarded
-	// by it.
-	cmu       sync.Mutex
-	committed int64
-	closed    bool
-	commitErr error // first flush/fsync failure; sticky — durability unknown after
-
-	// Group-commit effectiveness counters, shared with the owning DB so they
-	// survive WAL rotation (nil outside a DB, e.g. in tests). commits counts
-	// commit calls; syncs counts cohorts that actually hit the disk —
-	// commits−syncs is the fsyncs coalesced away.
-	commits *atomic.Uint64
-	syncs   *atomic.Uint64
-
-	// Latency histograms, shared with the owning DB (nil when the WAL is
-	// opened outside a DB, e.g. in tests).
+	// appendHist is shared with the owning DB (nil when the WAL is opened
+	// outside a DB, e.g. in tests).
 	appendHist *telemetry.Histogram
-	syncHist   *telemetry.Histogram
 }
 
-func openWAL(path string, syncWrites bool) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("open wal: %w", err)
+// openWAL recovers the log at path, feeding every intact record into apply
+// in log order, and returns it ready for appends. A torn final record (a
+// crash during the last write) is truncated; any other integrity violation
+// returns ErrCorrupt.
+func openWAL(path string, syncWrites bool, stats *seglog.Stats, apply func(kind byte, key, value []byte)) (*wal, error) {
+	log, err := seglog.Open(path, syncWrites, stats, func(_ int64, payload []byte) error {
+		return decodeRecord(payload, apply)
+	})
+	if errors.Is(err, seglog.ErrCorrupt) {
+		err = fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	st, err := f.Stat()
 	if err != nil {
-		return nil, errors.Join(fmt.Errorf("stat wal: %w", err), f.Close())
+		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	w := &wal{f: f, w: bufio.NewWriter(f), sync: syncWrites, len: st.Size()}
-	w.appended = st.Size()
-	w.committed = st.Size()
-	return w, nil
+	return &wal{log: log}, nil
 }
 
-// append buffers one record and returns the offset just past it; the record
-// is durable only once commit(off) returns. The caller serializes appends
-// (the DB holds its lock).
+// append assembles the record in the reusable scratch and hands it to the
+// log in one call. The caller serializes appends (the DB holds its lock).
 func (w *wal) append(kind byte, key, value []byte) (int64, error) {
 	start := time.Now()
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	// Assemble header and payload in the reusable scratch and hand the
-	// record to the writer in one call.
-	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0) // crc + len, patched below
-	b = append(b, kind)
+	b := append(w.scratch[:0], kind)
 	b = binary.AppendUvarint(b, uint64(len(key)))
 	b = append(b, key...)
 	b = append(b, value...)
 	w.scratch = b
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(len(payload)))
-	if _, err := w.w.Write(b); err != nil {
-		return 0, fmt.Errorf("wal write: %w", err)
+	off, err := w.log.Append(b)
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: wal append: %w", err)
 	}
-	w.len += int64(len(b))
-	w.appended = w.len
 	if w.appendHist != nil {
 		w.appendHist.ObserveDuration(time.Since(start))
 	}
-	return w.appended, nil
+	return off, nil
 }
 
-// commit blocks until everything up to off is flushed (and fsynced, in sync
-// mode). The calling goroutine must NOT hold the DB lock: cohort formation
-// depends on other writers appending while the leader is in the syscall.
-// A closed WAL commits trivially — close and rotation have already made the
-// data durable by other means (final flush; SSTable).
-func (w *wal) commit(off int64) error {
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
-	if w.commits != nil {
-		w.commits.Add(1)
+// decodeRecord feeds the operations of one record payload into apply.
+func decodeRecord(payload []byte, apply func(kind byte, key, value []byte)) error {
+	if len(payload) < 1 {
+		return fmt.Errorf("%w: empty wal payload", ErrCorrupt)
 	}
-	if w.commitErr != nil {
-		return w.commitErr
+	kind := payload[0]
+	keyLen, n := binary.Uvarint(payload[1:])
+	if n <= 0 || keyLen > uint64(len(payload)-1-n) {
+		return fmt.Errorf("%w: bad wal key length", ErrCorrupt)
 	}
-	if w.closed || w.committed >= off {
-		return nil // a previous leader's flush covered this offset
+	key := payload[1+n : 1+n+int(keyLen)]
+	value := payload[1+n+int(keyLen):]
+	if kind == walBatch {
+		return decodeBatch(value, apply)
 	}
-
-	w.wmu.Lock()
-	target := w.appended
-	err := w.w.Flush()
-	w.wmu.Unlock()
-	if err != nil {
-		w.commitErr = fmt.Errorf("wal flush: %w", err)
-		return w.commitErr
-	}
-	if w.sync {
-		syncStart := time.Now()
-		if err := w.f.Sync(); err != nil {
-			w.commitErr = fmt.Errorf("wal sync: %w", err)
-			return w.commitErr
-		}
-		if w.syncHist != nil {
-			w.syncHist.ObserveDuration(time.Since(syncStart))
-		}
-	}
-	if w.syncs != nil {
-		w.syncs.Add(1)
-	}
-	w.committed = target
+	apply(kind, key, value)
 	return nil
-}
-
-func (w *wal) close() error {
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	w.closed = true
-	if err := w.w.Flush(); err != nil {
-		return errors.Join(fmt.Errorf("wal flush: %w", err), w.f.Close())
-	}
-	if w.sync {
-		// In sync mode, in-flight commits resolve to nil once closed is
-		// set; honor their durability claim with a final fsync.
-		if err := w.f.Sync(); err != nil {
-			return errors.Join(fmt.Errorf("wal sync: %w", err), w.f.Close())
-		}
-	}
-	w.committed = w.appended
-	return w.f.Close()
-}
-
-// replayWAL feeds every intact record of the WAL at path into apply, in log
-// order. A truncated trailing record is ignored (crash during the last
-// write); any other integrity violation returns ErrCorrupt.
-func replayWAL(path string, apply func(kind byte, key, value []byte)) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("open wal for replay: %w", err)
-	}
-	defer f.Close()
-
-	r := bufio.NewReader(f)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // clean end or torn header
-			}
-			return fmt.Errorf("wal replay: %w", err)
-		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		plen := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // torn record at tail
-			}
-			return fmt.Errorf("wal replay: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return fmt.Errorf("%w: wal crc mismatch", ErrCorrupt)
-		}
-		if len(payload) < 1 {
-			return fmt.Errorf("%w: empty wal payload", ErrCorrupt)
-		}
-		kind := payload[0]
-		keyLen, n := binary.Uvarint(payload[1:])
-		if n <= 0 || 1+n+int(keyLen) > len(payload) {
-			return fmt.Errorf("%w: bad wal key length", ErrCorrupt)
-		}
-		key := payload[1+n : 1+n+int(keyLen)]
-		value := payload[1+n+int(keyLen):]
-		if kind == walBatch {
-			if err := decodeBatch(value, apply); err != nil {
-				return err
-			}
-			continue
-		}
-		apply(kind, key, value)
-	}
 }

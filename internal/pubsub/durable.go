@@ -1,19 +1,15 @@
 package pubsub
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
+
+	"strata/internal/seglog"
 )
 
 // LogStore persists published messages per subject in append-only files, so
@@ -23,23 +19,19 @@ import (
 // LogStore lets an event-detection pipeline deployed mid-build (or after
 // it) reprocess every layer.
 //
-// One file per subject; record layout (little endian):
-//
-//	crc32(data) uint32 | len uint32 | data
-//
-// Offsets are record ordinals (0-based), not byte positions. Safe for
-// concurrent use.
+// One seglog file per subject (framing, group commit and crash recovery
+// live there — DESIGN.md, "Durable log"), one record per message. Offsets
+// are record ordinals (0-based), not byte positions. Safe for concurrent
+// use.
 //
 // Durability is governed by a SyncPolicy. The default, SyncNever, flushes
 // each record to the OS but never fsyncs: a process crash loses nothing, a
-// machine crash may lose the tail (the torn-record scan in openTopic
-// recovers a clean prefix). Stores backing checkpoint replay topics should
-// use WithLogSync(SyncGroup) so a recorded offset is never ahead of the
-// disk.
+// machine crash may lose the tail (recovery at open keeps a clean prefix).
+// Stores backing checkpoint replay topics should use WithLogSync(SyncGroup)
+// so a recorded offset is never ahead of the disk.
 type LogStore struct {
-	dir      string
-	policy   SyncPolicy
-	interval time.Duration
+	dir    string
+	policy SyncPolicy
 
 	mu     sync.Mutex
 	closed bool
@@ -49,14 +41,9 @@ type LogStore struct {
 	// cursor can tail a topic that will only be created later.
 	sig chan struct{}
 
-	// commits counts Append calls that requested durability (SyncGroup);
-	// syncs counts fsyncs actually issued. commits-syncs is the number of
-	// appends that rode another append's fsync (group commit coalescing).
-	commits atomic.Uint64
-	syncs   atomic.Uint64
-
-	flushStop chan struct{} // SyncInterval: closed by Close to stop the flusher
-	flushDone chan struct{} // SyncInterval: closed when the flusher exits
+	// stats counts, under SyncGroup, the appends that requested durability
+	// and the fsyncs actually issued across all topics.
+	stats seglog.Stats
 }
 
 // SyncPolicy selects when a LogStore forces appended records to stable
@@ -69,13 +56,8 @@ const (
 	// the default and matches the store's historical behavior.
 	SyncNever SyncPolicy = iota
 	// SyncGroup fsyncs before Append returns, batching concurrent appends
-	// behind a single fsync (group commit, as in the kvstore WAL). Survives
-	// machine crashes.
+	// behind a single fsync (group commit). Survives machine crashes.
 	SyncGroup
-	// SyncInterval fsyncs all topics on a background timer. Bounds the
-	// machine-crash loss window to roughly one interval without putting an
-	// fsync on the append path.
-	SyncInterval
 )
 
 // LogOption configures a LogStore at open time.
@@ -86,11 +68,6 @@ func WithLogSync(p SyncPolicy) LogOption {
 	return func(ls *LogStore) { ls.policy = p }
 }
 
-// WithLogSyncInterval sets the flush period for SyncInterval (default 50ms).
-func WithLogSyncInterval(d time.Duration) LogOption {
-	return func(ls *LogStore) { ls.interval = d }
-}
-
 // StoredMessage is one replayed record.
 type StoredMessage struct {
 	Subject string
@@ -99,23 +76,15 @@ type StoredMessage struct {
 }
 
 // ErrLogCorrupt reports a CRC or framing violation in a topic file.
-var ErrLogCorrupt = errors.New("pubsub: corrupt topic log")
+var ErrLogCorrupt = seglog.ErrCorrupt
 
+// topicLog is one subject's file plus the ordinal→position index over it.
 type topicLog struct {
+	log *seglog.Log
+	// mu keeps the index in log order: an append and its index entry happen
+	// under it. Committing happens outside it.
 	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
 	offsets []int64 // byte position of each record
-	size    int64
-
-	// Group-commit state, mirroring the kvstore WAL: appends buffer under
-	// mu and then call commit, which coalesces concurrent flush+fsync work
-	// behind one leader. cmu orders committed/syncErr/closed; it is never
-	// taken while holding mu.
-	cmu       sync.Mutex
-	committed int64 // bytes durably synced (SyncGroup)
-	syncErr   error // sticky: first flush/sync failure poisons the topic
-	closed    bool  // set by Close; commit treats it as "close synced for us"
 }
 
 // OpenLogStore opens (creating if needed) a log store rooted at dir,
@@ -125,10 +94,9 @@ func OpenLogStore(dir string, opts ...LogOption) (*LogStore, error) {
 		return nil, fmt.Errorf("pubsub: create log dir: %w", err)
 	}
 	ls := &LogStore{
-		dir:      dir,
-		interval: 50 * time.Millisecond,
-		topics:   make(map[string]*topicLog),
-		sig:      make(chan struct{}),
+		dir:    dir,
+		topics: make(map[string]*topicLog),
+		sig:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(ls)
@@ -147,57 +115,7 @@ func OpenLogStore(dir string, opts ...LogOption) (*LogStore, error) {
 			return nil, errors.Join(err, ls.Close())
 		}
 	}
-	if ls.policy == SyncInterval {
-		ls.flushStop = make(chan struct{})
-		ls.flushDone = make(chan struct{})
-		go ls.flushLoop()
-	}
 	return ls, nil
-}
-
-// flushLoop is the SyncInterval background flusher; Close stops it before
-// touching the topic files.
-func (ls *LogStore) flushLoop() {
-	defer close(ls.flushDone)
-	tick := time.NewTicker(ls.interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ls.flushStop:
-			return
-		case <-tick.C:
-			ls.syncAll()
-		}
-	}
-}
-
-// syncAll flushes and fsyncs every topic once. Failures are recorded as the
-// topic's sticky sync error so later appends surface them.
-func (ls *LogStore) syncAll() {
-	ls.mu.Lock()
-	topics := make([]*topicLog, 0, len(ls.topics))
-	for _, t := range ls.topics {
-		topics = append(topics, t)
-	}
-	ls.mu.Unlock()
-	for _, t := range topics {
-		t.cmu.Lock()
-		if t.closed || t.syncErr != nil {
-			t.cmu.Unlock()
-			continue
-		}
-		t.mu.Lock()
-		err := t.w.Flush()
-		t.mu.Unlock()
-		if err == nil {
-			err = t.f.Sync()
-		}
-		if err != nil {
-			t.syncErr = err
-		}
-		ls.syncs.Add(1)
-		t.cmu.Unlock()
-	}
 }
 
 // subjectToFile encodes a subject as a filename: '_' escapes itself ("_u")
@@ -248,45 +166,28 @@ func (ls *LogStore) openTopic(subject string) (*topicLog, error) {
 	if t, ok := ls.topics[subject]; ok {
 		return t, nil
 	}
+	t := &topicLog{}
+	var stats *seglog.Stats
+	if ls.policy == SyncGroup {
+		stats = &ls.stats
+	}
 	path := filepath.Join(ls.dir, subjectToFile(subject)+".log")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	log, err := seglog.Open(path, ls.policy == SyncGroup, stats, func(pos int64, _ []byte) error {
+		t.offsets = append(t.offsets, pos)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: open topic log: %w", err)
 	}
-	t := &topicLog{f: f, w: bufio.NewWriter(f)}
-	// Build the offset index by scanning the file.
-	r := bufio.NewReader(io.NewSectionReader(f, 0, 1<<62))
-	pos := int64(0)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // EOF or torn tail: truncate there
-		}
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxFrameSize {
-			return nil, errors.Join(fmt.Errorf("%w: record size %d in %s", ErrLogCorrupt, n, path), f.Close())
-		}
-		if _, err := r.Discard(int(n)); err != nil {
-			break // torn record
-		}
-		t.offsets = append(t.offsets, pos)
-		pos += int64(8 + n)
-	}
-	t.size = pos
-	if err := f.Truncate(pos); err != nil {
-		return nil, errors.Join(fmt.Errorf("pubsub: truncate torn topic log: %w", err), f.Close())
-	}
-	if _, err := f.Seek(pos, io.SeekStart); err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
+	t.log = log
 	ls.topics[subject] = t
 	return t, nil
 }
 
 // Append stores data under subject and returns its offset. Under SyncNever
-// and SyncInterval the record is flushed to the OS before returning; under
-// SyncGroup it is also fsynced (coalesced with concurrent appends) so the
-// returned offset is durable.
+// the record is flushed to the OS before returning; under SyncGroup it is
+// also fsynced (coalesced with concurrent appends) so the returned offset
+// is durable.
 func (ls *LogStore) Append(subject string, data []byte) (uint64, error) {
 	if err := ValidateSubject(subject); err != nil {
 		return 0, err
@@ -295,76 +196,21 @@ func (ls *LogStore) Append(subject string, data []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t.cmu.Lock()
-	sticky := t.syncErr
-	t.cmu.Unlock()
-	if sticky != nil {
-		return 0, sticky
-	}
 	t.mu.Lock()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(data))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(data)))
-	if _, err := t.w.Write(hdr[:]); err != nil {
+	pos := t.log.Size()
+	end, err := t.log.Append(data)
+	if err != nil {
 		t.mu.Unlock()
 		return 0, err
-	}
-	if _, err := t.w.Write(data); err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	if ls.policy != SyncGroup {
-		// Flush eagerly so Read (which goes through the fd) sees the
-		// record; SyncGroup defers the flush to the commit leader.
-		if err := t.w.Flush(); err != nil {
-			t.mu.Unlock()
-			return 0, err
-		}
 	}
 	off := uint64(len(t.offsets))
-	t.offsets = append(t.offsets, t.size)
-	t.size += int64(8 + len(data))
-	end := t.size
+	t.offsets = append(t.offsets, pos)
 	t.mu.Unlock()
-	if ls.policy == SyncGroup {
-		if err := ls.commit(t, end); err != nil {
-			return 0, err
-		}
+	if err := t.log.Commit(end); err != nil {
+		return 0, err
 	}
 	ls.notifyAppend()
 	return off, nil
-}
-
-// commit makes every record up to byte position end durable, batching
-// concurrent callers behind a single flush+fsync: the first waiter through
-// the lock syncs everything appended so far and later waiters find their
-// position already covered.
-func (ls *LogStore) commit(t *topicLog, end int64) error {
-	ls.commits.Add(1)
-	t.cmu.Lock()
-	defer t.cmu.Unlock()
-	if t.syncErr != nil {
-		return t.syncErr
-	}
-	// Close flushes and fsyncs everything as it tears down; treat its work
-	// as covering this append. Already-synced positions coalesce for free.
-	if t.closed || t.committed >= end {
-		return nil
-	}
-	t.mu.Lock()
-	target := t.size
-	err := t.w.Flush()
-	t.mu.Unlock()
-	if err == nil {
-		err = t.f.Sync()
-	}
-	if err != nil {
-		t.syncErr = err
-		return err
-	}
-	ls.syncs.Add(1)
-	t.committed = target
-	return nil
 }
 
 // notifyAppend wakes every cursor blocked in NextWait.
@@ -420,45 +266,31 @@ func (ls *LogStore) Read(subject string, from uint64, max int) ([]StoredMessage,
 	if !ok {
 		return nil, nil
 	}
+	// Index entries are never rewritten, so the snapshot stays valid while
+	// appends grow the slice and the reads below run without the lock.
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Under SyncGroup an offset can be indexed while its bytes still sit in
-	// the writer (its Append is between indexing and commit); flush so the
-	// fd reads below see every indexed record.
-	if err := t.w.Flush(); err != nil {
-		return nil, err
-	}
-	if from >= uint64(len(t.offsets)) {
+	offsets := t.offsets
+	t.mu.Unlock()
+	if from >= uint64(len(offsets)) {
 		return nil, nil
 	}
-	end := len(t.offsets)
+	end := len(offsets)
 	if max > 0 && int(from)+max < end {
 		end = int(from) + max
 	}
-	var out []StoredMessage
+	out := make([]StoredMessage, 0, end-int(from))
 	for i := int(from); i < end; i++ {
-		pos := t.offsets[i]
-		var hdr [8]byte
-		if _, err := t.f.ReadAt(hdr[:], pos); err != nil {
-			return nil, fmt.Errorf("pubsub: read topic log: %w", err)
-		}
-		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		data := make([]byte, n)
-		if _, err := t.f.ReadAt(data, pos+8); err != nil {
-			return nil, fmt.Errorf("pubsub: read topic log: %w", err)
-		}
-		if crc32.ChecksumIEEE(data) != wantCRC {
-			return nil, fmt.Errorf("%w: offset %d of %s", ErrLogCorrupt, i, subject)
+		data, err := t.log.ReadAt(offsets[i])
+		if err != nil {
+			return nil, fmt.Errorf("pubsub: read offset %d of %s: %w", i, subject, err)
 		}
 		out = append(out, StoredMessage{Subject: subject, Offset: uint64(i), Data: data})
 	}
 	return out, nil
 }
 
-// Close stops the interval flusher, flushes (and, unless SyncNever, fsyncs)
-// every topic, and releases the files. Blocked NextWait cursors return
-// ErrClosed.
+// Close flushes (and, under SyncGroup, fsyncs) every topic and releases the
+// files. Blocked NextWait cursors return ErrClosed.
 func (ls *LogStore) Close() error {
 	ls.mu.Lock()
 	if ls.closed {
@@ -471,39 +303,18 @@ func (ls *LogStore) Close() error {
 	ls.topics = nil
 	ls.mu.Unlock()
 
-	if ls.flushStop != nil {
-		close(ls.flushStop)
-		<-ls.flushDone
-	}
-
-	var firstErr error
+	var errs []error
 	for _, t := range topics {
-		t.cmu.Lock()
-		t.closed = true
-		t.mu.Lock()
-		if err := t.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		t.mu.Unlock()
-		if ls.policy != SyncNever {
-			if err := t.f.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := t.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		t.cmu.Unlock()
+		errs = append(errs, t.log.Close())
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // SyncStats reports group-commit effectiveness: commits is the number of
-// appends that requested durability, syncs the fsyncs actually issued
-// (including interval-flusher passes). commits-syncs appends coalesced onto
-// another append's fsync.
+// appends that requested durability (SyncGroup), syncs the fsyncs actually
+// issued. commits-syncs appends rode another append's fsync.
 func (ls *LogStore) SyncStats() (commits, syncs uint64) {
-	return ls.commits.Load(), ls.syncs.Load()
+	return ls.stats.Commits.Load(), ls.stats.Syncs.Load()
 }
 
 // Cursor is a single-consumer tail iterator over one topic. It tracks the

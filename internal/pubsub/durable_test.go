@@ -105,70 +105,112 @@ func TestLogStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestLogStoreTornTailTruncated(t *testing.T) {
+// TestLogStoreDropsDamagedFinalRecord: the last record's payload has one
+// flipped byte (a crash persisted the header's page but not the payload's).
+// Reopen must drop it instead of indexing a record no Read can return, and
+// the next append must take its offset.
+func TestLogStoreDropsDamagedFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	ls, err := OpenLogStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.Append("t", []byte("whole")); err != nil {
-		t.Fatal(err)
+	for _, m := range []string{"first", "second", "damaged"} {
+		if _, err := ls.Append("t", []byte(m)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: garbage header promising more bytes.
 	path := filepath.Join(dir, subjectToFile("t")+".log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{1, 2, 3, 4, 50, 0, 0, 0, 1, 2})
-	f.Close()
-
-	ls2, err := OpenLogStore(dir)
-	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
-	}
-	defer ls2.Close()
-	if n := ls2.Len("t"); n != 1 {
-		t.Fatalf("Len = %d, want 1 (torn record dropped)", n)
-	}
-	// The torn bytes must be gone so new appends stay well-formed.
-	if _, err := ls2.Append("t", []byte("next")); err != nil {
-		t.Fatal(err)
-	}
-	msgs, err := ls2.Read("t", 0, 0)
-	if err != nil || len(msgs) != 2 || string(msgs[1].Data) != "next" {
-		t.Fatalf("after torn-tail recovery: %+v %v", msgs, err)
-	}
-}
-
-func TestLogStoreDetectsCorruptRecord(t *testing.T) {
-	dir := t.TempDir()
-	ls, err := OpenLogStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Append("c", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	ls.Close()
-	path := filepath.Join(dir, subjectToFile("c")+".log")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[9] ^= 0xFF // flip a payload byte
-	os.WriteFile(path, data, 0o644)
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ls2, err := OpenLogStore(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen with a damaged final record: %v", err)
 	}
 	defer ls2.Close()
-	if _, err := ls2.Read("c", 0, 0); !errors.Is(err, ErrLogCorrupt) {
-		t.Fatalf("Read = %v, want ErrLogCorrupt", err)
+	if n := ls2.Len("t"); n != 2 {
+		t.Fatalf("Len = %d, want 2 (damaged record dropped)", n)
+	}
+	off, err := ls2.Append("t", []byte("next"))
+	if err != nil || off != 2 {
+		t.Fatalf("append after recovery: off=%d err=%v, want offset 2", off, err)
+	}
+	msgs, err := ls2.Read("t", 0, 0)
+	if err != nil || len(msgs) != 3 || string(msgs[2].Data) != "next" {
+		t.Fatalf("after recovery: %+v %v", msgs, err)
+	}
+}
+
+// TestGoldenLogFormatUnchanged opens a topic directory written before the
+// topic files moved onto internal/seglog: the on-disk format is unchanged,
+// so every record must read back identically, and a copy with one byte
+// flipped mid-log must fail the open with ErrLogCorrupt.
+func TestGoldenLogFormatUnchanged(t *testing.T) {
+	copyGolden := func() string {
+		dir := t.TempDir()
+		src := filepath.Join("testdata", "golden-log")
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	ls, err := OpenLogStore(copyGolden())
+	if err != nil {
+		t.Fatalf("open golden log: %v", err)
+	}
+	defer ls.Close()
+	want := map[string][]string{
+		"am.m1.ot_image": {"layer-0", "layer-1", "layer-2", "layer-3"},
+		"ctl_x":          {"", "\x00\x01\x02\xff"},
+	}
+	if got := len(ls.Subjects()); got != len(want) {
+		t.Fatalf("Subjects = %v, want %d topics", ls.Subjects(), len(want))
+	}
+	for subject, recs := range want {
+		msgs, err := ls.Read(subject, 0, 0)
+		if err != nil || len(msgs) != len(recs) {
+			t.Fatalf("Read(%s) = %d records, %v; want %d", subject, len(msgs), err, len(recs))
+		}
+		for i, m := range msgs {
+			if string(m.Data) != recs[i] || m.Offset != uint64(i) {
+				t.Fatalf("%s[%d] = %q at offset %d, want %q", subject, i, m.Data, m.Offset, recs[i])
+			}
+		}
+	}
+
+	dir := copyGolden()
+	path := filepath.Join(dir, subjectToFile("am.m1.ot_image")+".log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[9] ^= 0xff // a payload byte of the first of four records
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLogStore(dir); !errors.Is(err, ErrLogCorrupt) {
+		t.Fatalf("open with mid-log damage = %v, want ErrLogCorrupt", err)
 	}
 }
 
@@ -278,66 +320,6 @@ func TestLogStoreGroupCommitDurableWithoutClose(t *testing.T) {
 	}
 	ls2.Close()
 	ls.Close()
-}
-
-func TestLogStoreGroupCommitTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	ls, err := OpenLogStore(dir, WithLogSync(SyncGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := ls.Append("t", []byte(fmt.Sprintf("rec-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ls.Close()
-	// Crash mid-append: a header promising more bytes than follow.
-	path := filepath.Join(dir, subjectToFile("t")+".log")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{9, 9, 9, 9, 40, 0, 0, 0, 1})
-	f.Close()
-
-	ls2, err := OpenLogStore(dir, WithLogSync(SyncGroup))
-	if err != nil {
-		t.Fatalf("reopen with torn tail: %v", err)
-	}
-	defer ls2.Close()
-	if n := ls2.Len("t"); n != 3 {
-		t.Fatalf("Len = %d, want 3 (torn record dropped)", n)
-	}
-	off, err := ls2.Append("t", []byte("after-crash"))
-	if err != nil || off != 3 {
-		t.Fatalf("append after recovery: off=%d err=%v", off, err)
-	}
-	msgs, err := ls2.Read("t", 0, 0)
-	if err != nil || len(msgs) != 4 || string(msgs[3].Data) != "after-crash" {
-		t.Fatalf("after recovery: %+v %v", msgs, err)
-	}
-}
-
-func TestLogStoreSyncIntervalFlushes(t *testing.T) {
-	ls, err := OpenLogStore(t.TempDir(), WithLogSync(SyncInterval), WithLogSyncInterval(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	if _, err := ls.Append("iv", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, syncs := ls.SyncStats(); syncs > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interval flusher never synced")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func TestCursorNextAdvances(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"strata/internal/telemetry"
 )
@@ -109,6 +110,12 @@ func TestServerAndClientCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	// Dial returns once the kernel completes the handshake, which can be
+	// before the accept loop has taken the connection and counted it. A
+	// PONG comes from the connection's serve loop, which starts after both.
+	if err := rc.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	text := render(t, srv)
 	for _, want := range []string{

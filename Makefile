@@ -17,7 +17,8 @@ BENCH_COUNT ?= 1
 ## the kill-and-recover chaos suite, the overload degradation suite
 ## (DESIGN.md §11), the cross-process observability smoke (DESIGN.md §12),
 ## the multi-process chaos scenarios (DESIGN.md §14), and ten repeats of the
-## durable-log packages so a one-in-ten flake fails here, not on main.
+## durable-log, stream and core packages so a one-in-ten flake fails here,
+## not on main.
 ci: vet build race flake lint lint-json bench-smoke alloc-smoke chaos overload obs-smoke e2e
 
 ## selected: prefix for a `go test -run <pattern>` target. `go test` exits 0
@@ -40,10 +41,11 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-## flake: the durable log and the two layers on it, ten times under -race —
-## the group-commit and crash-recovery tests are the concurrent ones.
+## flake: the durable log and the two layers on it (the group-commit and
+## crash-recovery tests are the concurrent ones), the stream engine and the
+## framework on top, ten times under -race.
 flake:
-	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub
+	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation) diffed against the committed
@@ -79,12 +81,16 @@ bench-smoke:
 
 ## alloc-smoke: enforce the committed allocation budgets on the
 ## zero-allocation hot paths (cell slicing through views, tuple codec
-## reuse). Any allocs/op above alloc_budget.json fails the build — see
+## reuse) and on the 8 MB image plane (one frame-sized buffer per encode,
+## per decode and per process hop; nothing for an unwatched connector tap).
+## Any allocs/op or B/op above alloc_budget.json fails the build — see
 ## DESIGN.md §13 "Memory model".
 alloc-smoke:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench='BenchmarkAppendSplitCells' -benchtime=20x -benchmem ./internal/otimage > alloc-smoke.out
-	$(GO) test -run='^$$' -bench='BenchmarkEncodeTupleAppend|BenchmarkDecodeTuple' -benchtime=1000x -benchmem ./internal/core >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkAppendSplitCells|BenchmarkMarshal|BenchmarkUnmarshal' -benchtime=20x -benchmem ./internal/otimage > alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkEncodeTupleAppend|BenchmarkDecodeTuple/cell' -benchtime=1000x -benchmem ./internal/core >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkEncodeTuple/image2000|BenchmarkDecodeTuple/image2000|BenchmarkTapImage' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkTCPLargeImagePayload' -benchtime=20x -benchmem ./internal/pubsub >> alloc-smoke.out
 	./bin/benchjson -budget alloc_budget.json < alloc-smoke.out
 	@rm -f alloc-smoke.out
 

@@ -51,6 +51,10 @@ const cellTrailerTag byte = 0x43 // 'C'
 // region bounds (int64 each), mean (float64 bits), min and max (uint16).
 const encodedCellSize = 6*8 + 8 + 2*2
 
+// traceTrailerLen is the size of the trace trailer: tag, trace ID, span ID,
+// flags.
+const traceTrailerLen = 1 + 16 + 8 + 1
+
 // KV value type tags.
 const (
 	valString byte = 1
@@ -85,9 +89,35 @@ func (t *EventTuple) GobDecode(data []byte) error {
 	return nil
 }
 
-// EncodeTuple serializes t for transport through a connector.
+// EncodeTuple serializes t for transport through a connector, into one
+// allocation sized for the tuple.
 func EncodeTuple(t EventTuple) ([]byte, error) {
-	return EncodeTupleAppend(make([]byte, 0, 64), t)
+	return EncodeTupleAppend(make([]byte, 0, encodedSizeHint(t)), t)
+}
+
+// encodedSizeHint returns an upper bound of t's encoded size (exact up to
+// varint slack), so an 8 MB image tuple is encoded without regrowing.
+func encodedSizeHint(t EventTuple) int {
+	const varint = binary.MaxVarintLen64
+	// Fixed header, the three strings, the KV count, both trailers.
+	n := 4 + 5*8 + len(t.Job) + len(t.Specimen) + len(t.Portion) + 4*varint +
+		1 + encodedCellSize + traceTrailerLen
+	for k, v := range t.KV {
+		n += varint + len(k) + 1 + varint // key, type tag, value length or scalar
+		switch x := v.(type) {
+		case string:
+			n += len(x)
+		case []byte:
+			n += len(x)
+		case *otimage.Image:
+			n += x.MarshalSize()
+		case otimage.View:
+			n += x.MarshalSize()
+		case otimage.Cell:
+			n += encodedCellSize
+		}
+	}
+	return n
 }
 
 // EncodeTupleAppend serializes t onto buf and returns the extended slice —
@@ -331,6 +361,11 @@ func DecodeTuple(data []byte) (EventTuple, error) {
 	if err != nil {
 		return t, err
 	}
+	if n > uint64(len(d.b)-d.pos)/2 {
+		// An entry is at least a key length and a type tag: a count beyond
+		// that is a damaged frame, and must not size the map.
+		return t, fmt.Errorf("strata: tuple claims %d KV entries in %d bytes", n, len(d.b)-d.pos)
+	}
 	if n > 0 {
 		t.KV = make(map[string]any, n)
 	}
@@ -348,7 +383,6 @@ func DecodeTuple(data []byte) (EventTuple, error) {
 	// Optional trailers (any order): frames from peers that predate them end
 	// exactly at the KV section, and unknown trailing bytes stay ignored (as
 	// they always were) so codec evolution keeps working in both directions.
-	const traceTrailerLen = 1 + 16 + 8 + 1
 trailers:
 	for d.pos < len(d.b) {
 		switch d.b[d.pos] {

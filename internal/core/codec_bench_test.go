@@ -41,19 +41,60 @@ func BenchmarkEncodeTupleAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeTuple measures the receive side. Decoding materializes the
-// tuple's strings, so it cannot be allocation-free; alloc_budget.json pins
-// the count so the codec cannot silently regress.
-func BenchmarkDecodeTuple(b *testing.B) {
-	data, err := EncodeTuple(codecBenchTuple())
-	if err != nil {
-		b.Fatal(err)
+// frameTuple is the raw connector's payload at paper resolution: one
+// 2000×2000 OT frame (8 MB of pixels).
+func frameTuple() EventTuple {
+	im := otimage.New(2000, 2000, 0.125)
+	for i := range im.Pix {
+		im.Pix[i] = uint16(i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeTuple(data); err != nil {
-			b.Fatal(err)
+	return imageTuple("bench", im)
+}
+
+// BenchmarkEncodeTuple measures the allocating encode the connector taps
+// use. alloc_budget.json pins image2000 at one frame-sized buffer (B/op ≤
+// 1.1× the frame): the pixels move in one bulk copy into a buffer sized up
+// front.
+func BenchmarkEncodeTuple(b *testing.B) {
+	b.Run("image2000", func(b *testing.B) {
+		t := frameTuple()
+		b.SetBytes(8_000_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := EncodeTuple(t); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+}
+
+// BenchmarkDecodeTuple measures the receive side. Decoding materializes the
+// tuple's strings and copies the image out of the frame (the decoded tuple
+// must own its data), so it cannot be allocation-free; alloc_budget.json
+// pins cell's allocation count and image2000's bytes (≤ 1.1× the frame) so
+// the codec cannot silently regress.
+func BenchmarkDecodeTuple(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		tuple EventTuple
+	}{
+		{"cell", codecBenchTuple()},
+		{"image2000", frameTuple()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			data, err := EncodeTuple(c.tuple)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeTuple(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"strata/internal/pubsub"
 	"strata/internal/stream"
+	"strata/internal/telemetry"
 )
 
 // Connector subjects: when a broker is attached, module boundaries publish
@@ -84,32 +85,55 @@ func (fw *Framework) tap(
 	if fw.broker == nil {
 		return s
 	}
-	broker := fw.broker
-	traces := fw.query.Traces()
-	return stream.FlatMap(fw.query, opName, s, func(t EventTuple, emit stream.Emit[EventTuple]) error {
-		if !t.isMarker() {
-			data, err := EncodeTuple(t)
-			if err != nil {
-				return fmt.Errorf("connector %s: %w", opName, err)
-			}
-			msg := pubsub.Message{Subject: subject(streamName, t.Job), Data: data}
-			if t.Trace != nil {
-				if tc := t.Trace.Context(); tc.Valid() && tc.Sampled {
-					// The tuple may leave this process here (a remote
-					// subscriber continues it), so carry the trace context in
-					// the frame and file the local fragment now — Add is
-					// idempotent, a local sink finishing the trace later just
-					// seals the same entry.
-					msg.Traceparent = tc.Traceparent()
-					traces.Add(t.Trace)
-				}
-			}
-			if err := broker.PublishMsg(msg); err != nil {
-				return fmt.Errorf("connector %s: %w", opName, err)
+	return stream.FlatMap(fw.query, opName, s, tapFunc(fw.broker, fw.query.Traces(), streamName, opName, subject))
+}
+
+// tapFunc is the connector tap's operator body: pass every tuple on, and
+// publish a copy of the non-marker ones on the connector subject of their job.
+func tapFunc(
+	broker *pubsub.Broker, traces *telemetry.TraceBuffer,
+	streamName, opName string,
+	subject func(streamName, job string) string,
+) stream.FlatMapFunc[EventTuple, EventTuple] {
+	// The operator runs on one goroutine and a build is one job for hours,
+	// so the subject is formatted once per job, not once per tuple.
+	var job, subj string
+	return func(t EventTuple, emit stream.Emit[EventTuple]) error {
+		if t.isMarker() {
+			return emit(t)
+		}
+		if subj == "" || t.Job != job {
+			job, subj = t.Job, subject(streamName, t.Job)
+		}
+		// Nothing is encoded or published for a subject nobody listens to:
+		// an 8 MB frame costs its encode only when someone can receive it.
+		// The check reads the broker's live subscription set per tuple, so a
+		// subscriber is served from the first tuple tapped after its
+		// Subscribe returned.
+		if !broker.HasSubscriber(subj) {
+			return emit(t)
+		}
+		data, err := EncodeTuple(t)
+		if err != nil {
+			return fmt.Errorf("connector %s: %w", opName, err)
+		}
+		msg := pubsub.Message{Subject: subj, Data: data}
+		if t.Trace != nil {
+			if tc := t.Trace.Context(); tc.Valid() && tc.Sampled {
+				// The tuple may leave this process here (a remote
+				// subscriber continues it), so carry the trace context in
+				// the frame and file the local fragment now — Add is
+				// idempotent, a local sink finishing the trace later just
+				// seals the same entry.
+				msg.Traceparent = tc.Traceparent()
+				traces.Add(t.Trace)
 			}
 		}
+		if err := broker.PublishMsg(msg); err != nil {
+			return fmt.Errorf("connector %s: %w", opName, err)
+		}
 		return emit(t)
-	})
+	}
 }
 
 // AddReplaySource deploys a source that replays the encoded tuples recorded

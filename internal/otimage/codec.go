@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary codec: the compact wire form used to ship OT images through the
@@ -28,14 +29,15 @@ func (im *Image) Marshal() []byte {
 // so codec buffers can be pooled by the caller instead of allocated per
 // frame.
 func (im *Image) MarshalAppend(dst []byte) []byte {
+	dst = appendHeader(slices.Grow(dst, im.MarshalSize()), im.Width, im.Height, im.MMPerPixel)
+	return appendPixels(dst, im.Pix)
+}
+
+func appendHeader(dst []byte, w, h int, mmPerPixel float64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(im.Width))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(im.Height))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(im.MMPerPixel))
-	for _, v := range im.Pix {
-		dst = binary.LittleEndian.AppendUint16(dst, v)
-	}
-	return dst
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(mmPerPixel))
 }
 
 // MarshalSize returns the encoded size of the view's window in bytes.
@@ -47,14 +49,9 @@ func (v View) MarshalSize() int { return 20 + v.Width()*v.Height()*2 }
 // underlying image is NOT encoded — callers that need it must carry the
 // origin separately.
 func (v View) MarshalAppend(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Width()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Height()))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Im.MMPerPixel))
+	dst = appendHeader(slices.Grow(dst, v.MarshalSize()), v.Width(), v.Height(), v.Im.MMPerPixel)
 	for y := 0; y < v.Height(); y++ {
-		for _, px := range v.Row(y) {
-			dst = binary.LittleEndian.AppendUint16(dst, px)
-		}
+		dst = appendPixels(dst, v.Row(y))
 	}
 	return dst
 }
@@ -88,8 +85,6 @@ func unmarshalWith(data []byte, alloc func(w, h int, mmpp float64) *Image) (*Ima
 		return nil, fmt.Errorf("otimage: size mismatch: header says %dx%d, payload %d bytes", w, h, len(data)-20)
 	}
 	im := alloc(w, h, math.Float64frombits(binary.LittleEndian.Uint64(data[12:20])))
-	for i := range im.Pix {
-		im.Pix[i] = binary.LittleEndian.Uint16(data[20+2*i:])
-	}
+	readPixels(im.Pix, data[20:])
 	return im, nil
 }

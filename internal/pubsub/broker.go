@@ -16,8 +16,18 @@ import (
 // NOT delivered to anyone — admission control is all-or-nothing per publish.
 var ErrOverQuota = errors.New("pubsub: subject over quota")
 
-// Message is one published datum. Data is shared between subscribers and
-// must be treated as read-only by consumers.
+// Message is one published datum.
+//
+// Data ownership: the broker never copies Data. One publish hands the same
+// backing array to every matching subscriber, so consumers must treat it as
+// read-only, and may retain it for as long as they like. An in-process
+// publisher gives its slice away with Publish/PublishMsg and must not write
+// to it afterwards. A TCP publisher (Conn, ReconnectConn) keeps its buffer:
+// the bytes are on the wire or copied into the pending ring when PublishMsg
+// returns, and the buffer may be reused. On the receiving side of a TCP hop
+// (the server's publish handler, the client's read loop) Data aliases the
+// frame buffer that was allocated for that one frame — the single copy of
+// the hop — and the message is its only owner.
 type Message struct {
 	Subject string
 	Data    []byte
@@ -368,7 +378,7 @@ func (b *Broker) removeSub(s *Subscription) {
 
 // Publish delivers data to every subscription whose pattern matches subject
 // (and to one member per matching queue group). Data is not copied; treat it
-// as immutable after publishing.
+// as immutable after publishing (see Message for the ownership rules).
 func (b *Broker) Publish(subject string, data []byte) error {
 	return b.PublishRequest(subject, "", data)
 }
@@ -420,18 +430,22 @@ func (b *Broker) PublishMsg(m Message) error {
 			targets = append(targets, s)
 		}
 	}
+	hasGroups := len(b.queues) > 0
 	b.mu.RUnlock()
 
-	// Queue groups need the write lock briefly for the round-robin cursor.
-	b.mu.Lock()
-	for _, g := range b.queues {
-		if len(g.members) == 0 || !Match(g.members[0].pattern, subject) {
-			continue
+	// Queue groups need the write lock briefly for the round-robin cursor;
+	// a broker without groups never serializes its publishers on it.
+	if hasGroups {
+		b.mu.Lock()
+		for _, g := range b.queues {
+			if len(g.members) == 0 || !Match(g.members[0].pattern, subject) {
+				continue
+			}
+			g.next = (g.next + 1) % len(g.members)
+			targets = append(targets, g.members[g.next])
 		}
-		g.next = (g.next + 1) % len(g.members)
-		targets = append(targets, g.members[g.next])
+		b.mu.Unlock()
 	}
-	b.mu.Unlock()
 
 	msg := m
 	msg.Seq = b.seq.Add(1)
@@ -456,6 +470,23 @@ func (b *Broker) PublishMsg(m Message) error {
 		}
 	}
 	return nil
+}
+
+// HasSubscriber reports whether a publish on subject would reach anyone right
+// now: a subscription (plain or queue member) whose pattern matches it. It is
+// for publishers whose payload is expensive to build — the connector taps skip
+// encoding an 8 MB frame nobody listens to. The answer is read from the
+// current subscription set on every call, so a subscription whose Subscribe
+// has returned is always seen; it does not allocate.
+func (b *Broker) HasSubscriber(subject string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for _, s := range b.subs {
+		if Match(s.pattern, subject) {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats returns a snapshot of the broker's counters.

@@ -3,6 +3,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -206,6 +207,44 @@ func TestBrokerUnsubscribe(t *testing.T) {
 	sub.Unsubscribe() // idempotent
 }
 
+// TestBrokerHasSubscriber: the answer follows the live subscription set —
+// plain subscribers and queue members both count, patterns must match, and
+// an unsubscribe is seen at once — without allocating.
+func TestBrokerHasSubscriber(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	if b.HasSubscriber("strata.raw.ot.j1") {
+		t.Fatal("empty broker claims a subscriber")
+	}
+	plain, err := b.Subscribe("strata.raw.*.j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	member, err := b.Subscribe("strata.events.>", WithQueue("workers"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for subject, want := range map[string]bool{
+		"strata.raw.ot.j1":      true,
+		"strata.raw.ot.j2":      false,
+		"strata.raw.ot.j1.more": false,
+		"strata.events.d.j2":    true,
+		"strata.results.c.j1":   false,
+	} {
+		if got := b.HasSubscriber(subject); got != want {
+			t.Errorf("HasSubscriber(%q) = %v, want %v", subject, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { b.HasSubscriber("strata.results.c.j1") }); n != 0 {
+		t.Errorf("HasSubscriber allocated %v times", n)
+	}
+	plain.Unsubscribe()
+	member.Unsubscribe()
+	if b.HasSubscriber("strata.raw.ot.j1") || b.HasSubscriber("strata.events.d.j2") {
+		t.Fatal("unsubscribed patterns still count as listeners")
+	}
+}
+
 func TestBrokerDropOldest(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -377,5 +416,53 @@ func TestMatchPropertySelfMatch(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// matchBySplitting is the matcher as specified (token slices compared index
+// by index): the reference the allocation-free Match is checked against.
+func matchBySplitting(pattern, subject string) bool {
+	p := strings.Split(pattern, ".")
+	s := strings.Split(subject, ".")
+	for i, tok := range p {
+		if tok == ">" {
+			return len(s) >= i+1
+		}
+		if i >= len(s) {
+			return false
+		}
+		if tok != "*" && tok != s[i] {
+			return false
+		}
+	}
+	return len(s) == len(p)
+}
+
+// TestMatchAgreesWithReference enumerates every pattern of up to four tokens
+// over {a, b, *, >-last} against every subject of up to four tokens over
+// {a, b}.
+func TestMatchAgreesWithReference(t *testing.T) {
+	var build func(alphabet []string, depth int, prefix string, out *[]string)
+	build = func(alphabet []string, depth int, prefix string, out *[]string) {
+		for _, tok := range alphabet {
+			s := prefix + tok
+			*out = append(*out, s)
+			if depth > 1 && tok != ">" {
+				build(alphabet, depth-1, s+".", out)
+			}
+		}
+	}
+	var patterns, subjects []string
+	build([]string{"a", "b", "*", ">"}, 4, "", &patterns)
+	build([]string{"a", "b"}, 4, "", &subjects)
+	for _, p := range patterns {
+		for _, s := range subjects {
+			if got, want := Match(p, s), matchBySplitting(p, s); got != want {
+				t.Fatalf("Match(%q, %q) = %v, reference says %v", p, s, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Match("strata.raw.*.>", "strata.raw.ot.job.x") }); n != 0 {
+		t.Fatalf("Match allocated %v times", n)
 	}
 }

@@ -380,14 +380,15 @@ func (c *Conn) readLoop() {
 				c.teardown(err)
 				return
 			}
-			data := append([]byte(nil), cur.rest()...)
 			c.mu.Lock()
 			sub := c.subs[sid]
 			c.mu.Unlock()
 			if sub != nil {
-				// Blocking send: back-pressure propagates to the
-				// server through the unread socket.
-				sub.deliver(Message{Subject: string(subj), Reply: string(reply), Data: data, Seq: seq, Traceparent: string(tp)})
+				// Data aliases payload, which readFrame allocated for this
+				// frame alone: the message owns it, no second copy. The
+				// send blocks: back-pressure propagates to the server
+				// through the unread socket.
+				sub.deliver(Message{Subject: string(subj), Reply: string(reply), Data: cur.rest(), Seq: seq, Traceparent: string(tp)})
 			}
 		case opPong:
 			select {

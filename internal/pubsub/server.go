@@ -240,10 +240,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(err)
 				return
 			}
-			// Copy the data: the broker shares it with N subscribers
-			// beyond this frame's lifetime.
-			data := append([]byte(nil), c.rest()...)
-			m := Message{Subject: string(subj), Reply: string(reply), Data: data, Traceparent: string(tp)}
+			// No copy: readFrame allocated payload for this frame alone, so
+			// the message owns it and the broker can share it with N
+			// subscribers beyond this loop iteration.
+			m := Message{Subject: string(subj), Reply: string(reply), Data: c.rest(), Traceparent: string(tp)}
 			if err := s.broker.PublishMsg(m); err != nil {
 				sendErr(err)
 			}

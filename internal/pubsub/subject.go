@@ -72,18 +72,20 @@ func ValidatePattern(pattern string) error {
 // Match reports whether subject matches the subscription pattern. Both are
 // assumed valid (see ValidateSubject, ValidatePattern).
 func Match(pattern, subject string) bool {
-	p := strings.Split(pattern, ".")
-	s := strings.Split(subject, ".")
-	for i, tok := range p {
+	// Token by token without splitting: this runs per subscription on every
+	// publish, so it must not allocate.
+	for {
+		tok, restP, moreP := strings.Cut(pattern, ".")
 		if tok == ">" {
-			return len(s) >= i+1
+			return true // subject always has at least this one token left
 		}
-		if i >= len(s) {
+		stok, restS, moreS := strings.Cut(subject, ".")
+		if tok != "*" && tok != stok {
 			return false
 		}
-		if tok != "*" && tok != s[i] {
-			return false
+		if !moreP || !moreS {
+			return moreP == moreS
 		}
+		pattern, subject = restP, restS
 	}
-	return len(s) == len(p)
 }

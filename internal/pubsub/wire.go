@@ -78,7 +78,9 @@ func writeFrame(w *bufio.Writer, op byte, payload ...[]byte) error {
 	return w.Flush()
 }
 
-// readFrame reads one frame, returning its op and payload.
+// readFrame reads one frame, returning its op and payload. The payload is a
+// fresh allocation per frame and nothing else refers to it, so the caller
+// owns it and may hand sub-slices on (Message.Data) without copying.
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -218,7 +218,8 @@ func (q *Query) Run(ctx context.Context) error {
 		q.mu.Unlock()
 	}()
 
-	ctx, cancel := context.WithCancel(ctx)
+	parent := ctx
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	var (
@@ -242,7 +243,10 @@ func (q *Query) Run(ctx context.Context) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	return nil
+	// Sources swallow the context error they stop on (see sourceOp.run), and
+	// whether any other operator was parked on ctx at that moment is a
+	// race; the caller's context ending the query is reported here, always.
+	return parent.Err()
 }
 
 // runOp is the backstop around an operator goroutine: every operator's run

@@ -1,74 +1,48 @@
 // Command strata-lint runs the STRATA contract analyzers over the
-// requested packages and exits non-zero when the set of unsuppressed
-// findings differs from the committed baseline (or, without -baseline,
-// when any finding remains).
+// requested packages and prints one finding per line as
+// `file:line:col: message (analyzer)`, the format editors and CI
+// annotators already understand.
 //
 // Usage:
 //
-//	strata-lint [flags] [packages]
+//	strata-lint [-C dir] [packages]
+//	strata-lint -list
 //
-// With no package patterns it analyzes ./.... The default output prints
-// one finding per line as `file:line:col: message (analyzer)`, the format
-// editors and CI annotators already understand; -format=json emits the
-// same findings as a machine-readable array and -format=sarif emits SARIF
-// 2.1.0 for code-scanning UIs. File paths in json/sarif output are
-// relative to the -C directory, so the artifacts are stable across
-// checkouts.
-//
-// A baseline file (-baseline lint.baseline) makes CI incremental: known
-// findings are tolerated, but a NEW finding fails the run — and so does a
-// STALE baseline entry whose finding has been fixed, so the ratchet only
-// tightens. Regenerate with -update after fixing or suppressing. Baseline
-// entries are keyed by analyzer, file, and message — not line — so
-// unrelated edits that shift code around don't invalidate them.
+// With no package patterns it analyzes ./.... It exits 1 when any
+// unsuppressed finding remains and 2 when the packages fail to load or
+// type-check.
 //
 // Suppress a deliberate violation with
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // on (or immediately above) the offending line, or in the doc comment of
-// the enclosing function. The environment for this repo has no module
-// proxy, so the suite runs on an in-tree, stdlib-only re-implementation of
-// the go/analysis contract — including gob-serialized cross-package facts
-// (see internal/lint/analysis) — instead of the x/tools multichecker;
-// `go vet -vettool` mode needs the upstream unitchecker and is therefore
-// not available offline.
+// the enclosing function. A directive naming an analyzer that -list does
+// not show is itself a finding. The environment for this repo has no
+// module proxy, so the suite runs on an in-tree, stdlib-only
+// re-implementation of the go/analysis contract (see internal/lint/analysis)
+// instead of the x/tools multichecker.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"strata/internal/lint"
-	"strata/internal/lint/analysis"
 	"strata/internal/lint/analyzers"
-	"strata/internal/obslog"
 )
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list the registered analyzers and exit")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		dir      = flag.String("C", ".", "directory to resolve package patterns in")
-		format   = flag.String("format", "text", "output format: text, json, or sarif")
-		baseline = flag.String("baseline", "", "baseline file of known findings; fail only when findings differ from it")
-		update   = flag.Bool("update", false, "rewrite the -baseline file from this run's findings and exit 0")
+		list = flag.Bool("list", false, "list the registered analyzers and exit")
+		dir  = flag.String("C", ".", "directory to resolve package patterns in")
 	)
-	applyLog := obslog.Flags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: strata-lint [flags] [packages]\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := applyLog(); err != nil {
-		fmt.Fprintln(os.Stderr, "strata-lint:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, a := range analyzers.All {
@@ -76,276 +50,17 @@ func main() {
 		}
 		return
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "strata-lint: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
-	}
-	if *update && *baseline == "" {
-		fmt.Fprintln(os.Stderr, "strata-lint: -update requires -baseline")
-		os.Exit(2)
-	}
 
-	suite := analyzers.All
-	if *only != "" {
-		suite = nil
-		byName := make(map[string]*analysis.Analyzer)
-		for _, a := range analyzers.All {
-			byName[a.Name] = a
-		}
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "strata-lint: unknown analyzer %q (try -list)\n", name)
-				os.Exit(2)
-			}
-			suite = append(suite, a)
-		}
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	// The baseline lives next to the code it describes: resolve a relative
-	// -baseline against the -C directory, like the package patterns.
-	if *baseline != "" && !filepath.IsAbs(*baseline) {
-		*baseline = filepath.Join(*dir, *baseline)
-	}
-
-	findings, err := lint.Run(*dir, patterns, suite)
+	findings, err := lint.Run(*dir, flag.Args(), analyzers.All)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "strata-lint: %v\n", err)
 		os.Exit(2)
 	}
-	recs := toRecords(*dir, findings)
-
-	if *update {
-		if err := writeBaseline(*baseline, recs); err != nil {
-			fmt.Fprintf(os.Stderr, "strata-lint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "strata-lint: wrote %d finding(s) to %s\n", len(recs), *baseline)
-		return
-	}
-
-	switch *format {
-	case "json":
-		emitJSON(os.Stdout, recs)
-	case "sarif":
-		emitSARIF(os.Stdout, suite, recs)
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-	}
-
-	if *baseline != "" {
-		known, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "strata-lint: %v\n", err)
-			os.Exit(2)
-		}
-		fresh, stale := diffBaseline(recs, known)
-		for _, r := range fresh {
-			fmt.Fprintf(os.Stderr, "strata-lint: new finding not in baseline: %s:%d: %s (%s)\n",
-				r.File, r.Line, r.Message, r.Analyzer)
-		}
-		for _, r := range stale {
-			fmt.Fprintf(os.Stderr, "strata-lint: stale baseline entry (finding fixed — regenerate with -update): %s: %s (%s)\n",
-				r.File, r.Message, r.Analyzer)
-		}
-		if len(fresh) > 0 || len(stale) > 0 {
-			os.Exit(1)
-		}
-		return
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "strata-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// record is one finding in the json/sarif/baseline shape: the file path is
-// relative to the -C directory so the artifacts don't embed checkout
-// paths.
-type record struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func toRecords(dir string, findings []lint.Finding) []record {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		abs = dir
-	}
-	recs := make([]record, 0, len(findings))
-	for _, f := range findings {
-		file := f.Pos.Filename
-		if rel, err := filepath.Rel(abs, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = filepath.ToSlash(rel)
-		}
-		recs = append(recs, record{
-			Analyzer: f.Analyzer,
-			File:     file,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	return recs
-}
-
-func emitJSON(w *os.File, recs []record) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if recs == nil {
-		recs = []record{}
-	}
-	if err := enc.Encode(recs); err != nil {
-		fmt.Fprintf(os.Stderr, "strata-lint: encode json: %v\n", err)
-		os.Exit(2)
-	}
-}
-
-// Minimal SARIF 2.1.0: one run, one rule per analyzer, one result per
-// finding. Enough for code-scanning upload and for humans with jq.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-type sarifRule struct {
-	ID   string `json:"id"`
-	Desc struct {
-		Text string `json:"text"`
-	} `json:"shortDescription"`
-}
-type sarifResult struct {
-	RuleID  string `json:"ruleId"`
-	Level   string `json:"level"`
-	Message struct {
-		Text string `json:"text"`
-	} `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-type sarifLocation struct {
-	Physical struct {
-		Artifact struct {
-			URI string `json:"uri"`
-		} `json:"artifactLocation"`
-		Region struct {
-			StartLine   int `json:"startLine"`
-			StartColumn int `json:"startColumn"`
-		} `json:"region"`
-	} `json:"physicalLocation"`
-}
-
-func emitSARIF(w *os.File, suite []*analysis.Analyzer, recs []record) {
-	var driver sarifDriver
-	driver.Name = "strata-lint"
-	for _, a := range suite {
-		var r sarifRule
-		r.ID = a.Name
-		r.Desc.Text = a.Doc
-		driver.Rules = append(driver.Rules, r)
-	}
-	results := make([]sarifResult, 0, len(recs))
-	for _, rec := range recs {
-		var res sarifResult
-		res.RuleID = rec.Analyzer
-		res.Level = "error"
-		res.Message.Text = rec.Message
-		var loc sarifLocation
-		loc.Physical.Artifact.URI = rec.File
-		loc.Physical.Region.StartLine = rec.Line
-		loc.Physical.Region.StartColumn = rec.Column
-		res.Locations = []sarifLocation{loc}
-		results = append(results, res)
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: driver}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(log); err != nil {
-		fmt.Fprintf(os.Stderr, "strata-lint: encode sarif: %v\n", err)
-		os.Exit(2)
-	}
-}
-
-// The baseline file is the -format=json record array. Entries are matched
-// as a multiset keyed by analyzer+file+message — line and column are
-// recorded for humans but ignored when diffing, so unrelated edits that
-// shift a known finding a few lines don't break CI.
-func baselineKey(r record) string {
-	return r.Analyzer + "\x00" + r.File + "\x00" + r.Message
-}
-
-func readBaseline(path string) ([]record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("read baseline: %w", err)
-	}
-	var recs []record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	return recs, nil
-}
-
-func writeBaseline(path string, recs []record) error {
-	if recs == nil {
-		recs = []record{}
-	}
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// diffBaseline returns the findings not covered by the baseline (fresh)
-// and the baseline entries no current finding matches (stale). Both are
-// failures: the first is a regression, the second a ratchet that must be
-// tightened.
-func diffBaseline(current, known []record) (fresh, stale []record) {
-	budget := make(map[string]int, len(known))
-	for _, r := range known {
-		budget[baselineKey(r)]++
-	}
-	for _, r := range current {
-		k := baselineKey(r)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		fresh = append(fresh, r)
-	}
-	for _, r := range known {
-		k := baselineKey(r)
-		if budget[k] > 0 {
-			budget[k]--
-			stale = append(stale, r)
-		}
-	}
-	sort.Slice(stale, func(i, j int) bool { return baselineKey(stale[i]) < baselineKey(stale[j]) })
-	return fresh, stale
 }

@@ -219,9 +219,9 @@ func TestOverloadApplyMeasuresPerLevel(t *testing.T) {
 	waitFor(t, "sources to resume", func() bool { return emitted.Load() > resumed })
 }
 
-// TestPauseGateParksSource isolates the pause gate: a paused framework's
+// TestOverloadPauseGateParksSource isolates the pause gate: a paused framework's
 // source emits nothing; unpausing releases it.
-func TestPauseGateParksSource(t *testing.T) {
+func TestOverloadPauseGateParksSource(t *testing.T) {
 	broker := pubsub.NewBroker()
 	defer broker.Close()
 	m, err := NewManager(t.TempDir(), broker)
@@ -356,10 +356,10 @@ func TestOverloadShedExpiredAccounting(t *testing.T) {
 	}
 }
 
-// TestDeliverDurableSuppressesExpiredEffects pins the deadline terminus:
+// TestOverloadDeliverDurableSuppressesExpiredEffects pins the deadline terminus:
 // results arriving past their deadline consume a sequence number but write
 // no effects, and the suppression is counted.
-func TestDeliverDurableSuppressesExpiredEffects(t *testing.T) {
+func TestOverloadDeliverDurableSuppressesExpiredEffects(t *testing.T) {
 	broker := pubsub.NewBroker()
 	defer broker.Close()
 	m, err := NewManager(t.TempDir(), broker)

@@ -6,14 +6,8 @@
 // shape — an Analyzer owns a name, a doc string, and a Run function that
 // inspects one type-checked package through a Pass — so the strata-lint
 // analyzers can be ported to the upstream framework by swapping the import
-// path if x/tools ever becomes available.
-//
-// Since stratalint v2 the contract is modular: an analyzer can depend on
-// other analyzers (Requires — same-package results through ResultOf) and can
-// communicate across package boundaries through serialized Facts (see
-// facts.go). The driver in internal/lint walks packages in dependency order
-// and analyzers in Requires order, so a fact exported while analyzing a
-// dependency is visible when its importers are analyzed.
+// path if x/tools ever becomes available. Analysis is strictly per package:
+// there are no facts and no inter-analyzer dependencies.
 package analysis
 
 import (
@@ -29,23 +23,7 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// Requires lists analyzers that must run (successfully) on the same
-	// package before this one. Their results are available through
-	// Pass.ResultOf, and any facts they exported — on this package or its
-	// dependencies — are importable. The driver expands the transitive
-	// closure, so requesting an analyzer implicitly runs what it requires.
-	Requires []*Analyzer
-
-	// FactTypes lists the concrete fact types this analyzer exports or
-	// imports, as typed nil pointers (e.g. (*NeverFails)(nil)). Every type
-	// is registered with gob; an analyzer that touches facts without
-	// declaring their types here fails loudly at Export/Import time.
-	FactTypes []Fact
-
-	// Run inspects one package and returns an optional result value that
-	// dependents read through Pass.ResultOf.
-	Run func(*Pass) (any, error)
+	Run  func(*Pass) error
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -64,18 +42,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// ResultOf maps each analyzer in Requires to the value its Run returned
-	// for this same package.
-	ResultOf map[*Analyzer]any
-
 	// Report delivers a diagnostic to the driver. The driver applies
 	// //lint:ignore suppression after collection, so analyzers report
 	// unconditionally.
 	Report func(Diagnostic)
-
-	// facts is this (analyzer, package) view of the fact store; nil when
-	// the driver did not set one up (the analyzer declared no FactTypes).
-	facts *factView
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -91,67 +61,4 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // ObjectOf returns the object denoted by ident, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.TypesInfo.ObjectOf(id)
-}
-
-// ExportObjectFact attaches fact to obj, which must belong to the package
-// under analysis. The fact becomes visible to this analyzer when it later
-// runs on any package that (transitively) imports this one — after a gob
-// round-trip, so facts must survive serialization. Facts on objects with no
-// stable cross-package path (locals, anonymous types) are silently dropped
-// at the package boundary, mirroring x/tools.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil {
-		panic(fmt.Sprintf("analysis: %s exported a fact but declares no FactTypes", p.Analyzer))
-	}
-	p.facts.exportObject(p, obj, fact)
-}
-
-// ImportObjectFact copies the fact of fact's concrete type attached to obj
-// into *fact and reports whether one was found. obj may belong to the
-// package under analysis (same-package export) or to any package in its
-// import closure.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.importObject(p, obj, fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts == nil {
-		panic(fmt.Sprintf("analysis: %s exported a fact but declares no FactTypes", p.Analyzer))
-	}
-	p.facts.exportPackage(p, fact)
-}
-
-// ImportPackageFact copies the fact of fact's concrete type attached to pkg
-// into *fact and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.importPackage(p, pkg, fact)
-}
-
-// AllObjectFacts returns every object fact currently visible to this pass.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.allObjectFacts()
-}
-
-// AllPackageFacts returns every package fact currently visible to this pass.
-func (p *Pass) AllPackageFacts() []PackageFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.allPackageFacts()
-}
-
-// SetFactView installs the driver's fact view on the pass. It is exported
-// for the driver in internal/lint only.
-func (p *Pass) SetFactView(v *FactSet, visible map[*types.Package]bool) {
-	p.facts = &factView{set: v, visible: visible}
 }

@@ -32,19 +32,10 @@ func TestBoundedchan(t *testing.T) {
 	linttest.Run(t, analyzers.Boundedchan, "boundedchan")
 }
 
-// The fact-powered analyzers run over multi-package testdata modules: the
-// cross-package cases only produce (or suppress) findings when facts
-// exported while analyzing a dependency survive the gob round-trip into
-// the importer's pass.
-
 func TestSnapshotgap(t *testing.T) {
 	linttest.Run(t, analyzers.Snapshotgap, "snapshotgap")
 }
 
 func TestMetricname(t *testing.T) {
 	linttest.Run(t, analyzers.Metricname, "metricname")
-}
-
-func TestAtomicmix(t *testing.T) {
-	linttest.Run(t, analyzers.Atomicmix, "atomicmix")
 }

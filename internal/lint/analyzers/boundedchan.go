@@ -28,7 +28,7 @@ var Boundedchan = &analysis.Analyzer{
 	Run:  runBoundedchan,
 }
 
-func runBoundedchan(pass *analysis.Pass) (any, error) {
+func runBoundedchan(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -58,7 +58,7 @@ func runBoundedchan(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // isBuiltinMake reports whether call invokes the builtin make.

@@ -21,20 +21,13 @@ import (
 //   - only methods named Close/close/Flush/flush/Sync/sync whose results
 //     include an error
 //   - _test.go files are exempt
-//
-// Since stratalint v2 errdrop is fact-powered: it requires errfree and
-// skips call sites whose callee carries a NeverFails fact — a Close that
-// provably always returns nil has no error to drop, even when the callee
-// is defined three packages away.
 var Errdrop = &analysis.Analyzer{
-	Name:      "errdrop",
-	Doc:       "Close/Flush/Sync errors must be handled or explicitly discarded",
-	Requires:  []*analysis.Analyzer{Errfree},
-	FactTypes: []analysis.Fact{(*NeverFails)(nil)},
-	Run:       runErrdrop,
+	Name: "errdrop",
+	Doc:  "Close/Flush/Sync errors must be handled or explicitly discarded",
+	Run:  runErrdrop,
 }
 
-func runErrdrop(pass *analysis.Pass) (any, error) {
+func runErrdrop(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -56,11 +49,6 @@ func runErrdrop(pass *analysis.Pass) (any, error) {
 			if !ok || !returnsError(sig) {
 				return true
 			}
-			// A callee proven (by errfree, possibly in another package) to
-			// always return nil has no error worth handling.
-			if pass.ImportObjectFact(fn, &NeverFails{}) {
-				return true
-			}
 			target := fn.Name()
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				target = exprText(sel.X) + "." + fn.Name()
@@ -70,7 +58,7 @@ func runErrdrop(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func isDropTarget(name string) bool {
@@ -84,10 +72,8 @@ func isDropTarget(name string) bool {
 func returnsError(sig *types.Signature) bool {
 	res := sig.Results()
 	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok {
-			if named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
-				return true
-			}
+		if isErrorType(res.At(i).Type()) {
+			return true
 		}
 	}
 	return false

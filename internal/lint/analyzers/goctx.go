@@ -34,7 +34,7 @@ var Goctx = &analysis.Analyzer{
 	Run:  runGoctx,
 }
 
-func runGoctx(pass *analysis.Pass) (any, error) {
+func runGoctx(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
@@ -63,7 +63,7 @@ func runGoctx(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // loopStoppable reports whether the unconditional loop has any of the

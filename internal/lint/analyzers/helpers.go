@@ -15,11 +15,10 @@ import (
 )
 
 // All is the full strata-lint suite, in the order findings are attributed.
-// Errfree is not listed: it reports nothing and runs implicitly as a
-// Requires dependency of Errdrop.
+// A //lint:ignore directive may name only these analyzers.
 var All = []*analysis.Analyzer{
 	Streamclose, Locksend, Goctx, Errdrop, Boundedchan,
-	Snapshotgap, Metricname, Atomicmix,
+	Snapshotgap, Metricname,
 }
 
 // calleeFunc resolves the called function/method object of call, or nil for
@@ -98,4 +97,10 @@ func isBuiltinClose(info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isBuiltin := info.ObjectOf(id).(*types.Builtin)
 	return isBuiltin
+}
+
+// isErrorType reports whether t is the predeclared error type.
+func isErrorType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 }

@@ -51,7 +51,7 @@ var (
 	}
 )
 
-func runLocksend(pass *analysis.Pass) (any, error) {
+func runLocksend(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
@@ -59,7 +59,7 @@ func runLocksend(pass *analysis.Pass) (any, error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // lockSet tracks held mutexes in acquisition order, keyed by the rendered

@@ -5,23 +5,10 @@ import (
 	"go/constant"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 
 	"strata/internal/lint/analysis"
 )
-
-// MetricNames is a package fact: every metric name this package emits
-// through a telemetry Writer, mapped to the help string it was registered
-// with. Importing packages use it to flag a metric re-registered under the
-// same name — two owners for one time series means the pull-model registry
-// silently serves whichever wrote last.
-type MetricNames struct {
-	Names map[string]string // metric name -> help text
-}
-
-// AFact marks MetricNames as a fact type.
-func (*MetricNames) AFact() {}
 
 // Metricname enforces the telemetry naming contract from DESIGN.md §6: a
 // metric name passed to telemetry's Writer methods (Counter, Gauge,
@@ -31,41 +18,16 @@ func (*MetricNames) AFact() {}
 //     which turns label-shaped data into unbounded time series
 //   - snake_case matching ^[a-z][a-z0-9_]*$
 //   - prefixed strata_ (or go_ for the runtime-stats mirror)
-//   - outside a reserved sub-prefix unless emitted by that prefix's owning
-//     package (strata_trace_ belongs to telemetry, strata_flightrec_ to
-//     obslog), so observability series stay single-sourced
-//   - registered with one help string per package, and not already owned
-//     by an imported package (checked via the MetricNames package fact)
+//   - registered with one help string per package
 var Metricname = &analysis.Analyzer{
-	Name:      "metricname",
-	Doc:       "telemetry metric names must be constant, strata_-prefixed snake_case, registered once",
-	FactTypes: []analysis.Fact{(*MetricNames)(nil)},
-	Run:       runMetricname,
+	Name: "metricname",
+	Doc:  "telemetry metric names must be constant, strata_-prefixed snake_case, one help string each",
+	Run:  runMetricname,
 }
 
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-// reservedMetricPrefixes maps a reserved series prefix to the import path
-// of the only package allowed to emit it. Kept sorted at use via
-// sortedPrefixes so reports are deterministic. Testdata fakes mirror the
-// real package layout under their own module roots, so ownership is matched
-// on the path suffix.
-var reservedMetricPrefixes = map[string]string{
-	"strata_trace_":     "strata/internal/telemetry",
-	"strata_flightrec_": "strata/internal/obslog",
-}
-
-// sortedPrefixes returns reservedMetricPrefixes' keys in stable order.
-func sortedPrefixes() []string {
-	keys := make([]string, 0, len(reservedMetricPrefixes))
-	for k := range reservedMetricPrefixes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func runMetricname(pass *analysis.Pass) (any, error) {
+func runMetricname(pass *analysis.Pass) error {
 	emitted := make(map[string]string) // name -> help, this package
 	for _, file := range pass.Files {
 		if isTestFile(pass.Fset, file.Pos()) {
@@ -92,21 +54,10 @@ func runMetricname(pass *analysis.Pass) (any, error) {
 					"metric name %q is not snake_case (want ^[a-z][a-z0-9_]*$)", name)
 				return true
 			}
-			if !prefixed(name, "strata_") && !prefixed(name, "go_") {
+			if !strings.HasPrefix(name, "strata_") && !strings.HasPrefix(name, "go_") {
 				pass.Reportf(nameArg.Pos(),
 					"metric name %q lacks the strata_ prefix (go_ is reserved for the runtime-stats mirror)", name)
 				return true
-			}
-			for _, rp := range sortedPrefixes() {
-				if !prefixed(name, rp) {
-					continue
-				}
-				owner := reservedMetricPrefixes[rp]
-				if !strings.HasSuffix(pass.Pkg.Path(), owner) {
-					pass.Reportf(nameArg.Pos(),
-						"metric %q uses the reserved prefix %s, owned by %s; emit it through that package's collector instead", name, rp, owner)
-				}
-				break
 			}
 			help := ""
 			if tv, ok := pass.TypesInfo.Types[call.Args[1]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
@@ -120,27 +71,10 @@ func runMetricname(pass *analysis.Pass) (any, error) {
 			} else {
 				emitted[name] = help
 			}
-			// The same series emitted by two packages has two owners; the
-			// registry serves whichever wrote last. Facts from imports say
-			// who got there first.
-			for _, dep := range sortedImports(pass.Pkg) {
-				var mn MetricNames
-				if !pass.ImportPackageFact(dep, &mn) {
-					continue
-				}
-				if _, owned := mn.Names[name]; owned {
-					pass.Reportf(nameArg.Pos(),
-						"metric %q is already emitted by %s; one package owns a time series", name, dep.Path())
-					break
-				}
-			}
 			return true
 		})
 	}
-	if len(emitted) > 0 {
-		pass.ExportPackageFact(&MetricNames{Names: emitted})
-	}
-	return nil, nil
+	return nil
 }
 
 // isWriterEmit reports whether call is telemetry.Writer.Counter/Gauge/
@@ -171,16 +105,4 @@ func isWriterEmit(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	pkg := named.Obj().Pkg()
 	return pkg != nil && pkg.Name() == "telemetry"
-}
-
-func prefixed(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
-}
-
-// sortedImports returns pass.Pkg's direct imports in a stable order, so
-// cross-package duplicate reports don't depend on map iteration.
-func sortedImports(pkg *types.Package) []*types.Package {
-	imps := append([]*types.Package(nil), pkg.Imports()...)
-	sort.Slice(imps, func(i, j int) bool { return imps[i].Path() < imps[j].Path() })
-	return imps
 }

@@ -9,23 +9,6 @@ import (
 	"strata/internal/lint/analysis"
 )
 
-// SnapState is an object fact attached to every package-level named struct
-// type: which of its fields are mutated at runtime (written through a
-// method receiver, outside Snapshot/Restore), whether the type carries a
-// Snapshot/Restore pair, and which fields that pair references. Importing
-// packages use it to judge fields whose type is defined elsewhere — a
-// struct field with mutable state of its own must be captured by the
-// embedding operator's snapshot even though the mutation happens three
-// packages away.
-type SnapState struct {
-	Mutable     []string
-	Covered     []string
-	Snapshotter bool
-}
-
-// AFact marks SnapState as a fact type.
-func (*SnapState) AFact() {}
-
 // Snapshotgap enforces the crash-recovery contract from DESIGN.md §10: a
 // type implementing the Snapshotter pair
 //
@@ -45,21 +28,21 @@ func (*SnapState) AFact() {}
 //     through the receiver (writes that reach the field's own memory:
 //     writes behind a pointer-typed field mutate shared state, which the
 //     engine deliberately does not snapshot — telemetry handles, guards)
-//   - a value-typed field whose own type is known to carry mutable state
-//     (same package, or via an imported SnapState fact) and which receives
-//     a pointer-receiver method call
+//   - a value-typed struct field that receives a pointer-receiver method
+//     call, when the field's type is imported (any such call counts — the
+//     analysis is per package and cannot see the callee's body) or is
+//     declared in the same package and has mutable fields of its own
 //   - a value-typed sync/atomic field passed a mutating call
-//     (Store/Add/Swap/CompareAndSwap)
+//     (Store/Add/Swap/CompareAndSwap/And/Or)
 //
 // Channel- and func-typed fields are wiring, not state, and are exempt. A
 // field that is mutable by this definition but deliberately excluded from
 // the blob (rebuilt on restore, for example) takes
 // //lint:ignore snapshotgap <why it is safe> on the Snapshot declaration.
 var Snapshotgap = &analysis.Analyzer{
-	Name:      "snapshotgap",
-	Doc:       "Snapshot/Restore pairs must reference every mutable field of their receiver",
-	FactTypes: []analysis.Fact{(*SnapState)(nil)},
-	Run:       runSnapshotgap,
+	Name: "snapshotgap",
+	Doc:  "Snapshot/Restore pairs must reference every mutable field of their receiver",
+	Run:  runSnapshotgap,
 }
 
 // atomicMutators are the sync/atomic methods that change their receiver.
@@ -69,8 +52,8 @@ var atomicMutators = map[string]bool{
 }
 
 // fieldCall is a deferred judgement: a pointer-receiver method call on a
-// value-typed struct field, whose mutating-ness depends on the field
-// type's own mutability (possibly a fact from another package).
+// value-typed struct field, whose mutating-ness may depend on the field
+// type's own mutability.
 type fieldCall struct {
 	field  string
 	ft     *types.Named
@@ -90,7 +73,7 @@ type snapType struct {
 	hasPair bool
 }
 
-func runSnapshotgap(pass *analysis.Pass) (any, error) {
+func runSnapshotgap(pass *analysis.Pass) error {
 	byName := make(map[*types.TypeName]*snapType)
 	scope := pass.Pkg.Scope()
 	var order []*snapType
@@ -167,29 +150,25 @@ func runSnapshotgap(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// Report gaps for snapshotter types, and export the fact for all.
+	// Report gaps for snapshotter types.
 	for _, t := range order {
-		if t.hasPair {
-			var missing []string
-			for f := range t.mutable {
-				if !t.covered[f] {
-					missing = append(missing, f)
-				}
-			}
-			sort.Strings(missing)
-			for _, f := range missing {
-				pass.Reportf(t.snapPos,
-					"Snapshot/Restore of %s never reference mutable field %s; its state is silently lost on crash recovery (the gob blob omits it)",
-					t.tn.Name(), f)
+		if !t.hasPair {
+			continue
+		}
+		var missing []string
+		for f := range t.mutable {
+			if !t.covered[f] {
+				missing = append(missing, f)
 			}
 		}
-		pass.ExportObjectFact(t.tn, &SnapState{
-			Mutable:     sortedKeys(t.mutable),
-			Covered:     sortedKeys(t.covered),
-			Snapshotter: t.hasPair,
-		})
+		sort.Strings(missing)
+		for _, f := range missing {
+			pass.Reportf(t.snapPos,
+				"Snapshot/Restore of %s never reference mutable field %s; its state is silently lost on crash recovery (the gob blob omits it)",
+				t.tn.Name(), f)
+		}
 	}
-	return nil, nil
+	return nil
 }
 
 // collectFieldWrites records which receiver fields fn's body mutates.
@@ -218,8 +197,8 @@ func collectFieldWrites(pass *analysis.Pass, body *ast.BlockStmt, recvObj types.
 				}
 			}
 			// recv.f.M(...): a pointer-receiver method call on a value-typed
-			// struct field — mutating if f's type has mutable state of its
-			// own. Defer the judgement; the answer may be a fact.
+			// struct field. Defer the judgement until every local type's
+			// write set is known.
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 				if fsel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 					if id, ok := ast.Unparen(fsel.X).(*ast.Ident); ok && pass.ObjectOf(id) == recvObj {
@@ -309,22 +288,21 @@ func directFieldName(pass *analysis.Pass, sel *ast.SelectorExpr) string {
 
 // typeHasMutableState reports whether a pointer-receiver call to method on
 // a value of named type ft mutates it: sync/atomic mutators by name, local
-// types by their computed write set, imported types by their SnapState
-// fact.
+// types by their computed write set, and any imported type — its method
+// bodies are out of a per-package analysis's sight, so the call is assumed
+// to write.
 func typeHasMutableState(pass *analysis.Pass, byName map[*types.TypeName]*snapType, ft *types.Named, method string) bool {
 	obj := ft.Obj()
-	if obj.Pkg() == nil {
+	switch {
+	case obj.Pkg() == nil:
 		return false
-	}
-	if obj.Pkg().Path() == "sync/atomic" {
+	case obj.Pkg().Path() == "sync/atomic":
 		return atomicMutators[method]
-	}
-	if obj.Pkg() == pass.Pkg {
+	case obj.Pkg() == pass.Pkg:
 		t := byName[obj]
 		return t != nil && len(t.mutable) > 0
 	}
-	var ss SnapState
-	return pass.ImportObjectFact(obj, &ss) && len(ss.Mutable) > 0
+	return true
 }
 
 // isStateField reports whether the named field exists on st and is state
@@ -425,13 +403,4 @@ func namedOf(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -39,7 +39,7 @@ var Streamclose = &analysis.Analyzer{
 	Run:  runStreamclose,
 }
 
-func runStreamclose(pass *analysis.Pass) (any, error) {
+func runStreamclose(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -49,7 +49,7 @@ func runStreamclose(pass *analysis.Pass) (any, error) {
 			checkRunMethod(pass, fn)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // outField is one output-channel field the receiver must close.

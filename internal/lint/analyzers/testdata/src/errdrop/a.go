@@ -1,13 +1,10 @@
 // Test fixtures for the errdrop analyzer: Close/Flush/Sync errors must be
-// handled or explicitly discarded — unless the callee provably never
-// returns one (the errfree NeverFails fact).
+// handled or explicitly discarded.
 package a
 
 import (
 	"errors"
 	"os"
-
-	"errdrop/nofail"
 )
 
 type handle struct{}
@@ -26,14 +23,8 @@ type silent struct{}
 
 func (s *silent) Close() {}
 
-// quiet's Close returns the literal nil on every path — errfree exports a
-// NeverFails fact for it, and errdrop has nothing to flag.
-type quiet struct{}
-
-func (q *quiet) Close() error { return nil }
-
-// flaky has a named error result: a deferred closure could assign it after
-// the return, so errfree refuses to prove it and errdrop still flags calls.
+// flaky's Close happens to return nil today, but the signature promises
+// an error: the call site must not assume the body.
 type flaky struct{}
 
 func (f *flaky) Close() (err error) { return nil }
@@ -65,15 +56,6 @@ func good(h *handle, f *os.File) error {
 	var s silent
 	s.Close()
 	return h.Sync()
-}
-
-// errorFree: callees proven to always return nil carry no error worth
-// handling — same-package via the local fact, cross-package via the
-// gob-round-tripped fact exported when the nofail package was analyzed.
-func errorFree(q *quiet, s *nofail.Sink) {
-	q.Close()
-	s.Close()
-	s.Flush()
 }
 
 // ignoredClose: suppression is honored for deliberate best-effort closes.

@@ -1,14 +1,21 @@
 // Test fixtures for the metricname analyzer: telemetry metric names must
-// be constant, strata_-prefixed snake_case, and each series must have
-// exactly one owner and one help string.
-package a
+// be constant, strata_-prefixed snake_case, and carry one help string per
+// name. The package mirrors the real telemetry Writer surface: the
+// analyzer matches it structurally (package named telemetry, type named
+// Writer), so this fake is held to the same contract as the real one.
+package telemetry
 
-import (
-	"fmt"
+import "fmt"
 
-	"metricname/owner"
-	"metricname/telemetry"
-)
+// Label is one name=value dimension.
+type Label struct{ Name, Value string }
+
+// Writer receives metric samples.
+type Writer struct{}
+
+func (w *Writer) Counter(name, help string, value float64, labels ...Label)   {}
+func (w *Writer) Gauge(name, help string, value float64, labels ...Label)     {}
+func (w *Writer) Histogram(name, help string, value float64, labels ...Label) {}
 
 const (
 	opLatency   = "strata_op_latency_seconds"
@@ -16,7 +23,7 @@ const (
 	legacyGauge = "engine_queue_depth"
 )
 
-func good(w *telemetry.Writer) {
+func good(w *Writer) {
 	w.Counter(opLatency, "operator latency", 0.25)
 	w.Gauge(queueDepth, "queue depth", 17)
 	// Inline literals are constants too.
@@ -25,22 +32,18 @@ func good(w *telemetry.Writer) {
 	w.Gauge("go_goroutines", "live goroutines", 42)
 	// Same name, same help: one owner registering from two code paths.
 	w.Gauge(queueDepth, "queue depth", 18)
-	owner.Emit(w, 1)
 }
 
-func bad(w *telemetry.Writer, op string, shard int) {
+func bad(w *Writer, op string, shard int) {
 	w.Counter(fmt.Sprintf("strata_%s_total", op), "per-op count", 1) // want `metric name must be a compile-time string constant`
 	name := "strata_shard_" + fmt.Sprint(shard)
-	w.Gauge(name, "per-shard depth", 3)                   // want `metric name must be a compile-time string constant`
-	w.Counter("strata_BadName_total", "mixed case", 1)    // want `is not snake_case`
-	w.Gauge(legacyGauge, "unprefixed legacy series", 9)   // want `lacks the strata_ prefix`
-	w.Gauge(queueDepth, "how deep the queue is", 17)      // want `re-registered with different help text`
-	w.Counter("strata_owner_widgets_total", "widgets", 1) // want `already emitted by metricname/owner`
-	w.Counter("strata_trace_homemade_total", "spans", 1)  // want `reserved prefix strata_trace_`
-	w.Gauge("strata_flightrec_rings", "rings", 1)         // want `reserved prefix strata_flightrec_`
+	w.Gauge(name, "per-shard depth", 3)                 // want `metric name must be a compile-time string constant`
+	w.Counter("strata_BadName_total", "mixed case", 1)  // want `is not snake_case`
+	w.Gauge(legacyGauge, "unprefixed legacy series", 9) // want `lacks the strata_ prefix`
+	w.Gauge(queueDepth, "how deep the queue is", 17)    // want `re-registered with different help text`
 }
 
-func grandfathered(w *telemetry.Writer) {
+func grandfathered(w *Writer) {
 	//lint:ignore metricname dashboard series predates the prefix convention; renaming breaks alerts
 	w.Gauge("engine_uptime_seconds", "legacy uptime series", 1)
 }

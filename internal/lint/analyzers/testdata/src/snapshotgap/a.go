@@ -6,32 +6,27 @@ package a
 import (
 	"bytes"
 	"encoding/gob"
-
-	"snapshotgap/state"
+	"time"
 )
 
-// brokenOp mutates seen, total, and cnt at runtime, but its gob blob only
-// carries seen: total and cnt are silently reset on crash recovery. The
-// cnt mutation is invisible without facts — Inc's body lives in another
-// package.
+// brokenOp mutates seen and total at runtime, but its gob blob only
+// carries seen: total is silently reset on crash recovery.
 type brokenOp struct {
 	out   chan int       // wiring, exempt
 	cfg   int            // never mutated, nothing to snapshot
 	seen  map[string]int // mutated and snapshotted
 	total int            // mutated, forgotten
-	cnt   state.Counter  // mutated via a cross-package method, forgotten
 }
 
 func (b *brokenOp) push(k string, v int) {
 	b.seen[k] = v
 	b.total += v
-	b.cnt.Inc()
 	b.out <- v
 }
 
 type brokenBlob struct{ Seen map[string]int }
 
-func (b *brokenOp) Snapshot() ([]byte, error) { // want `Snapshot/Restore of brokenOp never reference mutable field (total|cnt)`
+func (b *brokenOp) Snapshot() ([]byte, error) { // want `Snapshot/Restore of brokenOp never reference mutable field total`
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(brokenBlob{Seen: b.seen})
 	return buf.Bytes(), err
@@ -46,32 +41,46 @@ func (b *brokenOp) Restore(data []byte) error {
 	return nil
 }
 
+// journalOp's only state is a value field of an imported type, written
+// through a pointer-receiver method. The method body is in another package,
+// so the call is judged a write — and the Snapshot that forgets the field
+// is a gap.
+type journalOp struct {
+	log bytes.Buffer
+}
+
+func (j *journalOp) push(k string) { j.log.WriteString(k) }
+
+func (j *journalOp) Snapshot() ([]byte, error) { return nil, nil } // want `Snapshot/Restore of journalOp never reference mutable field log`
+
+func (j *journalOp) Restore([]byte) error { return nil }
+
 // goodOp mutates the same shape of state but snapshots all of it.
 type goodOp struct {
 	out   chan int
 	seen  map[string]int
 	total int
-	cnt   state.Counter
-	name  state.Label // immutable cross-package type: method calls are not writes
+	log   bytes.Buffer
+	start time.Time // value-receiver methods only: calls are not writes
 }
 
 func (g *goodOp) push(k string, v int) {
 	g.seen[k] = v
 	g.total += v
-	g.cnt.Inc()
+	g.log.WriteString(k)
+	_ = g.start.String()
 	g.out <- v
 }
 
 type goodBlob struct {
 	Seen  map[string]int
 	Total int
-	Cnt   int
+	Log   string
 }
 
 func (g *goodOp) Snapshot() ([]byte, error) {
-	_ = g.name.String()
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(goodBlob{Seen: g.seen, Total: g.total, Cnt: g.cnt.Get()})
+	err := gob.NewEncoder(&buf).Encode(goodBlob{Seen: g.seen, Total: g.total, Log: g.log.String()})
 	return buf.Bytes(), err
 }
 
@@ -82,14 +91,12 @@ func (g *goodOp) Restore(data []byte) error {
 	}
 	g.seen = blob.Seen
 	g.total = blob.Total
-	for i := 0; i < blob.Cnt; i++ {
-		g.cnt.Inc()
-	}
+	g.log.WriteString(blob.Log)
 	return nil
 }
 
-// tracker is mutable but implements no Snapshot/Restore pair: only a fact
-// is exported, no diagnostics.
+// tracker is mutable but implements no Snapshot/Restore pair: no
+// diagnostics.
 type tracker struct{ n int }
 
 func (t *tracker) bump() { t.n++ }
@@ -144,20 +151,19 @@ func (c *cacheOp) Restore(data []byte) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(&c.data)
 }
 
-// lazyOp's finding exists only because of the cross-package SnapState fact
-// on state.Counter — suppression must silence fact-derived diagnostics the
-// same as local ones.
+// lazyOp's finding comes from the imported-type rule — suppression must
+// silence it the same as a local write.
 type lazyOp struct {
 	out chan int
-	cnt state.Counter
+	log bytes.Buffer
 }
 
 func (l *lazyOp) push(v int) {
-	l.cnt.Inc()
+	l.log.WriteByte(byte(v))
 	l.out <- v
 }
 
-//lint:ignore snapshotgap counter is approximate by design; a restart may reset it
+//lint:ignore snapshotgap the log is a debugging aid; a restart may reset it
 func (l *lazyOp) Snapshot() ([]byte, error) { return nil, nil }
 
 func (l *lazyOp) Restore([]byte) error { return nil }

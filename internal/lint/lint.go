@@ -1,14 +1,12 @@
 // Package lint is the strata-lint driver: it loads packages (plus their
-// module-local dependencies), runs the STRATA contract analyzers over them
-// in dependency order — threading gob-serialized facts across package
-// boundaries and same-package results along each analyzer's Requires DAG —
-// and filters findings through //lint:ignore suppression comments.
+// module-local dependencies, so their types resolve), runs the STRATA
+// contract analyzers over each matched package on its own, and filters
+// findings through //lint:ignore suppression comments.
 package lint
 
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 
 	"strata/internal/lint/analysis"
@@ -26,20 +24,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Run loads the packages matching patterns (relative to dir) together with
-// their module-local dependencies and applies every requested analyzer —
-// plus everything those analyzers Require, in dependency order — to every
-// package. Analyzers run on dependency-only packages too (their facts must
-// exist before importers are analyzed), but only diagnostics from packages
-// the patterns matched are reported. Suppressed findings are dropped; the
-// rest are returned in a deterministic order: position (file, line,
-// column), then analyzer name, then message.
-func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	suite, err := expandRequires(analyzers)
-	if err != nil {
-		return nil, err
-	}
-
+// Run loads the packages matching patterns (relative to dir) and applies
+// every analyzer to each of them. Module-local dependencies are
+// type-checked but never analyzed. Suppressed findings are dropped, and a
+// directive naming an unregistered analyzer is itself a finding; the rest
+// are returned in a deterministic order: position (file, line, column),
+// then analyzer name, then message.
+func Run(dir string, patterns []string, suite []*analysis.Analyzer) ([]Finding, error) {
 	fset, pkgs, err := loader.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
@@ -52,78 +43,41 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 		}
 	}
 
-	facts := analysis.NewFactSet(suite)
-
-	// visibleFor accumulates, per package, the set of module-local packages
-	// whose facts an analyzer running on it may import: the package itself
-	// plus its transitive module-local imports. pkgs is topologically
-	// ordered, so every dependency's set is complete before its importers'.
-	byPath := make(map[string]*loader.Package, len(pkgs))
-	visibleFor := make(map[string]map[*types.Package]bool, len(pkgs))
-	for _, pkg := range pkgs {
-		byPath[pkg.Path] = pkg
-		vis := map[*types.Package]bool{pkg.Types: true}
-		for _, dep := range pkg.Imports {
-			if depPkg, ok := byPath[dep]; ok {
-				for p := range visibleFor[depPkg.Path] {
-					vis[p] = true
-				}
-			}
-		}
-		visibleFor[pkg.Path] = vis
-	}
-
 	var findings []Finding
 	for _, pkg := range pkgs {
+		if !pkg.Matched {
+			continue
+		}
 		sup := scanSuppressions(fset, pkg.Files)
-		results := make(map[*analysis.Analyzer]any, len(suite))
+		findings = append(findings, sup.stale...)
 		for _, a := range suite {
+			name := a.Name
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				ResultOf:  make(map[*analysis.Analyzer]any, len(a.Requires)),
+				Report: func(d analysis.Diagnostic) {
+					pos := fset.Position(d.Pos)
+					if !sup.suppressed(name, pos) {
+						findings = append(findings, Finding{Pos: pos, Analyzer: name, Message: d.Message})
+					}
+				},
 			}
-			for _, req := range a.Requires {
-				pass.ResultOf[req] = results[req]
-			}
-			if len(a.FactTypes) > 0 {
-				pass.SetFactView(facts, visibleFor[pkg.Path])
-			}
-			name := a.Name
-			matched := pkg.Matched
-			pass.Report = func(d analysis.Diagnostic) {
-				if !matched {
-					return
-				}
-				pos := fset.Position(d.Pos)
-				if sup.suppressed(name, pos) {
-					return
-				}
-				findings = append(findings, Finding{Pos: pos, Analyzer: name, Message: d.Message})
-			}
-			res, err := a.Run(pass)
-			if err != nil {
+			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: analyzer %s on %s: %w", a.Name, pkg.Path, err)
 			}
-			results[a] = res
-		}
-		// Gob round-trip at the package boundary: from here on, importers
-		// see only facts that survived serialization.
-		if _, err := facts.RoundTrip(pkg.Types); err != nil {
-			return nil, err
 		}
 	}
-	SortFindings(findings)
+	sortFindings(findings)
 	return findings, nil
 }
 
-// SortFindings orders findings deterministically: by position (file, line,
-// column), then analyzer name, then message. The baseline diff in CI
-// depends on this order being stable across runs and machines.
-func SortFindings(findings []Finding) {
+// sortFindings orders findings deterministically: by position (file, line,
+// column), then analyzer name, then message, so output is stable across
+// runs and machines.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -140,37 +94,4 @@ func SortFindings(findings []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// expandRequires returns the transitive closure of the requested analyzers
-// and their Requires dependencies, in a stable topological order (every
-// analyzer after everything it requires). A cycle is a programming error in
-// the analyzer definitions and is reported, not tolerated.
-func expandRequires(requested []*analysis.Analyzer) ([]*analysis.Analyzer, error) {
-	var order []*analysis.Analyzer
-	state := make(map[*analysis.Analyzer]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *analysis.Analyzer) error
-	visit = func(a *analysis.Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("lint: Requires cycle through analyzer %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		order = append(order, a)
-		return nil
-	}
-	for _, a := range requested {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
 }

@@ -27,67 +27,36 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// markFact carries a payload string so the test can prove the fact that
-// arrives in the importing package is the one that survived gob encoding,
-// not a shared pointer.
-type markFact struct{ Payload string }
-
-func (*markFact) AFact() {}
-
-// TestFactsCrossPackage is the facts round-trip acceptance test: an object
-// fact exported while analyzing one package must be importable — after the
-// driver's gob round-trip at the package boundary — by an analyzer running
-// on a package that imports it.
-func TestFactsCrossPackage(t *testing.T) {
+// TestDependencyOnlyNotAnalyzed: a package pulled in only because a
+// matched package imports it is type-checked so its types resolve, but no
+// analyzer runs on it — its findings are neither computed nor reported.
+func TestDependencyOnlyNotAnalyzed(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"go.mod":     "module factrt\n\ngo 1.22\n",
-		"dep/dep.go": "package dep\n\n// Target is the object the fact rides on.\ntype Target struct{}\n",
-		"main.go":    "package main\n\nimport \"factrt/dep\"\n\nvar sentinel dep.Target\n\nfunc main() { _ = sentinel }\n",
+		"go.mod":     "module deponly\n\ngo 1.22\n",
+		"dep/dep.go": "package dep\n\n// Target is used by the root package.\ntype Target struct{}\n",
+		"main.go":    "package main\n\nimport \"deponly/dep\"\n\nvar sentinel dep.Target\n\nfunc main() { _ = sentinel }\n",
 	})
 
-	exporter := &analysis.Analyzer{
-		Name:      "exporter",
-		Doc:       "exports a markFact on every package-scope type named Target",
-		FactTypes: []analysis.Fact{(*markFact)(nil)},
-		Run: func(pass *analysis.Pass) (any, error) {
-			if obj := pass.Pkg.Scope().Lookup("Target"); obj != nil {
-				pass.ExportObjectFact(obj, &markFact{Payload: "from " + pass.Pkg.Path()})
-			}
-			return nil, nil
-		},
-	}
-	consumer := &analysis.Analyzer{
-		Name:      "consumer",
-		Doc:       "reports the payload of markFacts found on imported objects",
-		Requires:  []*analysis.Analyzer{exporter},
-		FactTypes: []analysis.Fact{(*markFact)(nil)},
-		Run: func(pass *analysis.Pass) (any, error) {
-			for _, imp := range pass.Pkg.Imports() {
-				obj := imp.Scope().Lookup("Target")
-				if obj == nil {
-					continue
-				}
-				var mf markFact
-				if pass.ImportObjectFact(obj, &mf) {
-					pass.Reportf(pass.Files[0].Pos(), "target fact: %s", mf.Payload)
-				}
-			}
-			return nil, nil
+	var analyzed []string
+	everywhere := &analysis.Analyzer{
+		Name: "everywhere",
+		Doc:  "reports once in every package it runs on",
+		Run: func(pass *analysis.Pass) error {
+			analyzed = append(analyzed, pass.Pkg.Path())
+			pass.Reportf(pass.Files[0].Pos(), "analyzed %s", pass.Pkg.Path())
+			return nil
 		},
 	}
 
-	findings, err := Run(dir, []string{"./..."}, []*analysis.Analyzer{consumer})
+	findings, err := Run(dir, []string{"."}, []*analysis.Analyzer{everywhere})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want exactly 1: %v", len(findings), findings)
+	if !reflect.DeepEqual(analyzed, []string{"deponly"}) {
+		t.Fatalf("analyzer ran on %v, want only the matched package deponly", analyzed)
 	}
-	if want := "target fact: from factrt/dep"; findings[0].Message != want {
-		t.Fatalf("fact payload did not survive the round-trip: got %q, want %q", findings[0].Message, want)
-	}
-	if !strings.HasSuffix(findings[0].Pos.Filename, "main.go") {
-		t.Fatalf("finding should be in the importing package, got %s", findings[0].Pos.Filename)
+	if len(findings) != 1 || !strings.HasSuffix(findings[0].Pos.Filename, "main.go") {
+		t.Fatalf("want exactly one finding, in main.go: %v", findings)
 	}
 }
 
@@ -105,13 +74,13 @@ func TestDeterministicOrder(t *testing.T) {
 	scrambler := &analysis.Analyzer{
 		Name: "scrambler",
 		Doc:  "reports end-before-start in every file",
-		Run: func(pass *analysis.Pass) (any, error) {
+		Run: func(pass *analysis.Pass) error {
 			for _, f := range pass.Files {
 				pass.Reportf(f.End()-1, "late")
 				pass.Reportf(f.Pos(), "zzz-early")
 				pass.Reportf(f.Pos(), "aaa-early")
 			}
-			return nil, nil
+			return nil
 		},
 	}
 

@@ -30,19 +30,14 @@ import (
 // Package is one type-checked, module-local package.
 type Package struct {
 	Path  string // import path
-	Dir   string // directory holding the sources
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 
-	// Imports lists the module-local import paths of this package, in
-	// sorted order. The driver uses it to compute fact visibility.
-	Imports []string
-
 	// Matched is true when the package was selected by the load patterns
 	// themselves; false when it was pulled in only as a dependency of a
-	// matched package (analyzers still run on it — facts must exist before
-	// importers are analyzed — but its diagnostics are not reported).
+	// matched package, type-checked so its importers' types resolve but
+	// never analyzed.
 	Matched bool
 
 	// TypeErrors collects soft type-check errors. Packages with errors
@@ -73,19 +68,16 @@ func stdImporter() types.Importer {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Imports    []string
 	Standard   bool // part of the standard library
 	DepOnly    bool // reached only as a dependency of a matched pattern
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
 // Load discovers the packages matching patterns relative to dir — plus
-// their module-local dependencies, so modular analyzers can compute facts
-// for every package an analyzed package imports — parses them, and
-// type-checks them in dependency order (a package always appears after all
+// their module-local dependencies, so imported types resolve — parses
+// them, and type-checks them in dependency order (a package always appears after all
 // of its module-local imports in the returned slice). Dependency-only
 // packages carry Matched == false. The returned FileSet is shared by all
 // loads in the process.
@@ -152,12 +144,6 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 			return nil, nil, err
 		}
 		pkg.Matched = !m.DepOnly
-		for _, dep := range m.Imports {
-			if _, ok := byPath[dep]; ok {
-				pkg.Imports = append(pkg.Imports, dep)
-			}
-		}
-		sort.Strings(pkg.Imports)
 		local[m.ImportPath] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
@@ -174,7 +160,7 @@ func checkOne(m *listPackage, imp types.Importer) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	pkg := &Package{Path: m.ImportPath, Dir: m.Dir, Files: files}
+	pkg := &Package{Path: m.ImportPath, Files: files}
 	conf := types.Config{
 		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },

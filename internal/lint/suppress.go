@@ -1,9 +1,14 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
+
+	"strata/internal/lint/analysis"
+	"strata/internal/lint/analyzers"
 )
 
 // The suppression directive is staticcheck's:
@@ -14,24 +19,32 @@ import (
 // line; a trailing directive suppresses findings on its own line; a
 // directive in a function's doc comment suppresses matching findings in the
 // whole function. The reason is mandatory — a bare ignore is itself a
-// malformed directive and suppresses nothing.
+// malformed directive and suppresses nothing. A directive naming an
+// analyzer that is not in analyzers.All is reported, so directives for a
+// deleted or misspelled check fail the gate instead of piling up.
 
 const ignorePrefix = "//lint:ignore "
 
 type suppression struct {
-	names map[string]bool // nil means malformed (no reason given)
+	names []string // nil means malformed (no reason given)
 }
 
 func (s suppression) matches(analyzer string) bool {
-	return s.names != nil && s.names[analyzer]
+	return slices.Contains(s.names, analyzer)
+}
+
+type lineKey struct {
+	file string
+	line int
 }
 
 type suppressions struct {
-	// byLine maps file:line of the code a line-directive covers.
-	byLine map[string][]suppression
+	// byLine maps the file:line a line-directive covers.
+	byLine map[lineKey][]suppression
 	// funcRanges holds doc-comment directives covering whole functions.
 	funcRanges []funcSuppression
-	fset       *token.FileSet
+	// stale holds one finding per directive name no analyzer answers to.
+	stale []Finding
 }
 
 type funcSuppression struct {
@@ -44,23 +57,26 @@ func parseDirective(text string) (suppression, bool) {
 	if !strings.HasPrefix(text, ignorePrefix) {
 		return suppression{}, false
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-	fields := strings.Fields(rest)
+	fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
 	if len(fields) < 2 {
 		// Directive without a reason: recognized, but suppresses nothing.
 		return suppression{}, true
 	}
-	names := make(map[string]bool)
+	names := []string{}
 	for _, n := range strings.Split(fields[0], ",") {
 		if n = strings.TrimSpace(n); n != "" {
-			names[n] = true
+			names = append(names, n)
 		}
 	}
 	return suppression{names: names}, true
 }
 
+func registered(name string) bool {
+	return slices.ContainsFunc(analyzers.All, func(a *analysis.Analyzer) bool { return a.Name == name })
+}
+
 func scanSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
-	s := &suppressions{byLine: make(map[string][]suppression), fset: fset}
+	s := &suppressions{byLine: make(map[lineKey][]suppression)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -71,8 +87,16 @@ func scanSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 				pos := fset.Position(c.Pos())
 				// The directive covers its own line (trailing comment)
 				// and the next line (comment above the statement).
-				s.add(pos.Filename, pos.Line, sup)
-				s.add(pos.Filename, pos.Line+1, sup)
+				for _, line := range []int{pos.Line, pos.Line + 1} {
+					k := lineKey{pos.Filename, line}
+					s.byLine[k] = append(s.byLine[k], sup)
+				}
+				for _, n := range sup.names {
+					if !registered(n) {
+						s.stale = append(s.stale, Finding{Pos: pos, Analyzer: "lint", Message: fmt.Sprintf(
+							"//lint:ignore names %q, which is not a registered analyzer; delete or fix the directive", n)})
+					}
+				}
 			}
 		}
 		for _, decl := range f.Decls {
@@ -96,13 +120,8 @@ func scanSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	return s
 }
 
-func (s *suppressions) add(file string, line int, sup suppression) {
-	key := lineKey(file, line)
-	s.byLine[key] = append(s.byLine[key], sup)
-}
-
 func (s *suppressions) suppressed(analyzer string, pos token.Position) bool {
-	for _, sup := range s.byLine[lineKey(pos.Filename, pos.Line)] {
+	for _, sup := range s.byLine[lineKey{pos.Filename, pos.Line}] {
 		if sup.matches(analyzer) {
 			return true
 		}
@@ -113,23 +132,4 @@ func (s *suppressions) suppressed(analyzer string, pos token.Position) bool {
 		}
 	}
 	return false
-}
-
-func lineKey(file string, line int) string {
-	// Lines never exceed a few thousand; a simple string key is fine.
-	return file + "\x00" + itoa(line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [12]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -138,5 +139,40 @@ func f() {
 	}
 	if sup.suppressed("locksend", token.Position{Filename: "p.go", Line: 6}) {
 		t.Error("reasonless trailing directive must not suppress")
+	}
+}
+
+// A directive naming an analyzer outside analyzers.All — deleted or
+// misspelled — is itself a finding, while the registered names it lists
+// still suppress.
+func TestSuppressUnknownAnalyzer(t *testing.T) {
+	const src = `package p
+
+func f() {
+	//lint:ignore atomicmix deleted analyzer
+	_ = 1
+	_ = 2 //lint:ignore errdrop,errfree one registered, one not
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := scanSuppressions(fset, []*ast.File{f})
+	if len(sup.stale) != 2 {
+		t.Fatalf("got %d stale-directive findings, want 2: %v", len(sup.stale), sup.stale)
+	}
+	for i, want := range []struct {
+		line int
+		name string
+	}{{4, `"atomicmix"`}, {6, `"errfree"`}} {
+		got := sup.stale[i]
+		if got.Pos.Line != want.line || !strings.Contains(got.Message, want.name) {
+			t.Errorf("stale finding %d = %v, want line %d naming %s", i, got, want.line, want.name)
+		}
+	}
+	if !sup.suppressed("errdrop", token.Position{Filename: "p.go", Line: 6}) {
+		t.Error("the registered name in a mixed directive must still suppress")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// TestBreakerStateMachine pins the three-state contract down in isolation:
+// TestOverloadBreakerStateMachine pins the three-state contract down in isolation:
 // threshold trips, cooldown-gated half-open probe, single-probe admission,
 // probe failure re-opening, probe success closing.
-func TestBreakerStateMachine(t *testing.T) {
+func TestOverloadBreakerStateMachine(t *testing.T) {
 	var transitions []BreakerState
 	b := newBreaker(2, 40*time.Millisecond, func(s BreakerState) {
 		transitions = append(transitions, s)
@@ -73,12 +73,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBreakerProtectsPendingBuffer exercises breaker × bounded pending
+// TestOverloadBreakerProtectsPendingBuffer exercises breaker × bounded pending
 // buffer: with the server unreachable, buffering counts as failure, so the
 // breaker opens BEFORE the pending buffer overflows — later publishes
 // fast-fail with ErrBreakerOpen and the buffer (and its drop counter) stays
 // untouched.
-func TestBreakerProtectsPendingBuffer(t *testing.T) {
+func TestOverloadBreakerProtectsPendingBuffer(t *testing.T) {
 	h := newReconnectHarness(t,
 		WithPendingLimit(2), WithPendingOverflow(DropNewest),
 		WithBreaker(2, 10*time.Second))
@@ -107,10 +107,10 @@ func TestBreakerProtectsPendingBuffer(t *testing.T) {
 	}
 }
 
-// TestBreakerRecoversAfterReconnect drives the full loop: an outage opens
+// TestOverloadBreakerRecoversAfterReconnect drives the full loop: an outage opens
 // the breaker, the supervisor redials, and once the cooldown admits a probe
 // the first successful publish closes the breaker again.
-func TestBreakerRecoversAfterReconnect(t *testing.T) {
+func TestOverloadBreakerRecoversAfterReconnect(t *testing.T) {
 	h := newReconnectHarness(t, WithBreaker(1, 50*time.Millisecond))
 
 	sub, err := h.rc.Subscribe("rec.>")
@@ -161,11 +161,11 @@ func TestBreakerRecoversAfterReconnect(t *testing.T) {
 	}
 }
 
-// TestOverflowPoliciesUnderHeartbeatRedial crosses the pending-buffer
+// TestOverloadOverflowPoliciesUnderHeartbeatRedial crosses the pending-buffer
 // overflow policy with a heartbeat-detected blackhole: the link wedges
 // silently, the heartbeat declares it dead, publishes overflow the bounded
 // buffer (DropOldest), and the redial flushes exactly the retained suffix.
-func TestOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
+func TestOverloadOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
 	h := newReconnectHarness(t,
 		WithHeartbeat(20*time.Millisecond, 100*time.Millisecond),
 		WithReconnectWait(150*time.Millisecond, 300*time.Millisecond),
@@ -202,10 +202,10 @@ func TestOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
 	}
 }
 
-// TestBrokerSubjectQuota verifies broker-side admission control: once the
+// TestOverloadBrokerSubjectQuota verifies broker-side admission control: once the
 // slowest matching subscriber's backlog reaches the quota, publishes are
 // rejected at the door with ErrOverQuota, and admitted again after a drain.
-func TestBrokerSubjectQuota(t *testing.T) {
+func TestOverloadBrokerSubjectQuota(t *testing.T) {
 	b := NewBroker(WithSubjectQuota("q.>", 2))
 	defer b.Close()
 
@@ -235,10 +235,10 @@ func TestBrokerSubjectQuota(t *testing.T) {
 	}
 }
 
-// TestBrokerSlowConsumerEviction verifies that a Block-policy subscriber
+// TestOverloadBrokerSlowConsumerEviction verifies that a Block-policy subscriber
 // which stalls a delivery past the timeout is force-closed — freeing the
 // publisher — while a draining subscriber on the same subject is untouched.
-func TestBrokerSlowConsumerEviction(t *testing.T) {
+func TestOverloadBrokerSlowConsumerEviction(t *testing.T) {
 	evictedPattern := make(chan string, 1)
 	b := NewBroker(
 		WithSlowConsumerTimeout(30*time.Millisecond),
@@ -302,10 +302,10 @@ func TestBrokerSlowConsumerEviction(t *testing.T) {
 	}
 }
 
-// TestCursorLagAndSkipToLatest covers the durable consumer's self-serve
+// TestOverloadCursorLagAndSkipToLatest covers the durable consumer's self-serve
 // shedding: Lag measures the backlog, SkipToLatest jumps it without deleting
 // anything from the log.
-func TestCursorLagAndSkipToLatest(t *testing.T) {
+func TestOverloadCursorLagAndSkipToLatest(t *testing.T) {
 	ls, err := OpenLogStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -21,11 +21,11 @@ func (l loadTuple) ShedPriority() int       { return l.Prio }
 func (l loadTuple) ShedDeadline() time.Time { return l.Deadline }
 func (l loadTuple) Sheddable() bool         { return !l.Marker }
 
-// TestShedDropExpired checks that a DropExpired gate drops tuples whose
+// TestOverloadShedDropExpired checks that a DropExpired gate drops tuples whose
 // deadline has passed at admission, keeps live ones, counts each shed
 // exactly once, and still advances the source watermark past the shed
 // tuples (heartbeat-only progress).
-func TestShedDropExpired(t *testing.T) {
+func TestOverloadShedDropExpired(t *testing.T) {
 	past := time.Now().Add(-time.Hour)
 	future := time.Now().Add(time.Hour)
 	const n = 100
@@ -71,10 +71,10 @@ func TestShedDropExpired(t *testing.T) {
 	}
 }
 
-// TestShedDropLowest fills the source's edge against a gated-open sink and
+// TestOverloadShedDropLowest fills the source's edge against a gated-open sink and
 // checks that low-priority tuples are dropped while at-or-above-floor tuples
 // block and survive.
-func TestShedDropLowest(t *testing.T) {
+func TestOverloadShedDropLowest(t *testing.T) {
 	release := make(chan struct{})
 	q := NewQuery("lowest", WithQueryBatch(1), WithQueryLinger(0))
 	emitted := make(chan struct{}, 16)
@@ -131,10 +131,10 @@ func TestShedDropLowest(t *testing.T) {
 	}
 }
 
-// TestShedDropOldest fills the edge and checks that a drop-oldest gate
+// TestOverloadShedDropOldest fills the edge and checks that a drop-oldest gate
 // evicts queued chunks to admit fresh data — and that unsheddable markers
 // inside an evicted chunk survive.
-func TestShedDropOldest(t *testing.T) {
+func TestOverloadShedDropOldest(t *testing.T) {
 	release := make(chan struct{})
 	emitted := make(chan struct{})
 	q := NewQuery("oldest", WithQueryBatch(1), WithQueryLinger(0))
@@ -196,10 +196,10 @@ func TestShedDropOldest(t *testing.T) {
 	}
 }
 
-// TestShedInertGateIsTransparent checks the zero-cost-off contract: a gate
+// TestOverloadShedInertGateIsTransparent checks the zero-cost-off contract: a gate
 // with the zero policy (and neutral knobs) sheds nothing and preserves
 // classic blocking semantics and exact delivery.
-func TestShedInertGateIsTransparent(t *testing.T) {
+func TestOverloadShedInertGateIsTransparent(t *testing.T) {
 	const n = 500
 	items := make([]loadTuple, n)
 	for i := range items {
@@ -253,11 +253,11 @@ func TestOverloadKnobsEngageShedding(t *testing.T) {
 	}
 }
 
-// TestSinkGateDropsAgedBacklog pins the receive-side gate: tuples that were
+// TestOverloadSinkGateDropsAgedBacklog pins the receive-side gate: tuples that were
 // fresh at admission but expired while queued for the sink are shed at the
 // sink's doorstep (counted on the sink op, watermark heartbeat intact)
 // instead of consuming sink service time.
-func TestSinkGateDropsAgedBacklog(t *testing.T) {
+func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	const n = 20
 	release := make(chan struct{})
 	items := make([]loadTuple, n)
@@ -313,9 +313,9 @@ func TestSinkGateDropsAgedBacklog(t *testing.T) {
 	}
 }
 
-// TestSinkGateInertIsTransparent: a sink with the zero policy and neutral
+// TestOverloadSinkGateInertIsTransparent: a sink with the zero policy and neutral
 // knobs delivers everything, even long-expired tuples.
-func TestSinkGateInertIsTransparent(t *testing.T) {
+func TestOverloadSinkGateInertIsTransparent(t *testing.T) {
 	const n = 100
 	items := make([]loadTuple, n)
 	for i := range items {

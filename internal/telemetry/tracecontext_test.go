@@ -136,3 +136,46 @@ func TestFillRandomNeverZero(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// FuzzParseTraceparent feeds the wire-facing parser (the traceparent in
+// opPubT/opMsgT headers comes straight off a socket): nothing may panic,
+// and every accepted header must re-render to a canonical version-00 form
+// that parses back to the same context.
+func FuzzParseTraceparent(f *testing.F) {
+	const (
+		trace = "4bf92f3577b34da6a3ce929d0e0e4736"
+		span  = "00f067aa0ba902b7"
+	)
+	valid := "00-" + trace + "-" + span + "-01"
+	f.Add(valid)
+	f.Add("ff" + valid[2:])                                      // forbidden version
+	f.Add("00-" + strings.Repeat("0", 32) + "-" + span + "-01")  // all-zero trace id
+	f.Add("00-" + trace + "-" + strings.Repeat("0", 16) + "-01") // all-zero span id
+	f.Add("cc" + valid[2:] + "-what-the-future-holds")           // future version, suffix
+	f.Add(valid[:54])                                            // one byte short
+	f.Add("")
+	f.Add("00-" + trace + "0-" + span + "-01")        // trace id one digit long
+	f.Add(strings.ReplaceAll(valid, "-", "_"))        // wrong separators
+	f.Add("00-" + trace + "-" + span + "-01" + "-xx") // v00 with a suffix
+	f.Add(strings.ToUpper(valid))                     // upper-case hex
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an all-zero trace id", s)
+		}
+		canon := tc.Traceparent()
+		again, err := ParseTraceparent(canon)
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", canon, s, err)
+		}
+		if again != tc {
+			t.Fatalf("round trip of %q: %+v, want %+v", s, again, tc)
+		}
+		if again.Traceparent() != canon {
+			t.Fatalf("render not stable: %q then %q", canon, again.Traceparent())
+		}
+	})
+}

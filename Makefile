@@ -94,7 +94,7 @@ profile:
 ## pipelines are crashed at armed crashpoints (mid-run and mid-checkpoint)
 ## and must recover to outputs identical to an uncrashed run (DESIGN.md §10).
 chaos:
-	$(selected) $(GO) test -race -count=1 -run 'TestChaos' ./internal/core
+	$(selected) $(GO) test -race -count=1 -run '^TestChaos' ./internal/core
 
 ## overload: the graceful-degradation suite under -race (DESIGN.md §11) —
 ## the controller ladder, shed-gate accounting, deadline termini, circuit
@@ -110,7 +110,7 @@ overload:
 ## sampled multi-operator trace. Validation is the stdlib-only line parser
 ## in internal/telemetry/validate.go — no external dependencies.
 metrics-smoke:
-	$(selected) $(GO) test -count=1 -v -run TestEndToEndMetricsSmoke ./internal/telemetry
+	$(selected) $(GO) test -count=1 -v -run '^TestEndToEndMetricsSmoke$$' ./internal/telemetry
 
 ## obs-smoke: split one pipeline across three OS processes (source in the
 ## test binary, re-exec'ed broker and worker helpers) and assert a single
@@ -119,7 +119,7 @@ metrics-smoke:
 ## join `strata-trace` performs — then SIGQUIT the worker and assert the
 ## flight recorder dumped flightrec-<pid>.json (DESIGN.md §12).
 obs-smoke:
-	$(selected) $(GO) test -count=1 -v -run 'TestObsSmokeCrossProcess' ./internal/core
+	$(selected) $(GO) test -count=1 -v -run '^TestObsSmokeCrossProcess$$' ./internal/core
 
 ## e2e: the multi-process chaos scenarios (DESIGN.md §14) — a real
 ## strata-broker and strata-worker spawned as OS processes, their link
@@ -130,4 +130,4 @@ obs-smoke:
 ## failure snapshots land under bench-out/e2e/<TestName>/. The -timeout is
 ## the hard stop: a wedged scenario fails instead of hanging CI.
 e2e:
-	$(selected) $(GO) test -count=1 -v -timeout 300s -run 'TestE2E' ./internal/harness
+	$(selected) $(GO) test -count=1 -v -timeout 300s -run '^TestE2E' ./internal/harness

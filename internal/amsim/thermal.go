@@ -52,7 +52,8 @@ type ProcessModel struct {
 	// machine goroutine renders (see Machine.RunControlled).
 	mu sync.Mutex
 	// energyScale multiplies the nominal emission, modelling the laser
-	// energy density of the job's parameter set.
+	// energy density of the job's parameter set (1.0 at construction;
+	// values far from 1 shift the whole build towards cold/hot).
 	energyScale float64
 	// vignette is the optical fall-off strength at the plate corners
 	// (0 = ideal lens; 0.3 means corner response is 70% of center).
@@ -61,16 +62,6 @@ type ProcessModel struct {
 
 // ModelOption customizes a ProcessModel.
 type ModelOption func(*ProcessModel)
-
-// WithEnergyScale sets the global energy-density factor (default 1.0;
-// values far from 1 shift the whole build towards cold/hot).
-func WithEnergyScale(s float64) ModelOption {
-	return func(m *ProcessModel) {
-		if s > 0 {
-			m.energyScale = s
-		}
-	}
-}
 
 // WithVignetting adds radial optical fall-off to the simulated OT camera:
 // the response at the plate corners drops to (1 - strength) of the center.

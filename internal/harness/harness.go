@@ -92,26 +92,15 @@ type Framework interface {
 	RegisterEndpoint(label, addr string)
 }
 
-// Option customizes New.
-type Option func(*framework)
-
-// WithRestartBudget caps how many times one ProcSpec.Name may be started
-// (first launch included; default 5). Chaos scenarios restart processes on
-// purpose; the budget turns an accidental crash-restart loop into a test
-// failure instead of a hung suite.
-func WithRestartBudget(n int) Option {
-	return func(f *framework) {
-		if n > 0 {
-			f.restartBudget = n
-		}
-	}
-}
+// restartBudget caps how many times one ProcSpec.Name may be started (first
+// launch included). Chaos scenarios restart processes on purpose; the budget
+// turns an accidental crash-restart loop into a test failure instead of a
+// hung suite.
+const restartBudget = 5
 
 type framework struct {
 	t           *testing.T
 	artifactDir string
-
-	restartBudget int
 
 	mu        sync.Mutex
 	procs     []*Proc
@@ -122,7 +111,7 @@ type framework struct {
 // New creates a Framework bound to t. The scenario's artifact directory is
 // wiped at the start of the run, so whatever it holds afterwards is evidence
 // from this run alone.
-func New(t *testing.T, opts ...Option) Framework {
+func New(t *testing.T) Framework {
 	t.Helper()
 	dir := filepath.Join(moduleRoot(t), "bench-out", "e2e", sanitize(t.Name()))
 	if err := os.RemoveAll(dir); err != nil {
@@ -132,11 +121,10 @@ func New(t *testing.T, opts ...Option) Framework {
 		t.Fatalf("harness: create artifact dir: %v", err)
 	}
 	f := &framework{
-		t:             t,
-		artifactDir:   dir,
-		restartBudget: 5,
-		starts:        make(map[string]int),
-		endpoints:     make(map[string]string),
+		t:           t,
+		artifactDir: dir,
+		starts:      make(map[string]int),
+		endpoints:   make(map[string]string),
 	}
 	// Registered LIFO-last so it runs after per-proc cleanups have reaped
 	// everything: the collector reads dumps of dead processes.
@@ -190,9 +178,9 @@ func (f *framework) chargeStart(name string) {
 	f.starts[name]++
 	n := f.starts[name]
 	f.mu.Unlock()
-	if n > f.restartBudget {
+	if n > restartBudget {
 		f.t.Fatalf("harness: process %q started %d times, budget %d — restart loop?",
-			name, n, f.restartBudget)
+			name, n, restartBudget)
 	}
 }
 

@@ -80,7 +80,7 @@ func (db *DB) compactLocked() error {
 
 	num := db.nextNum
 	path := db.sstPath(num)
-	if _, err := writeSSTable(path, merged, db.opts.bloomFP); err != nil {
+	if _, err := writeSSTable(path, merged); err != nil {
 		return err
 	}
 	newTable, err := openSSTable(path, num, db.cache)
@@ -98,9 +98,7 @@ func (db *DB) compactLocked() error {
 		if err := os.Remove(t.path); err != nil {
 			return fmt.Errorf("kvstore: remove old sstable: %w", err)
 		}
-		if db.cache != nil {
-			db.cache.dropTable(t.num)
-		}
+		db.cache.dropTable(t.num)
 	}
 	db.compactions++
 	db.compactionSeconds.ObserveDuration(time.Since(start))

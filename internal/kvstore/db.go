@@ -27,10 +27,17 @@ type options struct {
 	memtableBytes       int
 	compactionThreshold int
 	syncWrites          bool
-	bloomFP             float64
 	seed                int64
-	blockCacheBytes     int
 }
+
+const (
+	// blockCacheBytes is the capacity of the LRU cache over SSTable data
+	// blocks that point lookups read through, shared by all tables of a DB.
+	blockCacheBytes = 4 << 20
+	// bloomFalsePositiveRate is the target false positive rate of the bloom
+	// filter written into every new SSTable.
+	bloomFalsePositiveRate = 0.01
+)
 
 // Option customizes Open.
 type Option func(*options)
@@ -62,27 +69,6 @@ func WithSyncWrites(sync bool) Option {
 	return func(o *options) { o.syncWrites = sync }
 }
 
-// WithBlockCacheSize sets the capacity (in bytes) of the LRU cache over
-// SSTable data blocks that point lookups read through. 0 disables the cache
-// (every lookup reads its block from disk). Default 4 MiB.
-func WithBlockCacheSize(n int) Option {
-	return func(o *options) {
-		if n >= 0 {
-			o.blockCacheBytes = n
-		}
-	}
-}
-
-// WithBloomFalsePositiveRate sets the target bloom filter false positive
-// rate for new SSTables. Default 0.01.
-func WithBloomFalsePositiveRate(fp float64) Option {
-	return func(o *options) {
-		if fp > 0 && fp < 1 {
-			o.bloomFP = fp
-		}
-	}
-}
-
 // DB is an embedded LSM key-value store. All methods are safe for concurrent
 // use.
 type DB struct {
@@ -95,7 +81,7 @@ type DB struct {
 	wal     *wal
 	tables  []*sstable // oldest first; lookups scan newest first
 	nextNum uint64
-	cache   *blockCache // shared across all tables; nil when disabled
+	cache   *blockCache // shared across all tables
 
 	flushes     uint64
 	compactions uint64
@@ -120,7 +106,7 @@ type Stats struct {
 	Flushes         uint64
 	Compactions     uint64
 	// BlockCacheHits/Misses count point lookups served from / missing the
-	// SSTable block cache (both zero when the cache is disabled).
+	// SSTable block cache.
 	BlockCacheHits   uint64
 	BlockCacheMisses uint64
 }
@@ -130,9 +116,7 @@ func Open(dir string, optFns ...Option) (*DB, error) {
 	opts := options{
 		memtableBytes:       4 << 20,
 		compactionThreshold: 8,
-		bloomFP:             0.01,
 		seed:                1,
-		blockCacheBytes:     4 << 20,
 	}
 	for _, f := range optFns {
 		f(&opts)
@@ -150,7 +134,7 @@ func Open(dir string, optFns ...Option) (*DB, error) {
 		walAppendSeconds:  telemetry.NewDurationHistogram(),
 		walFsyncSeconds:   telemetry.NewDurationHistogram(),
 	}
-	db.cache = newBlockCache(opts.blockCacheBytes)
+	db.cache = newBlockCache(blockCacheBytes)
 	db.walStats.ObserveFsync = db.walFsyncSeconds.ObserveDuration
 
 	// Load existing SSTables in file-number order (oldest first).
@@ -419,7 +403,7 @@ func (db *DB) flushLocked() error {
 	start := time.Now()
 	num := db.nextNum
 	path := db.sstPath(num)
-	if _, err := writeSSTable(path, entries, db.opts.bloomFP); err != nil {
+	if _, err := writeSSTable(path, entries); err != nil {
 		return err
 	}
 	t, err := openSSTable(path, num, db.cache)

@@ -160,7 +160,7 @@ func TestSSTableWriteReadSeek(t *testing.T) {
 			tombstone: i%97 == 0,
 		})
 	}
-	if _, err := writeSSTable(path, entries, 0.01); err != nil {
+	if _, err := writeSSTable(path, entries); err != nil {
 		t.Fatal(err)
 	}
 	tab, err := openSSTable(path, 1, nil)
@@ -212,7 +212,7 @@ func TestSSTableWriteReadSeek(t *testing.T) {
 func TestSSTableCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.sst")
-	if _, err := writeSSTable(path, []entry{{key: []byte("k"), value: []byte("v")}}, 0.01); err != nil {
+	if _, err := writeSSTable(path, []entry{{key: []byte("k"), value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -264,7 +264,7 @@ func TestSSTablePropertyRoundTrip(t *testing.T) {
 
 		fileNo++
 		path := filepath.Join(dir, fmt.Sprintf("p%d.sst", fileNo))
-		if _, err := writeSSTable(path, entries, 0.01); err != nil {
+		if _, err := writeSSTable(path, entries); err != nil {
 			return false
 		}
 		tab, err := openSSTable(path, uint64(fileNo), nil)

@@ -53,12 +53,12 @@ type indexEntry struct {
 
 // writeSSTable writes entries (sorted by key, unique) to path and returns the
 // number of entries written.
-func writeSSTable(path string, entries []entry, bloomFP float64) (int, error) {
+func writeSSTable(path string, entries []entry) (int, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("create sstable: %w", err)
 	}
-	if err := writeSSTableTo(f, entries, bloomFP); err != nil {
+	if err := writeSSTableTo(f, entries); err != nil {
 		return 0, errors.Join(err, f.Close())
 	}
 	if err := f.Sync(); err != nil {
@@ -72,7 +72,7 @@ func writeSSTable(path string, entries []entry, bloomFP float64) (int, error) {
 
 // writeSSTableTo streams the table body to f; the caller owns syncing and
 // closing the file so there is exactly one close path.
-func writeSSTableTo(f *os.File, entries []entry, bloomFP float64) error {
+func writeSSTableTo(f *os.File, entries []entry) error {
 	w := bufio.NewWriterSize(f, 1<<16)
 
 	var hdr [8]byte
@@ -81,7 +81,7 @@ func writeSSTableTo(f *os.File, entries []entry, bloomFP float64) error {
 		return fmt.Errorf("write sstable header: %w", err)
 	}
 
-	bloom := newBloomFilter(len(entries), bloomFP)
+	bloom := newBloomFilter(len(entries), bloomFalsePositiveRate)
 	index := make([]indexEntry, 0, len(entries)/sstIndexInterval+1)
 	blockCRCs := make([]uint32, 0, cap(index))
 	blockHash := crc32.NewIEEE()

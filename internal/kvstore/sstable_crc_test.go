@@ -19,7 +19,7 @@ func writeCRCTestTable(t *testing.T) (path string, entries []entry) {
 			value: []byte(fmt.Sprintf("value-%05d-padpadpadpad", i)),
 		})
 	}
-	if _, err := writeSSTable(path, entries, 0.01); err != nil {
+	if _, err := writeSSTable(path, entries); err != nil {
 		t.Fatal(err)
 	}
 	return path, entries

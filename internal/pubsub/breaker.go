@@ -51,7 +51,6 @@ func (s BreakerState) String() string {
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
-	onChange  func(BreakerState) // fired outside the lock on every transition
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -63,27 +62,26 @@ type breaker struct {
 	fastFails atomic.Uint64 // publishes rejected while open
 }
 
-func newBreaker(threshold int, cooldown time.Duration, onChange func(BreakerState)) *breaker {
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if cooldown <= 0 {
 		cooldown = time.Second
 	}
-	// Every transition is a flight-recorder event: an Open breaker explains a
-	// burst of fast-failed publishes in a postmortem dump.
-	logged := func(s BreakerState) {
-		l := obslog.L("pubsub")
-		if s == BreakerOpen {
-			l.Warn("breaker transition", "state", s.String())
-		} else {
-			l.Info("breaker transition", "state", s.String())
-		}
-		if onChange != nil {
-			onChange(s)
-		}
+	return &breaker{threshold: threshold, cooldown: cooldown}
+}
+
+// logTransition records a state change, outside the breaker's lock. Every
+// transition is a flight-recorder event: an Open breaker explains a burst of
+// fast-failed publishes in a postmortem dump.
+func logTransition(s BreakerState) {
+	l := obslog.L("pubsub")
+	if s == BreakerOpen {
+		l.Warn("breaker transition", "state", s.String())
+	} else {
+		l.Info("breaker transition", "state", s.String())
 	}
-	return &breaker{threshold: threshold, cooldown: cooldown, onChange: logged}
 }
 
 // allow reports whether a publish may proceed. While open it rejects until
@@ -103,11 +101,8 @@ func (b *breaker) allow() bool {
 		}
 		b.state = BreakerHalfOpen
 		b.probing = true
-		fn := b.onChange
 		b.mu.Unlock()
-		if fn != nil {
-			fn(BreakerHalfOpen)
-		}
+		logTransition(BreakerHalfOpen)
 		return true
 	default: // BreakerHalfOpen
 		if b.probing {
@@ -128,10 +123,9 @@ func (b *breaker) success() {
 	b.failures = 0
 	changed := b.state != BreakerClosed
 	b.state = BreakerClosed
-	fn := b.onChange
 	b.mu.Unlock()
-	if changed && fn != nil {
-		fn(BreakerClosed)
+	if changed {
+		logTransition(BreakerClosed)
 	}
 }
 
@@ -143,16 +137,15 @@ func (b *breaker) failure() {
 	b.failures++
 	trip := b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.failures >= b.threshold)
 	b.probing = false
-	var fn func(BreakerState)
-	if trip && b.state != BreakerOpen {
+	opened := trip && b.state != BreakerOpen
+	if opened {
 		b.state = BreakerOpen
 		b.openedAt = time.Now()
 		b.opened.Add(1)
-		fn = b.onChange
 	}
 	b.mu.Unlock()
-	if fn != nil {
-		fn(BreakerOpen)
+	if opened {
+		logTransition(BreakerOpen)
 	}
 }
 
@@ -176,12 +169,6 @@ func WithBreaker(threshold int, cooldown time.Duration) ReconnectOption {
 		c.breakerThreshold = threshold
 		c.breakerCooldown = cooldown
 	}
-}
-
-// WithBreakerHandler registers a callback fired on every breaker state
-// transition (outside the breaker's lock).
-func WithBreakerHandler(fn func(BreakerState)) ReconnectOption {
-	return func(c *reconnectConfig) { c.onBreaker = fn }
 }
 
 // BreakerState returns the breaker's state; ok is false when the conn was

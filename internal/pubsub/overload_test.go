@@ -10,10 +10,7 @@ import (
 // threshold trips, cooldown-gated half-open probe, single-probe admission,
 // probe failure re-opening, probe success closing.
 func TestOverloadBreakerStateMachine(t *testing.T) {
-	var transitions []BreakerState
-	b := newBreaker(2, 40*time.Millisecond, func(s BreakerState) {
-		transitions = append(transitions, s)
-	})
+	b := newBreaker(2, 40*time.Millisecond)
 
 	if !b.allow() {
 		t.Fatal("closed breaker must allow")
@@ -36,6 +33,9 @@ func TestOverloadBreakerStateMachine(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	if !b.allow() {
 		t.Fatal("cooldown elapsed: breaker must admit the half-open probe")
+	}
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("probing state = %v, want half-open", got)
 	}
 	if b.allow() {
 		t.Fatal("second publish during the probe must be rejected")
@@ -61,15 +61,6 @@ func TestOverloadBreakerStateMachine(t *testing.T) {
 	}
 	if got := b.opened.Load(); got != 2 {
 		t.Fatalf("opened = %d, want 2", got)
-	}
-	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transition %d = %v, want %v", i, transitions[i], want[i])
-		}
 	}
 }
 

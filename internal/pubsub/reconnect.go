@@ -34,12 +34,10 @@ type reconnectConfig struct {
 	pendingPolicy OverflowPolicy
 	heartbeat     time.Duration
 	pingTimeout   time.Duration
-	dialOpts      []DialOption
 
 	// Circuit breaker (see breaker.go); threshold 0 disables.
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	onBreaker        func(BreakerState)
 
 	onConnected    func()
 	onDisconnected func(error)
@@ -101,12 +99,6 @@ func WithHeartbeat(interval, timeout time.Duration) ReconnectOption {
 			c.pingTimeout = timeout
 		}
 	}
-}
-
-// WithDialOptions forwards connection-level options (e.g.
-// WithDialFlushInterval) to every underlying Dial, including redials.
-func WithDialOptions(opts ...DialOption) ReconnectOption {
-	return func(c *reconnectConfig) { c.dialOpts = append(c.dialOpts, opts...) }
 }
 
 // WithConnectedHandler registers a callback fired once when the initial
@@ -268,7 +260,7 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	conn, err := Dial(addr, cfg.dialOpts...)
+	conn, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +273,7 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 		done: make(chan struct{}),
 	}
 	if cfg.breakerThreshold > 0 {
-		rc.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown, cfg.onBreaker)
+		rc.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
 	}
 	rc.notFull = sync.NewCond(&rc.mu)
 	if cfg.onConnected != nil {
@@ -620,7 +612,7 @@ func (rc *ReconnectConn) redial() (*Conn, bool) {
 		case <-rc.quit:
 			return nil, false
 		}
-		conn, err := Dial(rc.addr, rc.cfg.dialOpts...)
+		conn, err := Dial(rc.addr)
 		if err != nil {
 			continue
 		}

@@ -59,7 +59,7 @@ func Aggregate[In Timestamped, K comparable, Out any](
 	agg AggregateFunc[K, In, Out],
 	opts ...OpOption,
 ) *Stream[Out] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[Out](q, name, o.buffer)
 	in.claim(q, name)
 	if key == nil || agg == nil {
@@ -81,7 +81,7 @@ func Aggregate[In Timestamped, K comparable, Out any](
 		key:     key,
 		agg:     agg,
 		g:       q.qz.newGuard(),
-		batch:   o.batch,
+		batch:   q.batchSize,
 		stats:   stats,
 		open:    make(map[winKey[K]]*winState[In]),
 		inPool:  chunkPoolFor[In](),

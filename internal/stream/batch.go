@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultBatchSize is the number of tuples coalesced into one chunk before a
-// channel send, unless overridden with WithBatch/WithQueryBatch. 64 amortizes
+// channel send, unless overridden with WithQueryBatch. 64 amortizes
 // the per-send synchronization well while keeping chunks small enough that a
 // full edge (DefaultBufferSize chunks) stays modest.
 const DefaultBatchSize = 64

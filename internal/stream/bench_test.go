@@ -147,7 +147,7 @@ func BenchmarkShuffleMerge(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := NewQuery("bench", WithQueryBuffer(1024))
 				src := AddSource(q, "src", benchSource(tuples))
-				out := ParallelFlatMap(q, "work", src, par,
+				out := shuffleFlatMapMerge(q, "work", src, par,
 					func(v At[int]) uint64 { return uint64(v.Val) },
 					func(v At[int], emit Emit[At[int]]) error { return emit(v) })
 				AddSink(q, "sink", out, Discard[At[int]]())

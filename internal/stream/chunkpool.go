@@ -20,14 +20,12 @@ import (
 //   - A chunk has exactly one owner at a time. Sending a chunk on an edge
 //     transfers ownership to the receiving operator.
 //   - The owner that fully consumes a chunk — and only that owner — may
-//     recycle it (flatMap/process/keyed/count-window after the tuple loop,
+//     recycle it (flatMap/process/aggregate/join after the tuple loop,
 //     a sink after traces are finished, shuffle after partitioning).
 //   - Fanout duplicates ownership: the same chunk is sent to every branch,
 //     so none of them may recycle it. Fanout (and anything downstream of a
 //     Merge fed by a Fanout branch) marks its output streams shared; the
 //     consumer of a shared stream leaves chunks to the garbage collector.
-//   - OrderedMerge retains received chunks in its heads/queues (they are
-//     checkpoint state), so it never recycles its inputs.
 //   - Chunks are cleared before they are pooled, so a recycled chunk never
 //     keeps tuple payloads (KV maps, images, traces) alive.
 //

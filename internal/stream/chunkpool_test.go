@@ -63,7 +63,7 @@ func TestChunkOwnershipUnderQuery(t *testing.T) {
 		}
 		return nil
 	})
-	work := ParallelFlatMap(q, "work", src, 4,
+	work := shuffleFlatMapMerge(q, "work", src, 4,
 		func(v At[int]) uint64 { return uint64(v.Val) },
 		func(v At[int], emit Emit[At[int]]) error { return emit(v) })
 	branches := Fanout(q, "fan", work, 2)

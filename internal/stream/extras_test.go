@@ -1,97 +1,9 @@
 package stream
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
-	"testing/quick"
-	"time"
 )
-
-func TestReorderRestoresOrder(t *testing.T) {
-	// Disordered input within a slack of 5.
-	items := []At[int]{
-		{TS: 3, Val: 3}, {TS: 1, Val: 1}, {TS: 2, Val: 2},
-		{TS: 6, Val: 6}, {TS: 4, Val: 4}, {TS: 5, Val: 5},
-		{TS: 9, Val: 9}, {TS: 7, Val: 7}, {TS: 8, Val: 8},
-	}
-	q := NewQuery("reorder")
-	src := AddSource(q, "src", FromSlice(items))
-	sorted := Reorder(q, "sort", src, 5)
-	var got []At[int]
-	AddSink(q, "sink", sorted, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(items) {
-		t.Fatalf("got %d tuples, want %d", len(got), len(items))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].TS < got[i-1].TS {
-			t.Fatalf("order violated at %d: %d < %d", i, got[i].TS, got[i-1].TS)
-		}
-	}
-}
-
-func TestReorderNegativeSlackRejected(t *testing.T) {
-	q := NewQuery("badslack")
-	src := AddSource(q, "src", FromSlice([]At[int]{}))
-	Reorder(q, "sort", src, -1)
-	if err := q.Err(); !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("Err() = %v, want ErrBadWindow", err)
-	}
-}
-
-func TestReorderPropertyMergePlusReorderIsSorted(t *testing.T) {
-	// Merge two sorted streams (arrival order), then Reorder with slack ≥
-	// the maximum cross-stream skew: output must be fully sorted and
-	// complete.
-	prop := func(seed int64, nA, nB uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		gen := func(n int, start int64) []At[int] {
-			out := make([]At[int], n)
-			ts := start
-			for i := range out {
-				ts += rng.Int63n(3)
-				out[i] = At[int]{TS: ts, Val: int(ts)}
-			}
-			return out
-		}
-		a := gen(int(nA%50)+1, 0)
-		b := gen(int(nB%50)+1, 0)
-		q := NewQuery("prop")
-		sa := AddSource(q, "a", FromSlice(a))
-		sb := AddSource(q, "b", FromSlice(b))
-		merged := Merge(q, "merge", []*Stream[At[int]]{sa, sb})
-		// Slack: the largest timestamp anywhere bounds the skew.
-		maxTS := int64(0)
-		for _, v := range append(append([]At[int]{}, a...), b...) {
-			if v.TS > maxTS {
-				maxTS = v.TS
-			}
-		}
-		sorted := Reorder(q, "sort", merged, maxTS+1)
-		var got []At[int]
-		AddSink(q, "sink", sorted, ToSlice(&got))
-		if err := q.Run(context.Background()); err != nil {
-			return false
-		}
-		if len(got) != len(a)+len(b) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].TS < got[i-1].TS {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBuiltinAggregators(t *testing.T) {
 	items := []keyed{
@@ -162,141 +74,6 @@ func TestBuiltinAggregators(t *testing.T) {
 			t.Fatalf("mean = %+v", got)
 		}
 	})
-}
-
-func TestKeyedProcessDedup(t *testing.T) {
-	// Per-key dedup: forward the first occurrence of each (key, val).
-	items := []keyed{
-		{1, "a", 1}, {2, "a", 1}, {3, "b", 1}, {4, "a", 2}, {5, "a", 1},
-	}
-	q := NewQuery("dedup")
-	src := AddSource(q, "src", FromSlice(items))
-	out := KeyedProcess(q, "dedup", src,
-		func(v keyed) string { return v.key },
-		func(key string, seen map[int]bool, v keyed, emit Emit[keyed]) (map[int]bool, bool, error) {
-			if seen == nil {
-				seen = map[int]bool{}
-			}
-			if !seen[v.val] {
-				seen[v.val] = true
-				if err := emit(v); err != nil {
-					return nil, false, err
-				}
-			}
-			return seen, true, nil
-		}, nil)
-	var got []keyed
-	AddSink(q, "sink", out, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	want := "[{1 a 1} {3 b 1} {4 a 2}]"
-	if fmt.Sprint(got) != want {
-		t.Fatalf("dedup = %v, want %v", got, want)
-	}
-}
-
-func TestKeyedProcessEndFlush(t *testing.T) {
-	items := []keyed{{1, "a", 1}, {2, "b", 10}, {3, "a", 2}}
-	q := NewQuery("flush")
-	src := AddSource(q, "src", FromSlice(items))
-	// Accumulate per-key sums, emit only at end-of-stream.
-	out := KeyedProcess(q, "sums", src,
-		func(v keyed) string { return v.key },
-		func(key string, sum int, v keyed, emit Emit[string]) (int, bool, error) {
-			return sum + v.val, true, nil
-		},
-		func(key string, sum int, emit Emit[string]) error {
-			return emit(fmt.Sprintf("%s=%d", key, sum))
-		})
-	var got []string
-	AddSink(q, "sink", out, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	// Flush order follows key first-seen order.
-	if fmt.Sprint(got) != "[a=3 b=10]" {
-		t.Fatalf("flush = %v", got)
-	}
-}
-
-func TestKeyedProcessStateDrop(t *testing.T) {
-	items := []keyed{{1, "a", 1}, {2, "a", -1}, {3, "a", 5}}
-	q := NewQuery("drop")
-	src := AddSource(q, "src", FromSlice(items))
-	// Negative values reset the key's state.
-	out := KeyedProcess(q, "acc", src,
-		func(v keyed) string { return v.key },
-		func(key string, sum int, v keyed, emit Emit[int]) (int, bool, error) {
-			if v.val < 0 {
-				return 0, false, nil // drop state
-			}
-			sum += v.val
-			if err := emit(sum); err != nil {
-				return 0, false, err
-			}
-			return sum, true, nil
-		}, nil)
-	var got []int
-	AddSink(q, "sink", out, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	// After the reset, the sum restarts from zero: 1, then 5 (not 6).
-	if fmt.Sprint(got) != "[1 5]" {
-		t.Fatalf("got %v, want [1 5]", got)
-	}
-}
-
-func TestThrottleLimitsRate(t *testing.T) {
-	q := NewQuery("throttle")
-	src := AddSource(q, "src", FromSlice(ints(20)))
-	slowed := Throttle(q, "limit", src, 100, 1) // 100 tuples/s, ~10ms apart
-	var got []At[int]
-	AddSink(q, "sink", slowed, ToSlice(&got))
-	start := time.Now()
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if len(got) != 20 {
-		t.Fatalf("got %d tuples", len(got))
-	}
-	// 20 tuples at 100/s with burst 1 needs ≥ ~190 ms.
-	if elapsed < 150*time.Millisecond {
-		t.Fatalf("throttle too fast: %v", elapsed)
-	}
-}
-
-func TestThrottleRejectsBadRate(t *testing.T) {
-	q := NewQuery("badrate")
-	src := AddSource(q, "src", FromSlice([]At[int]{}))
-	Throttle(q, "limit", src, 0, 1)
-	if q.Err() == nil {
-		t.Fatal("rate 0 should record an error")
-	}
-}
-
-func TestRoundRobinBalances(t *testing.T) {
-	q := NewQuery("rr")
-	src := AddSource(q, "src", FromSlice(ints(300)))
-	branches := RoundRobin(q, "rr", src, 3)
-	counts := make([]int, 3)
-	for i, b := range branches {
-		i := i
-		AddSink(q, "sink"+fmt.Sprint(i), b, func(At[int]) error {
-			counts[i]++
-			return nil
-		})
-	}
-	if err := runQuery(t, q); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
-		if c != 100 {
-			t.Fatalf("branch %d got %d tuples, want 100 (%v)", i, c, counts)
-		}
-	}
 }
 
 func TestProcessOnEndFlush(t *testing.T) {

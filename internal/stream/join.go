@@ -33,7 +33,7 @@ func Join[L Timestamped, R Timestamped, K comparable, Out any](
 	join JoinFunc[L, R, Out],
 	opts ...OpOption,
 ) *Stream[Out] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[Out](q, name, o.buffer)
 	left.claim(q, name)
 	right.claim(q, name)
@@ -58,7 +58,7 @@ func Join[L Timestamped, R Timestamped, K comparable, Out any](
 		keyR:     keyR,
 		join:     join,
 		g:        q.qz.newGuard(),
-		batch:    o.batch,
+		batch:    q.batchSize,
 		lPool:    chunkPoolFor[L](),
 		rPool:    chunkPoolFor[R](),
 		recycleL: !left.shared,

@@ -53,7 +53,7 @@ func Filter[T any](q *Query, name string, in *Stream[T], fn FilterFunc[T], opts 
 // FlatMap registers a one-to-many stateless operator. It is the most general
 // stateless shape; Map and Filter are implemented on top of it.
 func FlatMap[In, Out any](q *Query, name string, in *Stream[In], fn FlatMapFunc[In, Out], opts ...OpOption) *Stream[Out] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[Out](q, name, o.buffer)
 	in.claim(q, name)
 	if fn == nil {
@@ -64,7 +64,7 @@ func FlatMap[In, Out any](q *Query, name string, in *Stream[In], fn FlatMapFunc[
 	watchOutput(stats, out.ch)
 	stats.installShed(o.shed, o.shedSet, &q.knobs)
 	q.addOperator(&flatMapOp[In, Out]{
-		name: name, in: in.ch, out: out.ch, fn: fn, g: q.qz.newGuard(), batch: o.batch, stats: stats,
+		name: name, in: in.ch, out: out.ch, fn: fn, g: q.qz.newGuard(), batch: q.batchSize, stats: stats,
 		inPool: chunkPoolFor[In](), recycle: !in.shared,
 	})
 	return out

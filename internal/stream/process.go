@@ -24,7 +24,7 @@ func Process[In, Out any](
 	onEnd EndFunc[Out],
 	opts ...OpOption,
 ) *Stream[Out] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[Out](q, name, o.buffer)
 	in.claim(q, name)
 	if fn == nil {
@@ -35,7 +35,7 @@ func Process[In, Out any](
 	watchOutput(stats, out.ch)
 	stats.installShed(o.shed, o.shedSet, &q.knobs)
 	q.addOperator(&processOp[In, Out]{
-		name: name, in: in.ch, out: out.ch, fn: fn, onEnd: onEnd, g: q.qz.newGuard(), batch: o.batch, stats: stats,
+		name: name, in: in.ch, out: out.ch, fn: fn, onEnd: onEnd, g: q.qz.newGuard(), batch: q.batchSize, stats: stats,
 		inPool: chunkPoolFor[In](), recycle: !in.shared,
 	})
 	return out

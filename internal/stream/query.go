@@ -70,10 +70,9 @@ func WithQueryBuffer(n int) QueryOption {
 	}
 }
 
-// WithQueryBatch sets the default chunk size for every operator edge in the
+// WithQueryBatch sets the chunk size for every operator edge in the
 // query: producers coalesce up to n tuples per channel send. n = 1 turns
 // micro-batching off query-wide, restoring one-tuple-per-send semantics.
-// See WithBatch for a per-operator override.
 func WithQueryBatch(n int) QueryOption {
 	return func(q *Query) {
 		if n > 0 {
@@ -82,11 +81,13 @@ func WithQueryBatch(n int) QueryOption {
 	}
 }
 
-// WithQueryLinger sets the default linger for every source in the query: the
+// WithQueryLinger sets the linger for every source in the query: the
 // longest a partial chunk may wait for more tuples before being flushed
 // downstream. Smaller values favour latency, larger values favour batching
 // efficiency on slow sources. d = 0 disables the deadline (flush only on a
-// full chunk or end-of-stream). See WithLinger for a per-source override.
+// full chunk or end-of-stream). Only sources linger: downstream operators
+// flush a partial output chunk as soon as the input chunk that produced it
+// is done, so the delay is paid once at ingestion.
 func WithQueryLinger(d time.Duration) QueryOption {
 	return func(q *Query) {
 		if d >= 0 {
@@ -106,7 +107,7 @@ func NewQuery(name string, opts ...QueryOption) *Query {
 		streams:    make(map[string]string),
 		traces: telemetry.NewTraceBuffer(telemetry.DefaultTraceCapacity).
 			WithLabels(telemetry.L("query", name)),
-		qz:         newQuiescer(),
+		qz: new(quiescer),
 	}
 	for _, o := range opts {
 		o(q)

@@ -36,6 +36,11 @@ var (
 //     and receive bumps it, so an unchanged counter proves the individual
 //     probes form a consistent snapshot).
 //
+// A parked operator goroutine waits on all of its inputs at once (the join
+// selects on both sides; a merge runs one goroutine per branch), so with
+// sources gated and chunkers flushed every edge drains into its consumer and
+// the scan converges without any operator being told that a pause began.
+//
 // Once stable, every tuple ever emitted has been fully processed and each
 // operator's goroutine is parked at a channel receive: operator state can be
 // read (and serialized) from the coordinator goroutine without races — the
@@ -79,29 +84,12 @@ type quiescer struct {
 
 	mu       sync.Mutex
 	resume   chan struct{} // non-nil while paused; closed to resume
-	pauseSig chan struct{} // closed when a pause begins; remade on resume
 	guards   []*opGuard
 	edges    []func() int   // len() probes, one per stream channel
 	flushers []func() error // source chunker flushNow hooks, run-time registered
 
 	// ckptMu serializes Checkpoint calls (one pause epoch at a time).
 	ckptMu sync.Mutex
-}
-
-func newQuiescer() *quiescer { return &quiescer{pauseSig: make(chan struct{})} }
-
-// pauseSignal returns a channel that is closed when a pause epoch begins,
-// or nil (a never-ready select case) while snapshots are disabled. Operators
-// that park on a single input while data may sit on their other inputs
-// (OrderedMerge) select on it so a pause can prompt them to drain.
-func (z *quiescer) pauseSignal() <-chan struct{} {
-	if !z.enabled {
-		return nil
-	}
-	z.mu.Lock()
-	ch := z.pauseSig
-	z.mu.Unlock()
-	return ch
 }
 
 // opGuard tracks one operator goroutine's busy/idle state. Operators mark
@@ -284,7 +272,6 @@ func (z *quiescer) pause(ctx context.Context, runDone <-chan struct{}) (func(), 
 	z.mu.Lock()
 	z.resume = make(chan struct{})
 	z.paused.Store(true)
-	close(z.pauseSig)
 	z.mu.Unlock()
 
 	var once sync.Once
@@ -292,7 +279,6 @@ func (z *quiescer) pause(ctx context.Context, runDone <-chan struct{}) (func(), 
 		once.Do(func() {
 			z.mu.Lock()
 			z.paused.Store(false)
-			z.pauseSig = make(chan struct{})
 			close(z.resume)
 			z.mu.Unlock()
 		})

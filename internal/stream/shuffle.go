@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // HashFunc assigns a tuple to a shuffle partition. Equal hashes land on the
@@ -18,7 +17,7 @@ type HashFunc[T any] func(T) uint64
 // partitioned into at most one sub-chunk per branch, so a chunk costs at
 // most n sends regardless of its size.
 func Shuffle[T any](q *Query, name string, in *Stream[T], n int, hash HashFunc[T], opts ...OpOption) []*Stream[T] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	outs := make([]*Stream[T], n)
 	chs := make([]chan []T, n)
 	for i := range outs {
@@ -116,7 +115,7 @@ func (s *shuffleOp[T]) run(ctx context.Context) (err error) {
 // operators do — so the output streams are marked shared and their
 // consumers leave chunks to the collector instead of recycling them.
 func Fanout[T any](q *Query, name string, in *Stream[T], n int, opts ...OpOption) []*Stream[T] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	outs := make([]*Stream[T], n)
 	chs := make([]chan []T, n)
 	for i := range outs {
@@ -178,10 +177,9 @@ func (f *fanoutOp[T]) run(ctx context.Context) (err error) {
 
 // Merge registers an n→1 union that forwards tuples in arrival order. The
 // output's event times are NOT globally ordered across branches; feed it to
-// an Aggregate with a Slack allowance, or use OrderedMerge when global order
-// is required.
+// an Aggregate with a Slack allowance when windows need them in order.
 func Merge[T any](q *Query, name string, ins []*Stream[T], opts ...OpOption) *Stream[T] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[T](q, name, o.buffer)
 	chs := make([]chan []T, len(ins))
 	for i, in := range ins {
@@ -262,274 +260,4 @@ func (m *mergeOp[T]) run(ctx context.Context) (err error) {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// OrderedMerge registers an n→1 union that emits tuples in global event-time
-// order (a k-way merge of ordered branches). It must hold one pending chunk
-// per open branch before it can emit, so a branch that stays empty while its
-// siblings fill their channel buffers stalls the merge; with heavily skewed
-// branch loads prefer Merge plus an Aggregate Slack downstream.
-func OrderedMerge[T Timestamped](q *Query, name string, ins []*Stream[T], opts ...OpOption) *Stream[T] {
-	o := applyOpts(q, opts)
-	out := newStream[T](q, name, o.buffer)
-	chs := make([]chan []T, len(ins))
-	for i, in := range ins {
-		in.claim(q, name)
-		chs[i] = in.ch
-	}
-	if len(ins) == 0 {
-		q.recordErr(fmt.Errorf("stream: ordered merge %q: needs at least one input", name))
-		return out
-	}
-	stats := q.metrics.Op(name)
-	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
-	op := &orderedMergeOp[T]{name: name, ins: chs, out: out.ch, g: q.qz.newGuard(), batch: o.batch, stats: stats}
-	op.heads = make([]mergeHead[T], len(chs))
-	for i := range op.heads {
-		op.heads[i].Open = true
-	}
-	q.addOperator(op)
-	return out
-}
-
-// mergeHead is one branch's pending chunk plus a cursor; the branch is
-// exhausted for this round when the cursor reaches the chunk's end. Fields
-// are exported for the gob snapshot — the heads are real operator state
-// (tuples received but not yet merged) and must survive a restore. Queue
-// holds chunks drained off the branch's edge during a checkpoint pause (the
-// merge blocks on one branch at a time, so without the drain a chunk parked
-// on a sibling edge would keep the stability scan from ever succeeding);
-// fills consume the queue before returning to the channel.
-type mergeHead[T any] struct {
-	Chunk []T
-	Pos   int
-	Queue [][]T
-	Open  bool
-}
-
-type orderedMergeOp[T Timestamped] struct {
-	name  string
-	ins   []chan []T
-	out   chan []T
-	g     *opGuard
-	batch int
-	stats *OpStats
-
-	heads []mergeHead[T]
-}
-
-func (m *orderedMergeOp[T]) opName() string { return m.name }
-
-// Snapshot serializes the pending heads. The merge parks per-branch while
-// holding up to one chunk per branch, so unlike the single-input operators
-// its in-flight tuples live in operator state, not on an edge.
-func (m *orderedMergeOp[T]) Snapshot() ([]byte, error) {
-	snap := make([]mergeHead[T], len(m.heads))
-	for i, h := range m.heads {
-		snap[i] = mergeHead[T]{Chunk: h.Chunk[h.Pos:], Queue: h.Queue, Open: h.Open}
-	}
-	return gobEncode(snap)
-}
-
-func (m *orderedMergeOp[T]) Restore(b []byte) error {
-	var snap []mergeHead[T]
-	if err := gobDecode(b, &snap); err != nil {
-		return err
-	}
-	if len(snap) != len(m.heads) {
-		return fmt.Errorf("ordered merge %q: snapshot has %d branches, operator has %d", m.name, len(snap), len(m.heads))
-	}
-	m.heads = snap
-	return nil
-}
-
-func (m *orderedMergeOp[T]) run(ctx context.Context) (err error) {
-	defer closeGated(m.g, m.out)
-	defer m.g.exit(&err)
-	defer recoverPanic(&err)
-	heads := m.heads
-	em := newChunkEmitter(ctx, m.g.qz, m.out, m.batch, m.stats)
-	for {
-		// Fill the head slot of every open branch. Blocking on each in
-		// turn is fine: we cannot emit anything until all heads are
-		// known. Flush our partial output first so downstream is not
-		// starved while we wait. For the checkpoint scan, each blocking
-		// fill is an idle point: the held heads are consistent state
-		// (snapshotted above), so a merge parked here does not block
-		// quiescence the way a busy operator would.
-		openAny := false
-		needFill := false
-		for i := range heads {
-			if heads[i].Open && heads[i].Pos >= len(heads[i].Chunk) {
-				needFill = true
-			}
-		}
-		if needFill {
-			if err := em.flush(); err != nil {
-				return err
-			}
-		}
-		refill := false
-		for i := range heads {
-			if !heads[i].Open || heads[i].Pos < len(heads[i].Chunk) {
-				openAny = openAny || heads[i].Open
-				continue
-			}
-			if len(heads[i].Queue) > 0 {
-				heads[i].Chunk = heads[i].Queue[0]
-				heads[i].Queue = heads[i].Queue[1:]
-				heads[i].Pos = 0
-				openAny = true
-				continue
-			}
-			m.g.idle()
-			select {
-			case chunk, ok := <-m.ins[i]:
-				m.g.recv(ok)
-				if !ok {
-					heads[i].Open = false
-					continue
-				}
-				m.stats.addIn(int64(len(chunk)))
-				if len(chunk) > 0 {
-					// Branches are timestamp-ordered, so the chunk's
-					// last tuple carries its maximum event time.
-					m.stats.observeEventTime(chunk[len(chunk)-1].EventTime())
-				}
-				heads[i].Chunk = chunk
-				heads[i].Pos = 0
-				openAny = true
-			case <-m.g.qz.pauseSignal():
-				// A checkpoint pause began while we were blocked on one
-				// branch. Drain every branch's edge into its queue so the
-				// stability scan can see the edges empty, then restart the
-				// fill round.
-				m.drainPaused()
-				refill = true
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if refill {
-				break
-			}
-		}
-		if refill {
-			continue
-		}
-		if !openAny {
-			break
-		}
-		// Emit the smallest head.
-		min := -1
-		for i := range heads {
-			if heads[i].Pos >= len(heads[i].Chunk) {
-				continue
-			}
-			if min < 0 || heads[i].Chunk[heads[i].Pos].EventTime() < heads[min].Chunk[heads[min].Pos].EventTime() {
-				min = i
-			}
-		}
-		if min < 0 {
-			break
-		}
-		if err := em.emit(heads[min].Chunk[heads[min].Pos]); err != nil {
-			return err
-		}
-		heads[min].Pos++
-	}
-	// Drain leftovers (branches that closed while holding a head or a
-	// restored queue).
-	for {
-		min := -1
-		for i := range heads {
-			if heads[i].Pos >= len(heads[i].Chunk) && len(heads[i].Queue) > 0 {
-				heads[i].Chunk = heads[i].Queue[0]
-				heads[i].Queue = heads[i].Queue[1:]
-				heads[i].Pos = 0
-			}
-			if heads[i].Pos >= len(heads[i].Chunk) {
-				continue
-			}
-			if min < 0 || heads[i].Chunk[heads[i].Pos].EventTime() < heads[min].Chunk[heads[min].Pos].EventTime() {
-				min = i
-			}
-		}
-		if min < 0 {
-			return em.flush()
-		}
-		if err := em.emit(heads[min].Chunk[heads[min].Pos]); err != nil {
-			return err
-		}
-		heads[min].Pos++
-	}
-}
-
-// drainPaused runs for the duration of a checkpoint pause: it repeatedly
-// moves whatever chunks are sitting on the input edges into the per-branch
-// queues (marking the guard busy while mutating, idle between sweeps) until
-// the pause ends. Sources are gated during a pause, so the tuple population
-// is finite and the sweep converges with all of this operator's input edges
-// empty — exactly what the stability scan needs.
-func (m *orderedMergeOp[T]) drainPaused() {
-	qz := m.g.qz
-	for {
-		drained := false
-		for i := range m.heads {
-		branch:
-			for m.heads[i].Open {
-				select {
-				case chunk, ok := <-m.ins[i]:
-					m.g.recv(ok)
-					drained = true
-					if !ok {
-						// Closes are gated during a pause; tolerate one
-						// anyway (e.g. a pause that lost a race with
-						// shutdown) — and stop receiving from the branch,
-						// or the closed channel would be ready forever.
-						m.heads[i].Open = false
-						break branch
-					}
-					m.stats.addIn(int64(len(chunk)))
-					if len(chunk) > 0 {
-						m.stats.observeEventTime(chunk[len(chunk)-1].EventTime())
-					}
-					m.heads[i].Queue = append(m.heads[i].Queue, chunk)
-				default:
-					break branch
-				}
-			}
-		}
-		m.g.idle()
-		if !qz.paused.Load() {
-			return
-		}
-		if !drained {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-}
-
-// ParallelFlatMap is a convenience combinator: Shuffle into n branches, run
-// fn on each branch, and Merge the results in arrival order. Tuples with
-// equal hashes are processed by the same branch in input order, matching the
-// paper's "disjoint layer portions may be analyzed in parallel" model.
-func ParallelFlatMap[In, Out any](
-	q *Query,
-	name string,
-	in *Stream[In],
-	n int,
-	hash HashFunc[In],
-	fn FlatMapFunc[In, Out],
-	opts ...OpOption,
-) *Stream[Out] {
-	if n <= 1 {
-		return FlatMap(q, name, in, fn, opts...)
-	}
-	branches := Shuffle(q, name+".shuffle", in, n, hash, opts...)
-	outs := make([]*Stream[Out], n)
-	for i, b := range branches {
-		outs[i] = FlatMap(q, fmt.Sprintf("%s.%d", name, i), b, fn, opts...)
-	}
-	return Merge(q, name+".merge", outs, opts...)
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,59 +116,19 @@ func TestFanoutDuplicates(t *testing.T) {
 	}
 }
 
-func TestOrderedMergeGlobalOrder(t *testing.T) {
-	// Two sources with interleaved timestamps; OrderedMerge must emit a
-	// globally sorted stream.
-	even := make([]At[int], 100)
-	odd := make([]At[int], 100)
-	for i := range even {
-		even[i] = At[int]{TS: int64(2 * i), Val: 2 * i}
-		odd[i] = At[int]{TS: int64(2*i + 1), Val: 2*i + 1}
+// shuffleFlatMapMerge runs fn on n hash-shuffled branches of in and merges
+// the results in arrival order: the data-parallel shape core compiles a
+// Parallelism > 1 stage to.
+func shuffleFlatMapMerge[In, Out any](q *Query, name string, in *Stream[In], n int, hash HashFunc[In], fn FlatMapFunc[In, Out]) *Stream[Out] {
+	branches := Shuffle(q, name+".shuffle", in, n, hash)
+	outs := make([]*Stream[Out], n)
+	for i, b := range branches {
+		outs[i] = FlatMap(q, fmt.Sprintf("%s.%d", name, i), b, fn)
 	}
-	q := NewQuery("orderedmerge")
-	s1 := AddSource(q, "even", FromSlice(even))
-	s2 := AddSource(q, "odd", FromSlice(odd))
-	merged := OrderedMerge(q, "merge", []*Stream[At[int]]{s1, s2})
-	var got []At[int]
-	AddSink(q, "sink", merged, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatalf("Run() error = %v", err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("got %d tuples, want 200", len(got))
-	}
-	for i, v := range got {
-		if v.TS != int64(i) {
-			t.Fatalf("got[%d].TS = %d, want %d (order violated)", i, v.TS, i)
-		}
-	}
+	return Merge(q, name+".merge", outs)
 }
 
-func TestOrderedMergeUnevenBranches(t *testing.T) {
-	// One branch is much shorter; the merge must drain the longer one
-	// after the short one closes.
-	long := ints(300)
-	short := []At[int]{{TS: 5, Val: -1}}
-	q := NewQuery("uneven")
-	s1 := AddSource(q, "long", FromSlice(long))
-	s2 := AddSource(q, "short", FromSlice(short))
-	merged := OrderedMerge(q, "merge", []*Stream[At[int]]{s1, s2})
-	var got []At[int]
-	AddSink(q, "sink", merged, ToSlice(&got))
-	if err := runQuery(t, q); err != nil {
-		t.Fatalf("Run() error = %v", err)
-	}
-	if len(got) != 301 {
-		t.Fatalf("got %d tuples, want 301", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].TS < got[i-1].TS {
-			t.Fatalf("order violated at %d: %d < %d", i, got[i].TS, got[i-1].TS)
-		}
-	}
-}
-
-func TestParallelFlatMapEquivalentToSequential(t *testing.T) {
+func TestShuffleFlatMapMergeEquivalentToSequential(t *testing.T) {
 	fn := func(v At[int], emit Emit[At[int]]) error {
 		if v.Val%3 == 0 {
 			return nil // drop multiples of three
@@ -177,7 +138,12 @@ func TestParallelFlatMapEquivalentToSequential(t *testing.T) {
 	run := func(par int) []int {
 		q := NewQuery("pfm")
 		src := AddSource(q, "src", FromSlice(ints(200)))
-		out := ParallelFlatMap(q, "op", src, par, func(v At[int]) uint64 { return uint64(v.Val) }, fn)
+		var out *Stream[At[int]]
+		if par == 1 {
+			out = FlatMap(q, "op", src, fn)
+		} else {
+			out = shuffleFlatMapMerge(q, "op", src, par, func(v At[int]) uint64 { return uint64(v.Val) }, fn)
+		}
 		var got []At[int]
 		AddSink(q, "sink", out, ToSlice(&got))
 		if err := runQuery(t, q); err != nil {

@@ -22,7 +22,7 @@ func AddSink[T any](q *Query, name string, in *Stream[T], fn SinkFunc[T], opts .
 		q.recordErr(ErrNilUDF)
 		return
 	}
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	stats := q.metrics.Op(name)
 	stats.installShed(o.shed, o.shedSet, &q.knobs)
 	q.addOperator(&sinkOp[T]{
@@ -113,16 +113,6 @@ func (s *sinkOp[T]) run(ctx context.Context) (err error) {
 func ToSlice[T any](dst *[]T) SinkFunc[T] {
 	return func(v T) error {
 		*dst = append(*dst, v)
-		return nil
-	}
-}
-
-// ToChan returns a SinkFunc that forwards every tuple to ch, blocking when
-// ch is full. The caller owns ch and decides when to close it (after
-// Query.Run returns).
-func ToChan[T any](ch chan<- T) SinkFunc[T] {
-	return func(v T) error {
-		ch <- v
 		return nil
 	}
 }

@@ -64,52 +64,6 @@ func (a *aggregateOp[In, K, Out]) Restore(b []byte) error {
 	return nil
 }
 
-// --- CountAggregate --------------------------------------------------------
-
-type countWinSnap[In any] struct {
-	Start  int64
-	Tuples []In
-}
-
-type countKeySnap[K comparable, In any] struct {
-	Key  K
-	Seen int64
-	Open []countWinSnap[In]
-}
-
-type countSnap[K comparable, In any] struct {
-	Keys []countKeySnap[K, In]
-}
-
-func (c *countAggOp[In, K, Out]) Snapshot() ([]byte, error) {
-	s := countSnap[K, In]{}
-	for k, st := range c.state {
-		ks := countKeySnap[K, In]{Key: k, Seen: st.seen}
-		for _, w := range st.open {
-			ks.Open = append(ks.Open, countWinSnap[In]{Start: w.start, Tuples: w.tuples})
-		}
-		s.Keys = append(s.Keys, ks)
-	}
-	sort.Slice(s.Keys, func(i, j int) bool { return s.Keys[i].Seen < s.Keys[j].Seen })
-	return gobEncode(s)
-}
-
-func (c *countAggOp[In, K, Out]) Restore(b []byte) error {
-	var s countSnap[K, In]
-	if err := gobDecode(b, &s); err != nil {
-		return err
-	}
-	c.state = make(map[K]*countKeyState[In], len(s.Keys))
-	for _, ks := range s.Keys {
-		st := &countKeyState[In]{seen: ks.Seen}
-		for _, w := range ks.Open {
-			st.open = append(st.open, openCountWin[In]{start: w.Start, tuples: w.Tuples})
-		}
-		c.state[ks.Key] = st
-	}
-	return nil
-}
-
 // --- Join ------------------------------------------------------------------
 
 type joinSideSnap[K comparable, T any] struct {
@@ -160,79 +114,5 @@ func (j *joinOp[L, R, K, Out]) Restore(b []byte) error {
 	j.sawL, j.sawR = s.SawL, s.SawR
 	j.lClosed, j.rClosed = s.LClosed, s.RClosed
 	j.sincePurge = s.SincePurge
-	return nil
-}
-
-// --- KeyedProcess ----------------------------------------------------------
-
-type keyedSnap[K comparable, S any] struct {
-	// Keys preserves insertion order (the deterministic end-of-stream flush
-	// order); Vals[i] is Keys[i]'s state.
-	Keys []K
-	Vals []S
-}
-
-func (k *keyedOp[K, S, In, Out]) Snapshot() ([]byte, error) {
-	s := keyedSnap[K, S]{}
-	for _, key := range k.order {
-		st, live := k.state[key]
-		if !live {
-			continue // dropped key still in order slice
-		}
-		s.Keys = append(s.Keys, key)
-		s.Vals = append(s.Vals, st)
-	}
-	return gobEncode(s)
-}
-
-func (k *keyedOp[K, S, In, Out]) Restore(b []byte) error {
-	var s keyedSnap[K, S]
-	if err := gobDecode(b, &s); err != nil {
-		return err
-	}
-	k.state = make(map[K]S, len(s.Keys))
-	k.order = s.Keys
-	for i, key := range s.Keys {
-		k.state[key] = s.Vals[i]
-	}
-	return nil
-}
-
-// --- Reorder ---------------------------------------------------------------
-
-type reorderItemSnap[T any] struct {
-	Val T
-	TS  int64
-	Seq int64
-}
-
-type reorderSnap[T any] struct {
-	Items   []reorderItemSnap[T]
-	NextSeq int64
-	MaxTS   int64
-	SawAny  bool
-}
-
-func (r *reorderOp[T]) Snapshot() ([]byte, error) {
-	s := reorderSnap[T]{NextSeq: r.nextSeq, MaxTS: r.maxTS, SawAny: r.sawAny}
-	for _, it := range r.buf {
-		s.Items = append(s.Items, reorderItemSnap[T]{Val: it.val, TS: it.ts, Seq: it.seq})
-	}
-	sort.Slice(s.Items, func(i, j int) bool { return s.Items[i].Seq < s.Items[j].Seq })
-	return gobEncode(s)
-}
-
-func (r *reorderOp[T]) Restore(b []byte) error {
-	var s reorderSnap[T]
-	if err := gobDecode(b, &s); err != nil {
-		return err
-	}
-	r.buf = r.buf[:0]
-	for _, it := range s.Items {
-		heap.Push(&r.buf, tsItem[T]{val: it.Val, ts: it.TS, seq: it.Seq})
-	}
-	r.nextSeq = s.NextSeq
-	r.maxTS = s.MaxTS
-	r.sawAny = s.SawAny
 	return nil
 }

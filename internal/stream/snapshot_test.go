@@ -146,102 +146,7 @@ func TestCheckpointAggregateEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointKeyedEquivalence covers KeyedProcess state (running per-key
-// sums emitted on every tuple).
-func TestCheckpointKeyedEquivalence(t *testing.T) {
-	items := ckptItems(30)
-	build := func(q *Query, src *Stream[keyed]) *[]string {
-		out := KeyedProcess(q, "running", src,
-			func(v keyed) string { return v.key },
-			func(key string, sum int, v keyed, emit Emit[string]) (int, bool, error) {
-				sum += v.val
-				return sum, true, emit(fmt.Sprintf("%s=%d", key, sum))
-			}, nil)
-		got := new([]string)
-		AddSink(q, "sink", out, ToSlice(got))
-		return got
-	}
-
-	baseQ := NewQuery("baseline")
-	baseline := build(baseQ, AddPositionedSource(baseQ, "src", 0, feedFrom(items, 0)))
-	if err := runQuery(t, baseQ); err != nil {
-		t.Fatalf("baseline Run() error = %v", err)
-	}
-
-	outA, outB := runSplit(t, items, 13, build)
-	got := append(outA, outB...)
-	if fmt.Sprint(got) != fmt.Sprint(*baseline) {
-		t.Fatalf("outputs diverge\n got = %v\nwant = %v", got, *baseline)
-	}
-}
-
-// TestCheckpointCountWindowEquivalence covers the count-window operator's
-// open-window state.
-func TestCheckpointCountWindowEquivalence(t *testing.T) {
-	items := ckptItems(35)
-	build := func(q *Query, src *Stream[keyed]) *[]string {
-		out := CountAggregate(q, "count", src, 4, 2,
-			func(v keyed) string { return v.key },
-			func(w CountWindow[string, keyed], emit Emit[string]) error {
-				sum := 0
-				for _, v := range w.Tuples {
-					sum += v.val
-				}
-				return emit(fmt.Sprintf("%s#%d=%d", w.Key, w.Seq, sum))
-			})
-		got := new([]string)
-		AddSink(q, "sink", out, ToSlice(got))
-		return got
-	}
-
-	baseQ := NewQuery("baseline")
-	baseline := build(baseQ, AddPositionedSource(baseQ, "src", 0, feedFrom(items, 0)))
-	if err := runQuery(t, baseQ); err != nil {
-		t.Fatalf("baseline Run() error = %v", err)
-	}
-
-	outA, outB := runSplit(t, items, 17, build)
-	got := append(outA, outB...)
-	if fmt.Sprint(got) != fmt.Sprint(*baseline) {
-		t.Fatalf("outputs diverge\n got = %v\nwant = %v", got, *baseline)
-	}
-}
-
-// TestCheckpointReorderEquivalence covers the reorder buffer: the source
-// emits slightly out of order, the snapshot carries the pending heap.
-func TestCheckpointReorderEquivalence(t *testing.T) {
-	items := make([]keyed, 30)
-	for i := range items {
-		ts := int64(i * 3)
-		if i%4 == 1 {
-			ts -= 4 // out of order within the slack
-		}
-		items[i] = keyed{ts: ts, key: "a", val: i}
-	}
-	build := func(q *Query, src *Stream[keyed]) *[]int64 {
-		ord := Reorder(q, "reorder", src, 6)
-		got := new([]int64)
-		AddSink(q, "sink", ord, func(v keyed) error {
-			*got = append(*got, v.ts)
-			return nil
-		})
-		return got
-	}
-
-	baseQ := NewQuery("baseline")
-	baseline := build(baseQ, AddPositionedSource(baseQ, "src", 0, feedFrom(items, 0)))
-	if err := runQuery(t, baseQ); err != nil {
-		t.Fatalf("baseline Run() error = %v", err)
-	}
-
-	outA, outB := runSplit(t, items, 11, build)
-	got := append(outA, outB...)
-	if fmt.Sprint(got) != fmt.Sprint(*baseline) {
-		t.Fatalf("outputs diverge\n got = %v\nwant = %v", got, *baseline)
-	}
-}
-
-// twoSourceSplit is runSplit for two-input pipelines (join, merge): both
+// twoSourceSplit is runSplit for two-input pipelines (the join): both
 // sources pause after their split point, the checkpoint records both
 // positions, and query B resumes each from its own offset.
 func twoSourceSplit[Out any](t *testing.T, l, r []keyed, kl, kr int, build func(q *Query, ls, rs *Stream[keyed]) *[]Out) (outA, outB []Out) {
@@ -318,41 +223,6 @@ func TestCheckpointJoinEquivalence(t *testing.T) {
 	sort.Strings(want)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("join outputs diverge (as multisets)\n got = %v\nwant = %v", got, want)
-	}
-}
-
-// TestCheckpointOrderedMergeEquivalence covers the merge heads — the one
-// operator whose in-flight tuples live in operator state rather than on an
-// edge. Distinct timestamps make the merged order deterministic, so the
-// comparison is exact.
-func TestCheckpointOrderedMergeEquivalence(t *testing.T) {
-	var l, r []keyed
-	for i := 0; i < 30; i++ {
-		l = append(l, keyed{ts: int64(i * 4), key: "l", val: i})        // 0, 4, 8...
-		r = append(r, keyed{ts: int64(i*4 + 2), key: "r", val: i})      // 2, 6, 10...
-	}
-	build := func(q *Query, ls, rs *Stream[keyed]) *[]int64 {
-		merged := OrderedMerge(q, "merge", []*Stream[keyed]{ls, rs})
-		got := new([]int64)
-		AddSink(q, "sink", merged, func(v keyed) error {
-			*got = append(*got, v.ts)
-			return nil
-		})
-		return got
-	}
-
-	baseQ := NewQuery("baseline")
-	baseline := build(baseQ,
-		AddPositionedSource(baseQ, "left", 0, feedFrom(l, 0)),
-		AddPositionedSource(baseQ, "right", 0, feedFrom(r, 0)))
-	if err := runQuery(t, baseQ); err != nil {
-		t.Fatalf("baseline Run() error = %v", err)
-	}
-
-	outA, outB := twoSourceSplit(t, l, r, 19, 8, build)
-	got := append(outA, outB...)
-	if fmt.Sprint(got) != fmt.Sprint(*baseline) {
-		t.Fatalf("merge outputs diverge\n   A = %v\n   B = %v\nwant = %v", outA, outB, *baseline)
 	}
 }
 
@@ -514,10 +384,12 @@ func TestCheckpointCallbackRunsQuiesced(t *testing.T) {
 		if before != after {
 			t.Fatalf("sink advanced during quiesced callback: %d -> %d", before, after)
 		}
-		// The recorded position must equal what the sink has seen: quiesced
-		// means every emitted tuple is fully absorbed.
-		if got := delivered.Load(); snap.Positions["src"] != uint64(got) {
-			t.Fatalf("position %d != delivered %d at quiescence", snap.Positions["src"], got)
+		// The recorded position must equal what the sink had seen while the
+		// query was quiesced: every emitted tuple is fully absorbed. Compare
+		// against the count read inside the callback — once Checkpoint
+		// returns the query has resumed and the sink keeps counting.
+		if snap.Positions["src"] != uint64(after) {
+			t.Fatalf("position %d != delivered %d at quiescence", snap.Positions["src"], after)
 		}
 	}
 	if err := <-done; err != nil {

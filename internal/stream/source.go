@@ -32,10 +32,10 @@ type PositionedSourceFunc[T any] func(ctx context.Context, emit PosEmit[T]) erro
 
 // AddSource registers a source operator on q and returns its output stream.
 // The source coalesces emitted tuples into chunks of up to the batch size,
-// flushing a partial chunk when the linger deadline passes (WithBatch /
-// WithLinger, or the query-wide defaults).
+// flushing a partial chunk when the linger deadline passes (WithQueryBatch /
+// WithQueryLinger).
 func AddSource[T any](q *Query, name string, fn SourceFunc[T], opts ...OpOption) *Stream[T] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[T](q, name, o.buffer)
 	if fn == nil {
 		q.recordErr(ErrNilUDF)
@@ -46,7 +46,7 @@ func AddSource[T any](q *Query, name string, fn SourceFunc[T], opts ...OpOption)
 	stats.installShed(o.shed, o.shedSet, &q.knobs)
 	q.addOperator(&sourceOp[T]{
 		name: name, fn: fn, out: out.ch, g: q.qz.newGuard(),
-		batch: o.batch, linger: o.linger, stats: stats,
+		batch: q.batchSize, linger: q.linger, stats: stats,
 	})
 	return out
 }
@@ -57,7 +57,7 @@ func AddSource[T any](q *Query, name string, fn SourceFunc[T], opts ...OpOption)
 // of from scratch. start seeds the position — a restore that happens before
 // the source's first emit still checkpoints the right resume point.
 func AddPositionedSource[T any](q *Query, name string, start uint64, fn PositionedSourceFunc[T], opts ...OpOption) *Stream[T] {
-	o := applyOpts(q, opts)
+	o := applyOpts(opts)
 	out := newStream[T](q, name, o.buffer)
 	if fn == nil {
 		q.recordErr(ErrNilUDF)
@@ -68,7 +68,7 @@ func AddPositionedSource[T any](q *Query, name string, start uint64, fn Position
 	stats.installShed(o.shed, o.shedSet, &q.knobs)
 	s := &sourceOp[T]{
 		name: name, pfn: fn, out: out.ch, g: q.qz.newGuard(),
-		batch: o.batch, linger: o.linger, stats: stats,
+		batch: q.batchSize, linger: q.linger, stats: stats,
 	}
 	s.tracked = true
 	s.pos.Store(start)
@@ -78,7 +78,7 @@ func AddPositionedSource[T any](q *Query, name string, start uint64, fn Position
 
 type sourceOp[T any] struct {
 	name   string
-	fn     SourceFunc[T]         // plain source (exactly one of fn/pfn is set)
+	fn     SourceFunc[T] // plain source (exactly one of fn/pfn is set)
 	pfn    PositionedSourceFunc[T]
 	out    chan []T
 	g      *opGuard
@@ -157,26 +157,5 @@ func FromSlice[T any](items []T) SourceFunc[T] {
 			}
 		}
 		return nil
-	}
-}
-
-// FromChan builds a SourceFunc that drains the given channel until it is
-// closed. Ownership of the channel stays with the caller, which makes this
-// the natural bridge from pub/sub subscriptions into a query.
-func FromChan[T any](ch <-chan T) SourceFunc[T] {
-	return func(ctx context.Context, emit Emit[T]) error {
-		for {
-			select {
-			case v, ok := <-ch:
-				if !ok {
-					return nil
-				}
-				if err := emit(v); err != nil {
-					return err
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
 	}
 }

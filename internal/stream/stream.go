@@ -1,7 +1,5 @@
 package stream
 
-import "time"
-
 // DefaultBufferSize is the channel capacity used for streams unless
 // overridden with WithBuffer. Bounded channels are the engine's
 // back-pressure mechanism: a slow consumer eventually blocks its producers.
@@ -16,7 +14,7 @@ const DefaultBufferSize = 256
 // several consumers.
 //
 // The wire format of an edge is a chunk of tuples ([]T), not a single tuple:
-// producers coalesce up to their batch size (WithBatch) before paying the
+// producers coalesce up to the query's batch size (WithQueryBatch) before paying the
 // channel synchronization, and consumers loop over the chunk. Chunks are
 // immutable once sent — operators that reshape data allocate fresh slices.
 type Stream[T any] struct {
@@ -65,12 +63,10 @@ func newStream[T any](q *Query, producer string, buf int) *Stream[T] {
 	return s
 }
 
-// opOptions holds per-operator tuning knobs. batch/linger default to the
-// query-level settings (WithQueryBatch / WithQueryLinger).
+// opOptions holds per-operator tuning knobs. Batch size and linger are
+// query-wide (WithQueryBatch / WithQueryLinger).
 type opOptions struct {
 	buffer int
-	batch  int
-	linger time.Duration
 	// shed is the operator's overload policy; shedSet records that
 	// WithShedPolicy was passed at all (a zero policy still installs an
 	// inert gate the dynamic overload knobs can engage later).
@@ -88,41 +84,10 @@ func WithBuffer(n int) OpOption {
 	return func(o *opOptions) { o.buffer = n }
 }
 
-// WithBatch overrides the operator's output batch size: up to n tuples are
-// coalesced into one chunk before the channel send. n = 1 disables batching
-// for this operator and reproduces the classic one-tuple-per-send semantics.
-// Non-positive values fall back to the query default (WithQueryBatch).
-func WithBatch(n int) OpOption {
-	return func(o *opOptions) {
-		if n > 0 {
-			o.batch = n
-		}
-	}
-}
-
-// WithLinger overrides how long a source may hold a partial chunk open
-// waiting for more tuples before flushing it downstream (see WithQueryLinger
-// for the trade-off). d = 0 disables the deadline: partial chunks then flush
-// only when full or at end-of-stream. Negative values are ignored.
-//
-// Only sources linger — downstream operators flush their partial output
-// chunk as soon as the input chunk that produced it is fully processed, so
-// linger delay is paid once at ingestion, not per stage.
-func WithLinger(d time.Duration) OpOption {
-	return func(o *opOptions) {
-		if d >= 0 {
-			o.linger = d
-		}
-	}
-}
-
-func applyOpts(q *Query, opts []OpOption) opOptions {
-	o := opOptions{batch: q.batchSize, linger: q.linger}
+func applyOpts(opts []OpOption) opOptions {
+	var o opOptions
 	for _, f := range opts {
 		f(&o)
-	}
-	if o.batch < 1 {
-		o.batch = 1
 	}
 	return o
 }

@@ -97,9 +97,10 @@ chaos:
 	$(selected) $(GO) test -race -count=1 -run '^TestChaos' ./internal/core
 
 ## overload: the graceful-degradation suite under -race (DESIGN.md §11) —
-## the controller ladder, shed-gate accounting, deadline termini, circuit
-## breaker, broker admission quotas, and slow-consumer eviction. A test
-## joins the suite by carrying the TestOverload name prefix.
+## the controller ladder, knob-driven shed gates and their accounting,
+## deadline termini, the client's Block-only pending buffer across a
+## heartbeat redial, and slow-consumer eviction. A test joins the suite by
+## carrying the TestOverload name prefix.
 overload:
 	$(selected) $(GO) test -race -count=1 -run '^TestOverload' ./internal/core ./internal/stream
 	$(selected) $(GO) test -race -count=1 -run '^TestOverload' ./internal/pubsub

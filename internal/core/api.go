@@ -121,7 +121,7 @@ func (fw *Framework) AddSource(name string, collect CollectFunc) *StreamRef {
 		// Inert shed gate (see subLayerStage): lets the overload controller
 		// shed expired tuples at the ingest edge, the first place overload
 		// shows up.
-	}, stream.WithShedPolicy(stream.ShedPolicy{}))
+	}, stream.WithShedGate())
 	out := fw.tapRaw(name, s)
 	return &StreamRef{name: name, kind: kindSource, layerGranular: true, s: out}
 }
@@ -293,7 +293,7 @@ func (fw *Framework) subLayerStage(
 	// under normal operation (blocking back-pressure, bit-identical to an
 	// ungated stage), but the overload controller's dynamic knobs can start
 	// shedding expired or low-priority tuples here without a redeploy.
-	gate := stream.WithShedPolicy(stream.ShedPolicy{})
+	gate := stream.WithShedGate()
 	if cfg.parallelism <= 1 {
 		return nil, stream.FlatMap(fw.query, name, in.singleStream(fw, name), newWrapper(), gate)
 	}
@@ -622,7 +622,7 @@ func (fw *Framework) Deliver(name string, in *StreamRef, fn func(EventTuple) err
 			return nil
 		}
 		return fn(t)
-	}, stream.WithShedPolicy(stream.ShedPolicy{}))
+	}, stream.WithShedGate())
 }
 
 // DeliverDurable attaches an effectively-once sink whose effects live in

@@ -104,8 +104,7 @@ type Framework struct {
 
 	// Degraded-operation state, written by the manager's overload
 	// controller (see overload.go) and read on pipeline hot paths.
-	decimation atomic.Int64 // OT-grid subsample factor (<=1 means full res)
-	srcPaused  atomic.Bool  // park source collectors (best-effort pipelines)
+	srcPaused atomic.Bool // park source collectors (best-effort pipelines)
 
 	mu       sync.Mutex
 	buildErr error

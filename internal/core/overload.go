@@ -14,9 +14,8 @@ import (
 // pipeline's backpressure signals (output-queue occupancy, watermark lag)
 // and walks a configurable degradation ladder when the deployment cannot
 // keep up — shedding late tuples first, then trading latency for batching
-// efficiency, then analysis resolution for throughput, and finally pausing
-// best-effort pipelines — instead of letting queues fill and latency grow
-// without bound. Every step is reversible: when pressure subsides the
+// efficiency, and finally pausing best-effort pipelines — instead of
+// letting queues fill and latency grow without bound. Every step is reversible: when pressure subsides the
 // ladder is descended with the same hysteresis it was climbed with.
 
 // OverloadLevel is a rung of the degradation ladder. Each level includes
@@ -35,11 +34,6 @@ const (
 	// cutting per-tuple channel overhead at the price of latency.
 	OverloadBatchBoost
 
-	// OverloadDecimate: the frameworks' decimation factor is raised, so
-	// partition stages that consult DecimationFactor analyze a subsampled
-	// OT cell grid (~1/factor² of the pixels).
-	OverloadDecimate
-
 	// OverloadPauseBestEffort: sources of pipelines deployed with
 	// WithCriticality(BestEffort) are paused, reserving the machine for
 	// critical monitoring.
@@ -55,8 +49,6 @@ func (l OverloadLevel) String() string {
 		return "shed-late"
 	case OverloadBatchBoost:
 		return "batch-boost"
-	case OverloadDecimate:
-		return "decimate"
 	case OverloadPauseBestEffort:
 		return "pause-best-effort"
 	default:
@@ -99,10 +91,6 @@ type OverloadConfig struct {
 	// (default 4); ExtraLinger is added to every source linger (default 2ms).
 	BatchBoost  int
 	ExtraLinger time.Duration
-
-	// Decimation is the cell-grid subsample factor engaged at
-	// OverloadDecimate (default 2).
-	Decimation int
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
@@ -126,9 +114,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.ExtraLinger <= 0 {
 		c.ExtraLinger = 2 * time.Millisecond
-	}
-	if c.Decimation <= 0 {
-		c.Decimation = 2
 	}
 	return c
 }
@@ -317,31 +302,8 @@ func (m *Manager) applyOverload(lvl OverloadLevel, cfg OverloadConfig) {
 		} else {
 			knobs.SetBatchBoost(0, 0)
 		}
-		if lvl >= OverloadDecimate {
-			fw.setDecimation(cfg.Decimation)
-		} else {
-			fw.setDecimation(1)
-		}
 		fw.setSourcesPaused(lvl >= OverloadPauseBestEffort && p.criticality == BestEffort)
 	}
-}
-
-// DecimationFactor is the OT-grid subsample factor partition stages should
-// consult when splitting cells (1 = full resolution; see
-// otimage.SplitCellsDecimated). It is raised by the overload controller at
-// OverloadDecimate and reset when pressure subsides.
-func (fw *Framework) DecimationFactor() int {
-	if f := fw.decimation.Load(); f > 1 {
-		return int(f)
-	}
-	return 1
-}
-
-func (fw *Framework) setDecimation(f int) {
-	if f < 1 {
-		f = 1
-	}
-	fw.decimation.Store(int64(f))
 }
 
 // SourcesPaused reports whether the overload controller has paused this

@@ -98,9 +98,6 @@ func TestOverloadControllerLadder(t *testing.T) {
 	if mult, _ := fw.Query().Overload().BatchBoost(); mult <= 1 {
 		t.Fatalf("batch boost = %d at top rung, want > 1", mult)
 	}
-	if f := fw.DecimationFactor(); f <= 1 {
-		t.Fatalf("decimation factor = %d at top rung, want > 1", f)
-	}
 	// A Critical pipeline keeps its sources even at the last rung.
 	if fw.SourcesPaused() {
 		t.Fatal("critical pipeline's sources paused")
@@ -117,7 +114,7 @@ func TestOverloadControllerLadder(t *testing.T) {
 	waitFor(t, "measures to unwind", func() bool {
 		drop, _ := fw.Query().Overload().ShedLate()
 		mult, _ := fw.Query().Overload().BatchBoost()
-		return !drop && mult <= 1 && fw.DecimationFactor() == 1
+		return !drop && mult <= 1
 	})
 	if delivered.Load() == 0 {
 		t.Fatal("sink delivered nothing after release")
@@ -179,9 +176,9 @@ func TestOverloadApplyMeasuresPerLevel(t *testing.T) {
 		}
 	}
 
-	m.applyOverload(OverloadDecimate, cfg)
-	if f := be.Framework().DecimationFactor(); f != cfg.Decimation {
-		t.Fatalf("decimation factor = %d, want %d", f, cfg.Decimation)
+	m.applyOverload(OverloadBatchBoost, cfg)
+	if mult, _ := be.Framework().Query().Overload().BatchBoost(); mult != cfg.BatchBoost {
+		t.Fatalf("batch boost = %d, want %d", mult, cfg.BatchBoost)
 	}
 	if be.Framework().SourcesPaused() {
 		t.Fatal("best-effort sources paused below the last rung")
@@ -210,7 +207,7 @@ func TestOverloadApplyMeasuresPerLevel(t *testing.T) {
 		fw := p.Framework()
 		drop, _ := fw.Query().Overload().ShedLate()
 		mult, _ := fw.Query().Overload().BatchBoost()
-		if drop || mult > 1 || fw.DecimationFactor() != 1 || fw.SourcesPaused() {
+		if drop || mult > 1 || fw.SourcesPaused() {
 			t.Fatalf("%s: measures not fully unwound", p.Name())
 		}
 	}
@@ -332,9 +329,8 @@ func TestOverloadShedExpiredAccounting(t *testing.T) {
 	var srcWatermark int64
 	for _, s := range p.Framework().Query().Metrics().Snapshot() {
 		shed += s.Shed
-		if s.ShedLowPriority != 0 || s.ShedOverflow != 0 {
-			t.Fatalf("op %s shed by wrong reason: lowpri=%d overflow=%d",
-				s.Name, s.ShedLowPriority, s.ShedOverflow)
+		if s.ShedLowPriority != 0 {
+			t.Fatalf("op %s shed by wrong reason: lowpri=%d", s.Name, s.ShedLowPriority)
 		}
 		if s.Name == "src" && s.HasWatermark {
 			srcWatermark = s.Watermark

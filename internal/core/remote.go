@@ -64,7 +64,7 @@ func (fw *Framework) DeliverToConn(name string, in *StreamRef, rc *pubsub.Reconn
 			traces.Add(t.Trace)
 		}
 		return nil
-	}, stream.WithShedPolicy(stream.ShedPolicy{}))
+	}, stream.WithShedGate())
 }
 
 // AddRemoteReplaySource deploys a positioned source that replays the encoded

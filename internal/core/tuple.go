@@ -81,13 +81,13 @@ type EventTuple struct {
 	AvailableAt time.Time
 
 	// Priority is the tuple's shedding priority (higher = more important;
-	// 0 = background). Under overload, drop-lowest shed gates discard
-	// tuples below their floor; fused tuples carry the maximum across
-	// inputs.
+	// 0 = background). Under overload, with a shed floor configured, shed
+	// gates discard tuples below it on full edges; fused tuples carry the
+	// maximum across inputs.
 	Priority int
 
 	// Deadline is the wall-clock instant after which the tuple's result is
-	// worthless (zero = none). Shed gates with DropExpired discard expired
+	// worthless (zero = none). Under overload, shed gates discard expired
 	// tuples at admission, and DeliverDurable suppresses (and counts)
 	// expired effects instead of committing them late. Fused tuples carry
 	// the earliest non-zero deadline across inputs.

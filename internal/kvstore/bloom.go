@@ -84,9 +84,15 @@ func (b *bloomFilter) marshal() []byte {
 	return out
 }
 
+// unmarshalBloom decodes a marshaled filter. k above newBloomFilter's cap
+// of 30 is corruption (and would turn every lookup into a k-round loop).
 func unmarshalBloom(data []byte) (*bloomFilter, error) {
 	if len(data) < 4 {
 		return nil, ErrCorrupt
 	}
-	return &bloomFilter{k: binary.LittleEndian.Uint32(data[:4]), bits: data[4:]}, nil
+	k := binary.LittleEndian.Uint32(data[:4])
+	if k > 30 {
+		return nil, ErrCorrupt
+	}
+	return &bloomFilter{k: k, bits: data[4:]}, nil
 }

@@ -214,25 +214,30 @@ func loadSSTable(f *os.File, path string, num uint64) (*sstable, error) {
 	if binary.LittleEndian.Uint64(footer[32:40]) != sstMagic {
 		return nil, fmt.Errorf("%w: sstable %s bad magic", ErrCorrupt, path)
 	}
-	indexOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
-	indexLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
-	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:24]))
-	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:32]))
-	if indexOff < 8 || indexOff+indexLen > st.Size() || bloomOff+bloomLen > st.Size() {
+	// Every size read off disk is checked against the file before anything
+	// is allocated from it; the comparisons are unsigned and subtract
+	// instead of add, so no footer value can overflow past them.
+	size := uint64(st.Size())
+	indexOff := binary.LittleEndian.Uint64(footer[0:8])
+	indexLen := binary.LittleEndian.Uint64(footer[8:16])
+	bloomOff := binary.LittleEndian.Uint64(footer[16:24])
+	bloomLen := binary.LittleEndian.Uint64(footer[24:32])
+	if indexOff < 8 || indexOff > size || indexLen > size-indexOff ||
+		bloomOff > size || bloomLen > size-bloomOff {
 		return nil, fmt.Errorf("%w: sstable %s bad section bounds", ErrCorrupt, path)
 	}
 
 	idxBytes := make([]byte, indexLen)
-	if _, err := f.ReadAt(idxBytes, indexOff); err != nil {
+	if _, err := f.ReadAt(idxBytes, int64(indexOff)); err != nil {
 		return nil, fmt.Errorf("read sstable index: %w", err)
 	}
-	index, err := parseIndex(idxBytes)
+	index, err := parseIndex(idxBytes, int64(indexOff))
 	if err != nil {
 		return nil, fmt.Errorf("sstable %s: %w", path, err)
 	}
 
 	bloomBytes := make([]byte, bloomLen)
-	if _, err := f.ReadAt(bloomBytes, bloomOff); err != nil {
+	if _, err := f.ReadAt(bloomBytes, int64(bloomOff)); err != nil {
 		return nil, fmt.Errorf("read sstable bloom: %w", err)
 	}
 	bloom, err := unmarshalBloom(bloomBytes)
@@ -243,7 +248,7 @@ func loadSSTable(f *os.File, path string, num uint64) (*sstable, error) {
 	// The crc section fills the gap between bloom and footer; its length is
 	// derivable, so the footer needed no new fields. Zero-length means a
 	// table written before block checksums — readable, just unverified.
-	crcOff := bloomOff + bloomLen
+	crcOff := int64(bloomOff + bloomLen)
 	crcLen := st.Size() - sstFooterSize - crcOff
 	var crcs []uint32
 	switch {
@@ -262,19 +267,28 @@ func loadSSTable(f *os.File, path string, num uint64) (*sstable, error) {
 			ErrCorrupt, path, crcLen, 4*len(index))
 	}
 
-	return &sstable{path: path, f: f, index: index, bloom: bloom, crcs: crcs, dataEnd: indexOff, num: num}, nil
+	return &sstable{path: path, f: f, index: index, bloom: bloom, crcs: crcs, dataEnd: int64(indexOff), num: num}, nil
 }
 
-func parseIndex(b []byte) ([]indexEntry, error) {
+// parseIndex decodes the index section of a table whose data section ends at
+// dataEnd. Block offsets must rise strictly inside [8, dataEnd): block()
+// allocates the distance between neighbours.
+func parseIndex(b []byte, dataEnd int64) ([]indexEntry, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: bad index count", ErrCorrupt)
 	}
 	b = b[n:]
+	// An entry takes at least two bytes (key length and offset), which
+	// bounds the count by the section before it sizes an allocation.
+	if count > uint64(len(b))/2 {
+		return nil, fmt.Errorf("%w: index count %d exceeds its %d-byte section", ErrCorrupt, count, len(b))
+	}
 	out := make([]indexEntry, 0, count)
+	prev := int64(7)
 	for i := uint64(0); i < count; i++ {
 		klen, n := binary.Uvarint(b)
-		if n <= 0 || int(klen)+n > len(b) {
+		if n <= 0 || klen > uint64(len(b)-n) {
 			return nil, fmt.Errorf("%w: bad index key", ErrCorrupt)
 		}
 		key := append([]byte(nil), b[n:n+int(klen)]...)
@@ -283,8 +297,12 @@ func parseIndex(b []byte) ([]indexEntry, error) {
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: bad index offset", ErrCorrupt)
 		}
+		if off <= uint64(prev) || off >= uint64(dataEnd) {
+			return nil, fmt.Errorf("%w: index offset %d outside (%d, %d)", ErrCorrupt, off, prev, dataEnd)
+		}
+		prev = int64(off)
 		b = b[n:]
-		out = append(out, indexEntry{key: key, offset: int64(off)})
+		out = append(out, indexEntry{key: key, offset: prev})
 	}
 	return out, nil
 }
@@ -327,10 +345,10 @@ func (t *sstable) get(key []byte) (value []byte, tombstone, found bool, err erro
 			return nil, false, false, fmt.Errorf("%w: bad sstable block entry", ErrCorrupt)
 		}
 		b = b[n:]
-		vlen := int(tag >> 1)
-		if int(klen)+vlen > len(b) {
+		if klen > uint64(len(b)) || tag>>1 > uint64(len(b))-klen {
 			return nil, false, false, fmt.Errorf("%w: truncated sstable block entry", ErrCorrupt)
 		}
+		vlen := int(tag >> 1)
 		switch bytes.Compare(b[:klen], key) {
 		case 0:
 			return append([]byte(nil), b[klen:int(klen)+vlen]...), tag&1 == 1, true, nil
@@ -387,8 +405,9 @@ func (t *sstable) seek(target []byte) (*sstIterator, error) {
 		start = t.index[i].offset
 	}
 	it := &sstIterator{
-		t: t,
-		r: bufio.NewReaderSize(io.NewSectionReader(t.f, start, t.dataEnd-start), 1<<15),
+		t:      t,
+		r:      bufio.NewReaderSize(io.NewSectionReader(t.f, start, t.dataEnd-start), 1<<15),
+		remain: t.dataEnd - start,
 	}
 	if err := it.advance(); err != nil {
 		return nil, err
@@ -404,8 +423,9 @@ func (t *sstable) seek(target []byte) (*sstIterator, error) {
 // first returns an iterator positioned at the table's first entry.
 func (t *sstable) first() (*sstIterator, error) {
 	it := &sstIterator{
-		t: t,
-		r: bufio.NewReaderSize(io.NewSectionReader(t.f, 8, t.dataEnd-8), 1<<15),
+		t:      t,
+		r:      bufio.NewReaderSize(io.NewSectionReader(t.f, 8, t.dataEnd-8), 1<<15),
+		remain: t.dataEnd - 8,
 	}
 	if err := it.advance(); err != nil {
 		return nil, err
@@ -415,29 +435,44 @@ func (t *sstable) first() (*sstIterator, error) {
 
 // sstIterator streams the data section of one table in key order.
 type sstIterator struct {
-	t    *sstable
-	r    *bufio.Reader
-	cur  entry
-	done bool
+	t      *sstable
+	r      *bufio.Reader
+	remain int64 // unread bytes of the data section: bounds key and value sizes
+	cur    entry
+	done   bool
 }
 
 func (it *sstIterator) valid() bool  { return !it.done }
 func (it *sstIterator) entry() entry { return it.cur }
 
+// ReadByte makes the iterator the io.ByteReader its uvarints are read
+// through, so remain counts their bytes too.
+func (it *sstIterator) ReadByte() (byte, error) {
+	c, err := it.r.ReadByte()
+	if err == nil {
+		it.remain--
+	}
+	return c, err
+}
+
 // advance reads the next entry, setting done at end of the data section.
 func (it *sstIterator) advance() error {
-	klen, err := binary.ReadUvarint(it.r)
+	klen, err := binary.ReadUvarint(it)
 	if err != nil {
 		if err == io.EOF {
 			it.done = true
 			return nil
 		}
-		return fmt.Errorf("sstable iterate: %w", err)
+		return fmt.Errorf("%w: sstable iterate: %v", ErrCorrupt, err)
 	}
-	tag, err := binary.ReadUvarint(it.r)
+	tag, err := binary.ReadUvarint(it)
 	if err != nil {
 		return fmt.Errorf("%w: truncated sstable entry", ErrCorrupt)
 	}
+	if klen > uint64(it.remain) || tag>>1 > uint64(it.remain)-klen {
+		return fmt.Errorf("%w: sstable entry overruns its data section", ErrCorrupt)
+	}
+	it.remain -= int64(klen + tag>>1)
 	key := make([]byte, klen)
 	if _, err := io.ReadFull(it.r, key); err != nil {
 		return fmt.Errorf("%w: truncated sstable key", ErrCorrupt)

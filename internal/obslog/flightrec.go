@@ -20,8 +20,7 @@ import (
 // level; on a crash (operator panic, armed faultinject crashpoint,
 // SIGQUIT) the ring is dumped to stderr and to a flightrec-<pid>.json
 // file, so a `make chaos` kill leaves evidence of the last checkpoint
-// epochs, overload ladder transitions, breaker flips, and reconnects that
-// preceded it.
+// epochs, overload ladder transitions, and reconnects that preceded it.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	ring []Event

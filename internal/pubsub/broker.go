@@ -1,20 +1,12 @@
 package pubsub
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"strata/internal/telemetry"
 )
-
-// ErrOverQuota is returned by Publish when the subject is governed by a
-// WithSubjectQuota rule and the slowest matching subscriber's buffer has
-// already reached the quota: the broker refuses admission instead of letting
-// the backlog grow (or blocking the publisher) any further. The message is
-// NOT delivered to anyone — admission control is all-or-nothing per publish.
-var ErrOverQuota = errors.New("pubsub: subject over quota")
 
 // Message is one published datum.
 //
@@ -178,9 +170,6 @@ func (s *Subscription) deliver(msg Message) bool {
 				close(s.ch)
 				s.broker.evicted.Add(1)
 				go s.broker.removeSub(s)
-				if fn := s.broker.onSlow; fn != nil {
-					go fn(s.pattern)
-				}
 				return false
 			}
 		}
@@ -195,10 +184,9 @@ type Stats struct {
 	Published     uint64
 	Delivered     uint64
 	Subscriptions int
-	// OverQuota counts publishes rejected by subject quotas; Evicted counts
-	// subscriptions force-closed by the slow-consumer timeout.
-	OverQuota uint64
-	Evicted   uint64
+	// Evicted counts subscriptions force-closed by the slow-consumer
+	// timeout.
+	Evicted uint64
 }
 
 // Broker routes published messages to matching subscriptions. The zero
@@ -216,64 +204,32 @@ type Broker struct {
 	droppedTotal atomic.Uint64
 	subjects     subjectCounters
 
-	// Overload protection, fixed at construction (no locking needed).
-	quotas []subjectQuota       // admission control: see WithSubjectQuota
-	stall  time.Duration        // slow-consumer timeout: see WithSlowConsumerTimeout
-	onSlow func(pattern string) // eviction callback: see WithSlowConsumerHandler
+	// stall is the slow-consumer timeout, fixed at construction: see
+	// WithSlowConsumerTimeout.
+	stall time.Duration
 
 	// traceBuf, when set, collects a delivery span fragment per traced
 	// message: see WithTraceFragments.
 	traceBuf *telemetry.TraceBuffer
 
-	overQuota atomic.Uint64 // publishes rejected with ErrOverQuota
-	evicted   atomic.Uint64 // subscriptions killed by the slow-consumer timeout
-}
-
-// subjectQuota caps the backlog a subject's slowest subscriber may carry.
-type subjectQuota struct {
-	pattern string
-	max     int
+	evicted atomic.Uint64 // subscriptions killed by the slow-consumer timeout
 }
 
 // BrokerOption customizes a broker at construction.
 type BrokerOption func(*Broker)
-
-// WithSubjectQuota installs admission control for subjects matching pattern:
-// a publish is rejected with ErrOverQuota when the deepest buffer among the
-// subject's matching subscribers already holds max messages. This bounds how
-// far a slow consumer can drag a Block-policy publisher (and how much memory
-// Drop-policy buffers pin) before publishers are told to back off at the
-// door instead. When several quotas match one subject, the smallest max
-// wins. Invalid patterns (see ValidatePattern) and max < 1 are ignored.
-func WithSubjectQuota(pattern string, max int) BrokerOption {
-	return func(b *Broker) {
-		if max < 1 || ValidatePattern(pattern) != nil {
-			return
-		}
-		b.quotas = append(b.quotas, subjectQuota{pattern: pattern, max: max})
-	}
-}
 
 // WithSlowConsumerTimeout arms slow-consumer eviction: a Block-policy
 // subscriber that stalls a delivery for longer than d is force-closed (its
 // channel is closed, the subscription removed) so one wedged consumer cannot
 // hold every publisher hostage forever. Durable consumers that must not lose
 // data should read from a LogStore Cursor instead — cursors never stall the
-// broker and can measure and skip their own backlog (Cursor.Lag,
-// Cursor.SkipToLatest).
+// broker.
 func WithSlowConsumerTimeout(d time.Duration) BrokerOption {
 	return func(b *Broker) {
 		if d > 0 {
 			b.stall = d
 		}
 	}
-}
-
-// WithSlowConsumerHandler registers a callback invoked (on its own
-// goroutine) with the subscription's pattern each time the slow-consumer
-// timeout evicts a subscriber.
-func WithSlowConsumerHandler(fn func(pattern string)) BrokerOption {
-	return func(b *Broker) { b.onSlow = fn }
 }
 
 // WithTraceFragments makes the broker record a span fragment in buf for
@@ -402,26 +358,6 @@ func (b *Broker) PublishMsg(m Message) error {
 		b.mu.RUnlock()
 		return ErrClosed
 	}
-	// Admission control: when a quota governs this subject, measure the
-	// deepest backlog across every matching subscriber (plain and queue
-	// members alike) and refuse the publish outright if it has hit the
-	// quota. Checked before the queue-group cursor advances so a rejected
-	// publish perturbs nothing.
-	if max, limited := b.quotaFor(subject); limited {
-		depth := 0
-		for _, s := range b.subs {
-			if Match(s.pattern, subject) {
-				if n := len(s.ch); n > depth {
-					depth = n
-				}
-			}
-		}
-		if depth >= max {
-			b.mu.RUnlock()
-			b.overQuota.Add(1)
-			return ErrOverQuota
-		}
-	}
 	// Collect targets under the read lock, deliver after releasing it
 	// (Block-policy deliveries may park for a while).
 	var targets []*Subscription
@@ -498,20 +434,8 @@ func (b *Broker) Stats() Stats {
 		Published:     b.published.Load(),
 		Delivered:     b.delivered.Load(),
 		Subscriptions: n,
-		OverQuota:     b.overQuota.Load(),
 		Evicted:       b.evicted.Load(),
 	}
-}
-
-// quotaFor returns the effective quota for subject: the smallest max among
-// the matching WithSubjectQuota rules, or limited=false when none match.
-func (b *Broker) quotaFor(subject string) (max int, limited bool) {
-	for _, q := range b.quotas {
-		if Match(q.pattern, subject) && (!limited || q.max < max) {
-			max, limited = q.max, true
-		}
-	}
-	return max, limited
 }
 
 // Close unsubscribes everything and marks the broker closed.

@@ -339,33 +339,6 @@ func (ls *LogStore) Cursor(subject string, from uint64) *Cursor {
 // last record already returned.
 func (c *Cursor) Offset() uint64 { return c.next }
 
-// Lag returns how many stored records the cursor has not read yet. This is
-// the durable-consumer analogue of a subscription's buffer depth: a consumer
-// that sees its lag growing is falling behind and can choose to shed
-// (SkipToLatest) on its own terms instead of being evicted like a stalled
-// broker subscriber.
-func (c *Cursor) Lag() uint64 {
-	if n := c.ls.Len(c.subject); n > c.next {
-		return n - c.next
-	}
-	return 0
-}
-
-// SkipToLatest advances the cursor past every record currently stored,
-// returning how many it skipped. This is deliberate load shedding for
-// durable consumers: the records remain in the log (nothing is deleted), so
-// a later replay can still revisit them, but this cursor resumes at the live
-// edge.
-func (c *Cursor) SkipToLatest() uint64 {
-	n := c.ls.Len(c.subject)
-	if n <= c.next {
-		return 0
-	}
-	skipped := n - c.next
-	c.next = n
-	return skipped
-}
-
 // Next returns up to max records at the cursor position without blocking
 // (nil when caught up) and advances past them. max <= 0 means "all
 // available".

@@ -83,8 +83,6 @@ func (b *Broker) Collect(w *telemetry.Writer) {
 		float64(b.droppedTotal.Load()))
 	w.Gauge("strata_pubsub_subscriptions",
 		"Live subscriptions.", float64(st.Subscriptions))
-	w.Counter("strata_pubsub_over_quota_total",
-		"Publishes rejected by subject admission quotas.", float64(st.OverQuota))
 	w.Counter("strata_pubsub_slow_consumers_evicted_total",
 		"Subscriptions force-closed by the slow-consumer timeout.",
 		float64(st.Evicted))
@@ -198,17 +196,4 @@ func (rc *ReconnectConn) Collect(w *telemetry.Writer) {
 		"Successful reconnects after a lost link.", float64(rc.Reconnects()))
 	w.Gauge("strata_pubsub_client_pending",
 		"Publishes buffered while disconnected.", float64(rc.Pending()))
-	w.Counter("strata_pubsub_client_pending_dropped_total",
-		"Buffered publishes discarded by the overflow policy.",
-		float64(rc.PendingDropped()))
-	if br := rc.breaker; br != nil {
-		w.Gauge("strata_pubsub_client_breaker_state",
-			"Circuit breaker position as a labelled flag (1 = current state).",
-			1, telemetry.L("state", br.State().String()))
-		w.Counter("strata_pubsub_client_breaker_opened_total",
-			"Times the circuit breaker tripped open.", float64(br.opened.Load()))
-		w.Counter("strata_pubsub_client_breaker_fast_fails_total",
-			"Publishes rejected with ErrBreakerOpen while the breaker was open.",
-			float64(br.fastFails.Load()))
-	}
 }

@@ -10,34 +10,17 @@ import (
 	"strata/internal/obslog"
 )
 
-var (
-	// ErrDisconnected is returned by operations that need a live link
-	// (e.g. Ping) while a ReconnectConn is between connections.
-	ErrDisconnected = errors.New("pubsub: disconnected")
-
-	// ErrPendingOverflow is returned by Publish on a disconnected
-	// ReconnectConn whose pending buffer is full under the DropNewest
-	// policy.
-	ErrPendingOverflow = errors.New("pubsub: pending-publish buffer full")
-
-	// ErrReconnectExhausted reports that a ReconnectConn gave up after its
-	// configured number of reconnect attempts and closed itself.
-	ErrReconnectExhausted = errors.New("pubsub: reconnect attempts exhausted")
-)
+// ErrDisconnected is returned by operations that need a live link (e.g.
+// Ping) while a ReconnectConn is between connections.
+var ErrDisconnected = errors.New("pubsub: disconnected")
 
 // reconnectConfig holds the tuning knobs of a ReconnectConn.
 type reconnectConfig struct {
-	minBackoff    time.Duration
-	maxBackoff    time.Duration
-	maxReconnects int // consecutive failed dials per outage; 0 = unlimited
-	pendingLimit  int
-	pendingPolicy OverflowPolicy
-	heartbeat     time.Duration
-	pingTimeout   time.Duration
-
-	// Circuit breaker (see breaker.go); threshold 0 disables.
-	breakerThreshold int
-	breakerCooldown  time.Duration
+	minBackoff   time.Duration
+	maxBackoff   time.Duration
+	pendingLimit int
+	heartbeat    time.Duration
+	pingTimeout  time.Duration
 
 	onConnected    func()
 	onDisconnected func(error)
@@ -63,29 +46,15 @@ func WithReconnectWait(min, max time.Duration) ReconnectOption {
 	}
 }
 
-// WithMaxReconnects bounds the consecutive failed redials tolerated during
-// one outage; when exceeded the ReconnectConn closes itself (subscriptions
-// end, Publish returns ErrClosed). 0, the default, retries forever.
-func WithMaxReconnects(n int) ReconnectOption {
-	return func(c *reconnectConfig) { c.maxReconnects = n }
-}
-
 // WithPendingLimit caps how many publishes are buffered while disconnected
-// (default 1024). What happens beyond the cap is set by WithPendingOverflow.
+// (default 1024). A publish beyond the cap blocks until the next link
+// flushes the buffer or the conn closes (ErrClosed): nothing is dropped.
 func WithPendingLimit(n int) ReconnectOption {
 	return func(c *reconnectConfig) {
 		if n > 0 {
 			c.pendingLimit = n
 		}
 	}
-}
-
-// WithPendingOverflow sets the full-buffer policy for publishes while
-// disconnected: Block (default) parks Publish until the buffer drains or
-// the conn closes; DropOldest evicts the oldest buffered publish;
-// DropNewest rejects the new publish with ErrPendingOverflow.
-func WithPendingOverflow(p OverflowPolicy) ReconnectOption {
-	return func(c *reconnectConfig) { c.pendingPolicy = p }
 }
 
 // WithHeartbeat sets the liveness probe: every interval the client pings the
@@ -119,8 +88,8 @@ func WithReconnectedHandler(fn func()) ReconnectOption {
 	return func(c *reconnectConfig) { c.onReconnected = fn }
 }
 
-// WithClosedHandler registers a callback fired when the conn is closed for
-// good (explicit Close or reconnect budget exhausted).
+// WithClosedHandler registers a callback fired when Close has torn the conn
+// down.
 func WithClosedHandler(fn func()) ReconnectOption {
 	return func(c *reconnectConfig) { c.onClosed = fn }
 }
@@ -145,10 +114,6 @@ type ReconnectConn struct {
 	addr string
 	cfg  reconnectConfig
 
-	// breaker fast-fails publishes after repeated link failures (nil
-	// without WithBreaker).
-	breaker *breaker
-
 	mu         sync.Mutex
 	notFull    *sync.Cond // pending buffer drained / state changed
 	conn       *Conn      // nil while disconnected
@@ -157,16 +122,14 @@ type ReconnectConn struct {
 	nextID     uint64
 	pending    []pendingPub
 	reconnects uint64
-	dropped    uint64
 	// hbErr is a heartbeat failure to report on the next disconnect, tagged
 	// with the link it was observed on: a heartbeat goroutine can outlive
 	// its link by up to pingTimeout, and its stale error must not be blamed
 	// for a later, unrelated disconnect.
-	hbErr   error
-	hbConn  *Conn
-	lastErr error // why the conn closed, when it closed itself
+	hbErr  error
+	hbConn *Conn
 
-	quit chan struct{} // closed by Close / self-close
+	quit chan struct{} // closed by Close
 	done chan struct{} // closed when the supervisor exits
 }
 
@@ -250,12 +213,11 @@ func (s *ReconnectSub) Unsubscribe() error {
 // dial is synchronous and its failure is returned directly.
 func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error) {
 	cfg := reconnectConfig{
-		minBackoff:    50 * time.Millisecond,
-		maxBackoff:    2 * time.Second,
-		pendingLimit:  1024,
-		pendingPolicy: Block,
-		heartbeat:     30 * time.Second,
-		pingTimeout:   5 * time.Second,
+		minBackoff:   50 * time.Millisecond,
+		maxBackoff:   2 * time.Second,
+		pendingLimit: 1024,
+		heartbeat:    30 * time.Second,
+		pingTimeout:  5 * time.Second,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -271,9 +233,6 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 		subs: make(map[uint64]*ReconnectSub),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	if cfg.breakerThreshold > 0 {
-		rc.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
 	}
 	rc.notFull = sync.NewCond(&rc.mu)
 	if cfg.onConnected != nil {
@@ -295,14 +254,6 @@ func (rc *ReconnectConn) Reconnects() uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.reconnects
-}
-
-// PendingDropped returns how many buffered publishes were discarded by the
-// overflow policy.
-func (rc *ReconnectConn) PendingDropped() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.dropped
 }
 
 // Pending returns how many publishes are currently buffered awaiting a
@@ -339,17 +290,9 @@ func (rc *ReconnectConn) ActiveSubscriptions() int {
 	return n
 }
 
-// Err returns why the conn closed itself (e.g. ErrReconnectExhausted), or
-// nil while it is alive or after an explicit Close.
-func (rc *ReconnectConn) Err() error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lastErr
-}
-
 // Publish sends data under subject, buffering it if the link is currently
-// down (see WithPendingLimit / WithPendingOverflow). The data slice may be
-// reused by the caller after Publish returns.
+// down (see WithPendingLimit). The data slice may be reused by the caller
+// after Publish returns.
 func (rc *ReconnectConn) Publish(subject string, data []byte) error {
 	return rc.PublishRequest(subject, "", data)
 }
@@ -371,12 +314,6 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 		// the pending buffer would wedge every future flush.
 		return fmt.Errorf("pubsub: frame too large (%d bytes)", total)
 	}
-	// Breaker gate, checked before any buffering: while open, publishes
-	// fast-fail instead of growing the pending buffer during an outage the
-	// breaker already knows about.
-	if rc.breaker != nil && !rc.breaker.allow() {
-		return ErrBreakerOpen
-	}
 	rc.mu.Lock()
 	for {
 		if rc.closed {
@@ -386,9 +323,6 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 		if conn := rc.conn; conn != nil {
 			rc.mu.Unlock()
 			if err := conn.PublishMsg(m); err == nil {
-				if rc.breaker != nil {
-					rc.breaker.success()
-				}
 				return nil
 			}
 			// The link died mid-publish. Fall through to buffering so the
@@ -401,38 +335,14 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 			}
 			continue
 		}
-		// Disconnected: buffer a copy (the caller may reuse data). The
-		// breaker counts this as a failure — the message is safe in the
-		// buffer, but the link is down, and enough of these in a row trip
-		// the breaker so later publishes stop paying for the outage.
+		// Disconnected: buffer a copy (the caller may reuse data), or park
+		// until restore drains a full buffer or Close wakes us.
 		if len(rc.pending) < rc.cfg.pendingLimit {
 			rc.pending = append(rc.pending, pendingPub{subject: m.Subject, reply: m.Reply, data: append([]byte(nil), m.Data...), tp: m.Traceparent})
 			rc.mu.Unlock()
-			if rc.breaker != nil {
-				rc.breaker.failure()
-			}
 			return nil
 		}
-		switch rc.cfg.pendingPolicy {
-		case DropOldest:
-			copy(rc.pending, rc.pending[1:])
-			rc.pending[len(rc.pending)-1] = pendingPub{subject: m.Subject, reply: m.Reply, data: append([]byte(nil), m.Data...), tp: m.Traceparent}
-			rc.dropped++
-			rc.mu.Unlock()
-			if rc.breaker != nil {
-				rc.breaker.failure()
-			}
-			return nil
-		case DropNewest:
-			rc.dropped++
-			rc.mu.Unlock()
-			if rc.breaker != nil {
-				rc.breaker.failure()
-			}
-			return ErrPendingOverflow
-		default: // Block
-			rc.notFull.Wait()
-		}
+		rc.notFull.Wait()
 	}
 }
 
@@ -548,8 +458,7 @@ func (rc *ReconnectConn) Close() error {
 
 // supervise owns the connection lifecycle: wait for the live link to drop,
 // then redial-with-backoff, restore subscriptions, flush pending publishes,
-// and go back to waiting. It exits when the conn closes (explicitly or by
-// exhausting its reconnect budget).
+// and go back to waiting. It exits when the conn is closed.
 func (rc *ReconnectConn) supervise(conn *Conn) {
 	defer close(rc.done)
 	for {
@@ -599,14 +508,9 @@ func (rc *ReconnectConn) supervise(conn *Conn) {
 }
 
 // redial dials with exponential backoff and jitter until a link is up and
-// fully restored, the attempt budget runs out (the conn then closes itself
-// with ErrReconnectExhausted), or the conn is closed.
+// fully restored, or the conn is closed.
 func (rc *ReconnectConn) redial() (*Conn, bool) {
 	for attempt := 0; ; attempt++ {
-		if rc.cfg.maxReconnects > 0 && attempt >= rc.cfg.maxReconnects {
-			rc.selfClose(fmt.Errorf("%w (after %d attempts)", ErrReconnectExhausted, attempt))
-			return nil, false
-		}
 		select {
 		case <-time.After(rc.backoff(attempt)):
 		case <-rc.quit:
@@ -732,32 +636,6 @@ func (rc *ReconnectConn) requeue(batch []pendingPub, from int) {
 	merged = append(merged, rc.pending...)
 	rc.pending = merged
 	rc.mu.Unlock()
-}
-
-// selfClose shuts the conn down from inside the supervisor (reconnect
-// budget exhausted), recording why in Err.
-func (rc *ReconnectConn) selfClose(err error) {
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		return
-	}
-	rc.closed = true
-	rc.lastErr = err
-	subs := make([]*ReconnectSub, 0, len(rc.subs))
-	for _, s := range rc.subs {
-		subs = append(subs, s)
-	}
-	rc.subs = make(map[uint64]*ReconnectSub)
-	rc.pending = nil
-	rc.notFull.Broadcast()
-	rc.mu.Unlock()
-	for _, s := range subs {
-		s.shutdown()
-	}
-	if rc.cfg.onClosed != nil {
-		rc.cfg.onClosed()
-	}
 }
 
 // startHeartbeat probes conn's liveness every cfg.heartbeat: a ping whose

@@ -140,9 +140,6 @@ func TestReconnectRestoresSubscriptionsAndFlushesPending(t *testing.T) {
 	if got := h.rc.Reconnects(); got != 1 {
 		t.Fatalf("Reconnects() = %d, want 1", got)
 	}
-	if got := h.rc.PendingDropped(); got != 0 {
-		t.Fatalf("PendingDropped() = %d, want 0", got)
-	}
 
 	// Tear everything down and verify all goroutines (supervisor,
 	// heartbeat, forwarders, server loops, proxy relays) wind up.
@@ -229,79 +226,51 @@ func TestReconnectSurvivesCorruptStream(t *testing.T) {
 	}
 }
 
-// TestReconnectGivesUpAfterMaxReconnects verifies the bounded-retry path:
-// when the server is gone for good, the conn closes itself, reports
-// ErrReconnectExhausted, and ends its subscriptions.
-func TestReconnectGivesUpAfterMaxReconnects(t *testing.T) {
-	h := newReconnectHarness(t, WithMaxReconnects(3))
-	sub, err := h.rc.Subscribe("gone.>")
-	if err != nil {
-		t.Fatal(err)
-	}
+// publishAsync runs a Publish on its own goroutine, for publishes that are
+// expected to park on a full pending buffer.
+func publishAsync(rc *ReconnectConn, subject, payload string) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- rc.Publish(subject, []byte(payload)) }()
+	return done
+}
 
-	// Take the whole proxy down: redials now fail outright.
-	h.proxy.Close()
-
-	waitSignal(t, h.disconnected, "disconnect")
-	waitSignal(t, h.closed, "self-close after exhausting reconnects")
-
-	if err := h.rc.Err(); !errors.Is(err, ErrReconnectExhausted) {
-		t.Fatalf("Err() = %v, want ErrReconnectExhausted", err)
-	}
-	if err := h.rc.Publish("gone.x", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Publish after self-close = %v, want ErrClosed", err)
-	}
+// assertParked fails if a publish started with publishAsync has returned.
+// Pending must stay at the cap while it waits: Block drops nothing.
+func assertParked(t *testing.T, rc *ReconnectConn, done <-chan error, limit int) {
+	t.Helper()
 	select {
-	case _, ok := <-sub.C:
-		if ok {
-			t.Fatal("unexpected message on dead subscription")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("subscription channel should be closed after self-close")
+	case err := <-done:
+		t.Fatalf("publish beyond the pending cap returned %v, want it parked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := rc.Pending(); got != limit {
+		t.Fatalf("Pending() = %d, want %d", got, limit)
 	}
 }
 
-// TestReconnectPendingOverflowPolicies pins down the explicit overflow
-// behaviour of the pending-publish buffer.
+// TestReconnectPendingOverflowPolicies pins down what a full pending buffer
+// does: the publish beyond the cap parks (Block is the only policy), the
+// buffered ones are kept, and Close wakes the parked publisher with
+// ErrClosed.
 func TestReconnectPendingOverflowPolicies(t *testing.T) {
-	t.Run("DropNewest", func(t *testing.T) {
-		h := newReconnectHarness(t, WithPendingLimit(2), WithPendingOverflow(DropNewest))
-		h.proxy.Close() // no reconnect possible: publishes stay buffered
-		waitSignal(t, h.disconnected, "disconnect")
+	h := newReconnectHarness(t, WithPendingLimit(2))
+	h.proxy.Close() // no reconnect possible: publishes stay buffered
+	waitSignal(t, h.disconnected, "disconnect")
 
-		if err := h.rc.Publish("p.x", []byte("a")); err != nil {
-			t.Fatal(err)
+	for _, payload := range []string{"a", "b"} {
+		if err := h.rc.Publish("p.x", []byte(payload)); err != nil {
+			t.Fatalf("publish %q: %v", payload, err)
 		}
-		if err := h.rc.Publish("p.x", []byte("b")); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.rc.Publish("p.x", []byte("c")); !errors.Is(err, ErrPendingOverflow) {
-			t.Fatalf("third publish = %v, want ErrPendingOverflow", err)
-		}
-		if got := h.rc.Pending(); got != 2 {
-			t.Fatalf("Pending() = %d, want 2", got)
-		}
-		if got := h.rc.PendingDropped(); got != 1 {
-			t.Fatalf("PendingDropped() = %d, want 1", got)
-		}
-	})
-	t.Run("DropOldest", func(t *testing.T) {
-		h := newReconnectHarness(t, WithPendingLimit(2), WithPendingOverflow(DropOldest))
-		h.proxy.Close()
-		waitSignal(t, h.disconnected, "disconnect")
+	}
+	third := publishAsync(h.rc, "p.x", "c")
+	assertParked(t, h.rc, third, 2)
 
-		for _, payload := range []string{"a", "b", "c"} {
-			if err := h.rc.Publish("p.x", []byte(payload)); err != nil {
-				t.Fatalf("publish %q: %v", payload, err)
-			}
-		}
-		if got := h.rc.Pending(); got != 2 {
-			t.Fatalf("Pending() = %d, want 2", got)
-		}
-		if got := h.rc.PendingDropped(); got != 1 {
-			t.Fatalf("PendingDropped() = %d, want 1", got)
-		}
-	})
+	if err := h.rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitSignal(t, third, "parked publish after Close"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("parked publish after Close = %v, want ErrClosed", err)
+	}
 }
 
 // TestRestoreFailureDetachesPartialSubscriptions reproduces a fresh link
@@ -324,7 +293,7 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	// redial's role so the mid-restore failure is deterministic.
 	rc := &ReconnectConn{
 		addr: srv.Addr(),
-		cfg:  reconnectConfig{pendingLimit: 16, pendingPolicy: Block},
+		cfg:  reconnectConfig{pendingLimit: 16},
 		subs: make(map[uint64]*ReconnectSub),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -453,6 +422,11 @@ func TestActiveSubscriptionsReadiness(t *testing.T) {
 	}
 	if got := h.rc.ActiveSubscriptions(); got != 2 {
 		t.Fatalf("ActiveSubscriptions after two subscribes = %d, want 2", got)
+	}
+	// The dial completes in the kernel before the proxy accepts and tracks
+	// the link; a round trip proves it is tracked, so Sever cuts it.
+	if err := h.rc.Ping(2 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	h.proxy.Sever()

@@ -160,8 +160,7 @@ func TestReconnectConnBuffersTraceparent(t *testing.T) {
 
 	rc, err := DialReconnect(srv.Addr(),
 		WithReconnectWait(10*time.Millisecond, 50*time.Millisecond),
-		WithPendingLimit(64),
-		WithPendingOverflow(DropNewest))
+		WithPendingLimit(64))
 	if err != nil {
 		t.Fatal(err)
 	}

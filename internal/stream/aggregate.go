@@ -72,7 +72,7 @@ func Aggregate[In Timestamped, K comparable, Out any](
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&aggregateOp[In, K, Out]{
 		name:    name,
 		in:      in.ch,

@@ -33,7 +33,7 @@ type chunker[T any] struct {
 	linger time.Duration
 	stats  *OpStats
 	pool   *sync.Pool
-	// gate is the operator's shed gate (nil unless WithShedPolicy); knobs
+	// gate is the operator's shed gate (nil unless WithShedGate); knobs
 	// are the query's dynamic overload controls (nil only in unit tests
 	// that construct chunkers directly).
 	gate  *shedGate[T]
@@ -51,11 +51,11 @@ func newChunker[T any](ctx context.Context, qz *quiescer, out chan []T, max int,
 	if max < 1 {
 		max = 1
 	}
-	_, _, knobs := stats.shedSetup()
+	_, knobs := stats.shedSetup()
 	return &chunker[T]{
 		ctx: ctx, qz: qz, out: out, max: max, linger: linger, stats: stats,
 		pool: chunkPoolFor[T](),
-		gate: newShedGate(qz, out, stats), knobs: knobs,
+		gate: newShedGate(out, stats), knobs: knobs,
 	}
 }
 
@@ -77,7 +77,7 @@ func (c *chunker[T]) emit(v T) error {
 		}
 		c.stats.observeBatch(1)
 		observeDeparture(c.stats, &chunk[0])
-		return c.sendOut(chunk)
+		return sendChunk(c.qz, c.ctx, c.out, chunk)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -118,15 +118,6 @@ func (c *chunker[T]) emit(v T) error {
 	return nil
 }
 
-// sendOut routes a chunk through the shed gate when one is installed
-// (drop-oldest eviction happens there) and plain sendChunk otherwise.
-func (c *chunker[T]) sendOut(chunk []T) error {
-	if c.gate != nil {
-		return c.gate.send(c.ctx, chunk)
-	}
-	return sendChunk(c.qz, c.ctx, c.out, chunk)
-}
-
 // flushLocked sends the buffered chunk while holding c.mu. Back-pressure
 // applies here: a full downstream channel blocks the flush (and therefore
 // the source), exactly as the unbatched engine blocked per tuple.
@@ -144,7 +135,7 @@ func (c *chunker[T]) flushLocked() error {
 		c.armed = false
 	}
 	c.stats.observeBatch(len(chunk))
-	return c.sendOut(chunk)
+	return sendChunk(c.qz, c.ctx, c.out, chunk)
 }
 
 // flushNow pushes any buffered partial chunk downstream. It is the
@@ -262,11 +253,11 @@ func newChunkEmitter[T any](ctx context.Context, qz *quiescer, out chan []T, max
 	if max < 1 {
 		max = 1
 	}
-	_, _, knobs := stats.shedSetup()
+	_, knobs := stats.shedSetup()
 	return &chunkEmitter[T]{
 		ctx: ctx, qz: qz, out: out, max: max, stats: stats,
 		pool: chunkPoolFor[T](),
-		gate: newShedGate(qz, out, stats), knobs: knobs,
+		gate: newShedGate(out, stats), knobs: knobs,
 	}
 }
 
@@ -309,8 +300,5 @@ func (e *chunkEmitter[T]) flush() error {
 	chunk := e.buf
 	e.buf = nil
 	e.stats.observeBatch(len(chunk))
-	if e.gate != nil {
-		return e.gate.send(e.ctx, chunk)
-	}
 	return sendChunk(e.qz, e.ctx, e.out, chunk)
 }

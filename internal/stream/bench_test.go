@@ -182,7 +182,7 @@ func BenchmarkShedGate(b *testing.B) {
 				q := NewQuery("bench", WithQueryBuffer(1024))
 				var opts []OpOption
 				if mode != "ungated" {
-					opts = append(opts, WithShedPolicy(ShedPolicy{}))
+					opts = append(opts, WithShedGate())
 				}
 				if mode == "engaged" {
 					q.Overload().SetShedLate(true, 0)

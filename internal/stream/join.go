@@ -12,16 +12,13 @@ import (
 // constraints are expressed).
 type JoinFunc[L, R, Out any] func(l L, r R) (Out, bool)
 
-// purgeInterval bounds how many ingested tuples may pass between full sweeps
-// of the join buffers, so stale keys cannot pin memory indefinitely.
-const purgeInterval = 1024
-
 // Join registers a two-input stateful operator matching the paper's Join
 // definition: it produces join(l, r) for every pair with equal group-by keys
 // satisfying |l.τ − r.τ| ≤ ws (and the predicate encoded in join's ok
 // result). Each input must be timestamp-ordered; the two inputs may
-// interleave arbitrarily, as the operator buffers both sides and purges by
-// the event-time horizon min(maxL, maxR) − ws.
+// interleave arbitrarily, as the operator buffers both sides and purges each
+// by the other side's event-time horizon (maxL − ws for the right buffer,
+// maxR − ws for the left) the moment that horizon advances.
 func Join[L Timestamped, R Timestamped, K comparable, Out any](
 	q *Query,
 	name string,
@@ -47,7 +44,7 @@ func Join[L Timestamped, R Timestamped, K comparable, Out any](
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&joinOp[L, R, K, Out]{
 		name:     name,
 		left:     left.ch,
@@ -90,7 +87,6 @@ type joinOp[L Timestamped, R Timestamped, K comparable, Out any] struct {
 	maxL, maxR       int64
 	sawL, sawR       bool
 	lClosed, rClosed bool
-	sincePurge       int
 }
 
 func (j *joinOp[L, R, K, Out]) opName() string { return j.name }
@@ -164,12 +160,21 @@ func (j *joinOp[L, R, K, Out]) run(ctx context.Context) (err error) {
 	return em.flush()
 }
 
+// ingestLeft and ingestRight match a tuple against the other side's buffer
+// and buffer it for future matches. A buffered tuple can match a future
+// tuple of the other side only while its event time is at or above that
+// side's horizon: future event times are at least the side's maximum, so
+// anything below max − ws is out of reach for good. An ingest that advances
+// one side's maximum therefore purges the other side's buffer, and a tuple
+// already below the other side's horizon is not buffered at all — a layer's
+// tuples leave the join as soon as both sides have moved past it.
 func (j *joinOp[L, R, K, Out]) ingestLeft(l L, emitFn Emit[Out]) error {
 	// The watermark advances once per chunk (in run) from maxL/maxR.
 	ts := l.EventTime()
 	if !j.sawL || ts > j.maxL {
 		j.maxL = ts
 		j.sawL = true
+		purgeBefore(j.rbuf, ts-j.ws)
 	}
 	k := j.keyL(l)
 	for _, r := range j.rbuf[k] {
@@ -182,10 +187,9 @@ func (j *joinOp[L, R, K, Out]) ingestLeft(l L, emitFn Emit[Out]) error {
 			}
 		}
 	}
-	if !j.rClosed {
+	if !j.rClosed && (!j.sawR || ts >= j.maxR-j.ws) {
 		j.lbuf[k] = append(j.lbuf[k], l)
 	}
-	j.maybePurge()
 	return nil
 }
 
@@ -194,6 +198,7 @@ func (j *joinOp[L, R, K, Out]) ingestRight(r R, emitFn Emit[Out]) error {
 	if !j.sawR || ts > j.maxR {
 		j.maxR = ts
 		j.sawR = true
+		purgeBefore(j.lbuf, ts-j.ws)
 	}
 	k := j.keyR(r)
 	for _, l := range j.lbuf[k] {
@@ -206,44 +211,20 @@ func (j *joinOp[L, R, K, Out]) ingestRight(r R, emitFn Emit[Out]) error {
 			}
 		}
 	}
-	if !j.lClosed {
+	if !j.lClosed && (!j.sawL || ts >= j.maxL-j.ws) {
 		j.rbuf[k] = append(j.rbuf[k], r)
 	}
-	j.maybePurge()
 	return nil
 }
 
-// maybePurge sweeps the buffers every purgeInterval ingests, dropping tuples
-// that can no longer match anything from the other side.
-func (j *joinOp[L, R, K, Out]) maybePurge() {
-	j.sincePurge++
-	if j.sincePurge < purgeInterval {
-		return
-	}
-	j.sincePurge = 0
-	// A buffered left tuple can still match a future right tuple only if
-	// l.ts ≥ maxR − ws (future right event times are ≥ maxR), and vice
-	// versa.
-	if j.sawR {
-		horizon := j.maxR - j.ws
-		for k, buf := range j.lbuf {
-			buf = dropBefore(buf, horizon)
-			if len(buf) == 0 {
-				delete(j.lbuf, k)
-			} else {
-				j.lbuf[k] = buf
-			}
-		}
-	}
-	if j.sawL {
-		horizon := j.maxL - j.ws
-		for k, buf := range j.rbuf {
-			buf = dropBefore(buf, horizon)
-			if len(buf) == 0 {
-				delete(j.rbuf, k)
-			} else {
-				j.rbuf[k] = buf
-			}
+// purgeBefore drops every buffered tuple with event time below horizon,
+// deleting keys left empty.
+func purgeBefore[K comparable, T Timestamped](bufs map[K][]T, horizon int64) {
+	for k, buf := range bufs {
+		if buf = dropBefore(buf, horizon); len(buf) == 0 {
+			delete(bufs, k)
+		} else {
+			bufs[k] = buf
 		}
 	}
 }

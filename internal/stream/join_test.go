@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -163,5 +164,54 @@ func TestJoinPropertyMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinPurgesOnHorizonAdvance feeds 100 same-τ layers to both sides of a
+// ws=0 join, one key per layer and no heartbeats, then checkpoints the parked
+// query and counts the buffered keys. A layer can never match again once the
+// other side has moved past it, so each buffer holds at most the newest
+// layer — however the two sources interleave.
+func TestJoinPurgesOnHorizonAdvance(t *testing.T) {
+	const layers = 100
+	items := make([]keyed, layers)
+	for i := range items {
+		items[i] = keyed{ts: int64(i), key: fmt.Sprintf("layer%d", i), val: i}
+	}
+	q := NewQuery("horizon")
+	q.EnableSnapshots()
+	fedL, fedR := make(chan struct{}), make(chan struct{})
+	l := AddPositionedSource(q, "left", 0, feedFirst(items, layers, fedL))
+	r := AddPositionedSource(q, "right", 0, feedFirst(items, layers, fedR))
+	key := func(v keyed) string { return v.key }
+	var got []string
+	AddSink(q, "sink", Join(q, "join", l, r, 0, key, key,
+		func(a, b keyed) (string, bool) { return fmt.Sprintf("%d+%d", a.val, b.val), true }),
+		ToSlice(&got))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- q.Run(ctx) }()
+	<-fedL
+	<-fedR
+	snap, err := q.Checkpoint(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("Checkpoint() error = %v", err)
+	}
+	cancel()
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run() error = %v", err)
+	}
+	var js joinSnap[keyed, keyed, string]
+	if err := gobDecode(snap.Ops["join"], &js); err != nil {
+		t.Fatal(err)
+	}
+	if len(js.L) > 1 || len(js.R) > 1 {
+		t.Fatalf("join buffers hold %d left and %d right keys after %d layers, want at most 1 each",
+			len(js.L), len(js.R), layers)
+	}
+	if len(got) != layers {
+		t.Fatalf("join produced %d pairs, want %d", len(got), layers)
 	}
 }

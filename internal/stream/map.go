@@ -62,7 +62,7 @@ func FlatMap[In, Out any](q *Query, name string, in *Stream[In], fn FlatMapFunc[
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&flatMapOp[In, Out]{
 		name: name, in: in.ch, out: out.ch, fn: fn, g: q.qz.newGuard(), batch: q.batchSize, stats: stats,
 		inPool: chunkPoolFor[In](), recycle: !in.shared,

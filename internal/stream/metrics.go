@@ -50,10 +50,9 @@ type OpStats struct {
 	watermark atomic.Int64
 
 	// Shed counters, one per drop reason. Only operators built with
-	// WithShedPolicy ever advance them.
-	shedExpired  atomic.Int64 // deadline passed at admission
-	shedLowPri   atomic.Int64 // below the priority floor on a full edge
-	shedOverflow atomic.Int64 // evicted by a drop-oldest gate
+	// WithShedGate ever advance them.
+	shedExpired atomic.Int64 // deadline passed at admission
+	shedLowPri  atomic.Int64 // below the priority floor on a full edge
 
 	// The output-queue probe is installed once at build time and read at
 	// snapshot time; the mutex only guards installation against snapshots.
@@ -61,10 +60,9 @@ type OpStats struct {
 	queueLen func() int
 	queueCap int
 
-	// The shed policy is installed once at build time (like the queue
-	// probe) and read once by the operator's chunker/emitter at run start;
-	// the same mutex guards the installation.
-	shedPol   ShedPolicy
+	// The shed gate is installed once at build time (like the queue probe)
+	// and read once by the operator's chunker/emitter at run start; the
+	// same mutex guards the installation.
 	shedGated bool
 	shedKnobs *OverloadKnobs
 }
@@ -129,27 +127,27 @@ func (s *OpStats) watchQueue(length func() int, capacity int) {
 	s.qmu.Unlock()
 }
 
-// installShed records the operator's shed policy at build time; the
-// operator's emitters read it back with shedSetup when the query starts.
-func (s *OpStats) installShed(p ShedPolicy, gated bool, knobs *OverloadKnobs) {
+// installShed records at build time whether the operator is gated and the
+// query's knobs; the operator's emitters read both back with shedSetup when
+// the query starts.
+func (s *OpStats) installShed(gated bool, knobs *OverloadKnobs) {
 	s.qmu.Lock()
-	s.shedPol = p
 	s.shedGated = gated
 	s.shedKnobs = knobs
 	s.qmu.Unlock()
 }
 
-func (s *OpStats) shedSetup() (ShedPolicy, bool, *OverloadKnobs) {
+func (s *OpStats) shedSetup() (bool, *OverloadKnobs) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	return s.shedPol, s.shedGated, s.shedKnobs
+	return s.shedGated, s.shedKnobs
 }
 
 // Shed returns the operator's shed counters by reason: tuples dropped
-// because their deadline passed, because they ranked below the priority
-// floor on a full edge, and because a drop-oldest gate evicted them.
-func (s *OpStats) Shed() (expired, lowPriority, overflow int64) {
-	return s.shedExpired.Load(), s.shedLowPri.Load(), s.shedOverflow.Load()
+// because their deadline passed, and because they ranked below the priority
+// floor on a full edge.
+func (s *OpStats) Shed() (expired, lowPriority int64) {
+	return s.shedExpired.Load(), s.shedLowPri.Load()
 }
 
 func (s *OpStats) queue() (int, int) {
@@ -201,7 +199,6 @@ type StatsSnapshot struct {
 	// zero for operators without a shed gate.
 	ShedExpired     int64
 	ShedLowPriority int64
-	ShedOverflow    int64
 	Shed            int64
 }
 
@@ -255,27 +252,26 @@ func (r *Registry) Snapshot() []StatsSnapshot {
 		bat := s.Batches()
 		qlen, qcap := s.queue()
 		w, hasW := s.Watermark()
-		shedExp, shedLow, shedOvf := s.Shed()
+		shedExp, shedLow := s.Shed()
 		snap := StatsSnapshot{
-			Name:         key.(string),
-			In:           s.In(),
-			Out:          s.Out(),
-			QueueLen:     qlen,
-			QueueCap:     qcap,
-			Service:      svc,
-			ServiceCount: svc.Count,
-			P50:          durationOf(svc.Quantile(0.50)),
-			P90:          durationOf(svc.Quantile(0.90)),
-			P99:          durationOf(svc.Quantile(0.99)),
-			MaxService:   durationOf(svc.Max),
-			Batches:      bat,
-			BatchCount:   bat.Count,
+			Name:            key.(string),
+			In:              s.In(),
+			Out:             s.Out(),
+			QueueLen:        qlen,
+			QueueCap:        qcap,
+			Service:         svc,
+			ServiceCount:    svc.Count,
+			P50:             durationOf(svc.Quantile(0.50)),
+			P90:             durationOf(svc.Quantile(0.90)),
+			P99:             durationOf(svc.Quantile(0.99)),
+			MaxService:      durationOf(svc.Max),
+			Batches:         bat,
+			BatchCount:      bat.Count,
 			Watermark:       w,
 			HasWatermark:    hasW,
 			ShedExpired:     shedExp,
 			ShedLowPriority: shedLow,
-			ShedOverflow:    shedOvf,
-			Shed:            shedExp + shedLow + shedOvf,
+			Shed:            shedExp + shedLow,
 		}
 		if bat.Count > 0 {
 			snap.AvgBatch = bat.Sum / float64(bat.Count)
@@ -363,10 +359,6 @@ func (q *Query) Collect(w *telemetry.Writer) {
 			if s.ShedLowPriority > 0 {
 				w.Counter("strata_stream_op_shed_total", shedHelp,
 					float64(s.ShedLowPriority), append(labels, telemetry.L("reason", "lowpri"))...)
-			}
-			if s.ShedOverflow > 0 {
-				w.Counter("strata_stream_op_shed_total", shedHelp,
-					float64(s.ShedOverflow), append(labels, telemetry.L("reason", "overflow"))...)
 			}
 		}
 	}

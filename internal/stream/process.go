@@ -33,7 +33,7 @@ func Process[In, Out any](
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&processOp[In, Out]{
 		name: name, in: in.ch, out: out.ch, fn: fn, onEnd: onEnd, g: q.qz.newGuard(), batch: q.batchSize, stats: stats,
 		inPool: chunkPoolFor[In](), recycle: !in.shared,

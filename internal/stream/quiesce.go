@@ -254,18 +254,6 @@ func sendChunk[T any](z *quiescer, ctx context.Context, ch chan<- []T, chunk []T
 	return err
 }
 
-// unsend reverses one sendChunk's in-flight accounting for a chunk a shed
-// gate reclaimed from its own edge (drop-oldest eviction): the chunk will
-// never reach its receiver's guard, so the thief decrements the count
-// itself. The activity bump forces a concurrent stability scan to rescan.
-func (z *quiescer) unsend() {
-	if !z.enabled {
-		return
-	}
-	z.act.Add(1)
-	z.inflight.Add(-1)
-}
-
 // pause drives the drain-and-pause epoch and returns the resume function.
 // On error the query is already resumed.
 func (z *quiescer) pause(ctx context.Context, runDone <-chan struct{}) (func(), error) {

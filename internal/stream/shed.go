@@ -1,108 +1,53 @@
 package stream
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
 
 // Overload protection: per-operator shed gates that trade completeness for
-// bounded latency when an edge saturates, plus the query-wide dynamic knobs
-// an external overload controller (core.Manager) can turn at run time.
+// bounded latency when an edge saturates, driven by the query-wide dynamic
+// knobs an external overload controller (core.Manager) turns at run time.
 //
 // The default is unchanged: every operator blocks on a full edge and
 // back-pressure propagates to the sources. A gate is installed only by
-// WithShedPolicy; ungated operators pay nothing.
+// WithShedGate, and it sheds nothing until a knob is turned; ungated
+// operators pay nothing.
 
 // Prioritized is implemented by tuple types that carry a shedding priority.
 // Higher values are more important; tuples that do not implement the
-// interface rank 0. A drop-lowest gate sheds tuples below its floor when the
-// edge is full and lets everything at or above the floor block as usual.
+// interface rank 0. While the priority floor is engaged, a gate sheds tuples
+// below it when the edge is full and lets everything at or above the floor
+// block as usual.
 type Prioritized interface {
 	ShedPriority() int
 }
 
 // Deadlined is implemented by tuple types that carry an absolute deadline
-// after which their results are worthless (the zero time means none). Gates
-// with DropExpired drop such tuples at admission instead of spending queue
-// capacity and service time on work that will be discarded at the sink.
+// after which their results are worthless (the zero time means none). While
+// deadline shedding is engaged, gates drop such tuples at admission instead
+// of spending queue capacity and service time on work that will be
+// discarded at the sink.
 type Deadlined interface {
 	ShedDeadline() time.Time
 }
 
 // Sheddable lets a tuple type exempt individual tuples from shedding.
 // Punctuation (end-of-layer markers) must implement it and return false:
-// windowed operators rely on markers to close, so a gate forwards them even
-// under drop policies. Tuples that do not implement the interface are
-// sheddable.
+// windowed operators rely on markers to close, so a gate always forwards
+// them. Tuples that do not implement the interface are sheddable.
 type Sheddable interface {
 	Sheddable() bool
 }
 
-// ShedMode selects what a gate does when the operator's output edge is full.
-type ShedMode int
-
-const (
-	// ShedBlock keeps the default blocking back-pressure semantics. A gate
-	// in this mode sheds nothing on overflow; combine with DropExpired (or
-	// the dynamic knobs) to drop only expired tuples.
-	ShedBlock ShedMode = iota
-
-	// ShedDropOldest evicts the oldest queued chunk from the edge to make
-	// room for new data — freshest-first semantics for monitoring feeds
-	// where a stale reading is worth less than the current one.
-	// Non-sheddable tuples (markers) inside an evicted chunk survive: they
-	// are re-enqueued behind the queue's remaining chunks.
-	ShedDropOldest
-
-	// ShedDropLowest drops an incoming tuple whose priority is below the
-	// gate's floor when the edge is full; tuples at or above the floor
-	// block as usual. Priority-class admission control.
-	ShedDropLowest
-)
-
-// String names the mode for logs and DOT labels.
-func (m ShedMode) String() string {
-	switch m {
-	case ShedBlock:
-		return "block"
-	case ShedDropOldest:
-		return "drop-oldest"
-	case ShedDropLowest:
-		return "drop-lowest"
-	default:
-		return "unknown"
-	}
-}
-
-// ShedPolicy configures one operator's shed gate (WithShedPolicy).
-// The zero value is an inert gate: blocking semantics, nothing shed, but the
-// operator is opted in to the query's dynamic overload knobs, so a
-// controller can start shedding there later.
-type ShedPolicy struct {
-	// Mode picks the overflow behaviour (see ShedMode).
-	Mode ShedMode
-
-	// DropExpired sheds tuples whose deadline has passed at admission time,
-	// regardless of queue state.
-	DropExpired bool
-
-	// Floor is the priority at and above which tuples are exempt from
-	// drop-lowest shedding. Tuples without a priority rank 0, so a positive
-	// floor sheds all unprioritized tuples on overflow.
-	Floor int
-}
-
-// WithShedPolicy installs a shed gate on the operator being built. Shed
-// decisions are made at enqueue time — before a tuple is buffered for the
-// operator's output edge — so a gated operator never blocks on tuples the
-// policy would discard. Shed tuples still advance the operator's watermark
-// (heartbeat-only progress), so event-time windows downstream keep closing.
-func WithShedPolicy(p ShedPolicy) OpOption {
-	return func(o *opOptions) {
-		o.shed = p
-		o.shedSet = true
-	}
+// WithShedGate installs a shed gate on the operator being built, opting it
+// in to the query's dynamic OverloadKnobs. Shed decisions are made at
+// enqueue time — before a tuple is buffered for the operator's output edge —
+// so a gated operator never blocks on tuples the knobs would discard. Shed
+// tuples still advance the operator's watermark (heartbeat-only progress),
+// so event-time windows downstream keep closing.
+func WithShedGate() OpOption {
+	return func(o *opOptions) { o.shedGate = true }
 }
 
 // OverloadKnobs are the query-wide dynamic degradation controls. They start
@@ -110,7 +55,7 @@ func WithShedPolicy(p ShedPolicy) OpOption {
 // query runs; every knob read is a single atomic load guarded by one
 // "engaged" flag, so an idle controller costs the hot path nothing
 // measurable. Dynamic shedding applies only to operators that carry a gate
-// (WithShedPolicy, possibly with an inert zero policy).
+// (WithShedGate).
 type OverloadKnobs struct {
 	// engaged is true while any knob is away from neutral — the hot-path
 	// fast check.
@@ -201,23 +146,21 @@ func (k *OverloadKnobs) boostedLinger(base time.Duration) time.Duration {
 func (q *Query) Overload() *OverloadKnobs { return &q.knobs }
 
 // shedGate makes the per-tuple shed decision for one operator's output edge.
-// Nil gates (operators without WithShedPolicy) are inert.
+// Nil gates (operators without WithShedGate) are inert.
 type shedGate[T any] struct {
-	policy ShedPolicy
-	knobs  *OverloadKnobs
-	qz     *quiescer
-	out    chan []T
-	stats  *OpStats
+	knobs *OverloadKnobs
+	out   chan []T
+	stats *OpStats
 }
 
 // newShedGate builds the gate an emitter installs, or nil when the operator
 // was not opted in.
-func newShedGate[T any](qz *quiescer, out chan []T, stats *OpStats) *shedGate[T] {
-	policy, gated, knobs := stats.shedSetup()
+func newShedGate[T any](out chan []T, stats *OpStats) *shedGate[T] {
+	gated, knobs := stats.shedSetup()
 	if !gated {
 		return nil
 	}
-	return &shedGate[T]{policy: policy, knobs: knobs, qz: qz, out: out, stats: stats}
+	return &shedGate[T]{knobs: knobs, out: out, stats: stats}
 }
 
 // The assertion helpers mirror trace.go: check *T first so struct tuples are
@@ -264,71 +207,32 @@ func shedPriorityOf[T any](v *T) int {
 // else owed. v must point into caller-owned storage (the emitter's open
 // chunk); admit never retains it.
 func (g *shedGate[T]) admit(v *T) bool {
-	if g == nil {
+	if g == nil || !g.knobs.engaged.Load() || !sheddableOf(v) {
 		return true
 	}
-	if !sheddableOf(v) {
-		return true
-	}
-	dynDrop, dynFloor := false, 0
-	if g.knobs != nil && g.knobs.engaged.Load() {
-		dynDrop = g.knobs.dropExpired.Load()
-		dynFloor = int(g.knobs.floor.Load())
-	}
-	if g.policy.DropExpired || dynDrop {
+	if g.knobs.dropExpired.Load() {
 		if dl, ok := shedDeadlineOf(v); ok && !dl.IsZero() && time.Now().After(dl) {
-			g.shedTuple(v, &g.stats.shedExpired, "expired")
+			shedTuple(g.stats, v, &g.stats.shedExpired, "expired")
 			return false
 		}
 	}
-	floor := dynFloor
-	if g.policy.Mode == ShedDropLowest && g.policy.Floor > floor {
-		floor = g.policy.Floor
-	}
-	if floor > 0 && len(g.out) == cap(g.out) {
+	if floor := int(g.knobs.floor.Load()); floor > 0 && len(g.out) == cap(g.out) {
 		if shedPriorityOf(v) < floor {
-			g.shedTuple(v, &g.stats.shedLowPri, "lowpri")
+			shedTuple(g.stats, v, &g.stats.shedLowPri, "lowpri")
 			return false
 		}
 	}
 	return true
 }
 
-// send enqueues chunk on the edge. Under ShedDropOldest a full edge is made
-// room in by evicting its oldest chunks (freshest data wins); otherwise the
-// send blocks exactly like an ungated operator's. Unsheddable tuples rescued
-// from evicted chunks are carried ahead of the fresh chunk — never re-queued
-// behind it — so punctuation survives without refilling the edge. Evictions
-// are bounded by the edge capacity so a pathological queue degrades to a
-// plain blocking send instead of spinning.
-func (g *shedGate[T]) send(ctx context.Context, chunk []T) error {
-	if g.policy.Mode == ShedDropOldest {
-		var rescued []T
-		for tries := cap(g.out); tries > 0 && len(g.out) == cap(g.out); tries-- {
-			select {
-			case old := <-g.out:
-				g.qz.unsend()
-				rescued = append(rescued, g.shedChunk(old)...)
-			default:
-				// The consumer drained a slot between the probes.
-			}
-		}
-		if len(rescued) > 0 {
-			chunk = append(rescued, chunk...)
-		}
-	}
-	return sendChunk(g.qz, ctx, g.out, chunk)
-}
-
-// shedTuple counts one shed tuple and folds its event time into the
-// operator's watermark — the heartbeat that keeps downstream event-time
-// progress (and therefore window closing) intact even though the payload is
-// gone.
-func (g *shedGate[T]) shedTuple(v *T, counter *atomic.Int64, reason string) {
+// shedTuple counts one shed tuple and folds its event time into the operator's
+// watermark — the heartbeat that keeps downstream event-time progress (and
+// therefore window closing) intact even though the payload is gone.
+func shedTuple[T any](s *OpStats, v *T, counter *atomic.Int64, reason string) {
 	counter.Add(1)
-	g.stats.noteShedBurst(reason)
+	s.noteShedBurst(reason)
 	if t, ok := eventTimeOf(v); ok {
-		g.stats.observeEventTime(t)
+		s.observeEventTime(t)
 	}
 }
 
@@ -337,63 +241,33 @@ func (g *shedGate[T]) shedTuple(v *T, counter *atomic.Int64, reason string) {
 // a queue; a slow sink's backlog ages out *inside* its input queue, after
 // admission, so the sink re-checks deadlines as it dequeues — dropping an
 // expired tuple costs one time.Now instead of the sink's full service time.
-// Only deadline shedding applies (there is no edge for overflow or priority
-// floors); shed tuples are counted and heartbeat the watermark exactly like
+// Only deadline shedding applies (there is no edge for a priority floor);
+// shed tuples are counted and heartbeat the watermark exactly like
 // emit-side sheds.
 type sinkGate[T any] struct {
-	policy ShedPolicy
-	knobs  *OverloadKnobs
-	stats  *OpStats
+	knobs *OverloadKnobs
+	stats *OpStats
 }
 
 // newSinkGate builds the drain-side gate, or nil when the sink was not
-// opted in with WithShedPolicy.
+// opted in with WithShedGate.
 func newSinkGate[T any](stats *OpStats) *sinkGate[T] {
-	policy, gated, knobs := stats.shedSetup()
+	gated, knobs := stats.shedSetup()
 	if !gated {
 		return nil
 	}
-	return &sinkGate[T]{policy: policy, knobs: knobs, stats: stats}
+	return &sinkGate[T]{knobs: knobs, stats: stats}
 }
 
 // admit reports whether the sink should service *v; false means v was shed
 // as expired (counted, watermark heartbeat folded in).
 func (g *sinkGate[T]) admit(v *T) bool {
-	if !sheddableOf(v) {
+	if !g.knobs.engaged.Load() || !g.knobs.dropExpired.Load() || !sheddableOf(v) {
 		return true
 	}
-	drop := g.policy.DropExpired
-	if !drop && g.knobs != nil && g.knobs.engaged.Load() {
-		drop = g.knobs.dropExpired.Load()
-	}
-	if !drop {
-		return true
-	}
-	dl, ok := shedDeadlineOf(v)
-	if !ok {
-		return true
-	}
-	if !dl.IsZero() && time.Now().After(dl) {
-		g.stats.shedExpired.Add(1)
-		g.stats.noteShedBurst("expired")
-		if t, ok := eventTimeOf(v); ok {
-			g.stats.observeEventTime(t)
-		}
+	if dl, ok := shedDeadlineOf(v); ok && !dl.IsZero() && time.Now().After(dl) {
+		shedTuple(g.stats, v, &g.stats.shedExpired, "expired")
 		return false
 	}
 	return true
-}
-
-// shedChunk counts the sheddable tuples of an evicted chunk and returns the
-// unsheddable survivors (markers) for re-emission ahead of the fresh data.
-func (g *shedGate[T]) shedChunk(chunk []T) []T {
-	var keep []T
-	for i := range chunk {
-		if !sheddableOf(&chunk[i]) {
-			keep = append(keep, chunk[i])
-			continue
-		}
-		g.shedTuple(&chunk[i], &g.stats.shedOverflow, "overflow")
-	}
-	return keep
 }

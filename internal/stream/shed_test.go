@@ -21,8 +21,8 @@ func (l loadTuple) ShedPriority() int       { return l.Prio }
 func (l loadTuple) ShedDeadline() time.Time { return l.Deadline }
 func (l loadTuple) Sheddable() bool         { return !l.Marker }
 
-// TestOverloadShedDropExpired checks that a DropExpired gate drops tuples whose
-// deadline has passed at admission, keeps live ones, counts each shed
+// TestOverloadShedDropExpired checks that a gate with deadline shedding
+// engaged drops tuples whose deadline has passed at admission, keeps live ones, counts each shed
 // exactly once, and still advances the source watermark past the shed
 // tuples (heartbeat-only progress).
 func TestOverloadShedDropExpired(t *testing.T) {
@@ -37,8 +37,8 @@ func TestOverloadShedDropExpired(t *testing.T) {
 		}
 	}
 	q := NewQuery("expired")
-	src := AddSource(q, "src", FromSlice(items),
-		WithShedPolicy(ShedPolicy{DropExpired: true}))
+	q.Overload().SetShedLate(true, 0)
+	src := AddSource(q, "src", FromSlice(items), WithShedGate())
 	var got []loadTuple
 	AddSink(q, "sink", src, ToSlice(&got))
 	if err := runQuery(t, q); err != nil {
@@ -53,9 +53,9 @@ func TestOverloadShedDropExpired(t *testing.T) {
 		}
 	}
 	stats := q.Metrics().Op("src")
-	exp, low, ovf := stats.Shed()
-	if exp != n/2 || low != 0 || ovf != 0 {
-		t.Fatalf("Shed() = (%d, %d, %d), want (%d, 0, 0)", exp, low, ovf, n/2)
+	exp, low := stats.Shed()
+	if exp != n/2 || low != 0 {
+		t.Fatalf("Shed() = (%d, %d), want (%d, 0)", exp, low, n/2)
 	}
 	// Exact accounting: delivered + shed == offered.
 	if int64(len(got))+exp != n {
@@ -71,12 +71,13 @@ func TestOverloadShedDropExpired(t *testing.T) {
 	}
 }
 
-// TestOverloadShedDropLowest fills the source's edge against a gated-open sink and
-// checks that low-priority tuples are dropped while at-or-above-floor tuples
-// block and survive.
+// TestOverloadShedDropLowest engages the priority floor, fills the source's
+// edge against a gated-open sink, and checks that low-priority tuples are
+// dropped while at-or-above-floor tuples block and survive.
 func TestOverloadShedDropLowest(t *testing.T) {
 	release := make(chan struct{})
 	q := NewQuery("lowest", WithQueryBatch(1), WithQueryLinger(0))
+	q.Overload().SetShedLate(false, 1)
 	emitted := make(chan struct{}, 16)
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[loadTuple]) error {
 		// Two tuples saturate sink-input: one parked in the channel
@@ -99,7 +100,7 @@ func TestOverloadShedDropLowest(t *testing.T) {
 			return err
 		}
 		return nil
-	}, WithBuffer(1), WithShedPolicy(ShedPolicy{Mode: ShedDropLowest, Floor: 1}))
+	}, WithBuffer(1), WithShedGate())
 	var got []loadTuple
 	first := true
 	AddSink(q, "sink", src, func(v loadTuple) error {
@@ -125,79 +126,14 @@ func TestOverloadShedDropLowest(t *testing.T) {
 			t.Fatalf("low-priority tuple 2 should have been shed, got %+v", got)
 		}
 	}
-	_, low, _ := q.Metrics().Op("src").Shed()
+	_, low := q.Metrics().Op("src").Shed()
 	if low != 1 {
 		t.Fatalf("shed lowpri = %d, want 1", low)
 	}
 }
 
-// TestOverloadShedDropOldest fills the edge and checks that a drop-oldest gate
-// evicts queued chunks to admit fresh data — and that unsheddable markers
-// inside an evicted chunk survive.
-func TestOverloadShedDropOldest(t *testing.T) {
-	release := make(chan struct{})
-	emitted := make(chan struct{})
-	q := NewQuery("oldest", WithQueryBatch(1), WithQueryLinger(0))
-	src := AddSource(q, "src", func(ctx context.Context, emit Emit[loadTuple]) error {
-		// Tuple 0 goes to the (blocked) sink, tuple 1 and the marker fill
-		// nothing yet: cap is 2, so 1 and the marker park on the edge.
-		if err := emit(loadTuple{TS: 0, Val: 0}); err != nil {
-			return err
-		}
-		emitted <- struct{}{}
-		if err := emit(loadTuple{TS: 1, Val: 1}); err != nil {
-			return err
-		}
-		if err := emit(loadTuple{TS: 2, Val: 2, Marker: true}); err != nil {
-			return err
-		}
-		// Edge full (2 chunks). The next two emits each evict the oldest
-		// queued chunk: tuple 1 is shed, the marker is re-enqueued.
-		if err := emit(loadTuple{TS: 3, Val: 3}); err != nil {
-			return err
-		}
-		if err := emit(loadTuple{TS: 4, Val: 4}); err != nil {
-			return err
-		}
-		close(release)
-		return nil
-	}, WithBuffer(2), WithShedPolicy(ShedPolicy{Mode: ShedDropOldest}))
-	var got []loadTuple
-	first := true
-	AddSink(q, "sink", src, func(v loadTuple) error {
-		if first {
-			first = false
-			<-emitted
-			<-release
-		}
-		got = append(got, v)
-		return nil
-	})
-	if err := runQuery(t, q); err != nil {
-		t.Fatalf("Run() error = %v", err)
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		seen[v.Val] = true
-	}
-	if !seen[0] || !seen[2] || !seen[3] || !seen[4] {
-		t.Fatalf("sink missing required tuples (marker must survive eviction): got %+v", got)
-	}
-	if seen[1] {
-		t.Fatalf("tuple 1 should have been evicted: got %+v", got)
-	}
-	_, _, ovf := q.Metrics().Op("src").Shed()
-	if ovf < 1 {
-		t.Fatalf("shed overflow = %d, want >= 1", ovf)
-	}
-	// Offered 5, delivered 4, shed accounts for the difference.
-	if int64(len(got))+ovf != 5 {
-		t.Fatalf("delivered %d + shed %d != offered 5", len(got), ovf)
-	}
-}
-
 // TestOverloadShedInertGateIsTransparent checks the zero-cost-off contract: a gate
-// with the zero policy (and neutral knobs) sheds nothing and preserves
+// under neutral knobs sheds nothing and preserves
 // classic blocking semantics and exact delivery.
 func TestOverloadShedInertGateIsTransparent(t *testing.T) {
 	const n = 500
@@ -206,7 +142,7 @@ func TestOverloadShedInertGateIsTransparent(t *testing.T) {
 		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: time.Now().Add(-time.Hour)}
 	}
 	q := NewQuery("inert", WithQueryBatch(8))
-	src := AddSource(q, "src", FromSlice(items), WithShedPolicy(ShedPolicy{}))
+	src := AddSource(q, "src", FromSlice(items), WithShedGate())
 	var got []loadTuple
 	AddSink(q, "sink", src, ToSlice(&got))
 	if err := runQuery(t, q); err != nil {
@@ -215,9 +151,9 @@ func TestOverloadShedInertGateIsTransparent(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("sink got %d tuples, want %d (inert gate must not shed)", len(got), n)
 	}
-	exp, low, ovf := q.Metrics().Op("src").Shed()
-	if exp+low+ovf != 0 {
-		t.Fatalf("inert gate shed (%d, %d, %d), want zero", exp, low, ovf)
+	exp, low := q.Metrics().Op("src").Shed()
+	if exp+low != 0 {
+		t.Fatalf("inert gate shed (%d, %d), want zero", exp, low)
 	}
 }
 
@@ -233,7 +169,7 @@ func TestOverloadKnobsEngageShedding(t *testing.T) {
 	}
 	q := NewQuery("dynamic")
 	q.Overload().SetShedLate(true, 0)
-	src := AddSource(q, "src", FromSlice(items), WithShedPolicy(ShedPolicy{}))
+	src := AddSource(q, "src", FromSlice(items), WithShedGate())
 	var got []loadTuple
 	AddSink(q, "sink", src, ToSlice(&got))
 	if err := runQuery(t, q); err != nil {
@@ -242,7 +178,7 @@ func TestOverloadKnobsEngageShedding(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("sink got %d tuples, want 0 (all expired, knob engaged)", len(got))
 	}
-	exp, _, _ := q.Metrics().Op("src").Shed()
+	exp, _ := q.Metrics().Op("src").Shed()
 	if exp != n {
 		t.Fatalf("shed expired = %d, want %d", exp, n)
 	}
@@ -266,9 +202,10 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: deadline}
 	}
 	q := NewQuery("agedsink", WithQueryBatch(1), WithQueryLinger(0))
+	q.Overload().SetShedLate(true, 0)
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[loadTuple]) error {
-		// All tuples are fresh at emit time, so the emit-side gate (were one
-		// installed) would admit every one of them.
+		// All tuples are fresh at emit time, so an emit-side gate (the source
+		// has none) would admit every one of them.
 		for _, v := range items {
 			if err := emit(v); err != nil {
 				return err
@@ -282,12 +219,12 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	AddSink(q, "sink", src, func(v loadTuple) error {
 		if first {
 			first = false
-			<-release // the whole backlog is queued …
+			<-release                          // the whole backlog is queued …
 			time.Sleep(100 * time.Millisecond) // … and now it is expired
 		}
 		got = append(got, v)
 		return nil
-	}, WithShedPolicy(ShedPolicy{DropExpired: true}))
+	}, WithShedGate())
 	if err := runQuery(t, q); err != nil {
 		t.Fatalf("Run() error = %v", err)
 	}
@@ -296,9 +233,9 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	if len(got) == 0 || got[0].Val != 0 {
 		t.Fatalf("sink first delivery = %+v, want tuple 0", got)
 	}
-	exp, low, ovf := q.Metrics().Op("sink").Shed()
-	if low != 0 || ovf != 0 {
-		t.Fatalf("sink shed by wrong reason: lowpri=%d overflow=%d", low, ovf)
+	exp, low := q.Metrics().Op("sink").Shed()
+	if low != 0 {
+		t.Fatalf("sink shed by wrong reason: lowpri=%d", low)
 	}
 	if exp == 0 {
 		t.Fatal("sink gate shed nothing although the backlog expired in-queue")
@@ -313,8 +250,8 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	}
 }
 
-// TestOverloadSinkGateInertIsTransparent: a sink with the zero policy and neutral
-// knobs delivers everything, even long-expired tuples.
+// TestOverloadSinkGateInertIsTransparent: a gated sink under neutral knobs
+// delivers everything, even long-expired tuples.
 func TestOverloadSinkGateInertIsTransparent(t *testing.T) {
 	const n = 100
 	items := make([]loadTuple, n)
@@ -324,16 +261,16 @@ func TestOverloadSinkGateInertIsTransparent(t *testing.T) {
 	q := NewQuery("inertsink", WithQueryBatch(8))
 	src := AddSource(q, "src", FromSlice(items))
 	var got []loadTuple
-	AddSink(q, "sink", src, ToSlice(&got), WithShedPolicy(ShedPolicy{}))
+	AddSink(q, "sink", src, ToSlice(&got), WithShedGate())
 	if err := runQuery(t, q); err != nil {
 		t.Fatalf("Run() error = %v", err)
 	}
 	if len(got) != n {
 		t.Fatalf("sink got %d tuples, want %d (inert sink gate must not shed)", len(got), n)
 	}
-	exp, low, ovf := q.Metrics().Op("sink").Shed()
-	if exp+low+ovf != 0 {
-		t.Fatalf("inert sink gate shed (%d, %d, %d), want zero", exp, low, ovf)
+	exp, low := q.Metrics().Op("sink").Shed()
+	if exp+low != 0 {
+		t.Fatalf("inert sink gate shed (%d, %d), want zero", exp, low)
 	}
 }
 

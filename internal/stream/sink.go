@@ -13,8 +13,8 @@ import (
 type SinkFunc[T any] func(T) error
 
 // AddSink registers a sink operator that consumes stream in. A sink with a
-// shed policy (WithShedPolicy, possibly inert) drops expired tuples at the
-// doorstep — after they are dequeued but before fn spends service time on
+// shed gate (WithShedGate), while deadline shedding is engaged, drops
+// expired tuples at the doorstep — after they are dequeued but before fn spends service time on
 // them — which is where a slow sink's backlog actually ages out.
 func AddSink[T any](q *Query, name string, in *Stream[T], fn SinkFunc[T], opts ...OpOption) {
 	in.claim(q, name)
@@ -24,7 +24,7 @@ func AddSink[T any](q *Query, name string, in *Stream[T], fn SinkFunc[T], opts .
 	}
 	o := applyOpts(opts)
 	stats := q.metrics.Op(name)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&sinkOp[T]{
 		name: name, in: in.ch, fn: fn, g: q.qz.newGuard(), stats: stats,
 		traces: q.traces, gate: newSinkGate[T](stats),

@@ -78,7 +78,6 @@ type joinSnap[L, R any, K comparable] struct {
 	SawL, SawR bool
 	LClosed    bool
 	RClosed    bool
-	SincePurge int
 }
 
 func (j *joinOp[L, R, K, Out]) Snapshot() ([]byte, error) {
@@ -86,7 +85,6 @@ func (j *joinOp[L, R, K, Out]) Snapshot() ([]byte, error) {
 		MaxL: j.maxL, MaxR: j.maxR,
 		SawL: j.sawL, SawR: j.sawR,
 		LClosed: j.lClosed, RClosed: j.rClosed,
-		SincePurge: j.sincePurge,
 	}
 	for k, buf := range j.lbuf {
 		s.L = append(s.L, joinSideSnap[K, L]{Key: k, Tuples: buf})
@@ -113,6 +111,5 @@ func (j *joinOp[L, R, K, Out]) Restore(b []byte) error {
 	j.maxL, j.maxR = s.MaxL, s.MaxR
 	j.sawL, j.sawR = s.SawL, s.SawR
 	j.lClosed, j.rClosed = s.LClosed, s.RClosed
-	j.sincePurge = s.SincePurge
 	return nil
 }

@@ -43,7 +43,7 @@ func AddSource[T any](q *Query, name string, fn SourceFunc[T], opts ...OpOption)
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&sourceOp[T]{
 		name: name, fn: fn, out: out.ch, g: q.qz.newGuard(),
 		batch: q.batchSize, linger: q.linger, stats: stats,
@@ -65,7 +65,7 @@ func AddPositionedSource[T any](q *Query, name string, start uint64, fn Position
 	}
 	stats := q.metrics.Op(name)
 	watchOutput(stats, out.ch)
-	stats.installShed(o.shed, o.shedSet, &q.knobs)
+	stats.installShed(o.shedGate, &q.knobs)
 	s := &sourceOp[T]{
 		name: name, pfn: fn, out: out.ch, g: q.qz.newGuard(),
 		batch: q.batchSize, linger: q.linger, stats: stats,

@@ -67,11 +67,9 @@ func newStream[T any](q *Query, producer string, buf int) *Stream[T] {
 // query-wide (WithQueryBatch / WithQueryLinger).
 type opOptions struct {
 	buffer int
-	// shed is the operator's overload policy; shedSet records that
-	// WithShedPolicy was passed at all (a zero policy still installs an
-	// inert gate the dynamic overload knobs can engage later).
-	shed    ShedPolicy
-	shedSet bool
+	// shedGate records WithShedGate: the operator gets a gate the dynamic
+	// overload knobs can engage.
+	shedGate bool
 }
 
 // OpOption customizes a single operator created by a builder function.

@@ -1,13 +1,13 @@
 // Exposition smoke test for the overload-protection metrics (DESIGN.md §11):
-// a deployment that shed expired tuples, suppressed an expired durable
-// effect, rejected an over-quota publish, and holds a circuit breaker must
-// serve all of it as a valid Prometheus exposition.
+// a deployment that shed expired tuples and suppressed an expired durable
+// effect must serve all of it as a valid Prometheus exposition — and none of
+// the series of the removed overload mechanisms (subject quotas, the client
+// circuit breaker, pending-buffer drop policies).
 package telemetry_test
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,7 +20,7 @@ import (
 )
 
 func TestOverloadMetricsExposition(t *testing.T) {
-	broker := pubsub.NewBroker(pubsub.WithSubjectQuota("quota.>", 1))
+	broker := pubsub.NewBroker()
 	defer broker.Close()
 	m, err := core.NewManager(t.TempDir(), broker,
 		core.WithOverloadControl(core.OverloadConfig{}))
@@ -98,28 +98,14 @@ func TestOverloadMetricsExposition(t *testing.T) {
 		}
 	}()
 
-	// Broker admission: fill the only matching subscription to its quota and
-	// bounce one publish off it.
-	sub, err := broker.Subscribe("quota.x", pubsub.WithSubBuffer(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Unsubscribe()
-	if err := broker.Publish("quota.x", []byte("fill")); err != nil {
-		t.Fatal(err)
-	}
-	if err := broker.Publish("quota.x", nil); !errors.Is(err, pubsub.ErrOverQuota) {
-		t.Fatalf("publish at quota = %v, want ErrOverQuota", err)
-	}
-
-	// Client breaker: a healthy connection with a breaker installed exposes
-	// its state gauge and counters.
+	// A healthy client link: its collector must expose the link gauges
+	// and nothing of the removed drop policies or circuit breaker.
 	srv, err := pubsub.Serve(broker, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rc, err := pubsub.DialReconnect(srv.Addr(), pubsub.WithBreaker(3, time.Second))
+	rc, err := pubsub.DialReconnect(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +127,8 @@ func TestOverloadMetricsExposition(t *testing.T) {
 		"controller pressure gauge": "strata_overload_pressure",
 		"shed counter (expired)":    `strata_stream_op_shed_total{op="src",query="shedder",reason="expired"} 10`,
 		"expired durable effects":   `strata_overload_expired_effects_total{pipeline="terminus",sink="out"} 1`,
-		"broker quota rejections":   "strata_pubsub_over_quota_total 1",
 		"slow-consumer evictions":   "strata_pubsub_slow_consumers_evicted_total 0",
-		"breaker state gauge":       `strata_pubsub_client_breaker_state{state="closed"} 1`,
-		"breaker opened counter":    "strata_pubsub_client_breaker_opened_total 0",
-		"breaker fast-fail counter": "strata_pubsub_client_breaker_fast_fails_total 0",
+		"client pending gauge":      "strata_pubsub_client_pending 0",
 	}
 	complete := func(text string) bool {
 		for _, marker := range markers {
@@ -170,6 +153,18 @@ func TestOverloadMetricsExposition(t *testing.T) {
 	for what, marker := range markers {
 		if !strings.Contains(text, marker) {
 			t.Errorf("/metrics missing %s: %q\n---\n%s", what, marker, text)
+		}
+	}
+	for _, gone := range []string{
+		"strata_pubsub_over_quota_total",
+		"strata_pubsub_client_pending_dropped_total",
+		"strata_pubsub_client_breaker_state",
+		"strata_pubsub_client_breaker_opened_total",
+		"strata_pubsub_client_breaker_fast_fails_total",
+		`reason="overflow"`,
+	} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still serves removed series %q", gone)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -423,4 +424,28 @@ func TestCSVExports(t *testing.T) {
 			t.Fatalf("%s has %d lines:\n%s", f, lines, data)
 		}
 	}
+}
+
+// TestPortionNameGrowsConcurrently: the interned portion grid grows in
+// either dimension while parallel branches read it, and every lookup
+// returns the name it would have formatted.
+func TestPortionNameGrowsConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				col, row := (i*7+g)%90, (i*13+g*5)%70
+				if g%2 == 1 {
+					col, row = row, col
+				}
+				if got, want := portionName(col, row), fmt.Sprintf("c%d-%d", col, row); got != want {
+					t.Errorf("portionName(%d, %d) = %q, want %q", col, row, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

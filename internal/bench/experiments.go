@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"strata/internal/amsim"
@@ -162,7 +162,8 @@ func RunOnce(
 	var rec LatencyRecorder
 	var results int
 	var events int64
-	err = BuildPipeline(fw, feed, layerMM, params, func(r Result) error {
+	var cells atomic.Int64
+	err = buildPipeline(fw, feed, layerMM, params, func(r Result) error {
 		rec.Record(r.Latency)
 		results++
 		events += int64(r.Events)
@@ -170,7 +171,7 @@ func RunOnce(
 			gate.done(r.Layer)
 		}
 		return nil
-	})
+	}, &cells)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -183,7 +184,7 @@ func RunOnce(
 	return RunStats{
 		Latencies:      rec.Values(),
 		Results:        results,
-		CellsProcessed: opOut(fw, "cell"),
+		CellsProcessed: cells.Load(),
 		Events:         events,
 		Elapsed:        elapsed,
 		Layers:         len(replay),
@@ -215,24 +216,6 @@ func CalibrateFromLayers(fw *core.Framework, layers []amsim.LayerData, n int) er
 		return fmt.Errorf("bench: dataset has no printed pixels to calibrate from")
 	}
 	return fw.StoreFloat(refKey, sum/float64(cnt))
-}
-
-// opOut sums the Out counter of the named stage across its parallel
-// replicas ("name" or "name.<i>", excluding the shuffle/merge plumbing).
-func opOut(fw *core.Framework, name string) int64 {
-	var total int64
-	for _, s := range fw.Query().Metrics().Snapshot() {
-		if s.Name == name {
-			total += s.Out
-			continue
-		}
-		if rest, ok := strings.CutPrefix(s.Name, name+"."); ok {
-			if rest != "shuffle" && rest != "merge" {
-				total += s.Out
-			}
-		}
-	}
-	return total
 }
 
 // replayBuffer renders the standard experiment build once.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"strata/internal/core"
@@ -85,17 +86,17 @@ func RunCheckpointOverhead(ctx context.Context, cfg ExperimentConfig, interval t
 		var rec LatencyRecorder
 		var results int
 		var events int64
-		var cells int64
+		var cells atomic.Int64
 		build := func(fw *core.Framework) error {
 			if err := calibrateFromReplay(fw, replay); err != nil {
 				return err
 			}
-			return BuildPipeline(fw, feed, layerMM, params, func(r Result) error {
+			return buildPipeline(fw, feed, layerMM, params, func(r Result) error {
 				rec.Record(r.Latency)
 				results++
 				events += int64(r.Events)
 				return nil
-			})
+			}, &cells)
 		}
 		var opts []core.DeployOption
 		if ckpt {
@@ -146,11 +147,10 @@ func RunCheckpointOverhead(ctx context.Context, cfg ExperimentConfig, interval t
 			return RunStats{}, waitErr
 		}
 		elapsed := time.Since(start)
-		cells = opOut(p.Framework(), "cell")
 		return RunStats{
 			Latencies:      rec.Values(),
 			Results:        results,
-			CellsProcessed: cells,
+			CellsProcessed: cells.Load(),
 			Events:         events,
 			Elapsed:        elapsed,
 			Layers:         len(replay),

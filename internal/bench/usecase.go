@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"strata/internal/amsim"
@@ -43,22 +44,62 @@ const refKey = "strata/ot/reference_emission"
 // into — without it every specimen tuple allocates a fresh cell slice.
 var cellScratch = sync.Pool{New: func() any { return new([]otimage.Cell) }}
 
-// portionNames and specimenNames intern the small bounded sets of portion
+// portionGrid and specimenNames intern the small bounded sets of portion
 // ("c<col>-<row>") and specimen ("spec<NN>") identifiers, so the per-cell
 // hot loop never re-formats a string it has produced before. Shared across
 // pipelines and parallel branches (the names only depend on geometry).
+// portionGrid is indexed [row][col] and read with one atomic load per cell
+// (a sync.Map lookup was a third of the cell stage's time at 2×2 px cells);
+// a cell outside it grows a copy under portionMu.
 var (
-	portionNames  sync.Map // uint64(col)<<32|row -> string
+	portionMu     sync.Mutex
+	portionGrid   atomic.Pointer[[][]string]
 	specimenNames sync.Map // int -> string
 )
 
 func portionName(col, row int) string {
-	k := uint64(uint32(col))<<32 | uint64(uint32(row))
-	if v, ok := portionNames.Load(k); ok {
-		return v.(string)
+	if g := portionGrid.Load(); g != nil && row < len(*g) && col < len((*g)[row]) {
+		return (*g)[row][col]
 	}
-	v, _ := portionNames.LoadOrStore(k, fmt.Sprintf("c%d-%d", col, row))
-	return v.(string)
+	return growPortionGrid(col, row)
+}
+
+// growPortionGrid returns the name of (col, row), first growing the grid to
+// cover it. Each dimension that grows at least doubles, so a new geometry
+// is interned in a few steps. Cell indices are never negative.
+func growPortionGrid(col, row int) string {
+	portionMu.Lock()
+	defer portionMu.Unlock()
+	var old [][]string
+	if g := portionGrid.Load(); g != nil {
+		old = *g
+	}
+	w, h := 0, len(old)
+	if h > 0 {
+		w = len(old[0])
+	}
+	if row < h && col < w {
+		return old[row][col] // grown meanwhile
+	}
+	if col >= w {
+		w = max(col+1, 2*w)
+	}
+	if row >= h {
+		h = max(row+1, 2*h)
+	}
+	grid := make([][]string, h)
+	for r := range grid {
+		grid[r] = make([]string, w)
+		for c := range grid[r] {
+			if r < len(old) && c < len(old[r]) {
+				grid[r][c] = old[r][c]
+			} else {
+				grid[r][c] = fmt.Sprintf("c%d-%d", c, r)
+			}
+		}
+	}
+	portionGrid.Store(&grid)
+	return grid[row][col]
 }
 
 func specimenName(id int) string {
@@ -178,6 +219,21 @@ func BuildPipeline(
 	params PipelineParams,
 	onResult func(Result) error,
 ) error {
+	return buildPipeline(fw, feed, layerMM, params, onResult, nil)
+}
+
+// buildPipeline is BuildPipeline that also adds every cell tuple
+// isolateCell() emits to cellCount, when cellCount is non-nil. The
+// experiments read their cells/s from it: the cell stage runs inside a
+// stage chain, so it has no operator counter of its own.
+func buildPipeline(
+	fw *core.Framework,
+	feed Feed,
+	layerMM float64,
+	params PipelineParams,
+	onResult func(Result) error,
+	cellCount *atomic.Int64,
+) error {
 	mmpp := feed.MMPerPixel()
 	p := params.withDefaults(mmpp)
 
@@ -265,6 +321,9 @@ func BuildPipeline(
 				cellScratch.Put(sp)
 				return err
 			}
+		}
+		if cellCount != nil {
+			cellCount.Add(int64(len(cs)))
 		}
 		cellScratch.Put(sp)
 		return nil

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"strings"
 	"time"
 
 	"strata/internal/kvstore"
@@ -118,7 +120,7 @@ func (fw *Framework) AddSource(name string, collect CollectFunc) *StreamRef {
 			}
 			return emit(t)
 		})
-		// Inert shed gate (see subLayerStage): lets the overload controller
+		// Inert shed gate (see StreamRef.compile): lets the overload controller
 		// shed expired tuples at the ingest edge, the first place overload
 		// shows up.
 	}, stream.WithShedGate())
@@ -239,7 +241,7 @@ func (fw *Framework) Partition(name string, in *StreamRef, f PartitionFunc, opts
 		fw.recordErr(fmt.Errorf("%w: Partition %q: input must come from AddSource, Fuse, or Partition", ErrBadPipeline, name))
 		return out
 	}
-	out.branches, out.s = fw.subLayerStage(name, in, opts, fillPartition, f)
+	fw.subLayerStage(out, in, opts, fillPartition, f)
 	return out
 }
 
@@ -256,53 +258,121 @@ func (fw *Framework) DetectEvent(name string, in *StreamRef, f DetectFunc, opts 
 		fw.recordErr(fmt.Errorf("%w: DetectEvent %q: input must come from AddSource, Fuse, or Partition", ErrBadPipeline, name))
 		return out
 	}
-	branches, single := fw.subLayerStage(name, in, opts, fillDetect, f)
-	out.branches, out.s = fw.tapEventsAll(name, branches, single)
+	fw.subLayerStage(out, in, opts, fillDetect, f)
+	if fw.broker != nil {
+		// The event connector taps every detect output, so the chain ends
+		// here.
+		out.compile(fw)
+		out.branches, out.s = fw.tapEventsAll(name, out.branches, out.s)
+	}
 	return out
 }
+
+// maxChainStages caps the stages of one chain; 0 leaves chains unbounded.
+// Tests set it to 1 to build every stage as its own operator.
+var maxChainStages = 0
 
 // subLayerStage wraps a user stage: markers pass through, the user function
 // runs on data tuples, and — when the input is still layer-granular — the
 // wrapper emits one end-of-layer marker per distinct output specimen (plus
 // the default specimen) after each input tuple.
 //
-// Parallel stages keep their output split into per-branch streams: because
-// every STRATA stage hashes on the same (job, specimen) key, a downstream
-// stage with the same parallelism reuses the branches directly instead of
-// re-merging and re-shuffling — the operator-fusion optimization that keeps
-// per-tuple channel hops constant regardless of pipeline depth.
+// The stage is not compiled yet: it extends the input's pending stage chain
+// when the parallelism matches, and starts a new chain otherwise. Parallel
+// chains keep their output split into per-branch streams, so a later chain
+// with the same parallelism reuses the branches instead of re-merging and
+// re-shuffling (every STRATA stage hashes on the same (job, specimen) key).
 func (fw *Framework) subLayerStage(
-	name string,
-	in *StreamRef,
+	out, in *StreamRef,
 	opts []StageOption,
 	fill stageFill,
 	fn func(t EventTuple, emit func(EventTuple) error) error,
-) ([]*stream.Stream[EventTuple], *stream.Stream[EventTuple]) {
-	cfg := applyStageOpts(opts)
-	emitMarkers := in.layerGranular
-	// One stageRun per FlatMap operator: each operator runs on its own
-	// goroutine, so the run's scratch state (current tuple, specimen
-	// tracking, the cached emit closure) is reused across tuples without
-	// locking — but must NOT be shared between parallel branches.
-	newWrapper := func() stream.FlatMapFunc[EventTuple, EventTuple] {
-		st := &stageRun{fill: fill, emitMarkers: emitMarkers, fn: fn}
-		st.emitOut = st.emitOne
-		return st.run
+) {
+	par := applyStageOpts(opts).parallelism
+	stage := stageRun{fill: fill, emitMarkers: in.layerGranular, fn: fn}
+	if c := in.chain; c != nil && c.par == par && (maxChainStages == 0 || len(c.stages) < maxChainStages) {
+		in.chained = true
+		out.chain = &stageChain{
+			par:    par,
+			inputs: c.inputs,
+			names:  append(slices.Clip(c.names), out.name),
+			stages: append(slices.Clip(c.stages), stage),
+		}
+	} else {
+		var inputs []*stream.Stream[EventTuple]
+		if par <= 1 {
+			inputs = []*stream.Stream[EventTuple]{in.singleStream(fw, out.name)}
+		} else {
+			inputs = in.branchStreams(fw, out.name, par)
+		}
+		out.chain = &stageChain{par: par, inputs: inputs, names: []string{out.name}, stages: []stageRun{stage}}
 	}
-	// Every sub-layer stage carries an inert shed gate: nothing is ever shed
-	// under normal operation (blocking back-pressure, bit-identical to an
-	// ungated stage), but the overload controller's dynamic knobs can start
+	fw.mu.Lock()
+	fw.pendingChains = append(fw.pendingChains, out)
+	fw.mu.Unlock()
+}
+
+// stageChain is a run of consecutive Partition/DetectEvent stages with equal
+// parallelism, not yet compiled. It compiles into one FlatMap per branch
+// whose function calls the stages back to back: a tuple a stage emits is
+// handed straight to the next stage's run, with no chunk, channel or
+// goroutine in between.
+type stageChain struct {
+	par int
+	// inputs holds one stream per branch (one stream when par is 1).
+	inputs []*stream.Stream[EventTuple]
+	names  []string
+	// stages are templates; every branch runs its own copies.
+	stages []stageRun
+}
+
+// compile turns the ref's pending stage chain into its operators. The
+// operator is named by joining the stage names with "+"; its stats, trace
+// spans and shed gate cover the whole chain.
+func (r *StreamRef) compile(fw *Framework) {
+	c := r.chain
+	if c == nil {
+		return
+	}
+	r.chain = nil
+	name := strings.Join(c.names, "+")
+	// Every chain carries an inert shed gate: nothing is ever shed under
+	// normal operation (blocking back-pressure, bit-identical to an ungated
+	// operator), but the overload controller's dynamic knobs can start
 	// shedding expired or low-priority tuples here without a redeploy.
 	gate := stream.WithShedGate()
-	if cfg.parallelism <= 1 {
-		return nil, stream.FlatMap(fw.query, name, in.singleStream(fw, name), newWrapper(), gate)
+	if c.par <= 1 {
+		r.s = stream.FlatMap(fw.query, name, c.inputs[0], c.operator(), gate)
+		return
 	}
-	branches := in.branchStreams(fw, name, cfg.parallelism)
-	outs := make([]*stream.Stream[EventTuple], len(branches))
-	for i, b := range branches {
-		outs[i] = stream.FlatMap(fw.query, fmt.Sprintf("%s.%d", name, i), b, newWrapper(), gate)
+	r.branches = make([]*stream.Stream[EventTuple], len(c.inputs))
+	for i, in := range c.inputs {
+		r.branches[i] = stream.FlatMap(fw.query, fmt.Sprintf("%s.%d", name, i), in, c.operator(), gate)
 	}
-	return outs, nil
+}
+
+// operator builds the FlatMap function of one branch. Each operator runs on
+// its own goroutine, so its stage copies reuse their scratch state across
+// tuples without locking — but must NOT be shared between branches. Every
+// stage is linked once here to the next one, so the per-tuple path
+// allocates nothing.
+func (c *stageChain) operator() stream.FlatMapFunc[EventTuple, EventTuple] {
+	runs := make([]*stageRun, len(c.stages))
+	for i := range c.stages {
+		st := c.stages[i]
+		st.emitOut = func(o EventTuple) error { return st.emitOne(&o) }
+		runs[i] = &st
+	}
+	for i := 0; i+1 < len(runs); i++ {
+		runs[i].next = runs[i+1]
+	}
+	first, last := runs[0], runs[len(runs)-1]
+	var in EventTuple
+	return func(t EventTuple, emit stream.Emit[EventTuple]) error {
+		last.emit = emit
+		in = t
+		return first.run(&in)
+	}
 }
 
 // stageFill selects how a sub-layer stage propagates the input tuple's
@@ -319,29 +389,36 @@ const (
 	fillDetect
 )
 
-// stageRun is the reusable per-operator state behind Partition and
-// DetectEvent. It replaces three layers of per-tuple closures (the metadata
-// fill, the specimen tracker, and the marker emitter) with one long-lived
-// struct and a single bound-method emit created at construction, so the
-// steady per-tuple path allocates nothing.
+// stageRun is the reusable per-branch state of one Partition or DetectEvent
+// stage in a chain. It replaces three layers of per-tuple closures (the
+// metadata fill, the specimen tracker, and the marker emitter) with one
+// long-lived struct and a single emit closure created at construction, so
+// the steady per-tuple path allocates nothing. Tuples travel down the chain
+// by pointer: a stage's output is copied once, into its out slot, and the
+// next stage reads it there.
 type stageRun struct {
 	fill        stageFill
 	emitMarkers bool
 	fn          func(t EventTuple, emit func(EventTuple) error) error
 
-	// emitOut is st.emitOne bound once; passing a method value per tuple
-	// would allocate a closure each call.
+	// emitOut is the emit handed to fn, built once; a closure or method
+	// value built per tuple would allocate each call.
 	emitOut func(EventTuple) error
-	// emit and cur are valid for the duration of one run() call.
+	// next is the chain's following stage; the last stage hands its output
+	// to the engine's emit instead.
+	next *stageRun
 	emit stream.Emit[EventTuple]
-	cur  EventTuple
+	// in is the tuple being processed, valid for the duration of one run()
+	// call; out holds the tuple being handed to next.
+	in  *EventTuple
+	out EventTuple
 	// seen/specimens are cleared and reused across tuples.
 	seen      map[string]bool
 	specimens []string
 }
 
-func (st *stageRun) emitOne(o EventTuple) error {
-	t := &st.cur
+func (st *stageRun) emitOne(o *EventTuple) error {
+	t := st.in
 	switch st.fill {
 	case fillPartition:
 		o.TS = t.TS
@@ -390,15 +467,23 @@ func (st *stageRun) emitOne(o EventTuple) error {
 		st.seen[o.Specimen] = true
 		st.specimens = append(st.specimens, o.Specimen)
 	}
-	return st.emit(o)
+	return st.pass(o)
 }
 
-func (st *stageRun) run(t EventTuple, emit stream.Emit[EventTuple]) error {
-	if t.isMarker() {
-		return emit(t)
+// pass hands o to the next stage, or out of the chain after the last one.
+func (st *stageRun) pass(o *EventTuple) error {
+	if st.next == nil {
+		return st.emit(*o)
 	}
-	st.emit = emit
-	st.cur = t
+	st.out = *o
+	return st.next.run(&st.out)
+}
+
+func (st *stageRun) run(t *EventTuple) error {
+	if t.isMarker() {
+		return st.pass(t)
+	}
+	st.in = t
 	if st.emitMarkers {
 		if st.seen == nil {
 			st.seen = make(map[string]bool, 4)
@@ -407,7 +492,7 @@ func (st *stageRun) run(t EventTuple, emit stream.Emit[EventTuple]) error {
 		}
 		st.specimens = st.specimens[:0]
 	}
-	err := st.fn(t, st.emitOut)
+	err := st.fn(*t, st.emitOut)
 	if err != nil {
 		return err
 	}
@@ -420,7 +505,8 @@ func (st *stageRun) run(t EventTuple, emit stream.Emit[EventTuple]) error {
 			st.specimens = append(st.specimens, DefaultSpecimen)
 		}
 		for _, sp := range st.specimens {
-			if err := emit(newMarker(t, sp)); err != nil {
+			m := newMarker(*t, sp)
+			if err := st.pass(&m); err != nil {
 				return err
 			}
 		}
@@ -614,7 +700,7 @@ func (fw *Framework) Deliver(name string, in *StreamRef, fn func(EventTuple) err
 		fw.recordErr(fmt.Errorf("%w: Deliver %q: nil input or function", ErrBadPipeline, name))
 		return
 	}
-	// Inert shed gate (see subLayerStage): when the overload controller
+	// Inert shed gate (see StreamRef.compile): when the overload controller
 	// engages shed-late, tuples that expired while queued for the sink are
 	// dropped at the doorstep instead of consuming delivery service time.
 	stream.AddSink(fw.query, name, in.singleStream(fw, name), func(t EventTuple) error {

@@ -1,0 +1,244 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"strata/internal/otimage"
+	"strata/internal/pubsub"
+	"strata/internal/stream"
+)
+
+// opNames lists the operators of fw's query.
+func opNames(fw *Framework) map[string]bool {
+	names := make(map[string]bool)
+	for _, s := range fw.Query().Metrics().Snapshot() {
+		names[s.Name] = true
+	}
+	return names
+}
+
+// specimensOf is a partition function emitting n specimens per layer.
+func specimensOf(n int) PartitionFunc {
+	return func(t EventTuple, emit func(EventTuple) error) error {
+		for i := 0; i < n; i++ {
+			if err := emit(EventTuple{Specimen: fmt.Sprintf("s%d", i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func passThrough(t EventTuple, emit func(EventTuple) error) error { return emit(t) }
+
+// TestStageChainCompilesOneOperatorPerBranch: consecutive Partition and
+// DetectEvent stages of equal parallelism become one operator per branch,
+// named by their stage names joined with "+", and a correlate over them
+// still sees every layer closed.
+func TestStageChainCompilesOneOperatorPerBranch(t *testing.T) {
+	fw := newTestFramework(t)
+	src := fw.AddSource("src", layersSource("j", 4, nil))
+	spec := fw.Partition("spec", src, specimensOf(3), WithParallelism(2))
+	cell := fw.Partition("cell", spec, passThrough, WithParallelism(2))
+	label := fw.DetectEvent("label", cell, passThrough, WithParallelism(2))
+	cor := fw.CorrelateEvents("out", label, 1, func(w CorrelateWindow, emit func(EventTuple) error) error {
+		return emit(EventTuple{KV: map[string]any{"n": int64(len(w.Events))}})
+	}, WithParallelism(2))
+	results := 0
+	fw.Deliver("expert", cor, func(t EventTuple) error {
+		if n, _ := t.GetInt("n"); n != 1 {
+			return fmt.Errorf("window of %s/%d holds %d events, want 1", t.Specimen, t.Layer, n)
+		}
+		results++
+		return nil
+	})
+	if err := runFW(t, fw); err != nil {
+		t.Fatal(err)
+	}
+	if results != 12 { // 4 layers × 3 specimens
+		t.Fatalf("delivered %d results, want 12", results)
+	}
+	ops := opNames(fw)
+	for _, want := range []string{"spec+cell+label.0", "spec+cell+label.1"} {
+		if !ops[want] {
+			t.Errorf("no operator %q in %v", want, ops)
+		}
+	}
+	for _, stage := range []string{"spec.0", "cell.0", "label.0"} {
+		if ops[stage] {
+			t.Errorf("stage %q compiled on its own: %v", stage, ops)
+		}
+	}
+}
+
+// TestStageChainUnconsumedStageDangles: a stage nothing consumes is still
+// compiled before Run, so Run reports its output as dangling.
+func TestStageChainUnconsumedStageDangles(t *testing.T) {
+	fw := newTestFramework(t)
+	src := fw.AddSource("src", layersSource("j", 2, nil))
+	fw.Partition("p", src, specimensOf(1))
+	if err := runFW(t, fw); !errors.Is(err, stream.ErrDanglingStream) {
+		t.Fatalf("Run() = %v, want ErrDanglingStream", err)
+	}
+}
+
+// TestStageChainRefConsumedTwice: a stage output feeding two consumers is a
+// build error whether both consumers extend its chain or one takes it as a
+// stream.
+func TestStageChainRefConsumedTwice(t *testing.T) {
+	t.Run("two-stages", func(t *testing.T) {
+		fw := newTestFramework(t)
+		src := fw.AddSource("src", layersSource("j", 2, nil))
+		p := fw.Partition("p", src, specimensOf(1))
+		fw.Deliver("out1", fw.DetectEvent("d1", p, passThrough), func(EventTuple) error { return nil })
+		fw.Deliver("out2", fw.DetectEvent("d2", p, passThrough), func(EventTuple) error { return nil })
+		if err := fw.Err(); !errors.Is(err, stream.ErrStreamConsumed) {
+			t.Fatalf("Err() = %v, want ErrStreamConsumed", err)
+		}
+	})
+	t.Run("stage-and-sink", func(t *testing.T) {
+		fw := newTestFramework(t)
+		src := fw.AddSource("src", layersSource("j", 2, nil))
+		p := fw.Partition("p", src, specimensOf(1))
+		fw.Deliver("out1", fw.DetectEvent("d", p, passThrough), func(EventTuple) error { return nil })
+		fw.Deliver("out2", p, func(EventTuple) error { return nil })
+		if err := fw.Err(); !errors.Is(err, stream.ErrStreamConsumed) {
+			t.Fatalf("Err() = %v, want ErrStreamConsumed", err)
+		}
+	})
+}
+
+// TestStageChainParallelismChangeShuffles: a stage with a different
+// parallelism ends the chain and re-partitions its input, and no specimen's
+// tuples are lost or duplicated on the way.
+func TestStageChainParallelismChangeShuffles(t *testing.T) {
+	fw := newTestFramework(t)
+	src := fw.AddSource("src", layersSource("j", 5, nil))
+	p := fw.Partition("p", src, specimensOf(4), WithParallelism(2))
+	d := fw.DetectEvent("d", p, passThrough, WithParallelism(3))
+	seen := make(map[string]int)
+	fw.Deliver("out", d, func(t EventTuple) error {
+		seen[fmt.Sprintf("%s/%d", t.Specimen, t.Layer)]++
+		return nil
+	})
+	if err := runFW(t, fw); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 20 {
+		t.Fatalf("delivered %d distinct (specimen, layer) tuples, want 20", len(seen))
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Fatalf("%s delivered %d times", k, n)
+		}
+	}
+	ops := opNames(fw)
+	for _, want := range []string{"p.0", "p.1", "d.shuffle", "d.0", "d.1", "d.2"} {
+		if !ops[want] {
+			t.Errorf("no operator %q in %v", want, ops)
+		}
+	}
+}
+
+// TestStageChainEventTapPublishesOnce: with a broker attached, the event
+// connector taps the chain's detect output, publishing every detect output
+// exactly once.
+func TestStageChainEventTapPublishesOnce(t *testing.T) {
+	broker := pubsub.NewBroker()
+	defer broker.Close()
+	evSub, err := broker.Subscribe(EventSubjectPrefix+".>", pubsub.WithSubBuffer(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := newTestFramework(t, WithBroker(broker))
+	src := fw.AddSource("src", layersSource("J", 6, nil))
+	p := fw.Partition("p", src, specimensOf(3), WithParallelism(2))
+	d := fw.DetectEvent("d", p, func(t EventTuple, emit func(EventTuple) error) error {
+		return emit(EventTuple{KV: map[string]any{"id": fmt.Sprintf("%s/%d", t.Specimen, t.Layer)}})
+	}, WithParallelism(2))
+	delivered := 0
+	fw.Deliver("out", d, func(EventTuple) error { delivered++; return nil })
+	if err := runFW(t, fw); err != nil {
+		t.Fatal(err)
+	}
+	published := make(map[string]int)
+	for _, m := range drainSub(evSub) {
+		tup, err := DecodeTuple(m.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _ := tup.GetString("id")
+		published[id]++
+	}
+	if delivered != 18 || len(published) != 18 {
+		t.Fatalf("delivered %d, published %d distinct events, want 18 each", delivered, len(published))
+	}
+	for id, n := range published {
+		if n != 1 {
+			t.Fatalf("event %s published %d times", id, n)
+		}
+	}
+	if ops := opNames(fw); !ops["p+d.0"] || !ops["event-connector.d.0"] {
+		t.Fatalf("want the chain p+d tapped by event-connector.d, got %v", ops)
+	}
+}
+
+// BenchmarkStageChain prices a chain's depth: one Partition that splits each
+// layer into cell tuples, followed by 0, 3 or 7 pass-through DetectEvents,
+// over 100k cell tuples per run. A chain is one operator whatever its
+// depth, so each extra stage should cost one function call per tuple, not a
+// channel hop.
+func BenchmarkStageChain(b *testing.B) {
+	const layers, cellsPerLayer = 100, 1000
+	cell := func(layer, i int) EventTuple {
+		return EventTuple{
+			Specimen: "spec01",
+			Portion:  "c",
+			Cell: otimage.Cell{
+				Col: i % 40, Row: i / 40,
+				Region: otimage.Rect{X0: i % 40, Y0: i / 40, X1: i%40 + 1, Y1: i/40 + 1},
+				Mean:   float64(layer + i),
+			},
+		}
+	}
+	for _, depth := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fw, err := New(WithStoreDir(b.TempDir()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				src := fw.AddSource("src", layersSource("j", layers, nil))
+				ref := fw.Partition("cells", src, func(t EventTuple, emit func(EventTuple) error) error {
+					for c := 0; c < cellsPerLayer; c++ {
+						if err := emit(cell(t.Layer, c)); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				for d := 1; d < depth; d++ {
+					ref = fw.DetectEvent(fmt.Sprintf("d%d", d), ref, passThrough)
+				}
+				fw.Deliver("out", ref, func(EventTuple) error { return nil })
+				b.StartTimer()
+				start := time.Now()
+				if err := fw.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				elapsed += time.Since(start)
+				b.StopTimer()
+				fw.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(layers*cellsPerLayer*b.N)/elapsed.Seconds(), "tuples/s")
+		})
+	}
+}

@@ -1,0 +1,10 @@
+package core
+
+// SetMaxChainStages caps every stage chain built afterwards at n stages (0:
+// unbounded) and returns a function restoring the previous cap. At 1 every
+// Partition and DetectEvent is its own operator, as before chains existed.
+func SetMaxChainStages(n int) (restore func()) {
+	prev := maxChainStages
+	maxChainStages = n
+	return func() { maxChainStages = prev }
+}

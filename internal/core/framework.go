@@ -45,12 +45,18 @@ type StreamRef struct {
 	// (sources and fuse); the first sub-layer stage emits end-of-layer
 	// markers and clears it.
 	layerGranular bool
-	// Exactly one of s / branches is set. A parallel stage leaves its
-	// output split per branch (hash-partitioned on (job, specimen)), so a
-	// same-parallelism downstream stage chains branch-to-branch without a
-	// merge+shuffle round trip.
+	// At most one of s / branches / chain is set (none on a mis-built
+	// ref). A parallel stage leaves its output split per branch
+	// (hash-partitioned on (job, specimen)), so a same-parallelism
+	// downstream stage chains branch-to-branch without a merge+shuffle
+	// round trip.
 	s        *stream.Stream[EventTuple]
 	branches []*stream.Stream[EventTuple]
+	// chain is a Partition/DetectEvent run not compiled yet. A stage with
+	// the same parallelism extends it (and sets chained here); any other
+	// consumer compiles it into s or branches.
+	chain   *stageChain
+	chained bool
 }
 
 // Name returns the stream's name.
@@ -59,6 +65,7 @@ func (r *StreamRef) Name() string { return r.name }
 // singleStream returns the ref as one stream, merging branches (arrival
 // order) when the upstream stage was parallel.
 func (r *StreamRef) singleStream(fw *Framework, consumer string) *stream.Stream[EventTuple] {
+	r.compile(fw)
 	if r.s != nil {
 		return r.s
 	}
@@ -75,6 +82,7 @@ func (r *StreamRef) singleStream(fw *Framework, consumer string) *stream.Stream[
 // branchStreams returns the ref as n hash-partitioned branches, reusing the
 // upstream split when the parallelism matches and shuffling otherwise.
 func (r *StreamRef) branchStreams(fw *Framework, consumer string, n int) []*stream.Stream[EventTuple] {
+	r.compile(fw)
 	if r.s == nil && len(r.branches) == n {
 		return r.branches
 	}
@@ -108,6 +116,9 @@ type Framework struct {
 
 	mu       sync.Mutex
 	buildErr error
+	// pendingChains are the refs whose stage chain may still be
+	// uncompiled; Err compiles those no stage extended.
+	pendingChains []*StreamRef
 }
 
 // Option customizes New.
@@ -236,7 +247,20 @@ func (fw *Framework) recordErr(err error) {
 }
 
 // Err returns the first pipeline-composition error recorded while building.
+// It first compiles every stage chain nothing consumed, so an error that
+// only shows once the operators exist (a stream consumed twice) surfaces
+// here, and an unconsumed stage still fails Run with
+// stream.ErrDanglingStream.
 func (fw *Framework) Err() error {
+	fw.mu.Lock()
+	pending := fw.pendingChains
+	fw.pendingChains = nil
+	fw.mu.Unlock()
+	for _, r := range pending {
+		if !r.chained {
+			r.compile(fw)
+		}
+	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.buildErr != nil {

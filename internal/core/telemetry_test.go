@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,16 +135,33 @@ func TestTraceSamplingThroughPipeline(t *testing.T) {
 			}
 			ops[sp.Op] = true
 		}
-		// The trace must traverse at least the three user-visible stages.
-		for _, op := range []string{"split", "detect", "expert"} {
-			if !ops[op] {
-				t.Errorf("trace %d missing span for %q (spans: %v)", tr.ID, op, tr.Spans)
+		// The trace must traverse the three user-visible stages. split and
+		// detect run as one chain, so each must appear in exactly one
+		// span's "+"-joined operator name.
+		for _, stage := range []string{"split", "detect"} {
+			if n := opsNaming(ops, stage); n != 1 {
+				t.Errorf("trace %d: stage %q named by %d span ops, want 1 (spans: %v)", tr.ID, stage, n, tr.Spans)
 			}
+		}
+		if !ops["expert"] {
+			t.Errorf("trace %d missing span for %q (spans: %v)", tr.ID, "expert", tr.Spans)
 		}
 		if tr.Total <= 0 {
 			t.Errorf("trace %d total = %v, want > 0", tr.ID, tr.Total)
 		}
 	}
+}
+
+// opsNaming counts the operator names in ops whose "+"-separated stage list
+// contains stage.
+func opsNaming(ops map[string]bool, stage string) int {
+	n := 0
+	for op := range ops {
+		if slices.Contains(strings.Split(op, "+"), stage) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestManagerDebugPipelines(t *testing.T) {

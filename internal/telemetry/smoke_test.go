@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -176,14 +177,25 @@ func TestEndToEndMetricsSmoke(t *testing.T) {
 		}
 	}
 	// Connector taps and end-of-layer markers contribute extra spans; the
-	// three user-visible stages must all be present.
+	// three user-visible stages must all be present. split and detect run
+	// as one stage chain, so each must appear in exactly one span's
+	// "+"-joined operator name.
 	ops := make(map[string]bool)
 	for _, sp := range tr.Spans {
 		ops[sp.Op] = true
 	}
-	for _, op := range []string{"split", "detect", "expert"} {
-		if !ops[op] {
-			t.Errorf("trace missing span for %q (spans: %+v)", op, tr.Spans)
+	for _, stage := range []string{"split", "detect"} {
+		n := 0
+		for op := range ops {
+			if slices.Contains(strings.Split(op, "+"), stage) {
+				n++
+			}
 		}
+		if n != 1 {
+			t.Errorf("stage %q named by %d span ops, want 1 (spans: %+v)", stage, n, tr.Spans)
+		}
+	}
+	if !ops["expert"] {
+		t.Errorf("trace missing span for %q (spans: %+v)", "expert", tr.Spans)
 	}
 }

@@ -43,8 +43,8 @@ race:
 ## flake: the durable log and the two layers on it (the group-commit and
 ## crash-recovery tests are the concurrent ones), the stream engine and the
 ## framework on top, ten times under -race; plus 200 repeats of a stream
-## trace test that fails about once in 100 runs (a sampled tuple's span is
-## recorded after its output chunk may already have reached the sink).
+## trace test that used to fail about once in 100 runs, when a sampled
+## tuple's span was recorded after its output chunk could reach the sink.
 flake:
 	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
@@ -74,8 +74,9 @@ bench-smoke:
 
 ## alloc-smoke: enforce the committed allocation budgets on the
 ## zero-allocation hot paths (cell slicing through views, tuple codec
-## reuse) and on the 8 MB image plane (one frame-sized buffer per encode,
-## per decode and per process hop; nothing for an unwatched connector tap).
+## reuse), on the 8 MB image plane (one frame-sized buffer per encode,
+## per decode and per process hop; nothing for an unwatched connector tap)
+## and on one deep correlate window's DBSCAN (a frontier bounded by n).
 ## Any allocs/op or B/op above alloc_budget.json fails the build — see
 ## DESIGN.md §13 "Memory model".
 alloc-smoke:
@@ -84,6 +85,7 @@ alloc-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkEncodeTupleAppend|BenchmarkDecodeTuple/cell' -benchtime=1000x -benchmem ./internal/core >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkEncodeTuple/image2000|BenchmarkDecodeTuple/image2000|BenchmarkTapImage' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkTCPLargeImagePayload' -benchtime=20x -benchmem ./internal/pubsub >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkDBSCANDeepWindow' -benchtime=20x -benchmem ./internal/cluster >> alloc-smoke.out
 	./bin/benchjson -budget alloc_budget.json < alloc-smoke.out
 	@rm -f alloc-smoke.out
 

@@ -277,25 +277,3 @@ func BenchmarkFuseModes(b *testing.B) {
 	b.Run("sameTau", func(b *testing.B) { build(b) })
 	b.Run("windowed", func(b *testing.B) { build(b, core.FuseWindow(time.Second/2)) })
 }
-
-// BenchmarkCorrelateMode compares batch re-clustering per window against
-// the incremental streaming DBSCAN (insert new layer, evict expired) at a
-// deep window — the optimization the paper's related work (pi-Lisco)
-// motivates.
-func BenchmarkCorrelateMode(b *testing.B) {
-	replay, layerMM := replayForBench(b, 90)
-	edge := 5 * benchImagePx / amsim.DefaultImagePx
-	if edge < 1 {
-		edge = 1
-	}
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"batch", false}, {"incremental", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			runPipeline(b, replay, layerMM, bench.PipelineParams{
-				CellEdgePx: edge, L: 80, Parallelism: 4, Incremental: mode.incremental,
-			})
-		})
-	}
-}

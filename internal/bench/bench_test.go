@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -345,56 +344,6 @@ func TestReplayFeedPacing(t *testing.T) {
 	}
 	if d := stamps[2].Sub(stamps[0]); d < 50*time.Millisecond {
 		t.Fatalf("open-loop pacing too fast: %v", d)
-	}
-}
-
-func TestIncrementalCorrelateMatchesBatch(t *testing.T) {
-	replay, layerMM := smallReplay(t, 20)
-	run := func(incremental bool) map[string]string {
-		fw, err := core.New(core.WithStoreDir(t.TempDir()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fw.Close()
-		if err := calibrateFromReplay(fw, replay); err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]string{}
-		err = BuildPipeline(fw, &ReplayFeed{Layers: replay}, layerMM,
-			PipelineParams{CellEdgePx: 2, L: 6, Incremental: incremental},
-			func(r Result) error {
-				// Record a canonical signature of the clusters: sizes
-				// and weights sorted (IDs differ between variants).
-				sizes := make([]string, 0, len(r.Clusters))
-				for _, c := range r.Clusters {
-					sizes = append(sizes, fmt.Sprintf("%d/%.1f", c.Size, c.Weight))
-				}
-				sort.Strings(sizes)
-				out[fmt.Sprintf("%s@%d", r.Specimen, r.Layer)] = fmt.Sprintf("%d|%v", r.Events, sizes)
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		if err := fw.Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	batch := run(false)
-	inc := run(true)
-	if len(batch) == 0 {
-		t.Fatal("no results")
-	}
-	if len(batch) != len(inc) {
-		t.Fatalf("result counts differ: batch=%d incremental=%d", len(batch), len(inc))
-	}
-	for k, v := range batch {
-		if inc[k] != v {
-			t.Fatalf("window %s: batch=%q incremental=%q", k, v, inc[k])
-		}
 	}
 }
 

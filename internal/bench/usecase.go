@@ -127,11 +127,6 @@ type PipelineParams struct {
 	// MinClusterCells filters reported clusters below this many cells
 	// ("bigger than a certain volume"); default 3.
 	MinClusterCells float64
-	// Incremental maintains a streaming DBSCAN across windows (insert the
-	// new layer, evict the expired one) instead of re-clustering the whole
-	// L-layer window at every layer — the pi-Lisco-style optimization the
-	// paper's related work points to.
-	Incremental bool
 }
 
 func (p PipelineParams) withDefaults(mmPerPixel float64) PipelineParams {
@@ -363,15 +358,7 @@ func buildPipeline(
 	}, core.WithParallelism(p.Parallelism))
 
 	// (7): DBSCAN over the events of the last L layers, per specimen.
-	// Two implementations: batch re-clustering per window (the paper's
-	// prototype) or the incremental streaming variant.
-	var correlateFn core.CorrelateFunc
-	if p.Incremental {
-		correlateFn = incrementalCorrelate(p, layerMM)
-	} else {
-		correlateFn = batchCorrelate(p, layerMM)
-	}
-	correlated := fw.CorrelateEvents("out", detect, p.L, correlateFn, core.WithParallelism(p.Parallelism))
+	correlated := fw.CorrelateEvents("out", detect, p.L, batchCorrelate(p, layerMM), core.WithParallelism(p.Parallelism))
 
 	fw.Deliver("expert", correlated, func(t core.EventTuple) error {
 		enc, _ := t.GetBytes("clusters")
@@ -403,53 +390,6 @@ func batchCorrelate(p PipelineParams, layerMM float64) core.CorrelateFunc {
 		if err != nil {
 			return err
 		}
-		return emitClusters(pts, labels, p.MinClusterCells, emit)
-	}
-}
-
-// incrementalCorrelate maintains one StreamingDBSCAN per (job, specimen),
-// inserting the freshly completed layer's events and evicting the layer
-// that left the window, then reading off the labels.
-func incrementalCorrelate(p PipelineParams, layerMM float64) core.CorrelateFunc {
-	type keyState struct {
-		s *cluster.StreamingDBSCAN
-		// layerIDs maps layer → the handles of its inserted points.
-		layerIDs map[int][]int
-	}
-	var mu sync.Mutex // F may run concurrently across parallel branches
-	states := make(map[string]*keyState)
-	return func(w core.CorrelateWindow, emit func(core.EventTuple) error) error {
-		key := w.Job + "\x00" + w.Specimen
-		mu.Lock()
-		st, ok := states[key]
-		if !ok {
-			sd, err := cluster.NewStreamingDBSCAN(p.EpsMM, p.MinPts)
-			if err != nil {
-				mu.Unlock()
-				return err
-			}
-			st = &keyState{s: sd, layerIDs: make(map[int][]int)}
-			states[key] = st
-		}
-		// Insert the new layer's events.
-		for _, e := range w.Events {
-			if e.Layer != w.Layer {
-				continue // already inserted by an earlier window
-			}
-			id := st.s.Insert(eventPoint(e, layerMM))
-			st.layerIDs[w.Layer] = append(st.layerIDs[w.Layer], id)
-		}
-		// Evict layers that fell out of the window (layer-L and older).
-		for l, ids := range st.layerIDs {
-			if l <= w.Layer-p.L {
-				for _, id := range ids {
-					st.s.Remove(id)
-				}
-				delete(st.layerIDs, l)
-			}
-		}
-		pts, labels := st.s.Snapshot()
-		mu.Unlock()
 		return emitClusters(pts, labels, p.MinClusterCells, emit)
 	}
 }

@@ -8,8 +8,12 @@ import "fmt"
 // core points' neighbourhoods; non-core points reachable from a core point
 // join its cluster as border points; everything else is noise.
 //
-// Range queries use a uniform grid with edge eps, so the expected complexity
-// is O(n · k) for k points per neighbourhood rather than O(n²).
+// Range queries use a flat grid index (grid.go), so the expected complexity
+// is O(n · k) for k points per neighbourhood rather than O(n²). The frontier is bounded by n: a point is labelled when a core
+// point first reaches it and enqueued only if it was never visited, and one
+// queue slice serves every cluster. Labels do not depend on the visit
+// order — clusters are built one at a time, and a border point stays with
+// the first cluster that reaches it — so they equal DBSCANNaive's exactly.
 func DBSCAN(points []Point, eps float64, minPts int) ([]int, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("cluster: eps must be positive, got %g", eps)
@@ -27,36 +31,37 @@ func DBSCAN(points []Point, eps float64, minPts int) ([]int, error) {
 	g := newGrid(points, eps)
 
 	visited := make([]bool, len(points))
-	var scratch []int
+	var nb, queue []int
 	nextID := 0
 	for i := range points {
 		if visited[i] {
 			continue
 		}
 		visited[i] = true
-		scratch = g.neighbors(i, scratch[:0])
-		if len(scratch) < minPts {
+		nb = g.neighbors(i, nb[:0])
+		if len(nb) < minPts {
 			continue // noise (may later become a border point)
 		}
-		// Start a new cluster and expand it breadth-first.
+		// Start a new cluster and expand it breadth-first. Each pass
+		// joins one core point's neighbourhood (i's first, at head -1).
 		id := nextID
 		nextID++
-		labels[i] = id
-		queue := append([]int(nil), scratch...)
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
-			if labels[j] == Noise {
-				labels[j] = id // border or core point
+		queue = queue[:0]
+		for head := -1; head < len(queue); head++ {
+			if head >= 0 {
+				nb = g.neighbors(queue[head], nb[:0])
+				if len(nb) < minPts {
+					continue // border point: joins, does not expand
+				}
 			}
-			if visited[j] {
-				continue
-			}
-			visited[j] = true
-			scratch = g.neighbors(j, scratch[:0])
-			if len(scratch) >= minPts {
-				// j is a core point: its neighbourhood joins.
-				queue = append(queue, scratch...)
+			for _, j := range nb {
+				if labels[j] == Noise {
+					labels[j] = id
+				}
+				if !visited[j] {
+					visited[j] = true
+					queue = append(queue, j)
+				}
 			}
 		}
 	}

@@ -6,8 +6,7 @@ import (
 	"strata/internal/leakcheck"
 )
 
-// TestMain fails the package if any test leaves a goroutine behind — the
-// streaming DBSCAN workers must drain and exit before a test returns.
+// TestMain fails the package if any test leaves a goroutine behind.
 func TestMain(m *testing.M) {
 	leakcheck.VerifyTestMain(m)
 }

@@ -1,9 +1,9 @@
 // Package cluster implements the clustering algorithms of the STRATA
 // use-case: grid-indexed DBSCAN (the paper's choice for correlating hot/cold
 // specimen portions within and across layers), a naive O(n²) DBSCAN kept as
-// an ablation baseline, a k-means++ baseline (the method earlier defect-
-// detection work used [Snell et al. 2020]), and a sliding L-layer window for
-// incremental intra+inter-layer clustering.
+// the exact reference and ablation baseline, and a k-means++ baseline (the
+// method earlier defect-detection work used [Snell et al. 2020]). The
+// L-layer window itself is core's CorrelateEvents.
 package cluster
 
 import "math"

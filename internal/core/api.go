@@ -42,7 +42,9 @@ type CorrelateWindow struct {
 	// L is the window span in layers.
 	L int
 	// Events are the buffered detectEvent outputs, grouped by ascending
-	// layer, arrival order within a layer.
+	// layer, arrival order within a layer. The slice is the operator's
+	// reused window buffer: it is valid only during the call to the
+	// CorrelateFunc, and F must copy whatever it keeps.
 	Events []EventTuple
 	// AvailableAt is when the most recent data contributing to the window
 	// became available (the latency reference for results).
@@ -577,6 +579,9 @@ type specimenBuffer struct {
 	// layers maps layer number → its buffered events.
 	layers     map[int][]EventTuple
 	lastClosed int
+	// window is the buffer closeLayer refills for every window, so a deep
+	// window costs one slice per specimen rather than one per layer.
+	window []EventTuple
 }
 
 func newCorrelateState(l int, f CorrelateFunc) *correlateState {
@@ -622,6 +627,7 @@ func (cs *correlateState) closeLayer(b *specimenBuffer, layer int, ts time.Time,
 	// deadlined input still is.
 	wPrio := 0
 	var wDeadline time.Time
+	w.Events = b.window[:0]
 	for l := layer - cs.l + 1; l <= layer; l++ {
 		evs := b.layers[l]
 		w.Events = append(w.Events, evs...)
@@ -665,6 +671,10 @@ func (cs *correlateState) closeLayer(b *specimenBuffer, layer int, ts time.Time,
 		}
 		return emit(o)
 	})
+	// Drop the copies' references so evicted layers' payloads can be
+	// collected, and keep the (possibly grown) buffer for the next window.
+	clear(w.Events)
+	b.window = w.Events[:0]
 	return err
 }
 

@@ -15,14 +15,18 @@ func TestImagePoolReusesBuffer(t *testing.T) {
 	pix := &a.Pix[0]
 	p.Recycle(a)
 
+	// sync.Pool may drop the recycled buffer under -race, so reuse is
+	// required only without it; the other checks hold for whichever
+	// buffer Get returned.
 	b := p.Get(16, 12, 0.25)
-	if &b.Pix[0] != pix {
+	reused := &b.Pix[0] == pix
+	if !reused && !raceEnabled {
 		t.Fatal("Get after Recycle did not reuse the buffer")
 	}
 	if b.MMPerPixel != 0.25 {
 		t.Fatalf("MMPerPixel not refreshed: %v", b.MMPerPixel)
 	}
-	if b.Pix[0] != 7 {
+	if reused && b.Pix[0] != 7 {
 		t.Fatal("Get is documented to leave pixels dirty")
 	}
 

@@ -230,6 +230,30 @@ func recordChunkSpans[T any](name string, chunk []T, total time.Duration) {
 	}
 }
 
+// pendingSpans holds the input chunk an operator is working through until
+// its traced tuples' spans are recorded. The emitter records them before
+// the first output chunk leaves (a full chunk can be sent mid-input), and
+// the operator after the input chunk is done, whichever comes first: a sink
+// that finishes a trace drops any span recorded after it, so a span must
+// never trail the tuple's output downstream. An early record attributes
+// the time elapsed so far, averaged over the chunk.
+type pendingSpans[T any] struct {
+	name  string
+	chunk []T
+	start time.Time
+}
+
+func (s *pendingSpans[T]) open(chunk []T, start time.Time) { s.chunk, s.start = chunk, start }
+
+// record stamps the open chunk's spans, if not yet stamped, and releases it.
+func (s *pendingSpans[T]) record() {
+	if s.chunk == nil {
+		return
+	}
+	recordChunkSpans(s.name, s.chunk, time.Since(s.start))
+	s.chunk = nil
+}
+
 // chunkEmitter is the operator-side batching layer: operators that transform
 // tuples append their outputs here and the emitter re-chunks them, flushing
 // when a chunk fills and — crucially — whenever the operator finishes an
@@ -247,6 +271,9 @@ type chunkEmitter[T any] struct {
 	gate  *shedGate[T]
 	knobs *OverloadKnobs
 	buf   []T
+	// beforeSend, if set, runs before every chunk leaves (see
+	// pendingSpans).
+	beforeSend func()
 }
 
 func newChunkEmitter[T any](ctx context.Context, qz *quiescer, out chan []T, max int, stats *OpStats) *chunkEmitter[T] {
@@ -296,6 +323,9 @@ func (e *chunkEmitter[T]) emit(v T) error {
 func (e *chunkEmitter[T]) flush() error {
 	if len(e.buf) == 0 {
 		return nil
+	}
+	if e.beforeSend != nil {
+		e.beforeSend()
 	}
 	chunk := e.buf
 	e.buf = nil

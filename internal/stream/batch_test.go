@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -181,6 +182,39 @@ func TestTraceAndWatermarkThroughChunkedEdges(t *testing.T) {
 		if !ok || w != (n-1)*1000 {
 			t.Errorf("%s watermark = %d (ok=%v), want %d", op, w, ok, (n-1)*1000)
 		}
+	}
+}
+
+// TestSpanRecordedBeforeMidChunkSend pins deterministically the ordering
+// the trace test above samples: an operator whose output chunk leaves while
+// it is still inside its input chunk (here a chunk of one, full at the first
+// emit) must already have recorded the tuple's span, because the sink may
+// finish the trace at once and a finished trace drops later spans. The
+// stage holds its input open until the sink has finished the trace.
+func TestSpanRecordedBeforeMidChunkSend(t *testing.T) {
+	q := NewQuery("mid-chunk", WithQueryBatch(1), WithQueryLinger(0))
+	tr := telemetry.NewTrace(1, "mid-chunk")
+	src := AddSource(q, "src", FromSlice([]tracedTuple{{ts: 1, tr: tr}}))
+	stage := FlatMap(q, "stage", src, func(v tracedTuple, emit Emit[tracedTuple]) error {
+		if err := emit(v); err != nil {
+			return err
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !tr.Snapshot().Finished {
+			if time.Now().After(deadline) {
+				return errors.New("sink never finished the trace")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	})
+	AddSink(q, "sink", stage, Discard[tracedTuple]())
+	if err := runQuery(t, q); err != nil {
+		t.Fatalf("Run() error = %v", err)
+	}
+	snap := tr.Snapshot()
+	if len(snap.Spans) != 2 || snap.Spans[0].Op != "stage" || snap.Spans[1].Op != "sink" {
+		t.Fatalf("spans = %+v, want [stage sink]", snap.Spans)
 	}
 }
 

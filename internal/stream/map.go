@@ -92,6 +92,8 @@ func (m *flatMapOp[In, Out]) run(ctx context.Context) (err error) {
 	defer m.g.exit(&err)
 	defer recoverPanic(&err)
 	em := newChunkEmitter(ctx, m.g.qz, m.out, m.batch, m.stats)
+	spans := &pendingSpans[In]{name: m.name}
+	em.beforeSend = spans.record
 	// One emit closure for the operator's lifetime: binding em.emit at every
 	// fn call would allocate a method value per tuple.
 	emitFn := Emit[Out](em.emit)
@@ -105,14 +107,14 @@ func (m *flatMapOp[In, Out]) run(ctx context.Context) (err error) {
 			}
 			observeChunkArrival(m.stats, chunk)
 			start := time.Now()
+			spans.open(chunk, start)
 			for _, v := range chunk {
 				if err := m.fn(v, emitFn); err != nil {
 					return err
 				}
 			}
-			d := time.Since(start)
-			m.stats.observeServiceChunk(d, len(chunk))
-			recordChunkSpans(m.name, chunk, d)
+			m.stats.observeServiceChunk(time.Since(start), len(chunk))
+			spans.record()
 			if m.recycle {
 				recycleChunk(m.inPool, chunk)
 			}

@@ -61,6 +61,8 @@ func (p *processOp[In, Out]) run(ctx context.Context) (err error) {
 	defer p.g.exit(&err)
 	defer recoverPanic(&err)
 	em := newChunkEmitter(ctx, p.g.qz, p.out, p.batch, p.stats)
+	spans := &pendingSpans[In]{name: p.name}
+	em.beforeSend = spans.record
 	emitFn := Emit[Out](em.emit)
 	for {
 		p.g.idle()
@@ -77,14 +79,14 @@ func (p *processOp[In, Out]) run(ctx context.Context) (err error) {
 			}
 			observeChunkArrival(p.stats, chunk)
 			start := time.Now()
+			spans.open(chunk, start)
 			for _, v := range chunk {
 				if err := p.fn(v, emitFn); err != nil {
 					return err
 				}
 			}
-			d := time.Since(start)
-			p.stats.observeServiceChunk(d, len(chunk))
-			recordChunkSpans(p.name, chunk, d)
+			p.stats.observeServiceChunk(time.Since(start), len(chunk))
+			spans.record()
 			if p.recycle {
 				recycleChunk(p.inPool, chunk)
 			}

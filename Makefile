@@ -41,12 +41,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 ## flake: the durable log and the two layers on it (the group-commit and
-## crash-recovery tests are the concurrent ones), the stream engine and the
-## framework on top, ten times under -race; plus 200 repeats of a stream
+## crash-recovery tests are the concurrent ones), the stream engine, the
+## framework on top and the clustering property tests (each run draws fresh
+## random inputs), ten times under -race; plus 200 repeats of a stream
 ## trace test that used to fail about once in 100 runs, when a sampled
 ## tuple's span was recorded after its output chunk could reach the sink.
 flake:
-	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core
+	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core ./internal/cluster
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
 
 ## lint: the whole module (./... includes internal/lint itself — the

@@ -209,12 +209,9 @@ func TestGasFlowAlignmentDrivesDefectDensity(t *testing.T) {
 }
 
 func TestJobParamsAndRender(t *testing.T) {
-	job, err := NewJob("J1", testLayout(), 5, WithLaserPower(300), WithScanSpeed(1000))
+	job, err := NewJob("J1", testLayout(), 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if job.LaserPowerW != 300 || job.ScanSpeedMMS != 1000 {
-		t.Fatal("job options not applied")
 	}
 	p := job.ParamsForLayer(1)
 	if p.JobID != "J1" || p.Layer != 1 || len(p.SpecimenRegions) != 12 {
@@ -454,57 +451,5 @@ func TestEncodeDecodeRegions(t *testing.T) {
 	}
 	if _, err := DecodeRegions("garbage"); err == nil {
 		t.Fatal("DecodeRegions should reject garbage")
-	}
-}
-
-func TestVignettingAndFlatReference(t *testing.T) {
-	layout := ScaledLayout(200)
-	m, err := NewProcessModel(layout, 5, WithVignetting(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A flat reference frame is brighter at the center than the corners.
-	ref := m.RenderFlatReference(0)
-	center := float64(ref.At(100, 100))
-	corner := float64(ref.At(2, 2))
-	if corner >= center*0.85 {
-		t.Fatalf("vignetting absent: center=%g corner=%g", center, corner)
-	}
-	// Flat-field correction computed from references flattens a layer
-	// image's specimen responses across the plate.
-	refs := []*otimage.Image{m.RenderFlatReference(0), m.RenderFlatReference(1), m.RenderFlatReference(2)}
-	ff, err := otimage.ComputeFlatField(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := m.RenderLayer(3)
-	corrected, err := ff.Apply(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mmpp := layout.MMPerPixel()
-	centerSpec := layout.Specimens[5].RegionPx(mmpp) // middle of plate
-	cornerSpec := layout.Specimens[0].RegionPx(mmpp) // corner of plate
-	rawMid, _ := raw.MaskedMean(centerSpec)
-	rawCorner, _ := raw.MaskedMean(cornerSpec)
-	corrMid, _ := corrected.MaskedMean(centerSpec)
-	corrCorner, _ := corrected.MaskedMean(cornerSpec)
-	rawSkew := math.Abs(rawMid-rawCorner) / rawMid
-	corrSkew := math.Abs(corrMid-corrCorner) / corrMid
-	if corrSkew >= rawSkew {
-		t.Fatalf("flat-field did not reduce skew: raw=%.3f corrected=%.3f", rawSkew, corrSkew)
-	}
-	if corrSkew > 0.03 {
-		t.Fatalf("corrected skew still %.3f, want < 0.03", corrSkew)
-	}
-}
-
-func TestWithVignettingValidation(t *testing.T) {
-	m, err := NewProcessModel(ScaledLayout(100), 1, WithVignetting(-1), WithVignetting(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.vignette != 0 {
-		t.Fatalf("invalid strengths accepted: %g", m.vignette)
 	}
 }

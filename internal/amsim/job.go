@@ -32,30 +32,9 @@ type Job struct {
 	HatchMM      float64
 }
 
-// JobOption customizes NewJob.
-type JobOption func(*Job)
-
-// WithLaserPower overrides the nominal laser power (W).
-func WithLaserPower(w float64) JobOption {
-	return func(j *Job) {
-		if w > 0 {
-			j.LaserPowerW = w
-		}
-	}
-}
-
-// WithScanSpeed overrides the nominal scan speed (mm/s).
-func WithScanSpeed(v float64) JobOption {
-	return func(j *Job) {
-		if v > 0 {
-			j.ScanSpeedMMS = v
-		}
-	}
-}
-
 // NewJob creates a job over the given layout, with defect sites generated
 // from seed.
-func NewJob(id string, layout Layout, seed int64, opts ...JobOption) (*Job, error) {
+func NewJob(id string, layout Layout, seed int64) (*Job, error) {
 	if id == "" {
 		return nil, fmt.Errorf("amsim: empty job id")
 	}
@@ -63,18 +42,14 @@ func NewJob(id string, layout Layout, seed int64, opts ...JobOption) (*Job, erro
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{
+	return &Job{
 		ID:           id,
 		Layout:       layout,
 		Model:        model,
 		LaserPowerW:  280,
 		ScanSpeedMMS: 1200,
 		HatchMM:      0.14,
-	}
-	for _, o := range opts {
-		o(j)
-	}
-	return j, nil
+	}, nil
 }
 
 // NumLayers returns the job's layer count.

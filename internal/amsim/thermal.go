@@ -55,36 +55,15 @@ type ProcessModel struct {
 	// energy density of the job's parameter set (1.0 at construction;
 	// values far from 1 shift the whole build towards cold/hot).
 	energyScale float64
-	// vignette is the optical fall-off strength at the plate corners
-	// (0 = ideal lens; 0.3 means corner response is 70% of center).
-	vignette float64
-}
-
-// ModelOption customizes a ProcessModel.
-type ModelOption func(*ProcessModel)
-
-// WithVignetting adds radial optical fall-off to the simulated OT camera:
-// the response at the plate corners drops to (1 - strength) of the center.
-// Real sCMOS + lens setups exhibit this, which is why pipelines flat-field
-// correct images before thresholding (see otimage.ComputeFlatField).
-func WithVignetting(strength float64) ModelOption {
-	return func(m *ProcessModel) {
-		if strength >= 0 && strength < 1 {
-			m.vignette = strength
-		}
-	}
 }
 
 // NewProcessModel creates the thermal model and pre-generates the build's
 // defect sites from the seed.
-func NewProcessModel(layout Layout, seed int64, opts ...ModelOption) (*ProcessModel, error) {
+func NewProcessModel(layout Layout, seed int64) (*ProcessModel, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
 	m := &ProcessModel{layout: layout, seed: seed, energyScale: 1}
-	for _, o := range opts {
-		o(m)
-	}
 	m.generateSites()
 	return m, nil
 }
@@ -170,46 +149,6 @@ func (m *ProcessModel) generateSites() {
 	}
 }
 
-// RenderFlatReference synthesizes a uniform-exposure calibration frame:
-// the whole plate at nominal emission through the camera's response
-// (vignetting included), no specimens, no defects, light noise. Feeding a
-// few of these to otimage.ComputeFlatField recovers the gain map.
-func (m *ProcessModel) RenderFlatReference(frame int) *otimage.Image {
-	mmpp := m.layout.MMPerPixel()
-	im := otimage.New(m.layout.ImagePx, m.layout.ImagePx, mmpp)
-	centerMM := m.layout.PlateMM / 2
-	maxR2 := 2 * centerMM * centerMM
-	state := uint64(m.seed)*0xD1B54A32D192ED03 + uint64(frame+1)*0x9E3779B97F4A7C15
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state
-	}
-	for y := 0; y < im.Height; y++ {
-		ymm := (float64(y) + 0.5) * mmpp
-		base := y * im.Width
-		for x := 0; x < im.Width; x++ {
-			xmm := (float64(x) + 0.5) * mmpp
-			v := baseEmission
-			if m.vignette > 0 {
-				dx := xmm - centerMM
-				dy := ymm - centerMM
-				v *= 1 - m.vignette*(dx*dx+dy*dy)/maxR2
-			}
-			// Light uniform noise (±1%).
-			v *= 0.99 + 0.02*float64(next()>>11)/(1<<53)
-			if v > 65535 {
-				v = 65535
-			}
-			iv := uint16(v)
-			if iv == 0 {
-				iv = 1
-			}
-			im.Pix[base+x] = iv
-		}
-	}
-	return im
-}
-
 // activeSites returns the sites affecting a layer.
 func (m *ProcessModel) activeSites(layer int) []DefectSite {
 	var out []DefectSite
@@ -253,10 +192,6 @@ func (m *ProcessModel) RenderLayer(layer int) *otimage.Image {
 	// coarser beat pattern).
 	const stripePeriodMM = 1.2
 
-	// Vignetting: radial response fall-off from the plate center.
-	centerMM := m.layout.PlateMM / 2
-	maxR2 := 2 * centerMM * centerMM
-
 	for _, sp := range m.layout.Specimens {
 		r := sp.RegionPx(mmpp)
 		for y := r.Y0; y < r.Y1; y++ {
@@ -283,11 +218,6 @@ func (m *ProcessModel) RenderLayer(layer int) *otimage.Image {
 						}
 						break
 					}
-				}
-				if m.vignette > 0 {
-					dx := xmm - centerMM
-					dy := ymm - centerMM
-					v *= 1 - m.vignette*(dx*dx+dy*dy)/maxR2
 				}
 				v += gauss() * emissionNoiseSigma
 				if v < 0 {

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 // blob generates n points around (cx, cy, cz) with the given spread.
@@ -189,64 +192,77 @@ func TestDBSCANPropertyGridMatchesNaive(t *testing.T) {
 		}
 		return clusteringsEquivalent(got, want)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDBSCANPropertyInvariants checks definitional invariants on random
-// inputs: (1) every core point is clustered, (2) every clustered point is
-// within eps of some point of its own cluster (connectivity locally), and
-// (3) noise points have fewer than minPts neighbours.
+// dbscanInvariants checks DBSCAN's definition on the random cloud drawn from
+// (seed, n16): (1) a core point (at least minPts points within eps, itself
+// included) is never noise, and (2) every clustered point is within eps of
+// a core point of its own cluster (itself, if it is core). (2) is not "has
+// another same-cluster point within eps": a core point whose neighbours
+// were all claimed earlier as border points of other clusters forms a
+// singleton cluster, which DBSCANNaive labels the same way.
+func dbscanInvariants(seed int64, n16 uint16) error {
+	rng := rand.New(rand.NewSource(seed))
+	n := int(n16%400) + 2
+	eps, minPts := 1.5, 4
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
+	}
+	labels, err := DBSCAN(pts, eps, minPts)
+	if err != nil {
+		return err
+	}
+	core := make([]bool, n)
+	for i := range pts {
+		c := 0
+		for j := range pts {
+			if dist2(pts[i], pts[j]) <= eps*eps {
+				c++
+			}
+		}
+		core[i] = c >= minPts
+	}
+	for i := range pts {
+		if labels[i] == Noise {
+			if core[i] {
+				return fmt.Errorf("core point %d left as noise", i)
+			}
+			continue
+		}
+		reached := false
+		for j := range pts {
+			if core[j] && labels[j] == labels[i] && dist2(pts[i], pts[j]) <= eps*eps {
+				reached = true
+				break
+			}
+		}
+		if !reached {
+			return fmt.Errorf("point %d in cluster %d is within eps of no core point of it", i, labels[i])
+		}
+	}
+	return nil
+}
+
+// TestDBSCANPropertyInvariants checks dbscanInvariants on random inputs
+// and on fixed ones that once broke a weaker form of invariant (2).
 func TestDBSCANPropertyInvariants(t *testing.T) {
+	// A core point whose neighbours all went to earlier clusters as border
+	// points: a singleton cluster.
+	if err := dbscanInvariants(1614465211432921224, 0x4918); err != nil {
+		t.Fatalf("seed=1614465211432921224 n16=0x4918: %v", err)
+	}
 	prop := func(seed int64, n16 uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(n16%400) + 2
-		eps, minPts := 1.5, 4
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
-		}
-		labels, err := DBSCAN(pts, eps, minPts)
-		if err != nil {
+		if err := dbscanInvariants(seed, n16); err != nil {
+			t.Logf("seed=%d n16=%#x: %v", seed, n16, err)
 			return false
-		}
-		countWithin := func(i int) int {
-			c := 0
-			for j := range pts {
-				if dist2(pts[i], pts[j]) <= eps*eps {
-					c++
-				}
-			}
-			return c
-		}
-		for i := range pts {
-			nb := countWithin(i)
-			if nb >= minPts && labels[i] == Noise {
-				return false // core point left unclustered
-			}
-			if labels[i] == Noise && nb >= minPts {
-				return false
-			}
-			if labels[i] != Noise {
-				// Must have a same-cluster point within eps (itself
-				// excluded) unless it is a singleton... which cannot
-				// happen with minPts > 1.
-				ok := false
-				for j := range pts {
-					if j != i && labels[j] == labels[i] && dist2(pts[i], pts[j]) <= eps*eps {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return false
-				}
-			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

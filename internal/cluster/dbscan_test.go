@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"flag"
 	"math/rand"
 	"testing"
-	"time"
-)
 
-var dbscanSeed = flag.Int64("seed", 0, "seed for TestDBSCANMatchesNaiveExactly's random inputs (0 picks one from the clock)")
+	"strata/internal/testseed"
+)
 
 // latticeWindow is a correlate window as the deep-window workload builds
 // it: cells on a square lattice in x/y (pitch mm), stacked on layers far
@@ -37,11 +35,7 @@ func latticeWindow(layers, side int, pitch, layerMM float64, keep func(l, r, c i
 // moved by a later cluster shows up here. A failure prints its seed;
 // replay it with -seed.
 func TestDBSCANMatchesNaiveExactly(t *testing.T) {
-	seed := *dbscanSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	t.Logf("seed %d", seed)
+	seed := testseed.Seed(t)
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 150; trial++ {
 		var pts []Point

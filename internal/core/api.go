@@ -628,8 +628,11 @@ func (cs *correlateState) closeLayer(b *specimenBuffer, layer int, ts time.Time,
 	wPrio := 0
 	var wDeadline time.Time
 	w.Events = b.window[:0]
-	for l := layer - cs.l + 1; l <= layer; l++ {
-		evs := b.layers[l]
+	// Count the L layers rather than compare against layer, which would
+	// wrap and never end for a window closing at math.MaxInt.
+	first := layer - cs.l + 1
+	for i := 0; i < cs.l; i++ {
+		evs := b.layers[first+i]
 		w.Events = append(w.Events, evs...)
 		for _, e := range evs {
 			if e.AvailableAt.After(w.AvailableAt) {
@@ -643,7 +646,7 @@ func (cs *correlateState) closeLayer(b *specimenBuffer, layer int, ts time.Time,
 	}
 	// Evict layers below the next window's reach.
 	for l := range b.layers {
-		if l <= layer-cs.l+1 {
+		if l <= first {
 			delete(b.layers, l)
 		}
 	}

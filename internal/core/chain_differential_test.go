@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,9 +11,8 @@ import (
 	"strata/internal/amsim"
 	"strata/internal/bench"
 	"strata/internal/core"
+	"strata/internal/testseed"
 )
-
-var chainSeed = flag.Int64("seed", 0, "seed for TestStageChainDifferential's build (0 picks one from the clock)")
 
 // TestStageChainDifferential runs Algorithm 1 (bench.BuildPipeline) over a
 // small seeded build twice per parallelism: once with its stages compiled
@@ -23,11 +21,7 @@ var chainSeed = flag.Int64("seed", 0, "seed for TestStageChainDifferential's bui
 // the same results in the same order. A failure prints its seed; replay it
 // with -seed.
 func TestStageChainDifferential(t *testing.T) {
-	seed := *chainSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	t.Logf("seed %d (replay with -seed=%d)", seed, seed)
+	seed := testseed.Seed(t)
 	rng := rand.New(rand.NewSource(seed))
 	layout := amsim.ScaledLayout(400)
 	job, err := amsim.NewJob("ring", layout, rng.Int63())

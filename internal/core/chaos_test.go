@@ -329,7 +329,7 @@ func TestChaosPeriodicCheckpointsAndRetention(t *testing.T) {
 
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(5*time.Millisecond),
-		WithCheckpointRetention(2),
+		withCheckpointRetention(2),
 		WithRestartPolicy(RestartOnFailure),
 		WithMaxRestarts(3),
 		WithRestartBackoff(time.Millisecond))

@@ -314,7 +314,9 @@ func pruneEpochs(store *kvstore.DB, pipeline string, keepFrom uint64) error {
 // loadCheckpoint returns the newest complete epoch for pipeline, or nil when
 // none exists. It prefers the latest pointer but falls back to older epochs
 // when the pointed-to epoch is missing its meta record (defense against a
-// store that predates atomic epochs).
+// store that predates atomic epochs). An epoch whose meta record does not
+// decode, names another epoch, or counts other records than the epoch
+// holds is damaged: loading it fails rather than restoring part of it.
 func loadCheckpoint(store *kvstore.DB, pipeline string) (*restoredCheckpoint, error) {
 	epochs, err := listEpochs(store, pipeline)
 	if err != nil {
@@ -346,11 +348,14 @@ func loadCheckpoint(store *kvstore.DB, pipeline string) (*restoredCheckpoint, er
 		customs: make(map[string][]byte),
 		sinks:   make(map[string]uint64),
 	}
+	var meta ckptMeta
+	var metaErr error
 	prefix := ckptEpochPrefix(pipeline, epoch)
 	err = store.ScanPrefix(prefix, func(k, v []byte) bool {
 		rest := string(k[len(prefix):])
 		switch {
 		case rest == "meta":
+			metaErr = gob.NewDecoder(bytes.NewReader(v)).Decode(&meta)
 		case len(rest) > 3 && rest[:3] == "op/":
 			rc.snap.Ops[rest[3:]] = append([]byte(nil), v...)
 		case len(rest) > 4 && rest[:4] == "src/":
@@ -368,6 +373,14 @@ func loadCheckpoint(store *kvstore.DB, pipeline string) (*restoredCheckpoint, er
 	})
 	if err != nil {
 		return nil, err
+	}
+	if metaErr != nil {
+		return nil, fmt.Errorf("epoch %x: meta: %w", epoch, metaErr)
+	}
+	if meta.Epoch != epoch || meta.Ops != len(rc.snap.Ops) || meta.Sources != len(rc.snap.Positions) ||
+		meta.Customs != len(rc.customs) || meta.Sinks != len(rc.sinks) {
+		return nil, fmt.Errorf("epoch %x: meta %+v does not describe its %d ops, %d sources, %d customs and %d sinks",
+			epoch, meta, len(rc.snap.Ops), len(rc.snap.Positions), len(rc.customs), len(rc.sinks))
 	}
 	return rc, nil
 }
@@ -429,21 +442,28 @@ func (cs *correlateState) snapshot() ([]byte, error) {
 }
 
 // restore rebuilds the correlate buffers from a snapshot (runs before Run).
+// A blob that does not decode, or names one specimen twice, is rejected and
+// leaves the buffers as they were.
 func (cs *correlateState) restore(blob []byte) error {
 	var bufs []correlateSnapBuf
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&bufs); err != nil {
 		return err
 	}
-	cs.perKey = make(map[string]*specimenBuffer, len(bufs))
+	perKey := make(map[string]*specimenBuffer, len(bufs))
 	for _, b := range bufs {
+		k := b.Job + "\x00" + b.Specimen
+		if _, dup := perKey[k]; dup {
+			return fmt.Errorf("correlate snapshot: specimen %q of job %q twice", b.Specimen, b.Job)
+		}
 		layers := b.Layers
 		if layers == nil {
 			layers = make(map[int][]EventTuple)
 		}
-		cs.perKey[b.Job+"\x00"+b.Specimen] = &specimenBuffer{
+		perKey[k] = &specimenBuffer{
 			job: b.Job, specimen: b.Specimen,
 			layers: layers, lastClosed: b.LastClosed,
 		}
 	}
+	cs.perKey = perKey
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"strata/internal/testseed"
 )
 
 // TestCodecPropertyRoundTrip drives EncodeTuple/DecodeTuple with random
@@ -81,7 +83,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,7 +112,7 @@ func TestCodecPropertyDecodeNeverPanics(t *testing.T) {
 		_, _ = DecodeTuple(data) // must simply not panic
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -103,6 +103,10 @@ const (
 	RestartOnFailure
 )
 
+// checkpointRetention is how many checkpoint epochs a pipeline keeps: older
+// epochs are deleted after each successful checkpoint.
+const checkpointRetention = 3
+
 // deployConfig holds per-pipeline supervision knobs.
 type deployConfig struct {
 	policy      RestartPolicy
@@ -160,16 +164,6 @@ func WithRestartBackoff(d time.Duration) DeployOption {
 // offsets to be resumable.
 func WithCheckpointInterval(d time.Duration) DeployOption {
 	return func(c *deployConfig) { c.ckptEvery = d }
-}
-
-// WithCheckpointRetention keeps the last n checkpoint epochs (default 3).
-// Older epochs are deleted after each successful checkpoint.
-func WithCheckpointRetention(n int) DeployOption {
-	return func(c *deployConfig) {
-		if n >= 1 {
-			c.ckptRetain = n
-		}
-	}
 }
 
 // Pipeline is one deployed query with its own lifecycle.
@@ -290,7 +284,7 @@ func (m *Manager) buildFramework(name string, build func(fw *Framework) error, c
 // rebuilds and reruns it after failures (build must therefore be
 // re-invocable: it is called once per incarnation).
 func (m *Manager) Deploy(name string, build func(fw *Framework) error, opts ...DeployOption) (*Pipeline, error) {
-	cfg := deployConfig{policy: RestartNever, maxRestarts: 3, backoff: 100 * time.Millisecond, ckptRetain: 3}
+	cfg := deployConfig{policy: RestartNever, maxRestarts: 3, backoff: 100 * time.Millisecond, ckptRetain: checkpointRetention}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -8,3 +8,9 @@ func SetMaxChainStages(n int) (restore func()) {
 	maxChainStages = n
 	return func() { maxChainStages = prev }
 }
+
+// withCheckpointRetention keeps the last n checkpoint epochs instead of
+// checkpointRetention.
+func withCheckpointRetention(n int) DeployOption {
+	return func(c *deployConfig) { c.ckptRetain = n }
+}

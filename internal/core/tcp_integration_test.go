@@ -17,7 +17,7 @@ func TestPipelineAcrossTCP(t *testing.T) {
 	// Analysis host: broker + TCP server + detection framework.
 	broker := pubsub.NewBroker()
 	defer broker.Close()
-	srv, err := pubsub.Serve(broker, "127.0.0.1:0", pubsub.WithServerLogf(t.Logf))
+	srv, err := pubsub.Serve(broker, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

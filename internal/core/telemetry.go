@@ -44,11 +44,6 @@ func (m *Manager) Collect(w *telemetry.Writer) {
 			"Supervised restarts of the pipeline.", float64(in.Restarts), pl)
 		w.Gauge("strata_manager_pipeline_uptime_seconds",
 			"Seconds since the pipeline was deployed.", in.Uptime.Seconds(), pl)
-		if !in.LastFailure.IsZero() {
-			w.Gauge("strata_manager_pipeline_last_failure_timestamp_seconds",
-				"Unix time of the pipeline's most recent failure.",
-				float64(in.LastFailure.UnixNano())/1e9, pl)
-		}
 	}
 
 	m.store.Collect(w)
@@ -125,43 +120,4 @@ func (m *Manager) DebugPipelines() any {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Traces returns the finished sampled traces across every live pipeline,
-// slowest first — the source for /debug/traces (wire it with
-// telemetry.WithTraces(manager.Traces)). Empty unless the manager was
-// built with WithDefaultTraceSampling.
-func (m *Manager) Traces() []telemetry.TraceSnapshot {
-	m.mu.Lock()
-	live := make([]*Pipeline, 0, len(m.pipelines))
-	for _, p := range m.pipelines {
-		live = append(live, p)
-	}
-	m.mu.Unlock()
-
-	var all []telemetry.TraceSnapshot
-	for _, p := range live {
-		all = append(all, p.Framework().Traces().Slowest(0)...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Total > all[j].Total })
-	return all
-}
-
-// FindTrace returns every buffered fragment of the hex trace ID across all
-// live pipelines — this process's contribution to a cross-process trace.
-// Wire it with telemetry.WithTraceLookup(manager.FindTrace); the strata-trace
-// tool joins the answers from several processes into one timeline.
-func (m *Manager) FindTrace(id string) []telemetry.TraceSnapshot {
-	m.mu.Lock()
-	live := make([]*Pipeline, 0, len(m.pipelines))
-	for _, p := range m.pipelines {
-		live = append(live, p)
-	}
-	m.mu.Unlock()
-
-	var all []telemetry.TraceSnapshot
-	for _, p := range live {
-		all = append(all, p.Framework().Traces().Find(id)...)
-	}
-	return all
 }

@@ -90,7 +90,7 @@ func TestBatchSurvivesRestart(t *testing.T) {
 }
 
 func TestBatchTriggersFlush(t *testing.T) {
-	db := openTestDB(t, WithMemtableBytes(256))
+	db := openTestDB(t, withMemtableBytes(256))
 	var b Batch
 	for i := 0; i < 100; i++ {
 		b.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("some value payload here"))

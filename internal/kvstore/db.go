@@ -22,7 +22,8 @@ const (
 	sstFileSuffix = ".sst"
 )
 
-// Options tune a DB. Use the With* functional options with Open.
+// options tune a DB. WithSyncWrites is the one Open option; the rest stay at
+// their defaults outside tests.
 type options struct {
 	memtableBytes       int
 	compactionThreshold int
@@ -31,6 +32,12 @@ type options struct {
 }
 
 const (
+	// memtableBytes is the approximate memtable size that triggers a flush
+	// to an SSTable.
+	memtableBytes = 4 << 20
+	// compactionThreshold is how many SSTables may accumulate before they
+	// are merged into one.
+	compactionThreshold = 8
 	// blockCacheBytes is the capacity of the LRU cache over SSTable data
 	// blocks that point lookups read through, shared by all tables of a DB.
 	blockCacheBytes = 4 << 20
@@ -41,26 +48,6 @@ const (
 
 // Option customizes Open.
 type Option func(*options)
-
-// WithMemtableBytes sets the approximate memtable size that triggers a flush
-// to an SSTable. Default 4 MiB.
-func WithMemtableBytes(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.memtableBytes = n
-		}
-	}
-}
-
-// WithCompactionThreshold sets how many SSTables may accumulate before they
-// are merged into one. Default 8.
-func WithCompactionThreshold(n int) Option {
-	return func(o *options) {
-		if n > 1 {
-			o.compactionThreshold = n
-		}
-	}
-}
 
 // WithSyncWrites makes every WAL append fsync before returning. Durable but
 // slow; off by default (the paper's workload tolerates at-most-once loss of
@@ -114,8 +101,8 @@ type Stats struct {
 // Open opens (creating if necessary) the store in dir.
 func Open(dir string, optFns ...Option) (*DB, error) {
 	opts := options{
-		memtableBytes:       4 << 20,
-		compactionThreshold: 8,
+		memtableBytes:       memtableBytes,
+		compactionThreshold: compactionThreshold,
 		seed:                1,
 	}
 	for _, f := range optFns {

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+
+	"strata/internal/testseed"
 )
 
 func openTestDB(t *testing.T, opts ...Option) *DB {
@@ -172,7 +175,7 @@ func TestNewerSSTableShadowsOlder(t *testing.T) {
 }
 
 func TestAutomaticFlushOnMemtableSize(t *testing.T) {
-	db := openTestDB(t, WithMemtableBytes(1024))
+	db := openTestDB(t, withMemtableBytes(1024))
 	for i := 0; i < 200; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%04d", i), "some moderately sized value")
 	}
@@ -227,7 +230,7 @@ func TestCompaction(t *testing.T) {
 }
 
 func TestAutomaticCompaction(t *testing.T) {
-	db := openTestDB(t, WithMemtableBytes(256), WithCompactionThreshold(2))
+	db := openTestDB(t, withMemtableBytes(256), withCompactionThreshold(2))
 	for i := 0; i < 500; i++ {
 		mustPut(t, db, fmt.Sprintf("key-%05d", i), "vvvvvvvvvvvvvvvvvvvvvvvv")
 	}
@@ -379,7 +382,7 @@ func TestPrefixEnd(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	db := openTestDB(t, WithMemtableBytes(4096))
+	db := openTestDB(t, withMemtableBytes(4096))
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 4; w++ {
@@ -422,34 +425,73 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestRandomizedAgainstMap drives the store with a random operation sequence
-// and compares every observable result against a plain map reference model,
-// including across flushes, compactions, and reopen.
+// TestRandomizedAgainstMap drives the store with a random sequence of puts,
+// deletes, atomic batches, prefix deletes and reads, and compares every
+// observable result against a plain map reference model, including across
+// flushes, compactions, and reopen. A failure prints its seed; replay it
+// with -seed.
 func TestRandomizedAgainstMap(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, WithMemtableBytes(512), WithCompactionThreshold(3))
+	db, err := Open(dir, withMemtableBytes(512), withCompactionThreshold(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := map[string]string{}
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewSource(testseed.Seed(t)))
 	randKey := func() string { return fmt.Sprintf("key-%03d", rng.Intn(150)) }
 
 	for step := 0; step < 4000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5: // put
+		switch op := rng.Intn(20); {
+		case op < 8: // put
 			k, v := randKey(), fmt.Sprintf("val-%d", step)
 			if err := db.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatalf("step %d: Put error = %v", step, err)
 			}
 			ref[k] = v
-		case op < 7: // delete
+		case op < 11: // delete
 			k := randKey()
 			if err := db.Delete([]byte(k)); err != nil {
 				t.Fatalf("step %d: Delete error = %v", step, err)
 			}
 			delete(ref, k)
-		case op < 9: // get
+		case op < 13: // atomic batch of puts and deletes, applied in order
+			var b Batch
+			next := map[string]*string{}
+			for i := rng.Intn(8); i >= 0; i-- {
+				k := randKey()
+				if rng.Intn(3) == 0 {
+					b.Delete([]byte(k))
+					next[k] = nil
+				} else {
+					v := fmt.Sprintf("val-%d.%d", step, i)
+					b.Put([]byte(k), []byte(v))
+					next[k] = &v
+				}
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Fatalf("step %d: Apply error = %v", step, err)
+			}
+			for k, v := range next {
+				if v == nil {
+					delete(ref, k)
+				} else {
+					ref[k] = *v
+				}
+			}
+		case op < 14: // delete every key under a ten-key prefix
+			prefix := fmt.Sprintf("key-%02d", rng.Intn(15))
+			want := 0
+			for k := range ref {
+				if strings.HasPrefix(k, prefix) {
+					delete(ref, k)
+					want++
+				}
+			}
+			n, err := db.DeletePrefix([]byte(prefix))
+			if err != nil || n != want {
+				t.Fatalf("step %d: DeletePrefix(%q) = %d,%v want %d", step, prefix, n, err, want)
+			}
+		case op < 18: // get
 			k := randKey()
 			got, err := db.Get([]byte(k))
 			want, ok := ref[k]
@@ -465,7 +507,7 @@ func TestRandomizedAgainstMap(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatalf("step %d: Close error = %v", step, err)
 				}
-				db, err = Open(dir, WithMemtableBytes(512), WithCompactionThreshold(3))
+				db, err = Open(dir, withMemtableBytes(512), withCompactionThreshold(3))
 				if err != nil {
 					t.Fatalf("step %d: reopen error = %v", step, err)
 				}

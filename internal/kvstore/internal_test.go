@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 func TestSkiplistOrderedIteration(t *testing.T) {
@@ -99,7 +101,7 @@ func TestSkiplistPropertyMatchesMap(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -291,7 +293,7 @@ func TestSSTablePropertyRoundTrip(t *testing.T) {
 		}
 		return count == len(entries)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }

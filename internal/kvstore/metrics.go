@@ -6,8 +6,9 @@ import (
 
 // Collect implements telemetry.Collector: memtable occupancy, SSTable and
 // WAL state, flush/compaction activity with latency distributions, WAL
-// append/fsync latency, and bloom-filter effectiveness. Samples are labelled
-// with the store directory so several open stores stay distinguishable.
+// append/fsync latency, group-commit coalescing and bloom-filter checks.
+// Samples are labelled with the store directory so several open stores stay
+// distinguishable.
 func (db *DB) Collect(w *telemetry.Writer) {
 	st := db.Stats()
 	db.mu.RLock()
@@ -15,8 +16,6 @@ func (db *DB) Collect(w *telemetry.Writer) {
 	db.mu.RUnlock()
 
 	dir := telemetry.L("dir", db.dir)
-	w.Gauge("strata_kvstore_memtable_bytes",
-		"Approximate bytes buffered in the memtable.", float64(st.MemtableBytes), dir)
 	w.Gauge("strata_kvstore_memtable_entries",
 		"Entries buffered in the memtable.", float64(st.MemtableEntries), dir)
 	w.Gauge("strata_kvstore_sstables",
@@ -41,9 +40,6 @@ func (db *DB) Collect(w *telemetry.Writer) {
 
 	commits := db.walStats.Commits.Load()
 	groupSyncs := db.walStats.Syncs.Load()
-	w.Counter("strata_kvstore_wal_commits_total",
-		"Durability points requested (one per Put/Delete/Apply).",
-		float64(commits), dir)
 	w.Counter("strata_kvstore_wal_group_syncs_total",
 		"Group-commit cohorts that reached the disk (flush + fsync when enabled).",
 		float64(groupSyncs), dir)
@@ -53,18 +49,6 @@ func (db *DB) Collect(w *telemetry.Writer) {
 			float64(commits-groupSyncs), dir)
 	}
 
-	checks := db.bloomChecks.Load()
-	skips := db.bloomSkips.Load()
 	w.Counter("strata_kvstore_bloom_checks_total",
-		"Bloom-filter membership checks during Get.", float64(checks), dir)
-	w.Counter("strata_kvstore_bloom_skips_total",
-		"SSTable reads avoided by a negative bloom answer.", float64(skips), dir)
-	w.Counter("strata_kvstore_bloom_false_positives_total",
-		"Bloom passes whose SSTable read found nothing.",
-		float64(db.bloomFalsePos.Load()), dir)
-	if checks > 0 {
-		w.Gauge("strata_kvstore_bloom_skip_ratio",
-			"Fraction of table probes the bloom filter short-circuited.",
-			float64(skips)/float64(checks), dir)
-	}
+		"Bloom-filter membership checks during Get.", float64(db.bloomChecks.Load()), dir)
 }

@@ -109,14 +109,3 @@ func BenchmarkSubImage(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPercentile(b *testing.B) {
-	im := benchImage(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := im.Percentile(95); !ok {
-			b.Fatal("no pixels")
-		}
-	}
-}

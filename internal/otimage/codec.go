@@ -58,18 +58,6 @@ func (v View) MarshalAppend(dst []byte) []byte {
 
 // Unmarshal decodes an image produced by Marshal into a fresh image.
 func Unmarshal(data []byte) (*Image, error) {
-	return unmarshalWith(data, New)
-}
-
-// UnmarshalPooled decodes an image produced by Marshal into a buffer taken
-// from pool, so a steady decode loop recycles frames instead of allocating
-// 8 MB each. The caller owns the returned image and is responsible for
-// recycling it (see the ImagePool ownership rules).
-func UnmarshalPooled(data []byte, pool *ImagePool) (*Image, error) {
-	return unmarshalWith(data, pool.Get)
-}
-
-func unmarshalWith(data []byte, alloc func(w, h int, mmpp float64) *Image) (*Image, error) {
 	if len(data) < 20 {
 		return nil, fmt.Errorf("otimage: truncated header (%d bytes)", len(data))
 	}
@@ -84,7 +72,7 @@ func unmarshalWith(data []byte, alloc func(w, h int, mmpp float64) *Image) (*Ima
 	if len(data) != 20+w*h*2 {
 		return nil, fmt.Errorf("otimage: size mismatch: header says %dx%d, payload %d bytes", w, h, len(data)-20)
 	}
-	im := alloc(w, h, math.Float64frombits(binary.LittleEndian.Uint64(data[12:20])))
+	im := New(w, h, math.Float64frombits(binary.LittleEndian.Uint64(data[12:20])))
 	readPixels(im.Pix, data[20:])
 	return im, nil
 }

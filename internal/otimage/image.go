@@ -27,9 +27,6 @@ type Image struct {
 	// (the paper's setup: 250 mm plate / 2000 px = 0.125 mm/px).
 	MMPerPixel float64
 	Pix        []uint16
-	// pooled marks an image currently resting in an ImagePool; Recycle
-	// uses it to panic on double recycles instead of corrupting the pool.
-	pooled bool
 }
 
 // New allocates a zeroed image of the given dimensions.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 func randomImage(seed int64, w, h int) *Image {
@@ -259,7 +261,7 @@ func TestSplitCellsPropertyCoverage(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,48 +287,5 @@ func TestMaskedMeanIgnoresBackground(t *testing.T) {
 	dark := New(2, 2, 1)
 	if _, ok := dark.MeanNonZero(); ok {
 		t.Fatal("MeanNonZero of dark image should report ok=false")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	im := New(100, 1, 1)
-	for i := 0; i < 100; i++ {
-		im.Pix[i] = uint16(i + 1) // 1..100, no zeros
-	}
-	cases := []struct {
-		p    float64
-		want uint16
-	}{{0, 1}, {50, 50}, {100, 100}}
-	for _, c := range cases {
-		got, ok := im.Percentile(c.p)
-		if !ok || got != c.want {
-			t.Errorf("Percentile(%g) = %d,%v want %d", c.p, got, ok, c.want)
-		}
-	}
-	// Clamped inputs.
-	if got, _ := im.Percentile(-5); got != 1 {
-		t.Errorf("Percentile(-5) = %d, want 1", got)
-	}
-	if got, _ := im.Percentile(200); got != 100 {
-		t.Errorf("Percentile(200) = %d, want 100", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	im := New(4, 1, 1)
-	im.Pix = []uint16{0, 1, 32768, 65535}
-	h := im.Histogram(2)
-	if len(h) != 2 || h[0] != 2 || h[1] != 2 {
-		t.Fatalf("Histogram(2) = %v, want [2 2]", h)
-	}
-	if h := im.Histogram(0); h != nil {
-		t.Fatal("Histogram(0) should be nil")
-	}
-	total := 0
-	for _, n := range im.Histogram(7) {
-		total += n
-	}
-	if total != 4 {
-		t.Fatalf("histogram total = %d, want 4", total)
 	}
 }

@@ -9,20 +9,6 @@ import (
 	"os"
 )
 
-// ToGray16 converts the OT image to a stdlib 16-bit grayscale image.
-func (im *Image) ToGray16() *image.Gray16 {
-	out := image.NewGray16(image.Rect(0, 0, im.Width, im.Height))
-	for y := 0; y < im.Height; y++ {
-		for x := 0; x < im.Width; x++ {
-			v := im.Pix[y*im.Width+x]
-			i := out.PixOffset(x, y)
-			out.Pix[i] = byte(v >> 8)
-			out.Pix[i+1] = byte(v)
-		}
-	}
-	return out
-}
-
 // SavePNG writes the image as a 16-bit grayscale PNG, auto-scaling the
 // intensity range to use the full gray scale (for visual inspection; use
 // the PGM/binary codecs for lossless data exchange).

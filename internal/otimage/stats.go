@@ -1,75 +1,5 @@
 package otimage
 
-import (
-	"slices"
-	"sync"
-)
-
-// Histogram counts pixel intensities into the given number of equal-width
-// bins over [0, 65535].
-func (im *Image) Histogram(bins int) []int {
-	if bins <= 0 {
-		return nil
-	}
-	return im.AppendHistogram(make([]int, 0, bins), bins)
-}
-
-// AppendHistogram is Histogram writing into a caller-provided buffer: the
-// bins counts are appended to dst and the extended slice returned (pass
-// dst[:0] to reuse a scratch across frames).
-func (im *Image) AppendHistogram(dst []int, bins int) []int {
-	if bins <= 0 {
-		return dst
-	}
-	base := len(dst)
-	for i := 0; i < bins; i++ {
-		dst = append(dst, 0)
-	}
-	out := dst[base:]
-	width := 65536 / bins
-	if 65536%bins != 0 {
-		width++
-	}
-	for _, v := range im.Pix {
-		out[int(v)/width]++
-	}
-	return dst
-}
-
-// percentileScratch recycles the non-zero-pixel staging buffer Percentile
-// sorts — for a 2000×2000 frame that buffer alone is megabytes per call.
-var percentileScratch = sync.Pool{New: func() any { return new([]uint16) }}
-
-// Percentile returns the p-th percentile (0..100) of the NON-ZERO pixel
-// intensities — zero pixels are unprinted background in OT images. ok is
-// false when the image has no printed pixels.
-func (im *Image) Percentile(p float64) (val uint16, ok bool) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sp := percentileScratch.Get().(*[]uint16)
-	vals := (*sp)[:0]
-	for _, v := range im.Pix {
-		if v != 0 {
-			vals = append(vals, v)
-		}
-	}
-	if len(vals) == 0 {
-		*sp = vals
-		percentileScratch.Put(sp)
-		return 0, false
-	}
-	slices.Sort(vals)
-	idx := int(p / 100 * float64(len(vals)-1))
-	val = vals[idx]
-	*sp = vals
-	percentileScratch.Put(sp)
-	return val, true
-}
-
 // MeanNonZero returns the mean of the non-zero pixels; ok is false for a
 // fully dark image.
 func (im *Image) MeanNonZero() (mean float64, ok bool) {

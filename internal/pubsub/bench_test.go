@@ -78,7 +78,7 @@ func BenchmarkBrokerWildcardMatch(b *testing.B) {
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	br := NewBroker()
 	defer br.Close()
-	srv, err := Serve(br, "127.0.0.1:0", WithServerLogf(func(string, ...any) {}))
+	srv, err := Serve(br, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 	br := NewBroker()
 	defer br.Close()
 	srv, err := Serve(br, "127.0.0.1:0",
-		WithServerLogf(func(string, ...any) {}),
-		WithFlushInterval(interval))
+		withServerLogf(func(string, ...any) {}),
+		withFlushInterval(interval))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 
 	var subs []*ClientSub
 	for i := 0; i < fanout; i++ {
-		subC, err := Dial(srv.Addr(), WithDialFlushInterval(interval))
+		subC, err := dial(srv.Addr(), interval)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 		}
 		subs = append(subs, sub)
 	}
-	pubC, err := Dial(srv.Addr(), WithDialFlushInterval(interval))
+	pubC, err := dial(srv.Addr(), interval)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func BenchmarkTCPFanOut4(b *testing.B) {
 func BenchmarkTCPLargeImagePayload(b *testing.B) {
 	br := NewBroker()
 	defer br.Close()
-	srv, err := Serve(br, "127.0.0.1:0", WithServerLogf(func(string, ...any) {}))
+	srv, err := Serve(br, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
 	if err != nil {
 		b.Fatal(err)
 	}

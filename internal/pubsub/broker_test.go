@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"strata/internal/testseed"
 )
 
 func TestValidateSubject(t *testing.T) {
@@ -414,7 +416,7 @@ func TestMatchPropertySelfMatch(t *testing.T) {
 		// Without wildcards, match is just equality.
 		return Match(s1, s2) == (s1 == s2)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }

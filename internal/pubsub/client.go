@@ -88,34 +88,18 @@ func (s *ClientSub) Unsubscribe() error {
 	return s.conn.send(opUnsub, u64(s.sid))
 }
 
-// dialConfig holds the tuning knobs of a client connection.
-type dialConfig struct {
-	flushInterval time.Duration
+// Dial connects to a pubsub server at addr. Publish frames are corked:
+// buffered and flushed at most once per defaultFlushInterval under sustained
+// load (an idle connection still flushes immediately), so a publish burst
+// costs one syscall per interval instead of one per message. Control frames
+// (subscribe, unsubscribe, ping) always flush inline, as does Close.
+func Dial(addr string) (*Conn, error) {
+	return dial(addr, defaultFlushInterval)
 }
 
-// DialOption customizes Dial.
-type DialOption func(*dialConfig)
-
-// WithDialFlushInterval sets the write-side cork: publish frames are buffered
-// and the socket flushed at most once per d under sustained load (an idle
-// connection still flushes immediately), so a publish burst costs one syscall
-// per interval instead of one per message. Control frames (subscribe,
-// unsubscribe, ping) always flush inline, as does Close. d = 0 disables
-// corking — every frame flushes on write. Default 100µs.
-func WithDialFlushInterval(d time.Duration) DialOption {
-	return func(c *dialConfig) {
-		if d >= 0 {
-			c.flushInterval = d
-		}
-	}
-}
-
-// Dial connects to a pubsub server at addr.
-func Dial(addr string, opts ...DialOption) (*Conn, error) {
-	cfg := dialConfig{flushInterval: defaultFlushInterval}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// dial is Dial with the cork interval as a parameter (0 flushes every
+// frame on write).
+func dial(addr string, flushInterval time.Duration) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial: %w", err)
@@ -126,7 +110,7 @@ func Dial(addr string, opts ...DialOption) (*Conn, error) {
 		pongCh: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
-	c.cw = newCorkedWriter(bufio.NewWriterSize(nc, 1<<16), cfg.flushInterval, &c.wstats)
+	c.cw = newCorkedWriter(bufio.NewWriterSize(nc, 1<<16), flushInterval, &c.wstats)
 	go c.readLoop()
 	return c, nil
 }
@@ -169,18 +153,6 @@ func (c *Conn) sendWith(write func(byte, ...[]byte) error, op byte, payload ...[
 // flush pushes any corked publish frames to the socket immediately.
 func (c *Conn) flush() error {
 	return c.cw.flush()
-}
-
-// FlushesSaved reports how many socket flushes the write-side cork avoided so
-// far, relative to the flush-per-frame wire format: frames written minus
-// flushes issued.
-func (c *Conn) FlushesSaved() uint64 {
-	frames := c.wstats.frames.Load()
-	flushes := c.wstats.flushes.Load()
-	if flushes > frames {
-		return 0
-	}
-	return frames - flushes
 }
 
 // Publish sends data under subject. The data slice is written out before

@@ -73,7 +73,7 @@ func TestUnsubscribeRacesConnClose(t *testing.T) {
 func TestPublishOnTornDownConnReturnsErrClosed(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	srv, err := Serve(b, "127.0.0.1:0", WithServerLogf(func(string, ...any) {}))
+	srv, err := Serve(b, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestClientFlushesSavedUnderBurst(t *testing.T) {
 
 	// An hour-long interval so only the flusher's initial idle flush and the
 	// Ping barrier ever hit the socket: coalescing becomes deterministic.
-	pub, err := Dial(srv.Addr(), WithDialFlushInterval(time.Hour))
+	pub, err := dial(srv.Addr(), time.Hour)
 	if err != nil {
 		t.Fatalf("Dial pub: %v", err)
 	}
@@ -140,7 +140,8 @@ func TestClientFlushesSavedUnderBurst(t *testing.T) {
 			t.Fatalf("msg %d never arrived: corked frames lost", i)
 		}
 	}
-	if saved := pub.FlushesSaved(); saved < n/2 {
-		t.Fatalf("FlushesSaved = %d, want at least %d (burst should coalesce)", saved, n/2)
+	frames, flushes := pub.wstats.frames.Load(), pub.wstats.flushes.Load()
+	if flushes > frames || frames-flushes < n/2 {
+		t.Fatalf("%d frames in %d flushes, want at least %d saved (burst should coalesce)", frames, flushes, n/2)
 	}
 }

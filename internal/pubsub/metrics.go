@@ -71,13 +71,11 @@ func (c *subjectCounters) snapshot() map[string]subjectCount {
 }
 
 // Collect implements telemetry.Collector: broker totals, bounded per-subject
-// publish/deliver counters, and per-subscription buffer depth and drops.
+// publish/deliver counters, and per-subscription buffer depth.
 func (b *Broker) Collect(w *telemetry.Writer) {
 	st := b.Stats()
 	w.Counter("strata_pubsub_published_total",
 		"Messages published to the broker.", float64(st.Published))
-	w.Counter("strata_pubsub_delivered_total",
-		"Message deliveries to subscriptions.", float64(st.Delivered))
 	w.Counter("strata_pubsub_dropped_total",
 		"Messages discarded by subscription overflow policies.",
 		float64(b.droppedTotal.Load()))
@@ -114,22 +112,14 @@ func (b *Broker) Collect(w *telemetry.Writer) {
 			float64(len(s.ch)), labels...)
 		w.Gauge("strata_pubsub_sub_capacity",
 			"Subscription buffer capacity.", float64(cap(s.ch)), labels...)
-		w.Counter("strata_pubsub_sub_dropped_total",
-			"Messages this subscription discarded due to its overflow policy.",
-			float64(s.Dropped()), labels...)
 	}
 }
 
-// Collect implements telemetry.Collector: durability counters for a topic
-// log store — how often appends asked for an fsync, how many fsyncs were
-// actually issued, and how many rode a concurrent append's sync (group
-// commit coalescing).
+// Collect implements telemetry.Collector: how many fsyncs a topic log
+// store's group commit avoided (appends that asked for durability minus
+// fsyncs issued).
 func (ls *LogStore) Collect(w *telemetry.Writer) {
 	commits, syncs := ls.SyncStats()
-	w.Counter("strata_pubsub_log_commits_total",
-		"Appends that requested durability.", float64(commits))
-	w.Counter("strata_pubsub_log_syncs_total",
-		"fsyncs issued by the log store.", float64(syncs))
 	saved := float64(0)
 	if commits > syncs {
 		saved = float64(commits - syncs)
@@ -137,23 +127,6 @@ func (ls *LogStore) Collect(w *telemetry.Writer) {
 	w.Counter("strata_pubsub_log_syncs_saved_total",
 		"fsyncs avoided by group-commit coalescing (commits minus syncs).",
 		saved)
-
-	ls.mu.Lock()
-	topics := make([]*topicLog, 0, len(ls.topics))
-	for _, t := range ls.topics {
-		topics = append(topics, t)
-	}
-	ls.mu.Unlock()
-	records := 0
-	for _, t := range topics {
-		t.mu.Lock()
-		records += len(t.offsets)
-		t.mu.Unlock()
-	}
-	w.Gauge("strata_pubsub_log_topics", "Topics in the log store.",
-		float64(len(topics)))
-	w.Gauge("strata_pubsub_log_records", "Records across all topics.",
-		float64(records))
 }
 
 // Collect implements telemetry.Collector: TCP accept/active/reap counters
@@ -170,10 +143,6 @@ func (s *Server) Collect(w *telemetry.Writer) {
 		"Currently connected TCP clients.", float64(active))
 	frames := s.wstats.frames.Load()
 	flushes := s.wstats.flushes.Load()
-	w.Counter("strata_pubsub_server_frames_written_total",
-		"Outbound wire frames written across all connections.", float64(frames))
-	w.Counter("strata_pubsub_server_writer_flushes_total",
-		"Socket flushes issued by the corked writers.", float64(flushes))
 	saved := float64(0)
 	if frames > flushes {
 		saved = float64(frames - flushes)

@@ -11,9 +11,9 @@ import (
 // bounded buffer parks, and the redial delivers all three in order.
 func TestOverloadOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
 	h := newReconnectHarness(t,
-		WithHeartbeat(20*time.Millisecond, 100*time.Millisecond),
-		WithReconnectWait(300*time.Millisecond, 600*time.Millisecond),
-		WithPendingLimit(2))
+		withHeartbeat(20*time.Millisecond, 100*time.Millisecond),
+		slowRedial,
+		withPendingLimit(2))
 
 	sub, err := h.rc.Subscribe("ov.>")
 	if err != nil {
@@ -24,7 +24,7 @@ func TestOverloadOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
 	}
 
 	h.proxy.Injector().Blackhole()
-	waitSignal(t, h.disconnected, "heartbeat-driven disconnect")
+	waitUntil(t, "heartbeat-driven disconnect", h.disconnected)
 	// Redial is held off by the backoff floor (at least 150 ms), so the
 	// first two fill the buffer and the third parks.
 	for _, payload := range []string{"a", "b"} {
@@ -35,7 +35,7 @@ func TestOverloadOverflowPoliciesUnderHeartbeatRedial(t *testing.T) {
 	third := publishAsync(h.rc, "ov.x", "c")
 	assertParked(t, h.rc, third, 2)
 
-	waitSignal(t, h.reconnected, "reconnect after blackhole")
+	waitUntil(t, "reconnect after blackhole", h.reconnected)
 	if err := waitSignal(t, third, "parked publish after redial"); err != nil {
 		t.Fatalf("parked publish after redial = %v, want nil", err)
 	}

@@ -14,6 +14,19 @@ import (
 // Ping) while a ReconnectConn is between connections.
 var ErrDisconnected = errors.New("pubsub: disconnected")
 
+const (
+	// pendingLimit caps how many publishes a ReconnectConn buffers while
+	// disconnected. A publish beyond the cap blocks until the next link
+	// flushes the buffer or the conn closes (ErrClosed): nothing is dropped.
+	pendingLimit = 1024
+	// heartbeatInterval and heartbeatTimeout are the liveness probe: every
+	// interval the client pings the server and treats a pong missing for
+	// the timeout as a dead link, forcing a reconnect. It is how half-open
+	// TCP connections (peer gone, no FIN) are detected.
+	heartbeatInterval = 30 * time.Second
+	heartbeatTimeout  = 5 * time.Second
+)
+
 // reconnectConfig holds the tuning knobs of a ReconnectConn.
 type reconnectConfig struct {
 	minBackoff   time.Duration
@@ -21,11 +34,6 @@ type reconnectConfig struct {
 	pendingLimit int
 	heartbeat    time.Duration
 	pingTimeout  time.Duration
-
-	onConnected    func()
-	onDisconnected func(error)
-	onReconnected  func()
-	onClosed       func()
 }
 
 // ReconnectOption customizes DialReconnect.
@@ -46,54 +54,6 @@ func WithReconnectWait(min, max time.Duration) ReconnectOption {
 	}
 }
 
-// WithPendingLimit caps how many publishes are buffered while disconnected
-// (default 1024). A publish beyond the cap blocks until the next link
-// flushes the buffer or the conn closes (ErrClosed): nothing is dropped.
-func WithPendingLimit(n int) ReconnectOption {
-	return func(c *reconnectConfig) {
-		if n > 0 {
-			c.pendingLimit = n
-		}
-	}
-}
-
-// WithHeartbeat sets the liveness probe: every interval the client pings the
-// server and treats a pong missing for timeout as a dead link, forcing a
-// reconnect. It is how half-open TCP connections (peer gone, no FIN) are
-// detected. Defaults: 30s interval, 5s timeout; interval <= 0 disables.
-func WithHeartbeat(interval, timeout time.Duration) ReconnectOption {
-	return func(c *reconnectConfig) {
-		c.heartbeat = interval
-		if timeout > 0 {
-			c.pingTimeout = timeout
-		}
-	}
-}
-
-// WithConnectedHandler registers a callback fired once when the initial
-// connection is established.
-func WithConnectedHandler(fn func()) ReconnectOption {
-	return func(c *reconnectConfig) { c.onConnected = fn }
-}
-
-// WithDisconnectedHandler registers a callback fired when the link drops,
-// with the error that killed it.
-func WithDisconnectedHandler(fn func(error)) ReconnectOption {
-	return func(c *reconnectConfig) { c.onDisconnected = fn }
-}
-
-// WithReconnectedHandler registers a callback fired after every successful
-// reconnect, once subscriptions are restored and buffered publishes flushed.
-func WithReconnectedHandler(fn func()) ReconnectOption {
-	return func(c *reconnectConfig) { c.onReconnected = fn }
-}
-
-// WithClosedHandler registers a callback fired when Close has torn the conn
-// down.
-func WithClosedHandler(fn func()) ReconnectOption {
-	return func(c *reconnectConfig) { c.onClosed = fn }
-}
-
 // pendingPub is one publish buffered while disconnected. Data is an owned
 // copy: the caller may reuse its slice after Publish returns.
 type pendingPub struct {
@@ -106,8 +66,8 @@ type pendingPub struct {
 // ReconnectConn is a self-healing client connection to a pubsub Server. It
 // wraps Conn with automatic redial (exponential backoff plus jitter),
 // re-subscription of every active subscription after a reconnect, a bounded
-// buffer for publishes issued while disconnected, optional heartbeat-based
-// liveness, and connection-state callbacks. It is the client a pipeline that
+// buffer for publishes issued while disconnected, and heartbeat-based
+// liveness. It is the client a pipeline that
 // must survive an hours-long PBF-LB build should use. Safe for concurrent
 // use.
 type ReconnectConn struct {
@@ -215,9 +175,9 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 	cfg := reconnectConfig{
 		minBackoff:   50 * time.Millisecond,
 		maxBackoff:   2 * time.Second,
-		pendingLimit: 1024,
-		heartbeat:    30 * time.Second,
-		pingTimeout:  5 * time.Second,
+		pendingLimit: pendingLimit,
+		heartbeat:    heartbeatInterval,
+		pingTimeout:  heartbeatTimeout,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -235,9 +195,6 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 		done: make(chan struct{}),
 	}
 	rc.notFull = sync.NewCond(&rc.mu)
-	if cfg.onConnected != nil {
-		cfg.onConnected()
-	}
 	go rc.supervise(conn)
 	return rc, nil
 }
@@ -291,7 +248,7 @@ func (rc *ReconnectConn) ActiveSubscriptions() int {
 }
 
 // Publish sends data under subject, buffering it if the link is currently
-// down (see WithPendingLimit). The data slice may be reused by the caller
+// down (see pendingLimit). The data slice may be reused by the caller
 // after Publish returns.
 func (rc *ReconnectConn) Publish(subject string, data []byte) error {
 	return rc.PublishRequest(subject, "", data)
@@ -450,9 +407,6 @@ func (rc *ReconnectConn) Close() error {
 		s.shutdown()
 	}
 	<-rc.done
-	if rc.cfg.onClosed != nil {
-		rc.cfg.onClosed()
-	}
 	return nil
 }
 
@@ -486,9 +440,6 @@ func (rc *ReconnectConn) supervise(conn *Conn) {
 		}
 		rc.mu.Unlock()
 		obslog.L("pubsub").Warn("link down", "addr", rc.addr, "error", fmt.Sprint(err))
-		if rc.cfg.onDisconnected != nil {
-			rc.cfg.onDisconnected(err)
-		}
 
 		next, ok := rc.redial()
 		if !ok {
@@ -501,9 +452,6 @@ func (rc *ReconnectConn) supervise(conn *Conn) {
 		pending := len(rc.pending)
 		rc.mu.Unlock()
 		obslog.L("pubsub").Info("reconnected", "addr", rc.addr, "reconnects", n, "pending", pending)
-		if rc.cfg.onReconnected != nil {
-			rc.cfg.onReconnected()
-		}
 	}
 }
 
@@ -643,9 +591,6 @@ func (rc *ReconnectConn) requeue(batch []pendingPub, from int) {
 // supervisor observes as a disconnect and repairs. Detects half-open
 // connections that TCP alone would keep "established" for hours.
 func (rc *ReconnectConn) startHeartbeat(conn *Conn) {
-	if rc.cfg.heartbeat <= 0 {
-		return
-	}
 	go func() {
 		t := time.NewTicker(rc.cfg.heartbeat)
 		defer t.Stop()

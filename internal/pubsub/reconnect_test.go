@@ -12,28 +12,23 @@ import (
 )
 
 // reconnectHarness wires broker → TCP server → fault-injection proxy →
-// ReconnectConn, with state-change notifications exposed as channels.
+// ReconnectConn.
 type reconnectHarness struct {
-	broker       *Broker
-	srv          *Server
-	proxy        *faultinject.Proxy
-	rc           *ReconnectConn
-	connected    chan struct{}
-	disconnected chan error
-	reconnected  chan struct{}
-	closed       chan struct{}
+	broker *Broker
+	srv    *Server
+	proxy  *faultinject.Proxy
+	rc     *ReconnectConn
 }
+
+// slowRedial holds a dropped link down for at least 150ms before the first
+// redial, so a test can observe the disconnected state and act in it.
+var slowRedial = WithReconnectWait(300*time.Millisecond, 600*time.Millisecond)
 
 func newReconnectHarness(t *testing.T, opts ...ReconnectOption) *reconnectHarness {
 	t.Helper()
-	h := &reconnectHarness{
-		connected:    make(chan struct{}, 4),
-		disconnected: make(chan error, 4),
-		reconnected:  make(chan struct{}, 4),
-		closed:       make(chan struct{}, 4),
-	}
+	h := &reconnectHarness{}
 	h.broker = NewBroker()
-	srv, err := Serve(h.broker, "127.0.0.1:0", WithServerLogf(func(string, ...any) {}))
+	srv, err := Serve(h.broker, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +40,6 @@ func newReconnectHarness(t *testing.T, opts ...ReconnectOption) *reconnectHarnes
 	h.proxy = proxy
 	all := append([]ReconnectOption{
 		WithReconnectWait(5*time.Millisecond, 50*time.Millisecond),
-		WithConnectedHandler(func() { h.connected <- struct{}{} }),
-		WithDisconnectedHandler(func(err error) { h.disconnected <- err }),
-		WithReconnectedHandler(func() { h.reconnected <- struct{}{} }),
-		WithClosedHandler(func() { h.closed <- struct{}{} }),
 	}, opts...)
 	rc, err := DialReconnect(proxy.Addr(), all...)
 	if err != nil {
@@ -63,6 +54,23 @@ func newReconnectHarness(t *testing.T, opts ...ReconnectOption) *reconnectHarnes
 	})
 	return h
 }
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// disconnected and reconnected are the link states the tests wait for.
+func (h *reconnectHarness) disconnected() bool { return !h.rc.IsConnected() }
+
+func (h *reconnectHarness) reconnected() bool { return h.rc.Reconnects() >= 1 }
 
 func waitSignal[T any](t *testing.T, ch <-chan T, what string) T {
 	t.Helper()
@@ -96,7 +104,7 @@ func recvN(t *testing.T, ch <-chan Message, n int, what string) []Message {
 // cut is lost, and no goroutines leak.
 func TestReconnectRestoresSubscriptionsAndFlushesPending(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	h := newReconnectHarness(t)
+	h := newReconnectHarness(t, slowRedial)
 
 	sub, err := h.rc.Subscribe("bld.>")
 	if err != nil {
@@ -122,14 +130,14 @@ func TestReconnectRestoresSubscriptionsAndFlushesPending(t *testing.T) {
 	// Cut the link mid-stream and wait until the client has noticed — only
 	// then publish, so every message below must ride the pending buffer.
 	h.proxy.Sever()
-	waitSignal(t, h.disconnected, "disconnect notification")
+	waitUntil(t, "disconnect", h.disconnected)
 	for i := 0; i < 5; i++ {
 		if err := h.rc.Publish("bld.layer", []byte(fmt.Sprintf("post-%d", i))); err != nil {
 			t.Fatalf("publish while disconnected: %v", err)
 		}
 	}
 
-	waitSignal(t, h.reconnected, "reconnect notification")
+	waitUntil(t, "reconnect", h.reconnected)
 	post := recvN(t, sub.C, 5, "post-reconnect messages")
 	for i, m := range post {
 		if want := fmt.Sprintf("post-%d", i); string(m.Data) != want {
@@ -146,7 +154,6 @@ func TestReconnectRestoresSubscriptionsAndFlushesPending(t *testing.T) {
 	if err := h.rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitSignal(t, h.closed, "closed notification")
 	h.proxy.Close()
 	h.srv.Close()
 	h.broker.Close()
@@ -166,7 +173,7 @@ func TestReconnectRestoresSubscriptionsAndFlushesPending(t *testing.T) {
 // heartbeats exist for: the link stays established but passes no traffic.
 // The ping timeout must declare it dead and trigger a reconnect.
 func TestReconnectHeartbeatDetectsBlackhole(t *testing.T) {
-	h := newReconnectHarness(t, WithHeartbeat(20*time.Millisecond, 100*time.Millisecond))
+	h := newReconnectHarness(t, withHeartbeat(20*time.Millisecond, 100*time.Millisecond))
 
 	sub, err := h.rc.Subscribe("hb.>")
 	if err != nil {
@@ -177,11 +184,7 @@ func TestReconnectHeartbeatDetectsBlackhole(t *testing.T) {
 	}
 
 	h.proxy.Injector().Blackhole()
-	err = waitSignal(t, h.disconnected, "heartbeat-driven disconnect")
-	if err == nil {
-		t.Fatal("disconnect handler should receive the heartbeat error")
-	}
-	waitSignal(t, h.reconnected, "reconnect after blackhole")
+	waitUntil(t, "heartbeat-driven reconnect", h.reconnected)
 
 	// The restored subscription still works end-to-end.
 	if err := h.rc.Publish("hb.check", []byte("alive")); err != nil {
@@ -200,7 +203,7 @@ func TestReconnectSurvivesCorruptStream(t *testing.T) {
 	// Heartbeats matter here: depending on which bytes vanish, the server
 	// can end up blocked mid-frame waiting for data that never arrives, and
 	// only a missed pong reveals the link is wedged.
-	h := newReconnectHarness(t, WithHeartbeat(20*time.Millisecond, 100*time.Millisecond))
+	h := newReconnectHarness(t, withHeartbeat(20*time.Millisecond, 100*time.Millisecond))
 
 	sub, err := h.rc.Subscribe("c.>")
 	if err != nil {
@@ -214,8 +217,7 @@ func TestReconnectSurvivesCorruptStream(t *testing.T) {
 	h.proxy.Injector().DropBytes(3)
 	h.rc.Publish("c.x", []byte("mangled in transit"))
 
-	waitSignal(t, h.disconnected, "disconnect after corruption")
-	waitSignal(t, h.reconnected, "reconnect after corruption")
+	waitUntil(t, "reconnect after corruption", h.reconnected)
 
 	if err := h.rc.Publish("c.x", []byte("clean")); err != nil {
 		t.Fatal(err)
@@ -253,9 +255,9 @@ func assertParked(t *testing.T, rc *ReconnectConn, done <-chan error, limit int)
 // buffered ones are kept, and Close wakes the parked publisher with
 // ErrClosed.
 func TestReconnectPendingOverflowPolicies(t *testing.T) {
-	h := newReconnectHarness(t, WithPendingLimit(2))
+	h := newReconnectHarness(t, withPendingLimit(2))
 	h.proxy.Close() // no reconnect possible: publishes stay buffered
-	waitSignal(t, h.disconnected, "disconnect")
+	waitUntil(t, "disconnect", h.disconnected)
 
 	for _, payload := range []string{"a", "b"} {
 		if err := h.rc.Publish("p.x", []byte(payload)); err != nil {
@@ -283,7 +285,7 @@ func TestReconnectPendingOverflowPolicies(t *testing.T) {
 func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	srv, err := Serve(b, "127.0.0.1:0", WithServerLogf(func(string, ...any) {}))
+	srv, err := Serve(b, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +363,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
 	srv, err := Serve(b, "127.0.0.1:0",
-		WithServerLogf(func(string, ...any) {}),
+		withServerLogf(func(string, ...any) {}),
 		WithIdleTimeout(60*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +389,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	}
 
 	// Heartbeating client: survives many idle windows.
-	rc, err := DialReconnect(srv.Addr(), WithHeartbeat(20*time.Millisecond, 500*time.Millisecond))
+	rc, err := DialReconnect(srv.Addr(), withHeartbeat(20*time.Millisecond, 500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +409,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 // decremented by Unsubscribe. It is the readiness probe a consumer runs
 // before telling producers to start (see the obs-smoke worker).
 func TestActiveSubscriptionsReadiness(t *testing.T) {
-	h := newReconnectHarness(t)
-	waitSignal(t, h.connected, "initial connect")
+	h := newReconnectHarness(t, slowRedial)
 
 	if got := h.rc.ActiveSubscriptions(); got != 0 {
 		t.Fatalf("ActiveSubscriptions before subscribing = %d, want 0", got)
@@ -430,11 +431,11 @@ func TestActiveSubscriptionsReadiness(t *testing.T) {
 	}
 
 	h.proxy.Sever()
-	waitSignal(t, h.disconnected, "disconnect")
+	waitUntil(t, "disconnect", h.disconnected)
 	if got := h.rc.ActiveSubscriptions(); got != 0 {
 		t.Errorf("ActiveSubscriptions while disconnected = %d, want 0 (registered, not established)", got)
 	}
-	waitSignal(t, h.reconnected, "reconnect")
+	waitUntil(t, "reconnect", h.reconnected)
 	deadline := time.Now().Add(5 * time.Second)
 	for h.rc.ActiveSubscriptions() != 2 {
 		if time.Now().After(deadline) {

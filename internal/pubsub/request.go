@@ -47,49 +47,3 @@ func (b *Broker) Request(subject string, data []byte, timeout time.Duration) (Me
 		return Message{}, fmt.Errorf("%w (subject %q after %v)", ErrNoResponder, subject, timeout)
 	}
 }
-
-// Respond answers a request message. It is a no-op error when the message
-// carried no reply subject.
-func (b *Broker) Respond(req Message, data []byte) error {
-	if req.Reply == "" {
-		return fmt.Errorf("pubsub: message on %q carries no reply subject", req.Subject)
-	}
-	return b.Publish(req.Reply, data)
-}
-
-// Request is the client-side counterpart of Broker.Request: it round-trips
-// a request through the TCP server.
-func (c *Conn) Request(subject string, data []byte, timeout time.Duration) (Message, error) {
-	inbox := nextInbox()
-	sub, err := c.Subscribe(inbox, WithSubBuffer(1))
-	if err != nil {
-		return Message{}, err
-	}
-	defer sub.Unsubscribe()
-	// Make sure the server processed the SUB before the request fans out.
-	if err := c.Ping(timeout); err != nil {
-		return Message{}, err
-	}
-	if err := c.PublishRequest(subject, inbox, data); err != nil {
-		return Message{}, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case msg, ok := <-sub.C:
-		if !ok {
-			return Message{}, ErrClosed
-		}
-		return msg, nil
-	case <-timer.C:
-		return Message{}, fmt.Errorf("%w (subject %q after %v)", ErrNoResponder, subject, timeout)
-	}
-}
-
-// Respond answers a request received on a client subscription.
-func (c *Conn) Respond(req Message, data []byte) error {
-	if req.Reply == "" {
-		return fmt.Errorf("pubsub: message on %q carries no reply subject", req.Subject)
-	}
-	return c.Publish(req.Reply, data)
-}

@@ -22,8 +22,8 @@ func TestBrokerRequestReply(t *testing.T) {
 		if string(req.Data) != "terminate" {
 			t.Errorf("request data = %q", req.Data)
 		}
-		if err := b.Respond(req, []byte("ack")); err != nil {
-			t.Errorf("Respond error = %v", err)
+		if err := b.Publish(req.Reply, []byte("ack")); err != nil {
+			t.Errorf("reply error = %v", err)
 		}
 	}()
 
@@ -41,84 +41,6 @@ func TestBrokerRequestTimeout(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
 	_, err := b.Request("nobody.home", []byte("x"), 30*time.Millisecond)
-	if !errors.Is(err, ErrNoResponder) {
-		t.Fatalf("Request error = %v, want ErrNoResponder", err)
-	}
-}
-
-func TestBrokerRespondWithoutReplySubject(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.Respond(Message{Subject: "x"}, []byte("a")); err == nil {
-		t.Fatal("Respond without reply subject should error")
-	}
-}
-
-func TestTCPRequestReply(t *testing.T) {
-	b, srv := startTestServer(t)
-
-	// In-process responder behind the broker.
-	sub, err := b.Subscribe("machine.ctl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for req := range sub.C {
-			if err := b.Respond(req, append([]byte("ok:"), req.Data...)); err != nil {
-				t.Errorf("Respond error = %v", err)
-				return
-			}
-		}
-	}()
-
-	client := dialTest(t, srv)
-	resp, err := client.Request("machine.ctl", []byte("pause"), 5*time.Second)
-	if err != nil {
-		t.Fatalf("Request error = %v", err)
-	}
-	if string(resp.Data) != "ok:pause" {
-		t.Fatalf("response = %q", resp.Data)
-	}
-}
-
-func TestTCPRequestAcrossClients(t *testing.T) {
-	_, srv := startTestServer(t)
-
-	responder := dialTest(t, srv)
-	sub, err := responder.Subscribe("svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := responder.Ping(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for req := range sub.C {
-			if req.Reply == "" {
-				t.Error("request lost its reply subject over TCP")
-				return
-			}
-			if err := responder.Respond(req, []byte("pong")); err != nil {
-				t.Errorf("Respond error = %v", err)
-				return
-			}
-		}
-	}()
-
-	requester := dialTest(t, srv)
-	resp, err := requester.Request("svc", []byte("ping"), 5*time.Second)
-	if err != nil {
-		t.Fatalf("Request error = %v", err)
-	}
-	if string(resp.Data) != "pong" {
-		t.Fatalf("response = %q", resp.Data)
-	}
-}
-
-func TestTCPRequestTimeout(t *testing.T) {
-	_, srv := startTestServer(t)
-	client := dialTest(t, srv)
-	_, err := client.Request("void", []byte("x"), 50*time.Millisecond)
 	if !errors.Is(err, ErrNoResponder) {
 		t.Fatalf("Request error = %v, want ErrNoResponder", err)
 	}

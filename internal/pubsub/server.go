@@ -20,9 +20,9 @@ import (
 type Server struct {
 	broker        *Broker
 	ln            net.Listener
-	logf          func(format string, args ...any)
+	logf          func(format string, args ...any) // obslog "pubsub" at Warn
 	idleTimeout   time.Duration
-	flushInterval time.Duration
+	flushInterval time.Duration // cork on outbound frames; see Dial
 
 	mu     sync.Mutex
 	closed bool
@@ -36,16 +36,6 @@ type Server struct {
 
 // ServerOption customizes a Server.
 type ServerOption func(*Server)
-
-// WithServerLogf sets the server's diagnostic logger (default: the structured
-// obslog "pubsub" logger at Warn level; pass a no-op to silence).
-func WithServerLogf(logf func(format string, args ...any)) ServerOption {
-	return func(s *Server) {
-		if logf != nil {
-			s.logf = logf
-		}
-	}
-}
 
 // WithIdleTimeout makes the server reap connections that send no frame
 // (including pings) for d. Paired with client heartbeats it bounds how long
@@ -63,20 +53,6 @@ func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) {
 		if d > 0 {
 			s.idleTimeout = d
-		}
-	}
-}
-
-// WithFlushInterval sets the write-side cork on every client connection:
-// outbound message frames are buffered and the socket flushed at most once
-// per d under load (idle connections flush immediately), so a fan-out burst
-// costs one syscall per interval instead of one per message. Latency-critical
-// control frames (pong, error) always flush inline. d = 0 disables corking —
-// every frame flushes on write, the pre-cork behavior. Default 100µs.
-func WithFlushInterval(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d >= 0 {
-			s.flushInterval = d
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func startTestServer(t *testing.T) (*Broker, *Server) {
 	t.Helper()
 	b := NewBroker()
-	srv, err := Serve(b, "127.0.0.1:0", WithServerLogf(t.Logf))
+	srv, err := Serve(b, "127.0.0.1:0", withServerLogf(t.Logf))
 	if err != nil {
 		t.Fatalf("Serve() error = %v", err)
 	}
@@ -199,7 +199,7 @@ func TestTCPQueueGroupAcrossClients(t *testing.T) {
 
 func TestTCPServerCloseDisconnectsClients(t *testing.T) {
 	b := NewBroker()
-	srv, err := Serve(b, "127.0.0.1:0", WithServerLogf(t.Logf))
+	srv, err := Serve(b, "127.0.0.1:0", withServerLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func waitMsg(t *testing.T, ch <-chan Message) Message {
 func TestTraceparentAcrossWire(t *testing.T) {
 	broker := NewBroker()
 	defer broker.Close()
-	srv, err := Serve(broker, "127.0.0.1:0", WithServerLogf(t.Logf))
+	srv, err := Serve(broker, "127.0.0.1:0", withServerLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBrokerTraceFragmentOnDelivery(t *testing.T) {
 func TestReconnectConnBuffersTraceparent(t *testing.T) {
 	broker := NewBroker()
 	defer broker.Close()
-	srv, err := Serve(broker, "127.0.0.1:0", WithServerLogf(t.Logf))
+	srv, err := Serve(broker, "127.0.0.1:0", withServerLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestReconnectConnBuffersTraceparent(t *testing.T) {
 
 	rc, err := DialReconnect(srv.Addr(),
 		WithReconnectWait(10*time.Millisecond, 50*time.Millisecond),
-		WithPendingLimit(64))
+		withPendingLimit(64))
 	if err != nil {
 		t.Fatal(err)
 	}

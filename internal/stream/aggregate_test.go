@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 // keyed is a tuple with a group-by key, used throughout the windowing tests.
@@ -226,7 +228,7 @@ func TestAggregatePropertyCountPreserved(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultBatchSize is the number of tuples coalesced into one chunk before a
-// channel send, unless overridden with WithQueryBatch. 64 amortizes
+// channel send. 64 amortizes
 // the per-send synchronization well while keeping chunks small enough that a
 // full edge (DefaultBufferSize chunks) stays modest.
 const DefaultBatchSize = 64
@@ -183,10 +183,10 @@ func (c *chunker[T]) close() error {
 	return c.flushLocked()
 }
 
-// observeChunkArrival is the chunk-level analogue of observeArrival: one
-// atomic add for the whole chunk's input count and a single watermark
-// advance to the chunk's maximum event time (the watermark is a running
-// max, so observing only the max is equivalent to observing every tuple).
+// observeChunkArrival records one consumed chunk: one atomic add for the
+// whole chunk's input count and a single watermark advance to the chunk's
+// maximum event time (the watermark is a running max, so observing only the
+// max is equivalent to observing every tuple).
 func observeChunkArrival[T any](s *OpStats, chunk []T) {
 	s.addIn(int64(len(chunk)))
 	var (

@@ -14,7 +14,7 @@ import (
 // TestBatchSizeOneMatchesUnbatched checks the documented opt-out: batch 1
 // reproduces per-tuple semantics exactly (every chunk is a single tuple).
 func TestBatchSizeOneMatchesUnbatched(t *testing.T) {
-	q := NewQuery("batch1", WithQueryBatch(1))
+	q := NewQuery("batch1", withQueryBatch(1))
 	src := AddSource(q, "src", FromSlice(ints(40)))
 	m := Map(q, "id", src, func(v At[int]) (At[int], error) { return v, nil })
 	var got []At[int]
@@ -36,7 +36,7 @@ func TestBatchSizeOneMatchesUnbatched(t *testing.T) {
 // nothing is lost, duplicated, or reordered.
 func TestBatchingPreservesOrderAndCount(t *testing.T) {
 	const n = 1003 // deliberately not a multiple of the batch size
-	q := NewQuery("batched", WithQueryBatch(16), WithQueryLinger(0))
+	q := NewQuery("batched", withQueryBatch(16), withQueryLinger(0))
 	src := AddSource(q, "src", FromSlice(ints(n)))
 	m := Map(q, "inc", src, func(v At[int]) (At[int], error) {
 		return At[int]{TS: v.TS, Val: v.Val + 1}, nil
@@ -68,7 +68,7 @@ func TestBatchingPreservesOrderAndCount(t *testing.T) {
 // deliver them. The sink must see all three while the source is still
 // blocked.
 func TestLingerFlushesStalledSource(t *testing.T) {
-	q := NewQuery("linger", WithQueryBatch(64), WithQueryLinger(2*time.Millisecond))
+	q := NewQuery("linger", withQueryBatch(64), withQueryLinger(2*time.Millisecond))
 	got := make(chan At[int], 8)
 	resume := make(chan struct{})
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[At[int]]) error {
@@ -108,7 +108,7 @@ func TestLingerFlushesStalledSource(t *testing.T) {
 // sink bounds the in-flight tuple count at a few chunks' worth.
 func TestBatchBackpressureInChunks(t *testing.T) {
 	const batch = 4
-	q := NewQuery("bp-chunks", WithQueryBuffer(1), WithQueryBatch(batch), WithQueryLinger(0))
+	q := NewQuery("bp-chunks", WithQueryBuffer(1), withQueryBatch(batch), withQueryLinger(0))
 	var produced, consumed atomic.Int64
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[At[int]]) error {
 		for i := 0; i < 60; i++ {
@@ -141,7 +141,7 @@ func TestBatchBackpressureInChunks(t *testing.T) {
 // span per operator, and operator watermarks advance to the true maximum
 // event time even though observation happens once per chunk.
 func TestTraceAndWatermarkThroughChunkedEdges(t *testing.T) {
-	q := NewQuery("chunk-meta", WithQueryBatch(8), WithQueryLinger(0))
+	q := NewQuery("chunk-meta", withQueryBatch(8), withQueryLinger(0))
 	const n = 20
 	tuples := make([]tracedTuple, n)
 	for i := range tuples {
@@ -192,7 +192,7 @@ func TestTraceAndWatermarkThroughChunkedEdges(t *testing.T) {
 // finish the trace at once and a finished trace drops later spans. The
 // stage holds its input open until the sink has finished the trace.
 func TestSpanRecordedBeforeMidChunkSend(t *testing.T) {
-	q := NewQuery("mid-chunk", WithQueryBatch(1), WithQueryLinger(0))
+	q := NewQuery("mid-chunk", withQueryBatch(1), withQueryLinger(0))
 	tr := telemetry.NewTrace(1, "mid-chunk")
 	src := AddSource(q, "src", FromSlice([]tracedTuple{{ts: 1, tr: tr}}))
 	stage := FlatMap(q, "stage", src, func(v tracedTuple, emit Emit[tracedTuple]) error {

@@ -128,7 +128,7 @@ func BenchmarkRegistrySnapshotUnderLoad(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		s := r.Op(fmt.Sprintf("op%d", i))
 		s.addIn(1000)
-		s.observeService(time.Millisecond)
+		s.observeServiceChunk(time.Millisecond, 1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,15 +1,13 @@
 package stream
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
-)
 
-var diffSeed = flag.Int64("seed", 0, "seed for TestBatchDifferential's random input (0 picks one from the clock)")
+	"strata/internal/testseed"
+)
 
 // diffInput is a seeded random stream: timestamps never decrease and often
 // repeat, and keys come from a small set so windows and join buckets collide.
@@ -35,7 +33,7 @@ func winString(w Window[string, keyed], emit Emit[string]) error {
 }
 
 // TestBatchDifferential runs every kept operator on the same seeded random
-// input twice — one tuple per chunk (WithQueryBatch(1)) and the default
+// input twice — one tuple per chunk (withQueryBatch(1)) and the default
 // chunk size — and requires identical output. Chunking is a transport
 // detail: an operator whose result depends on where chunk boundaries fall
 // is broken. Outputs are compared as exact sequences, except where the
@@ -43,10 +41,7 @@ func winString(w Window[string, keyed], emit Emit[string]) error {
 // inputs interleave as they arrive), which compare as multisets. A failure
 // prints its seed; replay it with -seed.
 func TestBatchDifferential(t *testing.T) {
-	seed := *diffSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
+	seed := testseed.Seed(t)
 	items := diffInput(seed, 3000)
 	var left, right []keyed
 	for i, v := range items {
@@ -137,7 +132,7 @@ func TestBatchDifferential(t *testing.T) {
 
 	run := func(t *testing.T, build func(q *Query) []*Stream[string], batch int) [][]string {
 		t.Helper()
-		q := NewQuery("diff", WithQueryBatch(batch))
+		q := NewQuery("diff", withQueryBatch(batch))
 		outs := build(q)
 		got := make([][]string, len(outs))
 		for i, s := range outs {

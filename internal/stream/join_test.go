@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 // runJoin executes a Join over the two inputs and returns "lval+rval" strings
@@ -162,7 +164,7 @@ func TestJoinPropertyMatchesReference(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

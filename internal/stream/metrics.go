@@ -100,8 +100,6 @@ func (s *OpStats) Watermark() (int64, bool) {
 func (s *OpStats) addIn(n int64)  { s.in.Add(n) }
 func (s *OpStats) addOut(n int64) { s.out.Add(n) }
 
-func (s *OpStats) observeService(d time.Duration) { s.service.ObserveDuration(d) }
-
 // observeBatch records the size of one sent chunk.
 func (s *OpStats) observeBatch(n int) { s.batches.Observe(float64(n)) }
 
@@ -315,7 +313,7 @@ func (r *Registry) String() string {
 }
 
 // Collect implements telemetry.Collector: it emits every operator's
-// counters, queue occupancy, service-time histogram, and watermark lag,
+// counters, queue capacity, service-time histogram, and watermark lag,
 // labelled with the query and operator names.
 func (q *Query) Collect(w *telemetry.Writer) {
 	for _, s := range q.metrics.Snapshot() {
@@ -328,9 +326,6 @@ func (q *Query) Collect(w *telemetry.Writer) {
 		w.Counter("strata_stream_op_tuples_out_total",
 			"Tuples produced by the operator.", float64(s.Out), labels...)
 		if s.QueueCap > 0 {
-			w.Gauge("strata_stream_op_queue_depth",
-				"Chunks waiting in the operator's output channel(s).",
-				float64(s.QueueLen), labels...)
 			w.Gauge("strata_stream_op_queue_capacity",
 				"Capacity (in chunks) of the operator's output channel(s).",
 				float64(s.QueueCap), labels...)

@@ -193,25 +193,3 @@ func TestTraceFanoutFinishOnce(t *testing.T) {
 		t.Fatalf("trace buffer len = %d, want 1 (finish must be idempotent)", got)
 	}
 }
-
-func TestDotCarriesLiveStats(t *testing.T) {
-	q := NewQuery("dotstats")
-	src := AddSource(q, "src", FromSlice([]At[int]{{TS: 1, Val: 1}}))
-	AddSink(q, "sink", src, Discard[At[int]]())
-	if err := q.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	dot := q.Dot()
-	if !strings.Contains(dot, `src\nin=0 out=1`) {
-		t.Errorf("Dot() missing source stats annotation:\n%s", dot)
-	}
-	if !strings.Contains(dot, `sink\nin=1 out=0`) {
-		t.Errorf("Dot() missing sink stats annotation:\n%s", dot)
-	}
-	if !strings.Contains(dot, "p99=") {
-		t.Errorf("Dot() missing p99 annotation:\n%s", dot)
-	}
-	if !strings.Contains(dot, "queue=0/") {
-		t.Errorf("Dot() missing queue annotation:\n%s", dot)
-	}
-}

@@ -39,7 +39,7 @@ type Query struct {
 	opNames  map[string]struct{}
 	// streams tracks, per producing operator, the consuming operator (""
 	// while unconsumed). Run fails on dangling streams to catch mis-wired
-	// DAGs; Dot renders the topology.
+	// DAGs.
 	streams map[string]string
 
 	metrics Registry
@@ -61,37 +61,11 @@ type Query struct {
 type QueryOption func(*Query)
 
 // WithQueryBuffer sets the default channel capacity for all streams in the
-// query. See WithBuffer for a per-operator override.
+// query.
 func WithQueryBuffer(n int) QueryOption {
 	return func(q *Query) {
 		if n > 0 {
 			q.bufferSize = n
-		}
-	}
-}
-
-// WithQueryBatch sets the chunk size for every operator edge in the
-// query: producers coalesce up to n tuples per channel send. n = 1 turns
-// micro-batching off query-wide, restoring one-tuple-per-send semantics.
-func WithQueryBatch(n int) QueryOption {
-	return func(q *Query) {
-		if n > 0 {
-			q.batchSize = n
-		}
-	}
-}
-
-// WithQueryLinger sets the linger for every source in the query: the
-// longest a partial chunk may wait for more tuples before being flushed
-// downstream. Smaller values favour latency, larger values favour batching
-// efficiency on slow sources. d = 0 disables the deadline (flush only on a
-// full chunk or end-of-stream). Only sources linger: downstream operators
-// flush a partial output chunk as soon as the input chunk that produced it
-// is done, so the delay is paid once at ingestion.
-func WithQueryLinger(d time.Duration) QueryOption {
-	return func(q *Query) {
-		if d >= 0 {
-			q.linger = d
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,7 +194,7 @@ func TestQueryBackpressure(t *testing.T) {
 	// be throttled: at no point can more than a few tuples be in flight.
 	// (With batching on, the same bound holds in chunks rather than tuples
 	// — see TestBatchBackpressureInChunks.)
-	q := NewQuery("bp", WithQueryBuffer(1), WithQueryBatch(1))
+	q := NewQuery("bp", WithQueryBuffer(1), withQueryBatch(1))
 	var produced, consumed atomic.Int64
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[At[int]]) error {
 		for i := 0; i < 50; i++ {
@@ -250,28 +249,5 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String() is empty")
-	}
-}
-
-func TestQueryDot(t *testing.T) {
-	q := NewQuery("dotted")
-	src := AddSource(q, "src", FromSlice(ints(1)))
-	branches := Shuffle(q, "split", src, 2, func(v At[int]) uint64 { return uint64(v.Val) })
-	m0 := Map(q, "work0", branches[0], func(v At[int]) (At[int], error) { return v, nil })
-	m1 := Map(q, "work1", branches[1], func(v At[int]) (At[int], error) { return v, nil })
-	merged := Merge(q, "join", []*Stream[At[int]]{m0, m1})
-	AddSink(q, "sink", merged, Discard[At[int]]())
-	dot := q.Dot()
-	for _, want := range []string{
-		`digraph "dotted"`,
-		`"src" -> "split"`,
-		`"split" -> "work0"`,
-		`"split" -> "work1"`,
-		`"work0" -> "join"`,
-		`"join" -> "sink"`,
-	} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("Dot() missing %q:\n%s", want, dot)
-		}
 	}
 }

@@ -76,7 +76,7 @@ func TestOverloadShedDropExpired(t *testing.T) {
 // dropped while at-or-above-floor tuples block and survive.
 func TestOverloadShedDropLowest(t *testing.T) {
 	release := make(chan struct{})
-	q := NewQuery("lowest", WithQueryBatch(1), WithQueryLinger(0))
+	q := NewQuery("lowest", withQueryBatch(1), withQueryLinger(0))
 	q.Overload().SetShedLate(false, 1)
 	emitted := make(chan struct{}, 16)
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[loadTuple]) error {
@@ -100,7 +100,7 @@ func TestOverloadShedDropLowest(t *testing.T) {
 			return err
 		}
 		return nil
-	}, WithBuffer(1), WithShedGate())
+	}, withBuffer(1), WithShedGate())
 	var got []loadTuple
 	first := true
 	AddSink(q, "sink", src, func(v loadTuple) error {
@@ -141,7 +141,7 @@ func TestOverloadShedInertGateIsTransparent(t *testing.T) {
 	for i := range items {
 		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: time.Now().Add(-time.Hour)}
 	}
-	q := NewQuery("inert", WithQueryBatch(8))
+	q := NewQuery("inert", withQueryBatch(8))
 	src := AddSource(q, "src", FromSlice(items), WithShedGate())
 	var got []loadTuple
 	AddSink(q, "sink", src, ToSlice(&got))
@@ -201,7 +201,7 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	for i := range items {
 		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: deadline}
 	}
-	q := NewQuery("agedsink", WithQueryBatch(1), WithQueryLinger(0))
+	q := NewQuery("agedsink", withQueryBatch(1), withQueryLinger(0))
 	q.Overload().SetShedLate(true, 0)
 	src := AddSource(q, "src", func(ctx context.Context, emit Emit[loadTuple]) error {
 		// All tuples are fresh at emit time, so an emit-side gate (the source
@@ -258,7 +258,7 @@ func TestOverloadSinkGateInertIsTransparent(t *testing.T) {
 	for i := range items {
 		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: time.Now().Add(-time.Hour)}
 	}
-	q := NewQuery("inertsink", WithQueryBatch(8))
+	q := NewQuery("inertsink", withQueryBatch(8))
 	src := AddSource(q, "src", FromSlice(items))
 	var got []loadTuple
 	AddSink(q, "sink", src, ToSlice(&got), WithShedGate())

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"strata/internal/testseed"
 )
 
 func sortedVals(items []At[int]) []int {
@@ -200,7 +202,7 @@ func TestShufflePropertyPartitionDisjoint(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, testseed.Quick(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"container/heap"
+	"fmt"
 	"sort"
 )
 
@@ -43,21 +44,29 @@ func (a *aggregateOp[In, K, Out]) Snapshot() ([]byte, error) {
 	return gobEncode(s)
 }
 
+// Restore rejects a blob this operator could not have written — a window
+// twice, a window not of its spec's size, a window numbered at or past
+// NextSeq — and leaves the operator as it was.
 func (a *aggregateOp[In, K, Out]) Restore(b []byte) error {
 	var s aggSnap[K, In]
 	if err := gobDecode(b, &s); err != nil {
 		return err
 	}
-	a.open = make(map[winKey[K]]*winState[In], len(s.Open))
-	a.pending = a.pending[:0]
+	open := make(map[winKey[K]]*winState[In], len(s.Open))
+	var pending winHeap[K]
 	for _, w := range s.Open {
 		wk := winKey[K]{key: w.Key, start: w.Start}
-		a.open[wk] = &winState[In]{end: w.End, seq: w.Seq, tuples: w.Tuples}
+		if _, dup := open[wk]; dup || w.End != w.Start+a.spec.Size || w.Seq < 0 || w.Seq >= s.NextSeq {
+			return fmt.Errorf("aggregate %q: bad snapshot window [%d,%d) seq %d of %d",
+				a.name, w.Start, w.End, w.Seq, s.NextSeq)
+		}
+		open[wk] = &winState[In]{end: w.End, seq: w.Seq, tuples: w.Tuples}
 		// The pending heap mirrors the open set exactly at quiescence (a
 		// window is popped from the heap at the moment it closes), so it is
 		// rebuilt rather than serialized.
-		heap.Push(&a.pending, winRef[K]{key: wk, end: w.End, seq: w.Seq})
+		heap.Push(&pending, winRef[K]{key: wk, end: w.End, seq: w.Seq})
 	}
+	a.open, a.pending = open, pending
 	a.nextSeq = s.NextSeq
 	a.maxTS = s.MaxTS
 	a.sawAny = s.SawAny
@@ -95,21 +104,36 @@ func (j *joinOp[L, R, K, Out]) Snapshot() ([]byte, error) {
 	return gobEncode(s)
 }
 
+// Restore rejects a blob that buffers one key twice on a side and leaves
+// the operator as it was.
 func (j *joinOp[L, R, K, Out]) Restore(b []byte) error {
 	var s joinSnap[L, R, K]
 	if err := gobDecode(b, &s); err != nil {
 		return err
 	}
-	j.lbuf = make(map[K][]L, len(s.L))
-	for _, side := range s.L {
-		j.lbuf[side.Key] = side.Tuples
+	lbuf, err := joinSide(j.name, s.L)
+	if err != nil {
+		return err
 	}
-	j.rbuf = make(map[K][]R, len(s.R))
-	for _, side := range s.R {
-		j.rbuf[side.Key] = side.Tuples
+	rbuf, err := joinSide(j.name, s.R)
+	if err != nil {
+		return err
 	}
+	j.lbuf, j.rbuf = lbuf, rbuf
 	j.maxL, j.maxR = s.MaxL, s.MaxR
 	j.sawL, j.sawR = s.SawL, s.SawR
 	j.lClosed, j.rClosed = s.LClosed, s.RClosed
 	return nil
+}
+
+// joinSide rebuilds one join buffer from its snapshot.
+func joinSide[K comparable, T any](op string, sides []joinSideSnap[K, T]) (map[K][]T, error) {
+	buf := make(map[K][]T, len(sides))
+	for _, side := range sides {
+		if _, dup := buf[side.Key]; dup {
+			return nil, fmt.Errorf("join %q: snapshot buffers key %v twice", op, side.Key)
+		}
+		buf[side.Key] = side.Tuples
+	}
+	return buf, nil
 }

@@ -52,6 +52,28 @@ func feedFrom(items []keyed, start uint64) PositionedSourceFunc[keyed] {
 	}
 }
 
+// checkpointParked runs qa until every fed channel closes, checkpoints the
+// quiesced query, cancels it (the crash) and returns the snapshot.
+func checkpointParked(tb testing.TB, qa *Query, fed ...chan struct{}) *QuerySnapshot {
+	tb.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- qa.Run(ctx) }()
+	for _, c := range fed {
+		<-c
+	}
+	snap, err := qa.Checkpoint(context.Background(), nil)
+	cancel()
+	if runErr := <-done; runErr != nil && !errors.Is(runErr, context.Canceled) {
+		tb.Fatalf("Run(A) error = %v", runErr)
+	}
+	if err != nil {
+		tb.Fatalf("Checkpoint() error = %v", err)
+	}
+	return snap
+}
+
 // runSplit runs the pipeline produced by build twice: query A feeds the first
 // k items, checkpoints, and is cancelled (the crash); query B is built
 // fresh, restored from the snapshot, and replays the rest. It returns A's and
@@ -65,21 +87,7 @@ func runSplit[Out any](t *testing.T, items []keyed, k int, build func(q *Query, 
 	fed := make(chan struct{})
 	srcA := AddPositionedSource(qa, "src", 0, feedFirst(items, k, fed))
 	gotA := build(qa, srcA)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- qa.Run(ctx) }()
-	<-fed
-
-	snap, err := qa.Checkpoint(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("Checkpoint() error = %v", err)
-	}
-	cancel()
-	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run(A) error = %v", err)
-	}
+	snap := checkpointParked(t, qa, fed)
 	if pos := snap.Positions["src"]; pos != uint64(k) {
 		t.Fatalf("snapshot position = %d, want %d (all emits had returned)", pos, k)
 	}
@@ -158,22 +166,7 @@ func twoSourceSplit[Out any](t *testing.T, l, r []keyed, kl, kr int, build func(
 	lsA := AddPositionedSource(qa, "left", 0, feedFirst(l, kl, fedL))
 	rsA := AddPositionedSource(qa, "right", 0, feedFirst(r, kr, fedR))
 	gotA := build(qa, lsA, rsA)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- qa.Run(ctx) }()
-	<-fedL
-	<-fedR
-
-	snap, err := qa.Checkpoint(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("Checkpoint() error = %v", err)
-	}
-	cancel()
-	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run(A) error = %v", err)
-	}
+	snap := checkpointParked(t, qa, fedL, fedR)
 
 	qb := NewQuery("two-b")
 	lsB := AddPositionedSource(qb, "left", snap.Positions["left"], feedFrom(l, snap.Positions["left"]))
@@ -188,6 +181,20 @@ func twoSourceSplit[Out any](t *testing.T, l, r []keyed, kl, kr int, build func(
 	return *gotA, *gotB
 }
 
+// joinBuild is the canonical two-input stateful pipeline: a keyed window
+// join whose two buffers are the snapshotted state.
+func joinBuild(q *Query, ls, rs *Stream[keyed]) *[]string {
+	joined := Join(q, "join", ls, rs, 5,
+		func(v keyed) string { return v.key },
+		func(v keyed) string { return v.key },
+		func(a, b keyed) (string, bool) {
+			return fmt.Sprintf("%s:%d+%d", a.key, a.val, b.val), true
+		})
+	got := new([]string)
+	AddSink(q, "sink", joined, ToSlice(got))
+	return got
+}
+
 // TestCheckpointJoinEquivalence covers both join buffers. Join output order
 // depends on input interleaving, so the comparison is as multisets.
 func TestCheckpointJoinEquivalence(t *testing.T) {
@@ -196,18 +203,8 @@ func TestCheckpointJoinEquivalence(t *testing.T) {
 		l = append(l, keyed{ts: int64(i * 2), key: fmt.Sprintf("k%d", i%3), val: i})
 		r = append(r, keyed{ts: int64(i*2 + 1), key: fmt.Sprintf("k%d", i%3), val: 100 + i})
 	}
-	build := func(q *Query, ls, rs *Stream[keyed]) *[]string {
-		joined := Join(q, "join", ls, rs, 5,
-			func(v keyed) string { return v.key },
-			func(v keyed) string { return v.key },
-			func(a, b keyed) (string, bool) {
-				return fmt.Sprintf("%s:%d+%d", a.key, a.val, b.val), true
-			})
-		got := new([]string)
-		AddSink(q, "sink", joined, ToSlice(got))
-		return got
-	}
 
+	build := joinBuild
 	baseQ := NewQuery("baseline")
 	baseline := build(baseQ,
 		AddPositionedSource(baseQ, "left", 0, feedFrom(l, 0)),

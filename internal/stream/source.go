@@ -32,8 +32,8 @@ type PositionedSourceFunc[T any] func(ctx context.Context, emit PosEmit[T]) erro
 
 // AddSource registers a source operator on q and returns its output stream.
 // The source coalesces emitted tuples into chunks of up to the batch size,
-// flushing a partial chunk when the linger deadline passes (WithQueryBatch /
-// WithQueryLinger).
+// flushing a partial chunk when the linger deadline passes (DefaultBatchSize,
+// DefaultLinger).
 func AddSource[T any](q *Query, name string, fn SourceFunc[T], opts ...OpOption) *Stream[T] {
 	o := applyOpts(opts)
 	out := newStream[T](q, name, o.buffer)

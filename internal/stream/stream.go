@@ -1,7 +1,7 @@
 package stream
 
 // DefaultBufferSize is the channel capacity used for streams unless
-// overridden with WithBuffer. Bounded channels are the engine's
+// overridden with WithQueryBuffer. Bounded channels are the engine's
 // back-pressure mechanism: a slow consumer eventually blocks its producers.
 // Since the micro-batching refactor the unit of the channel is a chunk
 // ([]T), so the worst-case number of buffered tuples on one edge is
@@ -14,7 +14,7 @@ const DefaultBufferSize = 256
 // several consumers.
 //
 // The wire format of an edge is a chunk of tuples ([]T), not a single tuple:
-// producers coalesce up to the query's batch size (WithQueryBatch) before paying the
+// producers coalesce up to DefaultBatchSize tuples before paying the
 // channel synchronization, and consumers loop over the chunk. Chunks are
 // immutable once sent — operators that reshape data allocate fresh slices.
 type Stream[T any] struct {
@@ -64,8 +64,10 @@ func newStream[T any](q *Query, producer string, buf int) *Stream[T] {
 }
 
 // opOptions holds per-operator tuning knobs. Batch size and linger are
-// query-wide (WithQueryBatch / WithQueryLinger).
+// query-wide.
 type opOptions struct {
+	// buffer overrides the output channel capacity; non-positive values
+	// fall back to the query default.
 	buffer int
 	// shedGate records WithShedGate: the operator gets a gate the dynamic
 	// overload knobs can engage.
@@ -74,13 +76,6 @@ type opOptions struct {
 
 // OpOption customizes a single operator created by a builder function.
 type OpOption func(*opOptions)
-
-// WithBuffer overrides the output channel capacity of the operator being
-// built. n must be positive; non-positive values fall back to the query
-// default.
-func WithBuffer(n int) OpOption {
-	return func(o *opOptions) { o.buffer = n }
-}
 
 func applyOpts(opts []OpOption) opOptions {
 	var o opOptions

@@ -50,15 +50,6 @@ func eventTimeOf[T any](v *T) (int64, bool) {
 	return 0, false
 }
 
-// observeArrival records one consumed tuple: the input counter plus, for
-// timestamped tuples, the operator's event-time watermark.
-func observeArrival[T any](s *OpStats, v *T) {
-	s.addIn(1)
-	if t, ok := eventTimeOf(v); ok {
-		s.observeEventTime(t)
-	}
-}
-
 // observeDeparture records one produced tuple, advancing the watermark for
 // operators that originate timestamped tuples (sources).
 func observeDeparture[T any](s *OpStats, v *T) {

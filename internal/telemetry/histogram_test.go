@@ -153,36 +153,3 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 		t.Errorf("Max = %v, want within (0, 0.1]", s.Max)
 	}
 }
-
-func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Value(); got != 42 {
-		t.Errorf("Counter = %d, want 42", got)
-	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("Gauge = %v, want 1.5", got)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != 42+4000 {
-		t.Errorf("Counter after concurrency = %d, want %d", got, 42+4000)
-	}
-	if got := g.Value(); got != 1.5+4000 {
-		t.Errorf("Gauge after concurrency = %v, want %v", got, 1.5+4000)
-	}
-}

@@ -97,9 +97,6 @@ func (r *Registry) Register(c Collector) {
 	r.mu.Unlock()
 }
 
-// RegisterFunc adds a collector function.
-func (r *Registry) RegisterFunc(f func(w *Writer)) { r.Register(CollectorFunc(f)) }
-
 // Gather runs every collector and returns the accumulated exposition.
 func (r *Registry) Gather() *Writer {
 	r.mu.Lock()

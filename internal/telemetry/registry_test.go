@@ -5,18 +5,23 @@ import (
 	"testing"
 )
 
+// collectorFunc adapts a function to the Collector interface.
+type collectorFunc func(w *Writer)
+
+func (f collectorFunc) Collect(w *Writer) { f(w) }
+
 func TestExpositionFormat(t *testing.T) {
 	reg := NewRegistry()
 	h := NewHistogram(0.001, 10, 3) // bounds 0.001, 0.01, 0.1
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(5) // overflow
-	reg.RegisterFunc(func(w *Writer) {
+	reg.Register(collectorFunc(func(w *Writer) {
 		w.Counter("strata_test_ops_total", "Operations.", 42, L("op", "map"))
 		w.Counter("strata_test_ops_total", "Operations.", 7, L("op", "sink"))
 		w.Gauge("strata_test_depth", "Queue depth.", 3)
 		w.Histogram("strata_test_latency_seconds", "Latency.", h.Snapshot(), L("op", "map"))
-	})
+	}))
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -47,9 +52,9 @@ func TestExpositionFormat(t *testing.T) {
 
 func TestExpositionLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
-	reg.RegisterFunc(func(w *Writer) {
+	reg.Register(collectorFunc(func(w *Writer) {
 		w.Gauge("strata_test_esc", "Escapes.", 1, L("path", `a"b\c`+"\n"))
-	})
+	}))
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -109,7 +109,9 @@ func TestEndToEndMetricsSmoke(t *testing.T) {
 	reg.Register(telemetry.GoRuntime{})
 	srv, err := telemetry.Serve("127.0.0.1:0", telemetry.NewHandler(reg,
 		telemetry.WithPipelines(m.DebugPipelines),
-		telemetry.WithTraces(m.Traces)))
+		telemetry.WithTraces(func() []telemetry.TraceSnapshot {
+			return p.Framework().Traces().Slowest(0)
+		})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,17 @@
 // Package telemetry is the stdlib-only metrics and tracing core of the
-// STRATA stack. It provides the three instrument kinds every layer records
-// into — monotonic counters, gauges, and log-bucketed latency histograms
-// with quantile estimation — plus a pull-model registry that renders the
-// Prometheus text exposition format, an embeddable HTTP handler
-// (/metrics, /healthz, /debug/pipelines, /debug/traces), and a sampled
-// per-tuple trace context for end-to-end latency attribution.
+// STRATA stack. It provides log-bucketed latency histograms with quantile
+// estimation, a pull-model registry that renders counters, gauges and
+// histograms in the Prometheus text exposition format, an embeddable HTTP
+// handler (/metrics, /healthz, /debug/pipelines, /debug/traces), and a
+// sampled per-tuple trace context for end-to-end latency attribution.
 //
-// Design: instruments are lock-free on the write path (atomics only), so
-// recording a sample in an operator's per-tuple loop costs a few atomic
-// adds. Reading is pull-based: a Collector walks its instruments at scrape
-// time and emits samples into a Writer, which the registry renders. Metric
-// names follow the scheme strata_<layer>_<name>_<unit> (see DESIGN.md,
-// "Observability").
+// Design: histograms are lock-free on the write path (atomics only), and each
+// layer keeps its own counters as atomics, so recording a sample in an
+// operator's per-tuple loop costs a few atomic adds. Reading is pull-based:
+// a Collector reads its state at scrape time and emits samples into a
+// Writer, which the registry renders. Metric names follow the scheme
+// strata_<layer>_<name>_<unit> (see DESIGN.md, "Observability").
 package telemetry
-
-import (
-	"math"
-	"sync/atomic"
-)
 
 // Label is one name="value" pair attached to a sample.
 type Label struct {
@@ -33,47 +27,3 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 type Collector interface {
 	Collect(w *Writer)
 }
-
-// CollectorFunc adapts a function to the Collector interface.
-type CollectorFunc func(w *Writer)
-
-// Collect implements Collector.
-func (f CollectorFunc) Collect(w *Writer) { f(w) }
-
-// Counter is a monotonically increasing counter. The zero value is ready to
-// use; all methods are safe for concurrent use.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a float64 value that can go up and down. The zero value is ready
-// to use; all methods are safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

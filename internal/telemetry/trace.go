@@ -307,24 +307,6 @@ func (b *TraceBuffer) Slowest(k int) []TraceSnapshot {
 	return snaps
 }
 
-// Recent returns up to k buffered traces, most recently finished first.
-func (b *TraceBuffer) Recent(k int) []TraceSnapshot {
-	b.mu.Lock()
-	var out []TraceSnapshot
-	for i := 0; i < b.size; i++ {
-		// Walk backwards from the most recently written slot.
-		idx := (b.next - 1 - i + len(b.buf)*2) % len(b.buf)
-		if t := b.buf[idx]; t != nil {
-			out = append(out, t.Snapshot())
-		}
-		if k > 0 && len(out) >= k {
-			break
-		}
-	}
-	b.mu.Unlock()
-	return out
-}
-
 func (b *TraceBuffer) all() []TraceSnapshot {
 	b.mu.Lock()
 	out := make([]TraceSnapshot, 0, b.size)

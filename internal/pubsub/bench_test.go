@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -225,8 +226,14 @@ func BenchmarkTCPLargeImagePayload(b *testing.B) {
 	}
 	defer pubC.Close()
 
-	// A full-resolution OT image payload (8 MiB).
+	// A full-resolution OT image payload (8 MiB). One round trip before
+	// the timer gives the broker the relay buffer it then reuses, so B/op
+	// is the steady state: the subscribing client's frame alone.
 	data := make([]byte, 8<<20)
+	if err := pubC.Publish("img", data); err != nil {
+		b.Fatal(err)
+	}
+	<-sub.C
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -235,5 +242,61 @@ func BenchmarkTCPLargeImagePayload(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-sub.C
+	}
+}
+
+// BenchmarkRemoteFetch8MiB fetches one 8 MiB record per op through the whole
+// remote log path in one process: LogServer reads it from the LogStore into
+// its response buffer, publishes it through Serve, and a RemoteCursor
+// receives it. The broker relays the frame in a pooled buffer, so the one
+// allocation left at steady state is the reading client's frame.
+func BenchmarkRemoteFetch8MiB(b *testing.B) {
+	const subject = "bench.log.ot"
+	br := NewBroker()
+	defer br.Close()
+	srv, err := Serve(br, "127.0.0.1:0", withServerLogf(func(string, ...any) {}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ls, err := OpenLogStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ls.Close()
+	if _, err := ls.Append(subject, make([]byte, 8<<20)); err != nil {
+		b.Fatal(err)
+	}
+	owner, err := DialReconnect(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer owner.Close()
+	logSrv, err := ServeLog(owner, ls, subject)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer logSrv.Close()
+	reader, err := DialReconnect(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer reader.Close()
+
+	// One fetch before the timer sizes the LogServer's response buffer and
+	// gives the broker its relay buffer; B/op is the steady state.
+	ctx := context.Background()
+	fetch := func(i int) {
+		msgs, err := NewRemoteCursor(reader, subject, 0).Next(ctx, 1)
+		if err != nil || len(msgs) != 1 || len(msgs[0].Data) != 8<<20 {
+			b.Fatalf("fetch %d: %d records, %v", i, len(msgs), err)
+		}
+	}
+	fetch(-1)
+	b.SetBytes(8 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch(i)
 	}
 }

@@ -17,9 +17,14 @@ import (
 // to it afterwards. A TCP publisher (Conn, ReconnectConn) keeps its buffer:
 // the bytes are on the wire or copied into the pending ring when PublishMsg
 // returns, and the buffer may be reused. On the receiving side of a TCP hop
-// (the server's publish handler, the client's read loop) Data aliases the
-// frame buffer that was allocated for that one frame — the single copy of
-// the hop — and the message is its only owner.
+// Data aliases the frame buffer, the single copy of the hop. The client's
+// read loop allocates that buffer for the one frame, and the message is its
+// only owner. The server's read loop reads a frame of 64 KiB or more into a
+// recycled buffer, and recycles it again once every forwarder that relays
+// the message to a TCP subscriber has written it. A frame also delivered to
+// any other subscription escapes: it is never recycled, so the
+// retain-as-long-as-you-like rule above holds for every subscriber that can
+// see Data (DESIGN.md §13, "Frame ownership across a hop").
 type Message struct {
 	Subject string
 	Data    []byte
@@ -34,6 +39,10 @@ type Message struct {
 	// crosses the TCP wire in the opPubT/opMsgT frame header so a sampled
 	// trace continues across processes; untraced messages leave it empty.
 	Traceparent string
+
+	// frame is the recycled buffer Data aliases, set only on a message the
+	// server's read loop publishes and on its forwarder deliveries.
+	frame *frame
 }
 
 // OverflowPolicy selects what a full subscription buffer does with new
@@ -55,9 +64,10 @@ const (
 type SubOption func(*subConfig)
 
 type subConfig struct {
-	buffer int
-	policy OverflowPolicy
-	queue  string
+	buffer  int
+	policy  OverflowPolicy
+	queue   string
+	forward bool
 }
 
 // WithSubBuffer sets the subscription's buffer capacity (default 256).
@@ -81,6 +91,13 @@ func WithQueue(name string) SubOption {
 	return func(c *subConfig) { c.queue = name }
 }
 
+// forwarded marks the subscription the server makes for a TCP subscriber:
+// its only reader is the forwarder that writes each message to the socket
+// and then releases the message's frame.
+func forwarded() SubOption {
+	return func(c *subConfig) { c.forward = true }
+}
+
 // Subscription receives the messages matching its pattern. Read from C;
 // call Unsubscribe to stop (C is then closed after in-flight deliveries).
 type Subscription struct {
@@ -93,6 +110,7 @@ type Subscription struct {
 	broker  *Broker
 	id      uint64
 	stall   time.Duration // broker's slow-consumer timeout at subscribe time
+	forward bool          // read by a server forwarder; see forwarded
 
 	mu     sync.Mutex
 	closed bool
@@ -114,12 +132,15 @@ func (s *Subscription) Unsubscribe() {
 }
 
 // deliver places msg in the subscription buffer according to the overflow
-// policy. It returns false only for Block policy when the subscription
-// closed while blocked.
+// policy. It returns false only when the subscription is closed, or is
+// closed while blocked. A delivery that does not end in the buffer drops
+// the reference it holds on msg's frame, and so does the message DropOldest
+// evicts.
 func (s *Subscription) deliver(msg Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
+		msg.frame.release()
 		return false
 	}
 	switch s.policy {
@@ -130,7 +151,8 @@ func (s *Subscription) deliver(msg Message) bool {
 				return true
 			default:
 				select {
-				case <-s.ch:
+				case old := <-s.ch:
+					old.frame.release()
 					s.dropped.Add(1)
 					s.broker.droppedTotal.Add(1)
 				default:
@@ -142,6 +164,7 @@ func (s *Subscription) deliver(msg Message) bool {
 		case s.ch <- msg:
 			return true
 		default:
+			msg.frame.release()
 			s.dropped.Add(1)
 			s.broker.droppedTotal.Add(1)
 			return true
@@ -170,6 +193,7 @@ func (s *Subscription) deliver(msg Message) bool {
 				close(s.ch)
 				s.broker.evicted.Add(1)
 				go s.broker.removeSub(s)
+				msg.frame.release()
 				return false
 			}
 		}
@@ -285,6 +309,7 @@ func (b *Broker) Subscribe(pattern string, opts ...SubOption) (*Subscription, er
 		broker:  b,
 		id:      b.nextID,
 		stall:   b.stall,
+		forward: cfg.forward,
 	}
 	b.subs[sub.id] = sub
 	if cfg.queue != "" {
@@ -389,7 +414,17 @@ func (b *Broker) PublishMsg(m Message) error {
 	deliverStart := time.Now()
 	var delivered uint64
 	for _, s := range targets {
-		if s.deliver(msg) {
+		// A forwarder's delivery holds the frame until it is written. Any
+		// other subscriber may keep Data forever, so the frame escapes and
+		// the message it receives carries none.
+		d := msg
+		if s.forward {
+			d.frame.retain()
+		} else {
+			d.frame.escape()
+			d.frame = nil
+		}
+		if s.deliver(d) {
 			delivered++
 		}
 	}

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -256,23 +257,9 @@ func (ls *LogStore) Subjects() []string {
 // Read returns up to max records of subject starting at offset from.
 // max <= 0 means "all remaining".
 func (ls *LogStore) Read(subject string, from uint64, max int) ([]StoredMessage, error) {
-	ls.mu.Lock()
-	t, ok := ls.topics[subject]
-	closed := ls.closed
-	ls.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if !ok {
-		return nil, nil
-	}
-	// Index entries are never rewritten, so the snapshot stays valid while
-	// appends grow the slice and the reads below run without the lock.
-	t.mu.Lock()
-	offsets := t.offsets
-	t.mu.Unlock()
-	if from >= uint64(len(offsets)) {
-		return nil, nil
+	t, offsets, _, err := ls.index(subject)
+	if err != nil || from >= uint64(len(offsets)) {
+		return nil, err
 	}
 	end := len(offsets)
 	if max > 0 && int(from)+max < end {
@@ -287,6 +274,100 @@ func (ls *LogStore) Read(subject string, from uint64, max int) ([]StoredMessage,
 		out = append(out, StoredMessage{Subject: subject, Offset: uint64(i), Data: data})
 	}
 	return out, nil
+}
+
+// index returns subject's topic with a snapshot of its record positions and
+// the byte size of the log they cover (nil topic for an unknown subject).
+// Index entries are never rewritten, so the snapshot stays valid while
+// appends grow the slice and reads run without the lock.
+func (ls *LogStore) index(subject string) (t *topicLog, offsets []int64, size int64, err error) {
+	ls.mu.Lock()
+	t, ok := ls.topics[subject]
+	closed := ls.closed
+	ls.mu.Unlock()
+	if closed {
+		return nil, nil, 0, ErrClosed
+	}
+	if !ok {
+		return nil, nil, 0, nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Append holds t.mu from reading Size to indexing the record, so under
+	// it the log ends exactly where the last indexed record does.
+	return t, t.offsets, t.log.Size(), nil
+}
+
+// appendLogBatch appends up to max records of subject, starting at offset
+// from, to dst in the fetch response framing ([offset u64][len u32][data]
+// each; see decodeLogBatch), reading every payload straight into dst. It
+// stops before a record that would take the batch past remoteLogMaxBatch,
+// but the first record always goes in, so a batch is never empty while a
+// record is available. A record over remoteLogMaxRecord, which no response
+// frame can carry, ends the batch; as the first record it is written as its
+// offset and the logRecordTooLarge length, with no data. It returns the
+// extended dst and the number of records (the marker included).
+func (ls *LogStore) appendLogBatch(dst []byte, subject string, from uint64, max int) ([]byte, int, error) {
+	t, offsets, size, err := ls.index(subject)
+	if err != nil || from >= uint64(len(offsets)) {
+		return dst, 0, err
+	}
+	start := len(dst)
+	n := 0
+	for i := int(from); i < len(offsets) && (max <= 0 || n < max); i++ {
+		end := size
+		if i+1 < len(offsets) {
+			end = offsets[i+1]
+		}
+		rlen := end - offsets[i] - seglog.HeaderSize
+		if rlen > remoteLogMaxRecord {
+			if n == 0 {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+				dst = binary.LittleEndian.AppendUint32(dst, logRecordTooLarge)
+				n++
+			}
+			break
+		}
+		if n > 0 && int64(len(dst)-start)+12+rlen > remoteLogMaxBatch {
+			break
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(rlen))
+		rec := len(dst)
+		if dst, err = t.log.AppendAt(dst, offsets[i]); err == nil && int64(len(dst)-rec) != rlen {
+			err = fmt.Errorf("%w: record is %d bytes, index says %d", ErrLogCorrupt, len(dst)-rec, rlen)
+		}
+		if err != nil {
+			return dst[:start], 0, fmt.Errorf("pubsub: read offset %d of %s: %w", i, subject, err)
+		}
+		n++
+	}
+	return dst, n, nil
+}
+
+// waitFor blocks until subject holds a record at offset from, ctx is done
+// or the store closes (ErrClosed).
+func (ls *LogStore) waitFor(ctx context.Context, subject string, from uint64) error {
+	for {
+		// Capture the signal before polling: an append that lands between
+		// the poll and the wait closes this channel, so the wakeup cannot
+		// be missed.
+		ls.mu.Lock()
+		closed := ls.closed
+		sig := ls.sig
+		ls.mu.Unlock()
+		if closed {
+			return ErrClosed
+		}
+		if ls.Len(subject) > from {
+			return nil
+		}
+		select {
+		case <-sig:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Close flushes (and, under SyncGroup, fsyncs) every topic and releases the
@@ -355,24 +436,12 @@ func (c *Cursor) Next(max int) ([]StoredMessage, error) {
 // available, the context is done, or the store closes (ErrClosed).
 func (c *Cursor) NextWait(ctx context.Context, max int) ([]StoredMessage, error) {
 	for {
-		// Capture the signal before polling: an append that lands between
-		// the poll and the wait closes this channel, so the wakeup cannot
-		// be missed.
-		c.ls.mu.Lock()
-		closed := c.ls.closed
-		sig := c.ls.sig
-		c.ls.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
+		if err := c.ls.waitFor(ctx, c.subject, c.next); err != nil {
+			return nil, err
 		}
 		msgs, err := c.Next(max)
 		if err != nil || len(msgs) > 0 {
 			return msgs, err
-		}
-		select {
-		case <-sig:
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
 	}
 }

@@ -24,3 +24,10 @@ func withHeartbeat(interval, timeout time.Duration) ReconnectOption {
 func withPendingLimit(n int) ReconnectOption {
 	return func(c *reconnectConfig) { c.pendingLimit = n }
 }
+
+// withForwardOptions gives the forwarder subscriptions of SUB frames options
+// chosen by pattern (buffer size, overflow policy), which the wire does not
+// carry.
+func withForwardOptions(f func(pattern string) []SubOption) ServerOption {
+	return func(s *Server) { s.forwardOpts = f }
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -89,6 +90,15 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(fuzzFrame(opUnsub, []byte{1, 2, 3}))
 	f.Add(fuzzFrame(42, []byte("?")))
 	f.Add(fuzzFrame(opPubT, u16(9999), []byte("00-")))
+	// Frames of relayPoolMin bytes and more are read into recycled relay
+	// buffers: a big publish into a subscription (the forwarder releases
+	// it), a big non-publish frame, a big frame torn short, and a big
+	// publish whose subject runs past the payload (released on the error).
+	bigPub := fuzzFrame(opPub, pubPayload("layer.3.ot", "", strings.Repeat("p", relayPoolMin))...)
+	f.Add(bytes.Join([][]byte{sub, bigPub, fuzzFrame(opPing)}, nil))
+	f.Add(fuzzFrame(opUnsub, u64(7), make([]byte, relayPoolMin)))
+	f.Add(bigPub[:len(bigPub)-relayPoolMin/2])
+	f.Add(fuzzFrame(opPub, u16(relayPoolMin+10), make([]byte, relayPoolMin)))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		b := NewBroker()

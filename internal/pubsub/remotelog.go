@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -27,7 +28,31 @@ const logFetchPrefix = "strata.logfetch"
 
 // remoteLogMaxBatch caps the encoded payload of one fetch response, well
 // under maxFrameSize so a response frame can never be rejected by the wire.
+// A single record larger than the cap still travels, alone in its batch.
 const remoteLogMaxBatch = 1 << 20
+
+// remoteLogMaxRecord is the largest record a fetch response can carry: a
+// frame's worth less room for the record's batch header and for the opMsg
+// header with a subject and reply at the wire's 64 KiB limit each. Append
+// accepts records up to seglog.MaxRecord, so a larger one is stored but
+// answered with the logRecordTooLarge marker instead of its data.
+const remoteLogMaxRecord = maxFrameSize - 1<<18
+
+// logRecordTooLarge in a batch record's length field marks a record over
+// remoteLogMaxRecord at that offset. It carries no data and ends the batch.
+const logRecordTooLarge = math.MaxUint32
+
+// RecordTooLargeError is returned by RemoteCursor.Next when the record at the
+// cursor is too large for a fetch response frame (over 64 MiB less
+// headers). Reading past it takes a local LogStore Cursor.
+type RecordTooLargeError struct {
+	Subject string
+	Offset  uint64
+}
+
+func (e *RecordTooLargeError) Error() string {
+	return fmt.Sprintf("pubsub: record %d of %s is too large for a remote fetch (limit %d bytes)", e.Offset, e.Subject, remoteLogMaxRecord)
+}
 
 // LogFetchSubject returns the request subject on which a LogServer for
 // subject answers fetches. Stored subjects are dot-token hierarchies, so
@@ -64,38 +89,25 @@ func decodeLogFetchReq(b []byte) (logFetchReq, error) {
 	}, nil
 }
 
-// encodeLogBatch packs records as repeated [offset u64][len u32][data],
-// stopping before the payload would exceed remoteLogMaxBatch.
-func encodeLogBatch(msgs []StoredMessage) []byte {
-	var out []byte
-	for _, m := range msgs {
-		if len(out)+12+len(m.Data) > remoteLogMaxBatch && len(out) > 0 {
-			break
-		}
-		var hdr [12]byte
-		binary.LittleEndian.PutUint64(hdr[0:8], m.Offset)
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(m.Data)))
-		out = append(out, hdr[:]...)
-		out = append(out, m.Data...)
-	}
-	return out
-}
-
-// decodeLogBatch is the inverse of encodeLogBatch. A truncated tail ends the
-// batch (the retry refetches it); records before the truncation are kept.
-func decodeLogBatch(subject string, b []byte) []StoredMessage {
-	var out []StoredMessage
+// decodeLogBatch reads the records LogStore.appendLogBatch framed as
+// repeated [offset u64][len u32][data]. A truncated tail ends the batch (the
+// retry refetches it); records before the truncation are kept. A
+// logRecordTooLarge marker ends it and comes back as tooLarge.
+func decodeLogBatch(subject string, b []byte) (msgs []StoredMessage, tooLarge *RecordTooLargeError) {
 	for len(b) >= 12 {
 		off := binary.LittleEndian.Uint64(b[0:8])
-		n := int(binary.LittleEndian.Uint32(b[8:12]))
+		n := binary.LittleEndian.Uint32(b[8:12])
 		b = b[12:]
-		if n > len(b) {
+		if n == logRecordTooLarge {
+			return msgs, &RecordTooLargeError{Subject: subject, Offset: off}
+		}
+		if int64(n) > int64(len(b)) {
 			break
 		}
-		out = append(out, StoredMessage{Subject: subject, Offset: off, Data: b[:n]})
+		msgs = append(msgs, StoredMessage{Subject: subject, Offset: off, Data: b[:n]})
 		b = b[n:]
 	}
-	return out
+	return msgs, nil
 }
 
 // LogServer answers offset-addressed fetch requests for one subject of a
@@ -122,25 +134,31 @@ func ServeLog(rc *ReconnectConn, store *LogStore, subject string) (*LogServer, e
 	s := &LogServer{sub: sub, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
+		// One response buffer for the server's life: records are read
+		// straight into it, and PublishMsg has copied it to the socket or
+		// the pending ring by the time it returns (DESIGN.md §13).
+		var buf []byte
 		for msg := range sub.C {
 			req, err := decodeLogFetchReq(msg.Data)
 			if err != nil || msg.Reply == "" {
 				continue // not ours to answer; a retry will re-ask properly
 			}
 			max := int(req.max)
-			msgs, err := store.Read(subject, req.from, max)
-			if err == nil && len(msgs) == 0 && req.waitMs > 0 {
+			var n int
+			buf, n, err = store.appendLogBatch(buf[:0], subject, req.from, max)
+			if err == nil && n == 0 && req.waitMs > 0 {
 				// Long poll: hold the request open briefly so a caught-up
 				// consumer doesn't hot-loop empty fetches.
 				wctx, wcancel := context.WithTimeout(ctx, time.Duration(req.waitMs)*time.Millisecond)
-				cur := store.Cursor(subject, req.from)
-				msgs, _ = cur.NextWait(wctx, max)
+				if store.waitFor(wctx, subject, req.from) == nil {
+					buf, _, _ = store.appendLogBatch(buf[:0], subject, req.from, max)
+				}
 				wcancel()
 			}
 			// An empty (or error) answer is still an answer: the cursor
 			// distinguishes "nothing yet" from "nobody home" by the reply
 			// arriving at all.
-			_ = rc.Publish(msg.Reply, encodeLogBatch(msgs))
+			_ = rc.Publish(msg.Reply, buf)
 		}
 	}()
 	return s, nil
@@ -234,7 +252,7 @@ func (c *RemoteCursor) fetchOnce(ctx context.Context, max int) ([]StoredMessage,
 		if !ok {
 			return nil, ErrClosed
 		}
-		msgs := decodeLogBatch(c.subject, msg.Data)
+		msgs, tooLarge := decodeLogBatch(c.subject, msg.Data)
 		// Drop anything a stale or duplicated response replays from before
 		// the cursor position, and anything after a gap: offsets must
 		// continue exactly at next.
@@ -247,10 +265,13 @@ func (c *RemoteCursor) fetchOnce(ctx context.Context, max int) ([]StoredMessage,
 			}
 		}
 		c.next = want
-		if len(out) == 0 {
-			return nil, nil
+		if len(out) > 0 {
+			return out, nil
 		}
-		return out, nil
+		if tooLarge != nil && tooLarge.Offset == want {
+			return nil, tooLarge
+		}
+		return nil, nil
 	case <-timer.C:
 		return nil, nil // lost request or response; caller re-asks
 	case <-ctx.Done():

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -87,5 +88,65 @@ func TestRemoteLogFetchAcrossSever(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("tail follow: %v", err)
+	}
+}
+
+// TestRemoteCursorRecordTooLarge: a stored record larger than any fetch
+// response frame can carry (Append takes up to seglog.MaxRecord, a frame
+// holds 64 MiB) ends a batch. The records before it are served, and a fetch
+// at its offset fails at once with a *RecordTooLargeError instead of being
+// retried until the context ends.
+func TestRemoteCursorRecordTooLarge(t *testing.T) {
+	const subject = "strata.raw.big.j1"
+	_, srv := startTestServer(t)
+	owner, err := DialReconnect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	reader, err := DialReconnect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	ls := openTestLog(t)
+	for i := 0; i < 3; i++ {
+		if _, err := ls.Append(subject, []byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ls.Append(subject, make([]byte, 65<<20)); err != nil {
+		t.Fatal(err)
+	}
+	logSrv, err := ServeLog(owner, ls, subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logSrv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cur := NewRemoteCursor(reader, subject, 0)
+	var got []StoredMessage
+	for len(got) < 3 {
+		msgs, err := cur.Next(ctx, 10)
+		if err != nil {
+			t.Fatalf("Next after %d records: %v", len(got), err)
+		}
+		got = append(got, msgs...)
+	}
+	for i, m := range got {
+		if m.Offset != uint64(i) || string(m.Data) != fmt.Sprintf("record-%d", i) {
+			t.Fatalf("record %d = offset %d %q", i, m.Offset, m.Data)
+		}
+	}
+	msgs, err := cur.Next(ctx, 10)
+	var tooLarge *RecordTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Offset != 3 || tooLarge.Subject != subject {
+		t.Fatalf("Next at the 65 MiB record = %d msgs, %v; want a *RecordTooLargeError at offset 3", len(msgs), err)
+	}
+	if cur.Offset() != 3 {
+		t.Fatalf("cursor moved to %d past the record it could not read", cur.Offset())
 	}
 }

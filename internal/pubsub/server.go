@@ -23,6 +23,10 @@ type Server struct {
 	logf          func(format string, args ...any) // obslog "pubsub" at Warn
 	idleTimeout   time.Duration
 	flushInterval time.Duration // cork on outbound frames; see Dial
+	// forwardOpts, when set, adds subscription options to the forwarder
+	// subscription made for a SUB frame with the given pattern (a test
+	// seam: the wire carries no overflow policy or buffer size).
+	forwardOpts func(pattern string) []SubOption
 
 	mu     sync.Mutex
 	closed bool
@@ -166,12 +170,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 
+	// The read loop holds one reference on each pooled frame it reads until
+	// the frame is handled: by then every delivery that needs the bytes
+	// holds its own. The next iteration or the return drops it.
 	r := bufio.NewReaderSize(conn, 1<<16)
+	home := make(chan *frame, 2) // this connection's recycled relay buffers; see frame
+	var fr *frame
+	defer func() { fr.release() }()
 	for {
+		fr.release()
+		fr = nil
 		if s.idleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		op, payload, err := readFrame(r)
+		op, payload, next, err := readRelayFrame(r, home)
+		fr = next
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				s.reaped.Add(1)
@@ -216,10 +229,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(err)
 				return
 			}
-			// No copy: readFrame allocated payload for this frame alone, so
-			// the message owns it and the broker can share it with N
-			// subscribers beyond this loop iteration.
-			m := Message{Subject: string(subj), Reply: string(reply), Data: c.rest(), Traceparent: string(tp)}
+			// No copy: Data aliases the frame, and a pooled frame rides along
+			// so each forwarding delivery can hold it (Broker.PublishMsg).
+			m := Message{Subject: string(subj), Reply: string(reply), Data: c.rest(), Traceparent: string(tp), frame: fr}
 			if err := s.broker.PublishMsg(m); err != nil {
 				sendErr(err)
 			}
@@ -250,9 +262,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(err)
 				return
 			}
-			opts := []SubOption{}
+			opts := []SubOption{forwarded()}
 			if len(queue) > 0 {
 				opts = append(opts, WithQueue(string(queue)))
+			}
+			if s.forwardOpts != nil {
+				opts = append(opts, s.forwardOpts(string(pat))...)
 			}
 			sub, err := s.broker.Subscribe(string(pat), opts...)
 			if err != nil {
@@ -278,8 +293,15 @@ func (s *Server) serveConn(conn net.Conn) {
 					if msg.Traceparent != "" {
 						fop = opMsgT
 					}
-					if err := cw.writeMsg(fop, sid, msg.Seq, msg.Traceparent, msg.Subject, msg.Reply, msg.Data); err != nil {
+					err := cw.writeMsg(fop, sid, msg.Seq, msg.Traceparent, msg.Subject, msg.Reply, msg.Data)
+					// Written or copied into the bufio buffer either way:
+					// the delivery's reference ends here.
+					msg.frame.release()
+					if err != nil {
 						sub.Unsubscribe()
+						for msg := range sub.C { // closed now; drop what is left
+							msg.frame.release()
+						}
 						return
 					}
 				}

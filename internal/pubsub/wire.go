@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 )
 
 // Wire protocol: length-prefixed binary frames over TCP.
@@ -80,21 +82,132 @@ func writeFrame(w *bufio.Writer, op byte, payload ...[]byte) error {
 
 // readFrame reads one frame, returning its op and payload. The payload is a
 // fresh allocation per frame and nothing else refers to it, so the caller
-// owns it and may hand sub-slices on (Message.Data) without copying.
+// owns it and may hand sub-slices on (Message.Data) without copying. The
+// client's read loop uses it; the broker's reads through readRelayFrame.
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < 1 || n > maxFrameSize {
-		return 0, nil, fmt.Errorf("pubsub: bad frame length %d", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil
+}
+
+// readFrameLen reads and checks a frame's length prefix.
+func readFrameLen(r *bufio.Reader) (int, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n < 1 || n > maxFrameSize {
+		return 0, fmt.Errorf("pubsub: bad frame length %d", n)
+	}
+	return int(n), nil
+}
+
+// relayPoolMin is the smallest frame the broker reads into a pooled buffer:
+// the size of its socket reader. A smaller frame is cheaper to allocate than
+// to count references to.
+const relayPoolMin = 64 << 10
+
+// framePool holds the *frame buffers of relayed messages whose last
+// reference was dropped while their connection's home slot was full.
+var framePool sync.Pool
+
+// frame is a pooled buffer holding one frame the broker relays, shared by
+// every delivery of its message. refs counts the holders: the read loop,
+// plus one per delivery into a forwarder's subscription until the forwarder
+// has written it. A frame delivered anywhere else is escaped: its Data may
+// be retained for as long as the receiver likes, so it is never recycled.
+// All methods are no-ops on a nil frame (a small frame, or a message that
+// did not arrive over a socket).
+type frame struct {
+	buf     []byte
+	refs    atomic.Int32
+	escaped atomic.Bool
+	// home is the return slot of the connection that read the frame. The
+	// last release usually runs on a forwarder's goroutine, and sync.Pool
+	// keeps what one P puts in a slot no other P can take, so recycling
+	// through the pool alone misses whenever the read loop runs on another
+	// P. serveConn gives home room for two frames: the one being read and
+	// the previous one, which a forwarder may still be writing.
+	home chan *frame
+}
+
+// getFrame returns a frame with room for n bytes and one reference, taken
+// from home, the pool, or the heap in that order.
+func getFrame(home chan *frame, n int) *frame {
+	var f *frame
+	select {
+	case f = <-home:
+	default:
+		f, _ = framePool.Get().(*frame)
+	}
+	if f == nil {
+		f = new(frame)
+	}
+	if cap(f.buf) < n {
+		f.buf = make([]byte, n)
+	}
+	f.buf = f.buf[:n]
+	f.home = home
+	f.refs.Store(1)
+	f.escaped.Store(false)
+	return f
+}
+
+func (f *frame) retain() {
+	if f != nil {
+		f.refs.Add(1)
+	}
+}
+
+func (f *frame) escape() {
+	if f != nil {
+		f.escaped.Store(true)
+	}
+}
+
+// release drops one reference. The last one returns an unescaped frame to
+// its home slot, or to the pool when the slot is full, after which its bytes
+// belong to the next frame read.
+func (f *frame) release() {
+	if f == nil || f.refs.Add(-1) != 0 || f.escaped.Load() {
+		return
+	}
+	select {
+	case f.home <- f:
+	default:
+		framePool.Put(f)
+	}
+}
+
+// readRelayFrame is readFrame for the broker's read loop. A frame of at
+// least relayPoolMin bytes is read into a recycled buffer (getFrame) and
+// comes back with its frame, holding one reference that is the caller's to
+// release; a smaller one gets a fresh buffer and a nil frame.
+func readRelayFrame(r *bufio.Reader, home chan *frame) (byte, []byte, *frame, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	var f *frame
+	var buf []byte
+	if n >= relayPoolMin {
+		f = getFrame(home, n)
+		buf = f.buf
+	} else {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf); err != nil {
+		f.release()
+		return 0, nil, nil, err
+	}
+	return buf[0], buf[1:], f, nil
 }
 
 func u16(v int) []byte {

@@ -28,13 +28,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 const (
-	headerSize = 8
+	// HeaderSize is the framing in front of every payload, so a record that
+	// starts at pos and ends where the next one starts (or at Size) carries
+	// end-pos-HeaderSize payload bytes.
+	HeaderSize = 8
 
 	// MaxRecord bounds one record's payload. Append refuses larger payloads
 	// and recovery treats a larger length field as damage, so a flipped bit
@@ -47,7 +51,7 @@ var (
 	ErrCorrupt = errors.New("seglog: corrupt log")
 	// ErrTooLarge is returned by Append for a payload over MaxRecord.
 	ErrTooLarge = errors.New("seglog: record exceeds MaxRecord")
-	// ErrClosed is returned by Append and ReadAt on a closed log.
+	// ErrClosed is returned by Append and the reads on a closed log.
 	ErrClosed = errors.New("seglog: log is closed")
 )
 
@@ -75,7 +79,7 @@ type Log struct {
 	wmu  sync.Mutex
 	w    *bufio.Writer
 	size int64            // bytes appended (buffered + flushed); always a record boundary
-	hdr  [headerSize]byte // a field so Append does not allocate one
+	hdr  [HeaderSize]byte // a field so Append does not allocate one
 
 	// cmu serializes commit cohorts. It is never taken while holding wmu.
 	cmu       sync.Mutex
@@ -125,19 +129,20 @@ func recoverFile(f *os.File, replay func(pos int64, payload []byte) error) (int6
 	var buf []byte
 	pos := int64(0)
 	for pos < size {
-		n, err := readFrame(r, size-pos, &buf)
-		if err == errTorn || (errors.Is(err, ErrCorrupt) && pos+headerSize+int64(n) == size) {
+		var err error
+		buf, err = appendFrame(buf[:0], r, size-pos)
+		if err == errTorn || (errors.Is(err, ErrCorrupt) && pos+HeaderSize+int64(len(buf)) == size) {
 			break
 		}
 		if err != nil {
 			return 0, fmt.Errorf("record at byte %d of %d: %w", pos, size, err)
 		}
 		if replay != nil {
-			if err := replay(pos, buf[:n]); err != nil {
+			if err := replay(pos, buf); err != nil {
 				return 0, err
 			}
 		}
-		pos += headerSize + int64(n)
+		pos += HeaderSize + int64(len(buf))
 	}
 	if pos < size {
 		if err := f.Truncate(pos); err != nil {
@@ -150,38 +155,37 @@ func recoverFile(f *os.File, replay func(pos int64, payload []byte) error) (int6
 // errTorn reports a frame that does not fit in what is left of the file.
 var errTorn = errors.New("seglog: torn record")
 
-// readFrame reads the frame at r's position, of which remain bytes are left
-// in the file, into *buf (grown as needed, never beyond the frame) and
-// returns the payload length. The error is errTorn for a frame that runs
-// past remain, and wraps ErrCorrupt for a length over MaxRecord (n is 0,
-// nothing is allocated) or a CRC mismatch (n is the declared length).
-func readFrame(r io.Reader, remain int64, buf *[]byte) (n int, err error) {
-	if remain < headerSize {
-		return 0, errTorn
+// appendFrame reads the frame at r's position, of which remain bytes are
+// left in the file, and appends its payload to dst, growing dst only when
+// its spare capacity is short of the payload. The error is errTorn for a
+// frame that runs past remain, and wraps ErrCorrupt for a length over
+// MaxRecord (dst comes back as it was, nothing is allocated) or a CRC
+// mismatch (dst comes back with the declared length appended).
+func appendFrame(dst []byte, r io.Reader, remain int64) ([]byte, error) {
+	if remain < HeaderSize {
+		return dst, errTorn
 	}
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
+		return dst, err
 	}
 	plen := binary.LittleEndian.Uint32(hdr[4:8])
-	if int64(plen) > remain-headerSize {
-		return 0, errTorn
+	if int64(plen) > remain-HeaderSize {
+		return dst, errTorn
 	}
 	if plen > MaxRecord {
-		return 0, fmt.Errorf("%w: record length %d", ErrCorrupt, plen)
+		return dst, fmt.Errorf("%w: record length %d", ErrCorrupt, plen)
 	}
-	n = int(plen)
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	payload := (*buf)[:n]
+	start := len(dst)
+	dst = slices.Grow(dst, int(plen))[:start+int(plen)]
+	payload := dst[start:]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, err
+		return dst[:start], err
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[0:4]) {
-		return n, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+		return dst, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	return n, nil
+	return dst, nil
 }
 
 // Append buffers one record and returns the offset just past it; the record
@@ -205,7 +209,7 @@ func (l *Log) Append(payload []byte) (end int64, err error) {
 	if _, err := l.w.Write(payload); err != nil {
 		return 0, fmt.Errorf("seglog: write: %w", err)
 	}
-	l.size += headerSize + int64(len(payload))
+	l.size += HeaderSize + int64(len(payload))
 	return l.size, nil
 }
 
@@ -259,34 +263,44 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// ReadAt returns the verified payload of the record starting at pos, which
-// must be a position reported by replay or by Size before an Append.
+// ReadAt returns the verified payload of the record starting at pos in a
+// fresh buffer: AppendAt(nil, pos).
 func (l *Log) ReadAt(pos int64) ([]byte, error) {
+	return l.AppendAt(nil, pos)
+}
+
+// AppendAt appends the verified payload of the record starting at pos, which
+// must be a position reported by replay or by Size before an Append, to dst
+// and returns the extended slice. It allocates only when dst's spare
+// capacity is short of the payload, so a caller that keeps the result and
+// passes it back (truncated) reads every later record into the same buffer.
+// On error dst comes back unextended.
+func (l *Log) AppendAt(dst []byte, pos int64) ([]byte, error) {
 	// The record may still sit in the writer (appended, not yet committed);
 	// flush so the positional reads below see it.
 	l.wmu.Lock()
 	if l.closed {
 		l.wmu.Unlock()
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	size := l.size
 	err := l.w.Flush()
 	l.wmu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("seglog: flush: %w", err)
+		return dst, fmt.Errorf("seglog: flush: %w", err)
 	}
 	if pos < 0 || pos >= size {
-		return nil, fmt.Errorf("seglog: read at %d: no record (log is %d bytes)", pos, size)
+		return dst, fmt.Errorf("seglog: read at %d: no record (log is %d bytes)", pos, size)
 	}
-	var buf []byte
-	n, err := readFrame(io.NewSectionReader(l.f, pos, size-pos), size-pos, &buf)
+	start := len(dst)
+	dst, err = appendFrame(dst, io.NewSectionReader(l.f, pos, size-pos), size-pos)
 	if err == errTorn {
 		err = fmt.Errorf("%w: record runs past the end of the log", ErrCorrupt)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("seglog: read at %d: %w", pos, err)
+		return dst[:start], fmt.Errorf("seglog: read at %d: %w", pos, err)
 	}
-	return buf[:n], nil
+	return dst, nil
 }
 
 // Close flushes, fsyncs in sync mode — in-flight Commits resolve to nil once

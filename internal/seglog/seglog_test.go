@@ -6,19 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"strata/internal/testseed"
 )
 
 // frame encodes one record the way the format comment states it, without
 // going through Append, so the tests check the format and not just that the
 // package agrees with itself.
 func frame(payload []byte) []byte {
-	b := make([]byte, headerSize, headerSize+len(payload))
+	b := make([]byte, HeaderSize, HeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(b[0:4], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(b[4:8], uint32(len(payload)))
 	return append(b, payload...)
@@ -63,7 +66,7 @@ func checkRecovered(t *testing.T, path string, want [][]byte) {
 		if !bytes.Equal(recs[i], w) {
 			t.Fatalf("record %d = %q, want %q", i, recs[i], w)
 		}
-		wantSize += headerSize + int64(len(w))
+		wantSize += HeaderSize + int64(len(w))
 	}
 	if got := fileSize(t, path); got != wantSize || l.Size() != wantSize {
 		t.Fatalf("after recovery file is %d bytes, Size %d; want the intact prefix, %d", got, l.Size(), wantSize)
@@ -149,7 +152,7 @@ func TestCrashMatrix(t *testing.T) {
 	t.Run("cut", func(t *testing.T) {
 		for cut := starts[len(starts)-2]; cut <= int64(len(whole)); cut++ {
 			intact := 0
-			for intact < len(payloads) && starts[intact]+headerSize+int64(len(payloads[intact])) <= cut {
+			for intact < len(payloads) && starts[intact]+HeaderSize+int64(len(payloads[intact])) <= cut {
 				intact++
 			}
 			t.Run(fmt.Sprint(cut), func(t *testing.T) {
@@ -166,7 +169,7 @@ func TestCrashMatrix(t *testing.T) {
 			data := append([]byte(nil), whole...)
 			data[off] ^= 0x10
 			newLen := int64(binary.LittleEndian.Uint32(data[starts[last]+4:]))
-			if starts[last]+headerSize+newLen < int64(len(data)) {
+			if starts[last]+HeaderSize+newLen < int64(len(data)) {
 				continue // a shrunk length leaves bytes after the record: the mid-log case
 			}
 			t.Run(fmt.Sprint(off), func(t *testing.T) {
@@ -187,7 +190,7 @@ func TestCrashMatrix(t *testing.T) {
 				data[off] ^= bit
 				path := write(fmt.Sprintf("mid-%d-%x", off, bit), data)
 				newLen := int64(binary.LittleEndian.Uint32(data[starts[mid]+4:]))
-				if starts[mid]+headerSize+newLen >= int64(len(data)) {
+				if starts[mid]+HeaderSize+newLen >= int64(len(data)) {
 					checkRecovered(t, path, payloads[:mid])
 					continue
 				}
@@ -322,7 +325,7 @@ func TestReadAtVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteAt([]byte{'F'}, headerSize); err != nil {
+	if _, err := f.WriteAt([]byte{'F'}, HeaderSize); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.ReadAt(0); !errors.Is(err, ErrCorrupt) {
@@ -346,7 +349,7 @@ func FuzzRecover(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), frame([]byte("torn payload"))[:14]...)) // torn payload
 	f.Add(append(append([]byte(nil), valid...), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 9)) // oversized length
 	f.Add(append(frame(nil), frame([]byte("after an empty record"))...))                // zero-length record
-	f.Add(append(frame([]byte("damaged"))[:headerSize+3], valid...))                    // damage with intact records after it
+	f.Add(append(frame([]byte("damaged"))[:HeaderSize+3], valid...))                    // damage with intact records after it
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -377,7 +380,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		kept := int64(0)
 		for _, r := range recs {
-			kept += headerSize + int64(len(r))
+			kept += HeaderSize + int64(len(r))
 		}
 		if got := fileSize(t, path); got != kept || !bytes.Equal(data[:kept], mustRead(t, path)) {
 			t.Fatalf("recovered file is %d bytes, want the %d-byte intact prefix", got, kept)
@@ -400,4 +403,145 @@ func mustRead(t testing.TB, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestLogAgainstSlice drives a log with random appends, commits, reads,
+// damage, clean reopens and crashes, and checks it against a slice of
+// payloads. Reads go through AppendAt with a random prefix already in dst,
+// which must come back untouched. A byte flipped on disk must read as
+// ErrCorrupt. A crash copies the file as it is on disk while the log is
+// open, losing the writer's buffer: the copy must recover a prefix of the
+// model that keeps every committed record. Replay a failure with -seed=N.
+func TestLogAgainstSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(testseed.Seed(t)))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "log.0")
+	l, err := Open(path, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	var recs [][]byte // the model: payload i starts at at[i]
+	var at []int64
+	committed := 0 // records a Commit has covered
+	payload := func() []byte {
+		n := rng.Intn(200)
+		if rng.Intn(8) == 0 {
+			n = rng.Intn(3 * 4096) // past the writer's buffer: written through
+		}
+		p := make([]byte, n)
+		rng.Read(p)
+		return p
+	}
+	end := func(i int) int64 { return at[i] + HeaderSize + int64(len(recs[i])) }
+	flipped := func(i int) int64 { // a payload byte, or a CRC byte of an empty record
+		if len(recs[i]) == 0 {
+			return at[i] + int64(rng.Intn(4))
+		}
+		return at[i] + HeaderSize + int64(rng.Intn(len(recs[i])))
+	}
+	flip := func(off int64) {
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, 1)
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x5a
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkReplay := func(l *Log, got [][]byte, gotAt []int64) {
+		for i := range got {
+			if gotAt[i] != at[i] || !bytes.Equal(got[i], recs[i]) {
+				t.Fatalf("replayed record %d at %d (%d bytes), model has it at %d (%d bytes)", i, gotAt[i], len(got[i]), at[i], len(recs[i]))
+			}
+		}
+		if n := len(got); n > 0 && l.Size() != end(n-1) || n == 0 && l.Size() != 0 {
+			t.Fatalf("reopened log is %d bytes after %d records", l.Size(), n)
+		}
+	}
+
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(20); {
+		case op < 8 || len(recs) == 0: // append
+			p := payload()
+			pos := l.Size()
+			e, err := l.Append(p)
+			if err != nil || e != pos+HeaderSize+int64(len(p)) {
+				t.Fatalf("step %d: Append(%d bytes) at %d = %d, %v", step, len(p), pos, e, err)
+			}
+			recs, at = append(recs, p), append(at, pos)
+		case op < 10: // commit through a random record
+			k := 1 + rng.Intn(len(recs))
+			if err := l.Commit(end(k - 1)); err != nil {
+				t.Fatalf("step %d: Commit: %v", step, err)
+			}
+			committed = max(committed, k)
+		case op < 15: // read into a buffer that already holds something
+			i := rng.Intn(len(recs))
+			prefix := make([]byte, rng.Intn(16))
+			rng.Read(prefix)
+			dst := append(make([]byte, 0, rng.Intn(64)), prefix...)
+			got, err := l.AppendAt(dst, at[i])
+			if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], recs[i]) {
+				t.Fatalf("step %d: AppendAt(record %d) = %d bytes, %v; prefix or payload wrong", step, i, len(got), err)
+			}
+		case op < 16: // damage one record on disk, read it, repair it
+			i := rng.Intn(len(recs))
+			if _, err := l.ReadAt(at[i]); err != nil { // flushes the writer, so the record is on disk
+				t.Fatalf("step %d: ReadAt(record %d): %v", step, i, err)
+			}
+			off := flipped(i)
+			flip(off)
+			dst := []byte("kept")
+			if got, err := l.AppendAt(dst, at[i]); !errors.Is(err, ErrCorrupt) || string(got) != "kept" {
+				t.Fatalf("step %d: AppendAt(record %d, byte %d flipped) = %q, %v; want ErrCorrupt and dst unextended", step, i, off, got, err)
+			}
+			flip(off)
+		case op < 18: // clean reopen: Close keeps every record
+			if err := l.Close(); err != nil {
+				t.Fatalf("step %d: Close: %v", step, err)
+			}
+			var got [][]byte
+			var gotAt []int64
+			if l, got, gotAt, err = reopen(t, path); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("step %d: reopen replayed %d records, model has %d", step, len(got), len(recs))
+			}
+			checkReplay(l, got, gotAt)
+			committed = len(recs)
+		default: // crash: recover a copy of what reached the disk
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := filepath.Join(dir, fmt.Sprintf("log.%d", step))
+			if err := os.WriteFile(crashed, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("step %d: Close: %v", step, err)
+			}
+			var got [][]byte
+			var gotAt []int64
+			path = crashed
+			if l, got, gotAt, err = reopen(t, path); err != nil {
+				t.Fatalf("step %d: recover: %v", step, err)
+			}
+			if len(got) < committed || len(got) > len(recs) {
+				t.Fatalf("step %d: recovered %d records; %d were committed, %d appended", step, len(got), committed, len(recs))
+			}
+			checkReplay(l, got, gotAt)
+			recs, at, committed = recs[:len(got)], at[:len(got)], len(got)
+		}
+	}
 }

@@ -45,10 +45,14 @@ race:
 ## framework on top and the clustering property tests (each run draws fresh
 ## random inputs), ten times under -race; plus 200 repeats of a stream
 ## trace test that used to fail about once in 100 runs, when a sampled
-## tuple's span was recorded after its output chunk could reach the sink.
+## tuple's span was recorded after its output chunk could reach the sink;
+## plus 50 repeats of TestConnectorSourceContract, which subscribes and
+## unsubscribes against context cancellation on all four connector
+## transports (in-process broker, TCP broker, local log, remote log).
 flake:
 	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core ./internal/cluster
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
+	$(selected) $(GO) test -race -count=50 -run '^TestConnectorSourceContract$$' ./internal/core
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation). Any unsuppressed finding

@@ -166,7 +166,6 @@ func run() error {
 	p, err := mgr.Deploy(*pipeline, build,
 		core.WithCheckpointInterval(*ckptEvery),
 		core.WithRestartPolicy(core.RestartOnFailure),
-		core.WithMaxRestarts(3),
 		core.WithRestartBackoff(10*time.Millisecond))
 	if err != nil {
 		return err

@@ -6,8 +6,9 @@
 // connector publishes OT tuples on the shared broker (in the paper:
 // Kafka). One analysis framework per machine taps the connector with
 // AddBrokerSource and runs the Algorithm 1 pipeline. Everything is
-// in-process here; swap the broker for strata-broker + pubsub.Dial to span
-// hosts.
+// in-process here; to span hosts, run strata-broker and dial it from each
+// host with pubsub.DialReconnect: machines publish with DeliverToConn and
+// analysis hosts consume with AddConnSource.
 //
 //	go run ./examples/multi-machine [-machines 3] [-layers 10]
 package main

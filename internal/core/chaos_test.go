@@ -195,7 +195,7 @@ func TestChaosKillAndRecover(t *testing.T) {
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(time.Hour), // checkpoints driven manually
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(3),
+		withMaxRestarts(3),
 		WithRestartBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestChaosMidCheckpointCrash(t *testing.T) {
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(time.Hour),
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(3),
+		withMaxRestarts(3),
 		WithRestartBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestChaosPeriodicCheckpointsAndRetention(t *testing.T) {
 		WithCheckpointInterval(5*time.Millisecond),
 		withCheckpointRetention(2),
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(3),
+		withMaxRestarts(3),
 		WithRestartBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestChaosRestoreFailureChargedToBudget(t *testing.T) {
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(time.Hour),
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(2),
+		withMaxRestarts(2),
 		WithRestartBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestChaosDecommissionDuringPendingRestart(t *testing.T) {
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(time.Hour),
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(3),
+		withMaxRestarts(3),
 		WithRestartBackoff(time.Minute)) // park the supervisor in backoff
 	if err != nil {
 		t.Fatal(err)

@@ -113,21 +113,17 @@ func tapFunc(
 		if !broker.HasSubscriber(subj) {
 			return emit(t)
 		}
+		// A fresh buffer per tuple: in-process subscribers may keep Data.
 		data, err := EncodeTuple(t)
 		if err != nil {
 			return fmt.Errorf("connector %s: %w", opName, err)
 		}
-		msg := pubsub.Message{Subject: subj, Data: data}
-		if t.Trace != nil {
-			if tc := t.Trace.Context(); tc.Valid() && tc.Sampled {
-				// The tuple may leave this process here (a remote
-				// subscriber continues it), so carry the trace context in
-				// the frame and file the local fragment now — Add is
-				// idempotent, a local sink finishing the trace later just
-				// seals the same entry.
-				msg.Traceparent = tc.Traceparent()
-				traces.Add(t.Trace)
-			}
+		msg := connectorMsg(subj, data, t)
+		if msg.Traceparent != "" {
+			// The trace may continue in another process: file the local
+			// fragment now. Add is idempotent, so a local sink finishing the
+			// trace later seals the same entry.
+			traces.Add(t.Trace)
 		}
 		if err := broker.PublishMsg(msg); err != nil {
 			return fmt.Errorf("connector %s: %w", opName, err)
@@ -136,141 +132,173 @@ func tapFunc(
 	}
 }
 
-// AddReplaySource deploys a source that replays the encoded tuples recorded
-// under subject in store, in offset order, and then — when liveAfter is
-// true — keeps tailing the log for new records as they are appended.
-// Together with pubsub.Record on the raw connector, this is how an
-// event-detection pipeline deployed mid-build reprocesses every earlier
-// layer before following the build live: the paper's "continuously
-// deployed, run, and decommissioned" detection methods without data loss.
-//
-// The live phase follows the log itself (a cursor), not a broker
-// subscription: the recorder is the single writer ordering the topic, so
-// the replay→live handoff can neither skip nor duplicate a record — each
-// log offset is emitted exactly once. (Earlier versions subscribed to the
-// broker for the live phase and could re-deliver records that landed in
-// both the log batch and the subscription buffer.)
-//
-// The source is positioned: under checkpointing, the last fully processed
-// offset is part of every checkpoint and a restored pipeline resumes from
-// there instead of offset 0.
-//
-// Replayed tuples keep their original event times (windows behave as if
-// live) but get a fresh AvailableAt: latency is measured against when this
-// pipeline could first see the data.
-func (fw *Framework) AddReplaySource(name string, store *pubsub.LogStore, subject string, liveAfter bool) *StreamRef {
-	out := &StreamRef{name: name, kind: kindSource, layerGranular: true}
-	if store == nil {
-		fw.recordErr(fmt.Errorf("%w: AddReplaySource %q: nil store", ErrBadPipeline, name))
-		return out
+// connectorMsg is the frame an encoded tuple leaves on: a sampled trace's
+// context rides the Traceparent header, so a remote subscriber continues it.
+func connectorMsg(subject string, data []byte, t EventTuple) pubsub.Message {
+	msg := pubsub.Message{Subject: subject, Data: data}
+	if t.Trace != nil {
+		if tc := t.Trace.Context(); tc.Valid() && tc.Sampled {
+			msg.Traceparent = tc.Traceparent()
+		}
 	}
-	start := fw.restoredPos(name)
-	out.s = stream.AddPositionedSource(fw.query, name, start, func(ctx context.Context, emit stream.PosEmit[EventTuple]) error {
-		emitTuple := func(m pubsub.StoredMessage) error {
-			t, err := DecodeTuple(m.Data)
-			if err != nil {
-				return fmt.Errorf("replay source %q: %w", name, err)
-			}
-			t.Trace.Relabel(name)
-			t.AvailableAt = time.Now()
-			if t.Specimen == "" {
-				t.Specimen = DefaultSpecimen
-			}
-			if t.Portion == "" {
-				t.Portion = DefaultPortion
-			}
-			return emit(m.Offset, t)
-		}
-		const batch = 256
-		cur := store.Cursor(subject, start)
-		for {
-			msgs, err := cur.Next(batch)
-			if err != nil {
-				return err
-			}
-			if len(msgs) == 0 {
-				break
-			}
-			for _, m := range msgs {
-				if err := emitTuple(m); err != nil {
-					return err
-				}
-			}
-		}
-		if !liveAfter {
-			return nil
-		}
-		for {
-			msgs, err := cur.NextWait(ctx, batch)
-			if err != nil {
-				if errors.Is(err, pubsub.ErrClosed) {
-					return nil // log store closed: the topic has ended
-				}
-				return err
-			}
-			for _, m := range msgs {
-				if err := emitTuple(m); err != nil {
-					return err
-				}
-			}
-		}
-	})
-	return out
+	return msg
 }
 
-// AddBrokerSource deploys a source that consumes encoded tuples from the
-// attached broker (pattern supports pub/sub wildcards, e.g.
-// "strata.raw.ot.>"). It is how a second STRATA deployment — possibly in
-// another process via the TCP server — taps a machine's raw data: the
-// pub/sub fan-out is what lets "distinct pipelines from one or more users
-// overlap" without re-reading the machine.
-//
-// The source runs until ctx is cancelled or, when stopAfter > 0, after that
-// many tuples. AvailableAt is restamped on arrival: for latency accounting,
-// data becomes "available" to this pipeline when the connector delivers it.
-func (fw *Framework) AddBrokerSource(name, pattern string, stopAfter int, subOpts ...pubsub.SubOption) *StreamRef {
-	out := &StreamRef{name: name, kind: kindSource, layerGranular: true}
-	if fw.broker == nil {
-		fw.recordErr(fmt.Errorf("%w: AddBrokerSource %q: no broker attached", ErrBadPipeline, name))
-		return out
+// ingress turns a connector frame into a tuple entering this pipeline at
+// source name; every connector source is a transport adapter over it plus
+// addSubSource or addLogSource. The trace comes from the codec trailer, else
+// the frame's traceparent header, else this framework's sampler (labelled
+// "<framework>/<source>", as a collector source's). AvailableAt is
+// restamped — data becomes available to this pipeline when the connector
+// delivers it; replayed tuples keep their event times — and an empty
+// Specimen or Portion gets its default.
+func (fw *Framework) ingress(name string, data []byte, traceparent string) (EventTuple, error) {
+	t, err := DecodeTuple(data)
+	if err != nil {
+		return t, fmt.Errorf("connector source %q: %w", name, err)
 	}
-	broker := fw.broker
-	out.s = stream.AddSource(fw.query, name, func(ctx context.Context, emit stream.Emit[EventTuple]) error {
-		sub, err := broker.Subscribe(pattern, subOpts...)
+	if t.Trace == nil && traceparent != "" {
+		if tc, err := telemetry.ParseTraceparent(traceparent); err == nil {
+			t.Trace = telemetry.ContinueTrace(tc, name)
+		}
+	}
+	if t.Trace != nil {
+		t.Trace.Relabel(name)
+	} else if id, ok := fw.sampler.Sample(); ok {
+		t.Trace = telemetry.NewTrace(id, fw.name+"/"+name)
+	}
+	t.AvailableAt = time.Now()
+	if t.Specimen == "" {
+		t.Specimen = DefaultSpecimen
+	}
+	if t.Portion == "" {
+		t.Portion = DefaultPortion
+	}
+	return t, nil
+}
+
+// badSource records a connector source rejected at construction.
+func (fw *Framework) badSource(ctor, name, why string) *StreamRef {
+	fw.recordErr(fmt.Errorf("%w: %s %q: %s", ErrBadPipeline, ctor, name, why))
+	return &StreamRef{name: name, kind: kindSource, layerGranular: true}
+}
+
+// addSubSource deploys a source over the subscription subscribe opens (its
+// channel and the function ending it). It runs until ctx is cancelled, the
+// channel closes or, when stopAfter > 0, after that many tuples.
+func (fw *Framework) addSubSource(name string, stopAfter int, subscribe func() (<-chan pubsub.Message, func(), error)) *StreamRef {
+	s := stream.AddSource(fw.query, name, func(ctx context.Context, emit stream.Emit[EventTuple]) error {
+		c, unsubscribe, err := subscribe()
 		if err != nil {
 			return err
 		}
-		defer sub.Unsubscribe()
-		seen := 0
-		for {
+		defer unsubscribe()
+		for seen := 0; stopAfter <= 0 || seen < stopAfter; seen++ {
 			select {
-			case msg, ok := <-sub.C:
+			case msg, ok := <-c:
 				if !ok {
 					return nil
 				}
-				t, err := DecodeTuple(msg.Data)
+				t, err := fw.ingress(name, msg.Data, msg.Traceparent)
 				if err != nil {
-					return fmt.Errorf("broker source %q: %w", name, err)
-				}
-				t.Trace.Relabel(name)
-				t.AvailableAt = time.Now()
-				if t.Specimen == "" {
-					t.Specimen = DefaultSpecimen
-				}
-				if t.Portion == "" {
-					t.Portion = DefaultPortion
+					return err
 				}
 				if err := emit(t); err != nil {
 					return err
-				}
-				seen++
-				if stopAfter > 0 && seen >= stopAfter {
-					return nil
 				}
 			case <-ctx.Done():
 				return ctx.Err()
 			}
 		}
+		return nil
 	})
-	return out
+	return &StreamRef{name: name, kind: kindSource, layerGranular: true, s: s}
+}
+
+// logCursor reads up to max records at its position and advances past them.
+type logCursor func(ctx context.Context, max int) ([]pubsub.StoredMessage, error)
+
+// logBatch is how many records a log source reads per cursor call.
+const logBatch = 256
+
+// addLogSource deploys a positioned source over the log cursor open returns
+// for the restored offset: under checkpointing the last fully processed
+// offset rides every checkpoint and a restored pipeline resumes there. The
+// source ends on an empty batch (a drained log) and, when total > 0, after
+// the record at offset total-1.
+func (fw *Framework) addLogSource(name string, total int, open func(from uint64) logCursor) *StreamRef {
+	start := fw.restoredPos(name)
+	s := stream.AddPositionedSource(fw.query, name, start, func(ctx context.Context, emit stream.PosEmit[EventTuple]) error {
+		next := open(start)
+		for {
+			msgs, err := next(ctx, logBatch)
+			if err != nil {
+				return fmt.Errorf("log source %q: %w", name, err)
+			}
+			if len(msgs) == 0 {
+				return nil
+			}
+			for _, m := range msgs {
+				t, err := fw.ingress(name, m.Data, "")
+				if err != nil {
+					return err
+				}
+				if err := emit(m.Offset, t); err != nil {
+					return err
+				}
+				if total > 0 && m.Offset+1 >= uint64(total) {
+					return nil
+				}
+			}
+		}
+	})
+	return &StreamRef{name: name, kind: kindSource, layerGranular: true, s: s}
+}
+
+// AddReplaySource deploys a positioned source replaying the encoded tuples
+// recorded under subject in store, in offset order, and then — when
+// liveAfter is true — tailing the log until ctx is cancelled or the store
+// closes; a pipeline restored from a checkpoint resumes at the last fully
+// processed offset. With pubsub.Record on the raw connector, this is how a
+// detection pipeline deployed mid-build reprocesses every earlier layer
+// before following the build live, without data loss. The live phase follows
+// the log, not a broker subscription: the recorder is the single writer
+// ordering the topic, so the handoff can neither skip nor duplicate a record.
+func (fw *Framework) AddReplaySource(name string, store *pubsub.LogStore, subject string, liveAfter bool) *StreamRef {
+	if store == nil {
+		return fw.badSource("AddReplaySource", name, "nil store")
+	}
+	return fw.addLogSource(name, 0, func(from uint64) logCursor {
+		cur := store.Cursor(subject, from)
+		return func(ctx context.Context, max int) ([]pubsub.StoredMessage, error) {
+			if !liveAfter {
+				return cur.Next(max)
+			}
+			msgs, err := cur.NextWait(ctx, max)
+			if errors.Is(err, pubsub.ErrClosed) {
+				return nil, nil // log store closed: the topic has ended
+			}
+			return msgs, err
+		}
+	})
+}
+
+// AddBrokerSource deploys a source that consumes encoded tuples from the
+// attached broker (pattern supports pub/sub wildcards, e.g.
+// "strata.raw.ot.>"). It is how a second STRATA deployment taps a machine's
+// raw data: the pub/sub fan-out is what lets "distinct pipelines from one or
+// more users overlap" without re-reading the machine. The source runs until
+// ctx is cancelled or, when stopAfter > 0, after that many tuples.
+func (fw *Framework) AddBrokerSource(name, pattern string, stopAfter int, subOpts ...pubsub.SubOption) *StreamRef {
+	broker := fw.broker
+	if broker == nil {
+		return fw.badSource("AddBrokerSource", name, "no broker attached")
+	}
+	return fw.addSubSource(name, stopAfter, func() (<-chan pubsub.Message, func(), error) {
+		sub, err := broker.Subscribe(pattern, subOpts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sub.C, sub.Unsubscribe, nil
+	})
 }

@@ -98,7 +98,7 @@ const (
 	// RestartNever marks the pipeline failed on its first error (default).
 	RestartNever RestartPolicy = iota
 	// RestartOnFailure rebuilds and reruns the pipeline after an error, up
-	// to the configured attempt budget, waiting out a backoff between
+	// to restartBudget consecutive times, waiting out a backoff between
 	// attempts. A clean drain or a decommission is never restarted.
 	RestartOnFailure
 )
@@ -106,6 +106,13 @@ const (
 // checkpointRetention is how many checkpoint epochs a pipeline keeps: older
 // epochs are deleted after each successful checkpoint.
 const checkpointRetention = 3
+
+// restartBudget is how many consecutive restarts a RestartOnFailure pipeline
+// is granted; one more failure marks it failed with the last error. The
+// budget is per outage, not per lifetime: an incarnation that runs healthily
+// for restartBudgetResetAfter earns it back, so a days-long build is not
+// failed by its Nth error when the failures are far apart.
+const restartBudget = 3
 
 // deployConfig holds per-pipeline supervision knobs.
 type deployConfig struct {
@@ -124,21 +131,6 @@ type DeployOption func(*deployConfig)
 // RestartNever).
 func WithRestartPolicy(p RestartPolicy) DeployOption {
 	return func(c *deployConfig) { c.policy = p }
-}
-
-// WithMaxRestarts bounds how many consecutive restarts a RestartOnFailure
-// pipeline is granted (default 3). Exceeding it marks the pipeline failed
-// with the last error. The budget is per-outage, not lifetime: an
-// incarnation that runs healthily for a while (see restartBudgetResetAfter)
-// earns the full budget back, so a pipeline supervising a days-long build
-// is not permanently failed by its Nth error when the failures are far
-// apart.
-func WithMaxRestarts(n int) DeployOption {
-	return func(c *deployConfig) {
-		if n >= 0 {
-			c.maxRestarts = n
-		}
-	}
 }
 
 // WithRestartBackoff sets the wait between a failure and the rebuild
@@ -284,7 +276,7 @@ func (m *Manager) buildFramework(name string, build func(fw *Framework) error, c
 // rebuilds and reruns it after failures (build must therefore be
 // re-invocable: it is called once per incarnation).
 func (m *Manager) Deploy(name string, build func(fw *Framework) error, opts ...DeployOption) (*Pipeline, error) {
-	cfg := deployConfig{policy: RestartNever, maxRestarts: 3, backoff: 100 * time.Millisecond, ckptRetain: checkpointRetention}
+	cfg := deployConfig{policy: RestartNever, maxRestarts: restartBudget, backoff: 100 * time.Millisecond, ckptRetain: checkpointRetention}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -528,7 +520,7 @@ const maxRestartBackoff = time.Minute
 // restartBudgetResetAfter is how long an incarnation must run before a
 // failure counts as a new outage rather than a continuation of the last
 // one: the consecutive-failure streak (and with it the backoff doubling)
-// resets, restoring the full WithMaxRestarts budget. A variable so tests
+// resets, restoring the full restartBudget. A variable so tests
 // can shorten it.
 var restartBudgetResetAfter = time.Minute
 

@@ -14,3 +14,9 @@ func SetMaxChainStages(n int) (restore func()) {
 func withCheckpointRetention(n int) DeployOption {
 	return func(c *deployConfig) { c.ckptRetain = n }
 }
+
+// withMaxRestarts grants a RestartOnFailure pipeline n consecutive restarts
+// instead of restartBudget.
+func withMaxRestarts(n int) DeployOption {
+	return func(c *deployConfig) { c.maxRestarts = n }
+}

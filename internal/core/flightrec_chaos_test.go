@@ -27,7 +27,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 	p, err := r.mgr.Deploy("chaos", r.build,
 		WithCheckpointInterval(time.Hour),
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(3),
+		withMaxRestarts(3),
 		WithRestartBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func TestRestartOnFailureRecovers(t *testing.T) {
 		return nil
 	},
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(5),
+		withMaxRestarts(5),
 		WithRestartBackoff(time.Millisecond),
 	)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestRestartBudgetExhausted(t *testing.T) {
 		return nil
 	},
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(2),
+		withMaxRestarts(2),
 		WithRestartBackoff(time.Millisecond),
 	)
 	if err != nil {
@@ -275,7 +275,7 @@ func TestRestartingStatusVisible(t *testing.T) {
 		return nil
 	},
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(1),
+		withMaxRestarts(1),
 		WithRestartBackoff(200*time.Millisecond),
 	)
 	if err != nil {
@@ -319,7 +319,7 @@ func TestDecommissionDuringBackoffWindow(t *testing.T) {
 		return nil
 	},
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(100),
+		withMaxRestarts(100),
 		WithRestartBackoff(10*time.Second), // far longer than the test
 	)
 	if err != nil {
@@ -340,7 +340,7 @@ func TestDecommissionDuringBackoffWindow(t *testing.T) {
 	}
 }
 
-// TestRestartBudgetResetsAfterHealthyRun: WithMaxRestarts bounds consecutive
+// TestRestartBudgetResetsAfterHealthyRun: withMaxRestarts bounds consecutive
 // failures, not lifetime ones. A pipeline that fails, recovers, runs
 // healthily past restartBudgetResetAfter, then fails again gets a fresh
 // budget for the second outage — it is not permanently failed on its Nth
@@ -369,7 +369,7 @@ func TestRestartBudgetResetsAfterHealthyRun(t *testing.T) {
 		return nil
 	},
 		WithRestartPolicy(RestartOnFailure),
-		WithMaxRestarts(1),
+		withMaxRestarts(1),
 		WithRestartBackoff(time.Millisecond),
 	)
 	if err != nil {

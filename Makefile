@@ -79,9 +79,10 @@ bench-smoke:
 
 ## alloc-smoke: enforce the committed allocation budgets on the
 ## zero-allocation hot paths (cell slicing through views, tuple codec
-## reuse), on the 8 MB image plane (one frame-sized buffer per encode,
-## per decode and per client hop, none in the broker or the LogServer;
-## nothing for an unwatched connector tap)
+## reuse), on the 8 MB image plane (one frame-sized buffer per encode and
+## per client hop, none per decode, none in the broker or the LogServer,
+## so one for a client receiving and decoding an image tuple; nothing for
+## an unwatched connector tap)
 ## and on one deep correlate window's DBSCAN (a frontier bounded by n).
 ## Any allocs/op or B/op above alloc_budget.json fails the build — see
 ## DESIGN.md §13 "Memory model".
@@ -89,7 +90,7 @@ alloc-smoke:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run='^$$' -bench='BenchmarkAppendSplitCells|BenchmarkMarshal|BenchmarkUnmarshal' -benchtime=20x -benchmem ./internal/otimage > alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkEncodeTupleAppend|BenchmarkDecodeTuple/cell' -benchtime=1000x -benchmem ./internal/core >> alloc-smoke.out
-	$(GO) test -run='^$$' -bench='BenchmarkEncodeTuple/image2000|BenchmarkDecodeTuple/image2000|BenchmarkTapImage' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkEncodeTuple/image2000|BenchmarkDecodeTuple/image2000|BenchmarkTapImage|BenchmarkReceiveDecode8MiB' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkTCPLargeImagePayload|BenchmarkRemoteFetch8MiB' -benchtime=20x -benchmem ./internal/pubsub >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkDBSCANDeepWindow' -benchtime=20x -benchmem ./internal/cluster >> alloc-smoke.out
 	./bin/benchjson -budget alloc_budget.json < alloc-smoke.out

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -79,9 +80,11 @@ var ErrUnsupportedValue = fmt.Errorf("strata: unsupported KV value type")
 // codec's type set.
 func (t EventTuple) GobEncode() ([]byte, error) { return EncodeTuple(t) }
 
-// GobDecode implements gob.GobDecoder via the connector codec.
+// GobDecode implements gob.GobDecoder via the connector codec. It decodes a
+// copy of data: data is a slice of a buffer gob owns, and a decoded image
+// may share the bytes it was decoded from.
 func (t *EventTuple) GobDecode(data []byte) error {
-	decoded, err := DecodeTuple(data)
+	decoded, err := DecodeTuple(bytes.Clone(data))
 	if err != nil {
 		return err
 	}
@@ -122,8 +125,11 @@ func encodedSizeHint(t EventTuple) int {
 
 // EncodeTupleAppend serializes t onto buf and returns the extended slice —
 // the reuse-friendly form for steady publish loops that recycle one encode
-// buffer instead of allocating per tuple.
+// buffer instead of allocating per tuple. An image's pixels land at an even
+// offset from the tuple's start (see appendImageLen), so a decoder reading
+// a tuple that starts at an even address can share them.
 func EncodeTupleAppend(buf []byte, t EventTuple) ([]byte, error) {
+	start := len(buf)
 	var tmp [8]byte
 	binary.LittleEndian.PutUint32(tmp[:4], tupleMagic)
 	buf = append(buf, tmp[:4]...)
@@ -154,7 +160,7 @@ func EncodeTupleAppend(buf []byte, t EventTuple) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
 		var err error
-		buf, err = appendValue(buf, v)
+		buf, err = appendValue(buf, start, v)
 		if err != nil {
 			return nil, fmt.Errorf("key %q: %w", k, err)
 		}
@@ -210,7 +216,24 @@ func decodeCell(b []byte) otimage.Cell {
 	return c
 }
 
-func appendValue(buf []byte, v any) ([]byte, error) {
+// appendImageLen appends an encoded image's length n so that the image,
+// and with its 20-byte header its pixels, starts at an even offset from the
+// tuple's start. When the minimal uvarint would leave it odd, the length is
+// written one byte longer in non-minimal form: the last byte gains the
+// continuation bit and a 0x00 follows, which binary.Uvarint reads as the
+// same value.
+func appendImageLen(buf []byte, start, n int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(n))
+	if (len(buf)-start)%2 != 0 {
+		buf[len(buf)-1] |= 0x80
+		buf = append(buf, 0)
+	}
+	return buf
+}
+
+// appendValue encodes one KV value onto buf; start is the offset of the
+// tuple's first byte in buf.
+func appendValue(buf []byte, start int, v any) ([]byte, error) {
 	var tmp [8]byte
 	switch x := v.(type) {
 	case string:
@@ -241,7 +264,7 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 		return append(buf, x...), nil
 	case *otimage.Image:
 		buf = append(buf, valImage)
-		buf = binary.AppendUvarint(buf, uint64(x.MarshalSize()))
+		buf = appendImageLen(buf, start, x.MarshalSize())
 		return x.MarshalAppend(buf), nil
 	case otimage.View:
 		// A view crosses the wire as the standalone image of its window
@@ -249,7 +272,7 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 		// underlying image is not carried — senders that need it ship it in
 		// separate KV entries.
 		buf = append(buf, valImage)
-		buf = binary.AppendUvarint(buf, uint64(x.MarshalSize()))
+		buf = appendImageLen(buf, start, x.MarshalSize())
 		return x.MarshalAppend(buf), nil
 	case otimage.Cell:
 		return appendCell(append(buf, valCell), x), nil
@@ -308,7 +331,11 @@ func (d *decoder) str() (string, error) {
 	return string(b), err
 }
 
-// DecodeTuple parses a tuple produced by EncodeTuple.
+// DecodeTuple parses a tuple produced by EncodeTuple. Strings, []byte
+// values and cells are copied out of data, but an image's pixels may share
+// it (otimage.UnmarshalShared): data and every decoded image's Pix are
+// read-only for as long as the tuple lives, as pubsub.Message.Data already
+// is. A caller that reuses the buffer it decodes from must decode a copy.
 func DecodeTuple(data []byte) (EventTuple, error) {
 	d := decoder{b: data}
 	var t EventTuple
@@ -454,7 +481,7 @@ func (d *decoder) value() (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return otimage.Unmarshal(b)
+		return otimage.UnmarshalShared(b)
 	case valCell:
 		b, err := d.bytes(encodedCellSize)
 		if err != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"strata/internal/otimage"
+	"strata/internal/pubsub"
 )
 
 // codecBenchTuple is a representative hot-path tuple: the per-cell event the
@@ -70,10 +72,10 @@ func BenchmarkEncodeTuple(b *testing.B) {
 }
 
 // BenchmarkDecodeTuple measures the receive side. Decoding materializes the
-// tuple's strings and copies the image out of the frame (the decoded tuple
-// must own its data), so it cannot be allocation-free; alloc_budget.json
-// pins cell's allocation count and image2000's bytes (≤ 1.1× the frame) so
-// the codec cannot silently regress.
+// tuple's strings and KV map, so it cannot be allocation-free, but the
+// image's pixels stay in the frame; alloc_budget.json pins cell's
+// allocation count and image2000's bytes (≤ 64 KiB, far below the 8 MB
+// frame) so the codec cannot silently regress.
 func BenchmarkDecodeTuple(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -96,5 +98,68 @@ func BenchmarkDecodeTuple(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkReceiveDecode8MiB is the worker's receive path for one layer: a
+// pubsub client receives an 8 MiB image tuple from a broker over TCP and
+// DecodeTuple decodes it. The client's frame is the one frame-sized buffer
+// per op; alloc_budget.json pins B/op at ≤ 1.1× of it, which a decoder that
+// copies the pixels out of the frame (2×) fails.
+func BenchmarkReceiveDecode8MiB(b *testing.B) {
+	broker := pubsub.NewBroker()
+	defer broker.Close()
+	srv, err := pubsub.Serve(broker, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	subC, err := pubsub.Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer subC.Close()
+	sub, err := subC.Subscribe("img", pubsub.WithSubBuffer(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := subC.Ping(5 * time.Second); err != nil {
+		b.Fatal(err)
+	}
+	pubC, err := pubsub.Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pubC.Close()
+
+	im := otimage.New(2048, 2048, 0.125) // 8 MiB of pixels
+	for i := range im.Pix {
+		im.Pix[i] = uint16(i)
+	}
+	data, err := EncodeTuple(imageTuple("bench", im))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One round trip before the timer gives the broker the relay buffer it
+	// then reuses, so B/op is the steady state.
+	receive := func() *otimage.Image {
+		if err := pubC.Publish("img", data); err != nil {
+			b.Fatal(err)
+		}
+		t, err := DecodeTuple((<-sub.C).Data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, _ := t.GetImage("ot")
+		return got
+	}
+	if got := receive(); !slices.Equal(got.Pix, im.Pix) {
+		b.Fatal("received image differs from the one published")
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		receive()
 	}
 }

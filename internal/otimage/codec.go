@@ -58,6 +58,19 @@ func (v View) MarshalAppend(dst []byte) []byte {
 
 // Unmarshal decodes an image produced by Marshal into a fresh image.
 func Unmarshal(data []byte) (*Image, error) {
+	return unmarshal(data, false)
+}
+
+// UnmarshalShared decodes an image produced by Marshal without copying its
+// pixels when it can: on a little-endian host, with the pixel section
+// (data[20:]) 2-byte aligned, the image's Pix is data[20:] itself. Otherwise
+// it copies, as Unmarshal does. When Pix shares data, both are read-only for
+// as long as the image lives.
+func UnmarshalShared(data []byte) (*Image, error) {
+	return unmarshal(data, true)
+}
+
+func unmarshal(data []byte, share bool) (*Image, error) {
 	if len(data) < 20 {
 		return nil, fmt.Errorf("otimage: truncated header (%d bytes)", len(data))
 	}
@@ -72,7 +85,13 @@ func Unmarshal(data []byte) (*Image, error) {
 	if len(data) != 20+w*h*2 {
 		return nil, fmt.Errorf("otimage: size mismatch: header says %dx%d, payload %d bytes", w, h, len(data)-20)
 	}
-	im := New(w, h, math.Float64frombits(binary.LittleEndian.Uint64(data[12:20])))
+	mm := math.Float64frombits(binary.LittleEndian.Uint64(data[12:20]))
+	if share {
+		if px := sharedPixels(data[20:]); px != nil {
+			return &Image{Width: w, Height: h, MMPerPixel: mm, Pix: px}, nil
+		}
+	}
+	im := New(w, h, mm)
 	readPixels(im.Pix, data[20:])
 	return im, nil
 }

@@ -105,6 +105,32 @@ func TestUnmarshalCopies(t *testing.T) {
 	}
 }
 
+// TestUnmarshalShared: an encoding whose pixel section sits at an even
+// address decodes in place on a little-endian host, one at an odd address
+// is copied, and both decode to the source image.
+func TestUnmarshalShared(t *testing.T) {
+	im := randomImage(3, 9, 5)
+	buf := make([]byte, 1+im.MarshalSize())
+	for _, off := range []int{0, 1} {
+		data := buf[off : off+im.MarshalSize()]
+		im.MarshalAppend(data[:0])
+		back, err := UnmarshalShared(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Width != im.Width || back.Height != im.Height || back.MMPerPixel != im.MMPerPixel || !slices.Equal(back.Pix, im.Pix) {
+			t.Fatalf("offset %d: round trip differs", off)
+		}
+		shared := &pixelBytes(back.Pix)[0] == &data[20]
+		if want := hostLittleEndian && off == 0; shared != want {
+			t.Fatalf("offset %d: shared=%v, want %v", off, shared, want)
+		}
+		if cap(back.Pix) != len(back.Pix) {
+			t.Fatalf("offset %d: Pix has spare capacity %d past the image", off, cap(back.Pix)-len(back.Pix))
+		}
+	}
+}
+
 // FuzzUnmarshal: arbitrary bytes either fail to decode or decode to an
 // image that re-encodes to exactly the input. The seeds are the malformed
 // shapes a frame from a socket or a torn log record can take.

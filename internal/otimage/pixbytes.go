@@ -10,14 +10,24 @@ import (
 // copy per contiguous run; the per-pixel loops below are the big-endian
 // fallback and the reference the bulk path is tested against.
 //
-// Only []uint16 is ever reinterpreted as []byte, never the reverse, so an
-// encoded image may sit at any byte offset of a frame.
+// The reverse, bytes read as pixels in place, needs the bytes 2-byte
+// aligned; sharedPixels checks that and the caller copies when it fails.
 
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // pixelBytes returns the memory of px as bytes (host byte order).
 func pixelBytes(px []uint16) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(px))), len(px)*2)
+}
+
+// sharedPixels returns src as len(src)/2 pixels in place, or nil when the
+// host is big-endian or src does not start at an even address.
+func sharedPixels(src []byte) []uint16 {
+	p := unsafe.SliceData(src)
+	if !hostLittleEndian || len(src) < 2 || uintptr(unsafe.Pointer(p))%2 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint16)(unsafe.Pointer(p)), len(src)/2)
 }
 
 // appendPixels appends px to dst as little-endian uint16s.

@@ -17,14 +17,16 @@ import (
 // to it afterwards. A TCP publisher (Conn, ReconnectConn) keeps its buffer:
 // the bytes are on the wire or copied into the pending ring when PublishMsg
 // returns, and the buffer may be reused. On the receiving side of a TCP hop
-// Data aliases the frame buffer, the single copy of the hop. The client's
-// read loop allocates that buffer for the one frame, and the message is its
-// only owner. The server's read loop reads a frame of 64 KiB or more into a
-// recycled buffer, and recycles it again once every forwarder that relays
-// the message to a TCP subscriber has written it. A frame also delivered to
-// any other subscription escapes: it is never recycled, so the
-// retain-as-long-as-you-like rule above holds for every subscriber that can
-// see Data (DESIGN.md §13, "Frame ownership across a hop").
+// Data is the single copy of the hop. The client's read loop reads a
+// message's header into a scratch buffer it reuses and the data into an
+// allocation of its own, so Data starts at an allocation boundary and the
+// message is its only owner. The server's read loop reads a frame of 64 KiB
+// or more into a recycled buffer, and recycles it again once every
+// forwarder that relays the message to a TCP subscriber has written it. A
+// frame also delivered to any other subscription escapes: it is never
+// recycled, so the retain-as-long-as-you-like rule above holds for every
+// subscriber that can see Data (DESIGN.md §13, "Frame ownership across a
+// hop").
 type Message struct {
 	Subject string
 	Data    []byte

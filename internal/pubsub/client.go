@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -104,6 +105,11 @@ func dial(addr string, flushInterval time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial: %w", err)
 	}
+	return newConn(nc, flushInterval), nil
+}
+
+// newConn runs the client protocol over nc.
+func newConn(nc net.Conn, flushInterval time.Duration) *Conn {
 	c := &Conn{
 		conn:   nc,
 		subs:   make(map[uint64]*ClientSub),
@@ -112,7 +118,7 @@ func dial(addr string, flushInterval time.Duration) (*Conn, error) {
 	}
 	c.cw = newCorkedWriter(bufio.NewWriterSize(nc, 1<<16), flushInterval, &c.wstats)
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // send writes a control frame and flushes it before returning.
@@ -297,57 +303,22 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// readLoop dispatches inbound frames until the connection drops.
+// readLoop dispatches inbound frames until the connection drops. An opMsg
+// or opMsgT header is read into a scratch buffer reused across frames and
+// the message's data into an allocation of its own, so Data starts at an
+// allocation boundary and holds nothing but the data.
 func (c *Conn) readLoop() {
 	defer close(c.done)
-	r := bufio.NewReaderSize(c.conn, 1<<16)
+	fr := frameReader{r: bufio.NewReaderSize(c.conn, 1<<16)}
 	for {
-		op, payload, err := readFrame(r)
+		op, err := fr.next()
 		if err != nil {
 			c.teardown(err)
 			return
 		}
 		switch op {
 		case opMsg, opMsgT:
-			cur := cursor{b: payload}
-			sid, err := cur.u64()
-			if err != nil {
-				c.teardown(err)
-				return
-			}
-			seq, err := cur.u64()
-			if err != nil {
-				c.teardown(err)
-				return
-			}
-			var tp []byte
-			if op == opMsgT {
-				tlen, err := cur.u16()
-				if err != nil {
-					c.teardown(err)
-					return
-				}
-				if tp, err = cur.bytes(tlen); err != nil {
-					c.teardown(err)
-					return
-				}
-			}
-			slen, err := cur.u16()
-			if err != nil {
-				c.teardown(err)
-				return
-			}
-			subj, err := cur.bytes(slen)
-			if err != nil {
-				c.teardown(err)
-				return
-			}
-			rlen, err := cur.u16()
-			if err != nil {
-				c.teardown(err)
-				return
-			}
-			reply, err := cur.bytes(rlen)
+			sid, msg, err := fr.msg(op == opMsgT)
 			if err != nil {
 				c.teardown(err)
 				return
@@ -356,25 +327,126 @@ func (c *Conn) readLoop() {
 			sub := c.subs[sid]
 			c.mu.Unlock()
 			if sub != nil {
-				// Data aliases payload, which readFrame allocated for this
-				// frame alone: the message owns it, no second copy. The
-				// send blocks: back-pressure propagates to the server
-				// through the unread socket.
-				sub.deliver(Message{Subject: string(subj), Reply: string(reply), Data: cur.rest(), Seq: seq, Traceparent: string(tp)})
+				// The message is Data's only owner. The send blocks:
+				// back-pressure propagates to the server through the
+				// unread socket.
+				sub.deliver(msg)
 			}
 		case opPong:
+			if err := fr.skip(); err != nil {
+				c.teardown(err)
+				return
+			}
 			select {
 			case c.pongCh <- struct{}{}:
 			default:
 			}
 		case opErr:
-			c.teardown(fmt.Errorf("pubsub: server error: %s", payload))
+			text, err := fr.field(fr.left)
+			if err != nil {
+				c.teardown(err)
+				return
+			}
+			c.teardown(fmt.Errorf("pubsub: server error: %s", text))
 			return
 		default:
 			c.teardown(fmt.Errorf("pubsub: unknown op %d from server", op))
 			return
 		}
 	}
+}
+
+// frameReader reads a frame off the client's socket field by field, never
+// past the frame's end: left counts the bytes of the current frame not yet
+// read.
+type frameReader struct {
+	r       *bufio.Reader
+	left    int
+	scratch []byte
+}
+
+// next reads the length prefix and op of the next frame.
+func (f *frameReader) next() (byte, error) {
+	n, err := readFrameLen(f.r)
+	if err != nil {
+		return 0, err
+	}
+	op, err := f.r.ReadByte()
+	if err != nil {
+		return 0, err
+	}
+	f.left = n - 1
+	return op, nil
+}
+
+// field reads the frame's next n bytes into the scratch buffer, valid until
+// the next call.
+func (f *frameReader) field(n int) ([]byte, error) {
+	if n > f.left {
+		return nil, fmt.Errorf("pubsub: %d-byte field overruns the frame's last %d bytes", n, f.left)
+	}
+	if cap(f.scratch) < n {
+		f.scratch = make([]byte, n)
+	}
+	b := f.scratch[:n]
+	if _, err := io.ReadFull(f.r, b); err != nil {
+		return nil, err
+	}
+	f.left -= n
+	return b, nil
+}
+
+func (f *frameReader) u64() (uint64, error) {
+	b, err := f.field(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// str reads a u16-length-prefixed string.
+func (f *frameReader) str() (string, error) {
+	b, err := f.field(2)
+	if err != nil {
+		return "", err
+	}
+	b, err = f.field(int(binary.LittleEndian.Uint16(b)))
+	return string(b), err
+}
+
+// skip discards the rest of the frame.
+func (f *frameReader) skip() error {
+	_, err := f.r.Discard(f.left)
+	f.left = 0
+	return err
+}
+
+// msg reads the rest of an opMsg (or, traced, opMsgT) frame: the header,
+// then the data into a buffer of its own.
+func (f *frameReader) msg(traced bool) (sid uint64, m Message, err error) {
+	if sid, err = f.u64(); err != nil {
+		return 0, m, err
+	}
+	if m.Seq, err = f.u64(); err != nil {
+		return 0, m, err
+	}
+	if traced {
+		if m.Traceparent, err = f.str(); err != nil {
+			return 0, m, err
+		}
+	}
+	if m.Subject, err = f.str(); err != nil {
+		return 0, m, err
+	}
+	if m.Reply, err = f.str(); err != nil {
+		return 0, m, err
+	}
+	m.Data = make([]byte, f.left)
+	if _, err := io.ReadFull(f.r, m.Data); err != nil {
+		return 0, m, err
+	}
+	f.left = 0
+	return sid, m, nil
 }
 
 // teardown records the first read error and closes all subscription

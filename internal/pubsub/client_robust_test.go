@@ -123,7 +123,9 @@ func TestPingTimeoutAgainstMuteServer(t *testing.T) {
 				// Consume frames forever, pong nothing.
 				r := bufio.NewReader(conn)
 				for {
-					if _, _, err := readFrame(r); err != nil {
+					_, _, f, err := readRelayFrame(r, nil)
+					f.release()
+					if err != nil {
 						return
 					}
 				}

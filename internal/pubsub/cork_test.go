@@ -14,7 +14,8 @@ func drainFrames(t *testing.T, buf *bytes.Buffer) []byte {
 	r := bufio.NewReader(bytes.NewReader(buf.Bytes()))
 	var ops []byte
 	for {
-		op, _, err := readFrame(r)
+		op, _, f, err := readRelayFrame(r, nil)
+		f.release()
 		if err != nil {
 			return ops
 		}

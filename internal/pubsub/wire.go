@@ -80,22 +80,6 @@ func writeFrame(w *bufio.Writer, op byte, payload ...[]byte) error {
 	return w.Flush()
 }
 
-// readFrame reads one frame, returning its op and payload. The payload is a
-// fresh allocation per frame and nothing else refers to it, so the caller
-// owns it and may hand sub-slices on (Message.Data) without copying. The
-// client's read loop uses it; the broker's reads through readRelayFrame.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
-	n, err := readFrameLen(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
 // readFrameLen reads and checks a frame's length prefix.
 func readFrameLen(r *bufio.Reader) (int, error) {
 	var hdr [4]byte
@@ -186,10 +170,11 @@ func (f *frame) release() {
 	}
 }
 
-// readRelayFrame is readFrame for the broker's read loop. A frame of at
-// least relayPoolMin bytes is read into a recycled buffer (getFrame) and
-// comes back with its frame, holding one reference that is the caller's to
-// release; a smaller one gets a fresh buffer and a nil frame.
+// readRelayFrame reads one frame for the broker's read loop, returning its
+// op and payload. A frame of at least relayPoolMin bytes is read into a
+// recycled buffer (getFrame) and comes back with its frame, holding one
+// reference that is the caller's to release; a smaller one gets a fresh
+// buffer and a nil frame.
 func readRelayFrame(r *bufio.Reader, home chan *frame) (byte, []byte, *frame, error) {
 	n, err := readFrameLen(r)
 	if err != nil {

@@ -48,11 +48,14 @@ race:
 ## tuple's span was recorded after its output chunk could reach the sink;
 ## plus 50 repeats of TestConnectorSourceContract, which subscribes and
 ## unsubscribes against context cancellation on all four connector
-## transports (in-process broker, TCP broker, local log, remote log).
+## transports (in-process broker, TCP broker, local log, remote log); plus
+## 50 repeats of the reconnect tests, which race a ReconnectConn's attach
+## and restore against unsubscribes, link swaps and failed restores.
 flake:
 	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core ./internal/cluster
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
 	$(selected) $(GO) test -race -count=50 -run '^TestConnectorSourceContract$$' ./internal/core
+	$(selected) $(GO) test -race -count=50 -run '^(TestReconnect|TestRestoreFailure|TestActiveSubscriptions)' ./internal/pubsub
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation). Any unsuppressed finding

@@ -8,7 +8,7 @@ import (
 // TestActiveSubscriptionsMidRestoreWindow pins down the readiness-probe
 // contract of ActiveSubscriptions: a subscription attached to a link that is
 // not (or is no longer) the installed live connection must not count.
-// restore() attaches inner subscriptions to the incoming link before
+// restore() attaches subscriptions to the incoming link before
 // installing it as rc.conn and flushing the corked SUB frames, so during
 // that window the wire subscribe may still sit in a userspace buffer; the
 // probe reporting >0 there would let a harness declare a worker ready
@@ -29,7 +29,7 @@ func TestActiveSubscriptionsMidRestoreWindow(t *testing.T) {
 		t.Fatalf("established subscription: ActiveSubscriptions = %d, want 1", n)
 	}
 
-	// Window shape 1: inner attached, no conn installed yet (mid-restore).
+	// Window shape 1: attached, no conn installed yet (mid-restore).
 	h.rc.mu.Lock()
 	live := h.rc.conn
 	h.rc.conn = nil
@@ -38,7 +38,7 @@ func TestActiveSubscriptionsMidRestoreWindow(t *testing.T) {
 		t.Fatalf("mid-restore (no installed conn): ActiveSubscriptions = %d, want 0", n)
 	}
 
-	// Window shape 2: a different conn installed than the one the inner
+	// Window shape 2: a different conn installed than the one the
 	// subscription was attached to (link abandoned mid-restore).
 	other, err := Dial(h.proxy.Addr())
 	if err != nil {
@@ -48,7 +48,7 @@ func TestActiveSubscriptionsMidRestoreWindow(t *testing.T) {
 	h.rc.conn = other
 	h.rc.mu.Unlock()
 	if n := h.rc.ActiveSubscriptions(); n != 0 {
-		t.Fatalf("stale inner on foreign conn: ActiveSubscriptions = %d, want 0", n)
+		t.Fatalf("attached to a foreign conn: ActiveSubscriptions = %d, want 0", n)
 	}
 
 	// Reinstall the real link: the subscription counts again.

@@ -72,7 +72,8 @@ type subConfig struct {
 	forward bool
 }
 
-// WithSubBuffer sets the subscription's buffer capacity (default 256).
+// WithSubBuffer sets the subscription's buffer capacity (default 256): n
+// messages on the broker and on both TCP clients, Conn and ReconnectConn.
 func WithSubBuffer(n int) SubOption {
 	return func(c *subConfig) {
 		if n > 0 {

@@ -20,21 +20,25 @@ type Conn struct {
 
 	mu      sync.Mutex
 	closed  bool
-	subs    map[uint64]*ClientSub
+	subs    map[uint64]*subEnd
 	nextSID uint64
 	pongCh  chan struct{}
 	readErr error
+	quit    chan struct{} // closed by Close: aborts a delivery blocked on a full end
 	done    chan struct{}
 }
 
-// ClientSub is a client-side subscription. Read messages from C; C closes
-// when the subscription or connection ends.
-type ClientSub struct {
+// subEnd is the consumer end of a client subscription: the channel the read
+// loop delivers into and the consumer reads. A Conn's own subscriptions
+// (ClientSub) and a ReconnectConn's durable ones (ReconnectSub) both embed
+// it, so a message crosses one channel between the socket and its consumer.
+type subEnd struct {
 	C <-chan Message
 
-	ch   chan Message
-	conn *Conn
-	sid  uint64
+	ch chan Message
+	// owner is the link that created the end and closes it when the link
+	// ends; nil for a ReconnectSub's end, which outlives its links.
+	owner *Conn
 
 	// Shutdown protocol: quit unblocks an in-flight delivery, then dead is
 	// set and ch closed under sendMu so the dispatcher can never send on a
@@ -45,9 +49,22 @@ type ClientSub struct {
 	once   sync.Once
 }
 
+// init makes the end's channel, WithSubBuffer deep (default 256), and
+// returns the WithQueue group; the other options are the broker's.
+func (s *subEnd) init(opts []SubOption) (queue string) {
+	cfg := subConfig{buffer: 256}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	s.ch = make(chan Message, cfg.buffer)
+	s.C = s.ch
+	s.quit = make(chan struct{})
+	return cfg.queue
+}
+
 // shutdown closes the subscription's channels exactly once, aborting any
 // delivery blocked on a full buffer first.
-func (s *ClientSub) shutdown() {
+func (s *subEnd) shutdown() {
 	s.once.Do(func() {
 		close(s.quit)
 		s.sendMu.Lock()
@@ -58,35 +75,35 @@ func (s *ClientSub) shutdown() {
 }
 
 // deliver hands msg to the consumer, giving up if the subscription shuts
-// down while the buffer is full.
-func (s *ClientSub) deliver(msg Message) {
+// down, or the delivering link closes, while the buffer is full.
+func (s *subEnd) deliver(msg Message, linkQuit <-chan struct{}) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if s.dead {
 		return
 	}
 	// Holding sendMu across the send is what makes shutdown's close(s.ch)
-	// safe; the quit case (closed before shutdown takes sendMu) bounds the
-	// wait. (Justified in DESIGN.md, "Static contracts".)
+	// safe; the quit cases (s.quit is closed before shutdown takes sendMu)
+	// bound the wait. (Justified in DESIGN.md, "Static contracts".)
 	//lint:ignore locksend the lock serializes this send against close; quit bounds it
 	select {
 	case s.ch <- msg:
 	case <-s.quit:
+	case <-linkQuit:
 	}
+}
+
+// ClientSub is a client-side subscription. Read messages from C; C closes
+// when the subscription or connection ends.
+type ClientSub struct {
+	subEnd
+	sid uint64
 }
 
 // Unsubscribe stops the subscription. Safe to call twice.
 func (s *ClientSub) Unsubscribe() error {
-	s.conn.mu.Lock()
-	_, active := s.conn.subs[s.sid]
-	delete(s.conn.subs, s.sid)
-	connClosed := s.conn.closed
-	s.conn.mu.Unlock()
 	s.shutdown()
-	if !active || connClosed {
-		return nil
-	}
-	return s.conn.send(opUnsub, u64(s.sid))
+	return s.owner.unsubscribe(s.sid)
 }
 
 // Dial connects to a pubsub server at addr. Publish frames are corked:
@@ -112,8 +129,9 @@ func dial(addr string, flushInterval time.Duration) (*Conn, error) {
 func newConn(nc net.Conn, flushInterval time.Duration) *Conn {
 	c := &Conn{
 		conn:   nc,
-		subs:   make(map[uint64]*ClientSub),
+		subs:   make(map[uint64]*subEnd),
 		pongCh: make(chan struct{}, 1),
+		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	c.cw = newCorkedWriter(bufio.NewWriterSize(nc, 1<<16), flushInterval, &c.wstats)
@@ -126,39 +144,29 @@ func (c *Conn) send(op byte, payload ...[]byte) error {
 	return c.sendWith(c.cw.writeNow, op, payload...)
 }
 
-// sendCorked writes a data frame into the cork; the background flusher (or
-// the next control frame) pushes it to the socket.
-func (c *Conn) sendCorked(op byte, payload ...[]byte) error {
-	return c.sendWith(c.cw.writeCorked, op, payload...)
-}
-
 func (c *Conn) sendWith(write func(byte, ...[]byte) error, op byte, payload ...[]byte) error {
 	// Check closed under c.mu before touching the writer: teardown closes
 	// the underlying conn, and racing a write against that close would
 	// surface as a confusing network error instead of ErrClosed.
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		return ErrClosed
 	}
-	if err := write(op, payload...); err != nil {
-		// The conn may have been torn down mid-write; normalize that to
-		// ErrClosed so callers see one error for "connection gone".
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		return err
-	}
-	return nil
+	return c.closedErr(write(op, payload...))
 }
 
-// flush pushes any corked publish frames to the socket immediately.
-func (c *Conn) flush() error {
-	return c.cw.flush()
+func (c *Conn) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
+// closedErr normalizes a write error to ErrClosed when the conn was torn
+// down mid-write, so callers see one error for "connection gone".
+func (c *Conn) closedErr(err error) error {
+	if err != nil && c.isClosed() {
+		return ErrClosed
+	}
+	return err
 }
 
 // Publish sends data under subject. The data slice is written out before
@@ -180,29 +188,13 @@ func (c *Conn) PublishMsg(m Message) error {
 	if err := ValidateSubject(m.Subject); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.isClosed() {
 		return ErrClosed
-	}
-	c.mu.Unlock()
-	op := opPub
-	if m.Traceparent != "" {
-		op = opPubT
 	}
 	// The zero-allocation frame path: headers are assembled in the writer's
 	// scratch, m.Data goes to the socket buffer directly and is never
 	// retained, so callers may reuse it after PublishMsg returns.
-	if err := c.cw.writeMsg(op, 0, 0, m.Traceparent, m.Subject, m.Reply, m.Data); err != nil {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		return err
-	}
-	return nil
+	return c.closedErr(c.cw.writeMsg(pubOp(m.Traceparent), 0, 0, m.Traceparent, m.Subject, m.Reply, m.Data))
 }
 
 // Subscribe registers a subscription on the server. Only WithSubBuffer and
@@ -210,47 +202,64 @@ func (c *Conn) PublishMsg(m Message) error {
 // back-pressure: if the client does not drain, the server's forwarding
 // goroutine blocks on the socket).
 func (c *Conn) Subscribe(pattern string, opts ...SubOption) (*ClientSub, error) {
-	return c.subscribe(pattern, true, opts...)
-}
-
-// subscribe registers a subscription, either flushing the SUB frame inline
-// (flushNow, the Subscribe behavior) or leaving it corked so a caller
-// restoring many subscriptions can batch them and flush once.
-func (c *Conn) subscribe(pattern string, flushNow bool, opts ...SubOption) (*ClientSub, error) {
 	if err := ValidatePattern(pattern); err != nil {
 		return nil, err
 	}
-	cfg := subConfig{buffer: 256}
-	for _, o := range opts {
-		o(&cfg)
+	sub := &ClientSub{subEnd: subEnd{owner: c}}
+	sid, err := c.attach(&sub.subEnd, pattern, sub.init(opts), true)
+	if err != nil {
+		return nil, err
 	}
+	sub.sid = sid
+	return sub, nil
+}
+
+// attach registers end under a fresh sid and writes the SUB frame, either
+// flushed inline (flushNow) or left corked so a caller restoring many
+// subscriptions can batch them and flush once.
+func (c *Conn) attach(end *subEnd, pattern, queue string, flushNow bool) (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
 	c.nextSID++
 	sid := c.nextSID
-	ch := make(chan Message, cfg.buffer)
-	sub := &ClientSub{C: ch, ch: ch, conn: c, sid: sid, quit: make(chan struct{})}
-	c.subs[sid] = sub
+	c.subs[sid] = end
 	c.mu.Unlock()
 
-	write := c.send
+	write := c.cw.writeNow
 	if !flushNow {
-		write = c.sendCorked
+		write = c.cw.writeCorked
 	}
-	err := write(opSub,
+	err := c.sendWith(write, opSub,
 		u64(sid),
 		u16(len(pattern)), []byte(pattern),
-		u16(len(cfg.queue)), []byte(cfg.queue))
+		u16(len(queue)), []byte(queue))
 	if err != nil {
 		c.mu.Lock()
 		delete(c.subs, sid)
 		c.mu.Unlock()
-		return nil, err
+		return 0, err
 	}
-	return sub, nil
+	return sid, nil
+}
+
+// unsubscribe drops sid's registration and withdraws it from the server.
+// A closed link has nothing to withdraw: the server side went with it.
+func (c *Conn) unsubscribe(sid uint64) error {
+	c.mu.Lock()
+	_, active := c.subs[sid]
+	delete(c.subs, sid)
+	closed := c.closed
+	c.mu.Unlock()
+	if !active || closed {
+		return nil
+	}
+	if err := c.send(opUnsub, u64(sid)); !errors.Is(err, ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // Ping round-trips a ping frame, confirming the connection and that all
@@ -280,21 +289,10 @@ func (c *Conn) err() error {
 
 // Close tears down the connection and every subscription.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.markClosed() {
 		return ErrClosed
 	}
-	c.closed = true
-	subs := make([]*ClientSub, 0, len(c.subs))
-	for _, s := range c.subs {
-		subs = append(subs, s)
-	}
-	c.subs = make(map[uint64]*ClientSub)
-	c.mu.Unlock()
-	for _, s := range subs {
-		s.shutdown()
-	}
+	close(c.quit)
 	// Flush corked publishes before closing the socket so nothing written
 	// before Close is lost; stops the flusher goroutine too.
 	_ = c.cw.close()
@@ -330,7 +328,7 @@ func (c *Conn) readLoop() {
 				// The message is Data's only owner. The send blocks:
 				// back-pressure propagates to the server through the
 				// unread socket.
-				sub.deliver(msg)
+				sub.deliver(msg, c.quit)
 			}
 		case opPong:
 			if err := fr.skip(); err != nil {
@@ -449,26 +447,41 @@ func (f *frameReader) msg(traced bool) (sid uint64, m Message, err error) {
 	return sid, m, nil
 }
 
-// teardown records the first read error and closes all subscription
-// channels so consumers unblock.
+// markClosed marks c closed, drops every registration and shuts down the
+// ends c created, reporting false if c was closed already. Ends a
+// ReconnectConn attached stay open: their subscriptions move to its next
+// link.
+func (c *Conn) markClosed() bool {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return false
+	}
+	c.closed = true
+	var owned []*subEnd
+	for _, s := range c.subs {
+		if s.owner == c {
+			owned = append(owned, s)
+		}
+	}
+	c.subs = nil
+	c.mu.Unlock()
+	for _, s := range owned {
+		s.shutdown()
+	}
+	return true
+}
+
+// teardown records the first read error and closes the link's own
+// subscriptions so their consumers unblock.
 func (c *Conn) teardown(err error) {
 	c.mu.Lock()
 	if c.readErr == nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 		c.readErr = err
 	}
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	subs := make([]*ClientSub, 0, len(c.subs))
-	for _, s := range c.subs {
-		subs = append(subs, s)
-	}
-	c.subs = make(map[uint64]*ClientSub)
 	c.mu.Unlock()
-	for _, s := range subs {
-		s.shutdown()
+	if !c.markClosed() {
+		return
 	}
 	// The link is already failed or closing; its close error is noise. Close
 	// the socket before stopping the corked writer: the flusher may be

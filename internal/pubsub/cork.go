@@ -98,6 +98,10 @@ func (cw *corkedWriter) writeCorked(op byte, payload ...[]byte) error {
 // handed to the bufio writer directly (no staging copy for an 8 MB image
 // frame). sid/seq ride only in the opMsg variants, tp only in the T variants.
 func (cw *corkedWriter) writeMsg(op byte, sid, seq uint64, tp, subject, reply string, data []byte) error {
+	total := msgFrameSize(op, tp, subject, reply, len(data))
+	if total > maxFrameSize {
+		return fmt.Errorf("pubsub: frame too large (%d bytes)", total)
+	}
 	cw.mu.Lock()
 	if cw.err != nil {
 		cw.mu.Unlock()
@@ -121,11 +125,6 @@ func (cw *corkedWriter) writeMsg(op byte, sid, seq uint64, tp, subject, reply st
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(reply)))
 	b = append(b, reply...)
 	cw.scratch = b
-	total := len(b) - 4 + len(data)
-	if total > maxFrameSize {
-		cw.mu.Unlock()
-		return fmt.Errorf("pubsub: frame too large (%d bytes)", total)
-	}
 	binary.LittleEndian.PutUint32(b[:4], uint32(total))
 	if _, err := cw.w.Write(b); err != nil {
 		cw.err = err

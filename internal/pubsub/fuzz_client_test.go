@@ -40,27 +40,18 @@ func clientReference(in []byte, sid uint64) (want []Message, rejects bool) {
 		default:
 			return want, true
 		}
-		id, err1 := cur.u64()
-		seq, err2 := cur.u64()
+		id, seq := cur.u64(), cur.u64()
 		var tp []byte
-		var err3 error
 		if op == opMsgT {
-			var tlen int
-			if tlen, err3 = cur.u16(); err3 == nil {
-				tp, err3 = cur.bytes(tlen)
-			}
+			tp = cur.str()
 		}
-		slen, err4 := cur.u16()
-		subj, err5 := cur.bytes(slen)
-		rlen, err6 := cur.u16()
-		reply, err7 := cur.bytes(rlen)
-		for _, err := range []error{err1, err2, err3, err4, err5, err6, err7} {
-			if err != nil {
-				return want, true
-			}
+		subj, reply := cur.str(), cur.str()
+		data := cur.rest()
+		if cur.err != nil {
+			return want, true
 		}
 		if id == sid {
-			want = append(want, Message{Subject: string(subj), Reply: string(reply), Data: cur.rest(), Seq: seq, Traceparent: string(tp)})
+			want = append(want, Message{Subject: string(subj), Reply: string(reply), Data: data, Seq: seq, Traceparent: string(tp)})
 		}
 	}
 	return want, false

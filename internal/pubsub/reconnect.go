@@ -54,15 +54,6 @@ func WithReconnectWait(min, max time.Duration) ReconnectOption {
 	}
 }
 
-// pendingPub is one publish buffered while disconnected. Data is an owned
-// copy: the caller may reuse its slice after Publish returns.
-type pendingPub struct {
-	subject string
-	reply   string
-	data    []byte
-	tp      string // traceparent, if the publish carried trace context
-}
-
 // ReconnectConn is a self-healing client connection to a pubsub Server. It
 // wraps Conn with automatic redial (exponential backoff plus jitter),
 // re-subscription of every active subscription after a reconnect, a bounded
@@ -80,7 +71,7 @@ type ReconnectConn struct {
 	closed     bool
 	subs       map[uint64]*ReconnectSub
 	nextID     uint64
-	pending    []pendingPub
+	pending    []Message // buffered while disconnected, each Data an owned copy
 	reconnects uint64
 	// hbErr is a heartbeat failure to report on the next disconnect, tagged
 	// with the link it was observed on: a heartbeat goroutine can outlive
@@ -99,48 +90,18 @@ type ReconnectConn struct {
 // down are not delivered — the broker has no per-subscriber persistence —
 // but the subscription itself survives.
 type ReconnectSub struct {
-	C <-chan Message
+	subEnd
 
-	ch      chan Message
 	rc      *ReconnectConn
 	id      uint64
 	pattern string
-	opts    []SubOption
+	queue   string
 
-	inner *ClientSub // current link's subscription; guarded by rc.mu
-
-	// Same shutdown protocol as ClientSub: quit aborts a blocked delivery,
-	// then dead is set and ch closed under sendMu.
-	quit   chan struct{}
-	sendMu sync.Mutex
-	dead   bool
-	once   sync.Once
-}
-
-func (s *ReconnectSub) shutdown() {
-	s.once.Do(func() {
-		close(s.quit)
-		s.sendMu.Lock()
-		s.dead = true
-		close(s.ch)
-		s.sendMu.Unlock()
-	})
-}
-
-func (s *ReconnectSub) deliver(msg Message) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.dead {
-		return
-	}
-	// Same shape as ClientSub.deliver: the lock serializes the send
-	// against shutdown's close, and quit (closed before shutdown takes
-	// sendMu) bounds the wait. (Justified in DESIGN.md.)
-	//lint:ignore locksend the lock serializes this send against close; quit bounds it
-	select {
-	case s.ch <- msg:
-	case <-s.quit:
-	}
+	// link is the conn the subscription's SUB frame last went out on and sid
+	// its id there; guarded by rc.mu. restore attaches every subscription
+	// whose link is not the incoming conn.
+	link *Conn
+	sid  uint64
 }
 
 // Pattern returns the subscription's pattern.
@@ -151,20 +112,15 @@ func (s *ReconnectSub) Pattern() string { return s.pattern }
 func (s *ReconnectSub) Unsubscribe() error {
 	rc := s.rc
 	rc.mu.Lock()
-	_, active := rc.subs[s.id]
 	delete(rc.subs, s.id)
-	inner := s.inner
-	s.inner = nil
+	link, sid := s.link, s.sid
+	s.link = nil
 	rc.mu.Unlock()
 	s.shutdown()
-	if !active || inner == nil {
+	if link == nil {
 		return nil
 	}
-	err := inner.Unsubscribe()
-	if errors.Is(err, ErrClosed) {
-		return nil // link died underneath us; server side is gone anyway
-	}
-	return err
+	return link.unsubscribe(sid)
 }
 
 // DialReconnect connects to a pubsub server at addr and keeps the
@@ -240,7 +196,7 @@ func (rc *ReconnectConn) ActiveSubscriptions() int {
 	}
 	n := 0
 	for _, s := range rc.subs {
-		if s.inner != nil && s.inner.conn == rc.conn {
+		if s.link == rc.conn {
 			n++
 		}
 	}
@@ -266,7 +222,7 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 	if err := ValidateSubject(m.Subject); err != nil {
 		return err
 	}
-	if total := 1 + 2 + len(m.Traceparent) + 2 + len(m.Subject) + 2 + len(m.Reply) + len(m.Data); total > maxFrameSize {
+	if total := msgFrameSize(pubOp(m.Traceparent), m.Traceparent, m.Subject, m.Reply, len(m.Data)); total > maxFrameSize {
 		// Reject oversized publishes before buffering: a poison message in
 		// the pending buffer would wedge every future flush.
 		return fmt.Errorf("pubsub: frame too large (%d bytes)", total)
@@ -295,7 +251,8 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 		// Disconnected: buffer a copy (the caller may reuse data), or park
 		// until restore drains a full buffer or Close wakes us.
 		if len(rc.pending) < rc.cfg.pendingLimit {
-			rc.pending = append(rc.pending, pendingPub{subject: m.Subject, reply: m.Reply, data: append([]byte(nil), m.Data...), tp: m.Traceparent})
+			m.Data = append([]byte(nil), m.Data...)
+			rc.pending = append(rc.pending, m)
 			rc.mu.Unlock()
 			return nil
 		}
@@ -310,58 +267,51 @@ func (rc *ReconnectConn) Subscribe(pattern string, opts ...SubOption) (*Reconnec
 	if err := ValidatePattern(pattern); err != nil {
 		return nil, err
 	}
-	cfg := subConfig{buffer: 256}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	s := &ReconnectSub{rc: rc, pattern: pattern}
+	s.queue = s.init(opts)
 	rc.mu.Lock()
 	if rc.closed {
 		rc.mu.Unlock()
 		return nil, ErrClosed
 	}
 	rc.nextID++
-	id := rc.nextID
-	ch := make(chan Message, cfg.buffer)
-	s := &ReconnectSub{
-		C: ch, ch: ch, rc: rc, id: id,
-		pattern: pattern, opts: opts,
-		quit: make(chan struct{}),
-	}
-	rc.subs[id] = s
+	s.id = rc.nextID
+	rc.subs[s.id] = s
 	conn := rc.conn
 	rc.mu.Unlock()
 
 	if conn != nil {
-		rc.attach(conn, s)
+		// A failure leaves s unattached for the next restore to pick up.
+		_ = rc.attach(conn, s, false)
 	}
-	// While disconnected the subscription stays registered with inner ==
-	// nil; restore() attaches it when the next link comes up.
 	return s, nil
 }
 
-// attach establishes s on conn, wiring a forwarder from the link-scoped
-// inner subscription into s's durable channel. A failure leaves s
-// unattached (inner == nil) for the next restore to pick up.
-func (rc *ReconnectConn) attach(conn *Conn, s *ReconnectSub) bool {
-	inner, err := conn.Subscribe(s.pattern, s.opts...)
+// attach subscribes s on conn, delivering straight into s's end, and records
+// conn as s's link. Subscribe attaches to the installed link and flushes the
+// SUB frame inline; restore attaches to a link not yet installed (rc.conn is
+// nil) and leaves the frame corked for its one flush. The wire subscription
+// is withdrawn if s was unsubscribed meanwhile, the installed link is no
+// longer the expected one, or s is already attached to conn.
+func (rc *ReconnectConn) attach(conn *Conn, s *ReconnectSub, restoring bool) error {
+	sid, err := conn.attach(&s.subEnd, s.pattern, s.queue, !restoring)
 	if err != nil {
-		return false
+		return err
+	}
+	want := conn
+	if restoring {
+		want = nil
 	}
 	rc.mu.Lock()
 	_, active := rc.subs[s.id]
-	if !active || rc.conn != conn || s.inner != nil {
+	if !active || rc.conn != want || s.link == conn {
 		rc.mu.Unlock()
-		inner.Unsubscribe()
-		return !active // unsubscribed concurrently: nothing left to do
+		_ = conn.unsubscribe(sid) // fails only when the link is gone, and the wire subscription with it
+		return nil
 	}
-	s.inner = inner
+	s.link, s.sid = conn, sid
 	rc.mu.Unlock()
-	go func() {
-		for msg := range inner.C {
-			s.deliver(msg)
-		}
-	}()
-	return true
+	return nil
 }
 
 // Ping round-trips a ping on the current link.
@@ -435,9 +385,6 @@ func (rc *ReconnectConn) supervise(conn *Conn) {
 		}
 		rc.hbErr, rc.hbConn = nil, nil
 		rc.conn = nil
-		for _, s := range rc.subs {
-			s.inner = nil // link-scoped subscriptions died with the conn
-		}
 		rc.mu.Unlock()
 		obslog.L("pubsub").Warn("link down", "addr", rc.addr, "error", fmt.Sprint(err))
 
@@ -484,8 +431,10 @@ func (rc *ReconnectConn) redial() (*Conn, bool) {
 
 // restore re-establishes every registered subscription on conn and flushes
 // the pending-publish buffer, then installs conn as the live link. It loops
-// until no unattached subscriptions and no pending publishes remain, so
-// Subscribe/Publish calls racing the restore are not stranded.
+// until every subscription is attached to conn and no pending publishes
+// remain, so Subscribe/Publish calls racing the restore are not stranded. A
+// failed restore leaves its subscriptions attached to a conn that is never
+// installed, so the next restore attaches them again.
 func (rc *ReconnectConn) restore(conn *Conn) error {
 	for {
 		rc.mu.Lock()
@@ -495,7 +444,7 @@ func (rc *ReconnectConn) restore(conn *Conn) error {
 		}
 		var todo []*ReconnectSub
 		for _, s := range rc.subs {
-			if s.inner == nil {
+			if s.link != conn {
 				todo = append(todo, s)
 			}
 		}
@@ -514,31 +463,14 @@ func (rc *ReconnectConn) restore(conn *Conn) error {
 		// syscall — a client with hundreds of subscriptions restores its
 		// state in one write instead of one flush per subscription.
 		for _, s := range todo {
-			inner, err := conn.subscribe(s.pattern, false, s.opts...)
-			if err != nil {
+			if err := rc.attach(conn, s, true); err != nil {
 				rc.requeue(batch, 0)
-				rc.detach(conn)
 				return err
 			}
-			rc.mu.Lock()
-			_, active := rc.subs[s.id]
-			if !active {
-				rc.mu.Unlock()
-				inner.Unsubscribe()
-				continue
-			}
-			s.inner = inner
-			rc.mu.Unlock()
-			go func() {
-				for msg := range inner.C {
-					s.deliver(msg)
-				}
-			}()
 		}
 		for i, pb := range batch {
-			if err := conn.PublishMsg(Message{Subject: pb.subject, Reply: pb.reply, Data: pb.data, Traceparent: pb.tp}); err != nil {
+			if err := conn.PublishMsg(pb); err != nil {
 				rc.requeue(batch, i)
-				rc.detach(conn)
 				return err
 			}
 		}
@@ -547,39 +479,21 @@ func (rc *ReconnectConn) restore(conn *Conn) error {
 		// reached the wire (the background flusher runs concurrently), which
 		// mirrors the old per-frame path where a flushed-to-kernel frame's
 		// fate was equally unknown when the link died.
-		if err := conn.flush(); err != nil {
+		if err := conn.cw.flush(); err != nil {
 			rc.requeue(batch, 0)
-			rc.detach(conn)
 			return err
-		}
-	}
-}
-
-// detach resets inner for every subscription attached on conn. A restore
-// that fails partway (the fresh link died after some subscriptions were
-// re-established) must call this before the conn is abandoned: the
-// supervisor only clears inner for the *installed* conn, and restore only
-// re-attaches subscriptions whose inner is nil, so a stale inner left
-// pointing at a never-installed conn would keep that subscription silent on
-// every future link.
-func (rc *ReconnectConn) detach(conn *Conn) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for _, s := range rc.subs {
-		if s.inner != nil && s.inner.conn == conn {
-			s.inner = nil
 		}
 	}
 }
 
 // requeue puts the unflushed tail of batch back at the front of the pending
 // buffer, preserving publish order for the next restore.
-func (rc *ReconnectConn) requeue(batch []pendingPub, from int) {
+func (rc *ReconnectConn) requeue(batch []Message, from int) {
 	if from >= len(batch) {
 		return
 	}
 	rc.mu.Lock()
-	merged := make([]pendingPub, 0, len(batch)-from+len(rc.pending))
+	merged := make([]Message, 0, len(batch)-from+len(rc.pending))
 	merged = append(merged, batch[from:]...)
 	merged = append(merged, rc.pending...)
 	rc.pending = merged

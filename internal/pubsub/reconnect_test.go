@@ -1,8 +1,11 @@
 package pubsub
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -228,6 +231,108 @@ func TestReconnectSurvivesCorruptStream(t *testing.T) {
 	}
 }
 
+// TestReconnectSpawnsNoGoroutinePerSubscription: a link delivers straight
+// into each subscription's channel, so the client's goroutines do not grow
+// with its subscriptions, neither when they are made nor when a reconnect
+// restores them. The server is a bare listener that reads and discards, so
+// every goroutine past the baseline is the client's.
+func TestReconnectSpawnsNoGoroutinePerSubscription(t *testing.T) {
+	const subs, slack = 64, 4
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	links := make(chan net.Conn, 2) // the first link and its replacement
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, nc) }()
+			links <- nc
+		}
+	}()
+	rc, err := DialReconnect(ln.Addr().String(), WithReconnectWait(5*time.Millisecond, 50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	first := waitSignal(t, links, "first link")
+	base := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base+slack {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines with %d subscriptions, baseline %d", when, runtime.NumGoroutine(), subs, base)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	for i := 0; i < subs; i++ {
+		if _, err := rc.Subscribe(fmt.Sprintf("g.%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled("after subscribing")
+
+	first.Close()
+	waitUntil(t, "reconnect with every subscription restored", func() bool {
+		return rc.Reconnects() == 1 && rc.ActiveSubscriptions() == subs
+	})
+	defer waitSignal(t, links, "second link").Close()
+	settled("after the reconnect")
+}
+
+// TestReconnectLinkCloseAbortsParkedDelivery: a link whose read loop is
+// parked delivering into a full ReconnectSub (its consumer stopped reading)
+// still closes promptly, as the heartbeat closes a link whose pongs sit
+// unread behind that delivery, and the subscription carries on over the
+// next link.
+func TestReconnectLinkCloseAbortsParkedDelivery(t *testing.T) {
+	h := newReconnectHarness(t)
+	sub, err := h.rc.Subscribe("full.>", WithSubBuffer(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.rc.Ping(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := h.rc.Publish("full.x", []byte("unread")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Once the second message reaches the socket, the read loop parks on
+	// it and a pong behind it goes unread.
+	waitUntil(t, "read loop parked", func() bool { return h.rc.Ping(50*time.Millisecond) != nil })
+	h.rc.mu.Lock()
+	link := h.rc.conn
+	h.rc.mu.Unlock()
+	closed := make(chan struct{})
+	go func() {
+		_ = link.Close()
+		close(closed)
+	}()
+	waitSignal(t, closed, "link Close with a delivery parked")
+
+	waitUntil(t, "reconnect", h.reconnected)
+	if err := h.rc.Ping(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.rc.Publish("full.x", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if m := recvN(t, sub.C, 1, "post-reconnect message")[0]; string(m.Data) == "after" {
+			return
+		}
+	}
+}
+
 // publishAsync runs a Publish on its own goroutine, for publishes that are
 // expected to park on a full pending buffer.
 func publishAsync(rc *ReconnectConn, subject, payload string) <-chan error {
@@ -275,13 +380,82 @@ func TestReconnectPendingOverflowPolicies(t *testing.T) {
 	}
 }
 
+// byteCounter is an io.Writer that counts and discards.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
+// TestFrameSizeBoundary pins where both clients draw the frame-size line: a
+// publish or deliver frame of exactly maxFrameSize bytes (op byte onward) is
+// written whole and one byte more is refused, and a ReconnectConn's check
+// before buffering, made here while disconnected, draws it at the same byte
+// for traced and untraced publishes alike.
+func TestFrameSizeBoundary(t *testing.T) {
+	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	const subject, reply = "big.frame", "inbox.1"
+	// header is the frame length less the data, counted from the layouts in
+	// wire.go.
+	header := func(op byte) int {
+		n := 1 + 2 + len(subject) + 2 + len(reply)
+		if op == opMsg || op == opMsgT {
+			n += 16
+		}
+		if op == opPubT || op == opMsgT {
+			n += 2 + len(tp)
+		}
+		return n
+	}
+	data := make([]byte, maxFrameSize)
+
+	for _, op := range []byte{opPub, opPubT, opMsg, opMsgT} {
+		var n byteCounter
+		cw := newCorkedWriter(bufio.NewWriter(&n), 0, nil)
+		fits := maxFrameSize - header(op)
+		if err := cw.writeMsg(op, 1, 1, tp, subject, reply, data[:fits]); err != nil {
+			t.Fatalf("op %d: frame of exactly maxFrameSize: %v", op, err)
+		}
+		if n != maxFrameSize+4 {
+			t.Fatalf("op %d: wrote %d bytes, want the length prefix plus maxFrameSize", op, n)
+		}
+		if err := cw.writeMsg(op, 1, 1, tp, subject, reply, data[:fits+1]); err == nil {
+			t.Fatalf("op %d: frame one byte over maxFrameSize was accepted", op)
+		}
+	}
+
+	h := newReconnectHarness(t)
+	h.proxy.Close()
+	waitUntil(t, "disconnect", h.disconnected)
+	for _, c := range []struct {
+		op byte
+		tp string
+	}{{opPub, ""}, {opPubT, tp}} {
+		fits := maxFrameSize - header(c.op)
+		m := Message{Subject: subject, Reply: reply, Data: data[:fits], Traceparent: c.tp}
+		if err := h.rc.PublishMsg(m); err != nil {
+			t.Fatalf("traced=%v: publish of exactly maxFrameSize: %v", c.tp != "", err)
+		}
+		if got := h.rc.Pending(); got != 1 {
+			t.Fatalf("traced=%v: Pending() = %d, want 1", c.tp != "", got)
+		}
+		m.Data = data[:fits+1]
+		if err := h.rc.PublishMsg(m); err == nil {
+			t.Fatalf("traced=%v: publish one byte over maxFrameSize was buffered", c.tp != "")
+		}
+		h.rc.mu.Lock()
+		h.rc.pending = nil // release the buffered copy
+		h.rc.mu.Unlock()
+	}
+}
+
 // TestRestoreFailureDetachesPartialSubscriptions reproduces a fresh link
 // dying mid-restore: a subscription has already been re-attached when the
 // pending-publish flush fails, so restore returns an error and redial
-// abandons the conn. The partially-attached subscription must be detached
-// (inner reset to nil) — otherwise no future restore would ever re-subscribe
-// it, and its channel would stay open yet silently deliver nothing for the
-// rest of the build.
+// abandons the conn. The next restore must attach the subscription again —
+// otherwise its channel would stay open yet silently deliver nothing for the
+// rest of the build — and exactly once, so a publish arrives exactly once.
 func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -312,7 +486,7 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	// deterministically, after the subscription was attached — leaving the
 	// same partially-restored state as a link that dies mid-restore.
 	rc.mu.Lock()
-	rc.pending = []pendingPub{{subject: "poison..subject", data: []byte("x")}}
+	rc.pending = []Message{{Subject: "poison..subject", Data: []byte("x")}}
 	rc.mu.Unlock()
 
 	connA, err := Dial(srv.Addr())
@@ -325,13 +499,9 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	connA.Close() // redial's failure branch abandons the conn
 
 	rc.mu.Lock()
-	inner := sub.inner
 	requeued := len(rc.pending)
 	rc.pending = nil // the condition that failed the flush has passed
 	rc.mu.Unlock()
-	if inner != nil {
-		t.Fatal("failed restore left the subscription attached to the abandoned conn")
-	}
 	if requeued == 0 {
 		t.Fatal("failed flush should have requeued the unsent publish")
 	}
@@ -353,6 +523,11 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	}
 	if m := recvN(t, sub.C, 1, "post-restore message")[0]; string(m.Data) != "restored" {
 		t.Fatalf("got %q, want %q", m.Data, "restored")
+	}
+	select {
+	case m := <-sub.C:
+		t.Fatalf("second delivery %q of a single publish", m.Data)
+	case <-time.After(200 * time.Millisecond):
 	}
 }
 

@@ -199,67 +199,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			c := cursor{b: payload}
 			var tp []byte
 			if op == opPubT {
-				tlen, err := c.u16()
-				if err != nil {
-					sendErr(err)
-					return
-				}
-				if tp, err = c.bytes(tlen); err != nil {
-					sendErr(err)
-					return
-				}
+				tp = c.str()
 			}
-			slen, err := c.u16()
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			subj, err := c.bytes(slen)
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			rlen, err := c.u16()
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			reply, err := c.bytes(rlen)
-			if err != nil {
-				sendErr(err)
+			subj, reply := c.str(), c.str()
+			data := c.rest()
+			if c.err != nil {
+				sendErr(c.err)
 				return
 			}
 			// No copy: Data aliases the frame, and a pooled frame rides along
 			// so each forwarding delivery can hold it (Broker.PublishMsg).
-			m := Message{Subject: string(subj), Reply: string(reply), Data: c.rest(), Traceparent: string(tp), frame: fr}
+			m := Message{Subject: string(subj), Reply: string(reply), Data: data, Traceparent: string(tp), frame: fr}
 			if err := s.broker.PublishMsg(m); err != nil {
 				sendErr(err)
 			}
 		case opSub:
 			c := cursor{b: payload}
-			sid, err := c.u64()
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			plen, err := c.u16()
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			pat, err := c.bytes(plen)
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			qlen, err := c.u16()
-			if err != nil {
-				sendErr(err)
-				return
-			}
-			queue, err := c.bytes(qlen)
-			if err != nil {
-				sendErr(err)
+			sid := c.u64()
+			pat, queue := c.str(), c.str()
+			if c.err != nil {
+				sendErr(c.err)
 				return
 			}
 			opts := []SubOption{forwarded()}
@@ -308,9 +267,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			}(sid, sub)
 		case opUnsub:
 			c := cursor{b: payload}
-			sid, err := c.u64()
-			if err != nil {
-				sendErr(err)
+			sid := c.u64()
+			if c.err != nil {
+				sendErr(c.err)
 				return
 			}
 			subsMu.Lock()

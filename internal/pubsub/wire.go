@@ -46,6 +46,29 @@ const (
 // garbage lengths from a corrupted stream.
 const maxFrameSize = 64 << 20
 
+// msgFrameSize is the length, op byte onward, of the publish or deliver
+// frame corkedWriter.writeMsg builds: sid and seq ride only in the opMsg
+// variants, the traceparent only in the T variants.
+func msgFrameSize(op byte, tp, subject, reply string, data int) int {
+	n := 1 + 2 + len(subject) + 2 + len(reply) + data
+	if op == opMsg || op == opMsgT {
+		n += 8 + 8
+	}
+	if op == opPubT || op == opMsgT {
+		n += 2 + len(tp)
+	}
+	return n
+}
+
+// pubOp is the publish op for a message with traceparent tp: opPubT carries
+// trace context, opPub does not.
+func pubOp(tp string) byte {
+	if tp != "" {
+		return opPubT
+	}
+	return opPub
+}
+
 // writeFrameTo writes one frame into w's buffer without flushing — the write
 // phase of a send. The caller serializes access to w and decides when the
 // buffered frames hit the socket (see corkedWriter for the flush policy).
@@ -69,15 +92,6 @@ func writeFrameTo(w *bufio.Writer, op byte, payload ...[]byte) error {
 		}
 	}
 	return nil
-}
-
-// writeFrame writes one frame and flushes it — the uncorked path. The caller
-// serializes access to w.
-func writeFrame(w *bufio.Writer, op byte, payload ...[]byte) error {
-	if err := writeFrameTo(w, op, payload...); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 // readFrameLen reads and checks a frame's length prefix.
@@ -207,40 +221,50 @@ func u64(v uint64) []byte {
 	return b[:]
 }
 
-// cursor is a tiny helper for decoding frame payloads with bounds checks.
+// cursor decodes a frame payload with bounds checks. The first read past
+// the payload's end sets err, and every read after it returns zero values,
+// so a decoder reads all its fields and checks err once.
 type cursor struct {
 	b   []byte
 	pos int
+	err error
 }
 
-func (c *cursor) u16() (int, error) {
-	if c.pos+2 > len(c.b) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.pos:])
-	c.pos += 2
-	return int(v), nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if c.pos+8 > len(c.b) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.pos:])
-	c.pos += 8
-	return v, nil
-}
-
-func (c *cursor) bytes(n int) ([]byte, error) {
-	if n < 0 || c.pos+n > len(c.b) {
-		return nil, io.ErrUnexpectedEOF
+// bytes returns the next n bytes, aliasing the payload.
+func (c *cursor) bytes(n int) []byte {
+	if c.err != nil || n < 0 || c.pos+n > len(c.b) {
+		c.err = io.ErrUnexpectedEOF
+		return nil
 	}
 	v := c.b[c.pos : c.pos+n]
 	c.pos += n
-	return v, nil
+	return v
 }
 
+func (c *cursor) u16() int {
+	if b := c.bytes(2); b != nil {
+		return int(binary.LittleEndian.Uint16(b))
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// str reads a u16-length-prefixed field.
+func (c *cursor) str() []byte {
+	return c.bytes(c.u16())
+}
+
+// rest returns the bytes after the last field read, nil after an overrun.
 func (c *cursor) rest() []byte {
+	if c.err != nil {
+		return nil
+	}
 	v := c.b[c.pos:]
 	c.pos = len(c.b)
 	return v

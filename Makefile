@@ -7,7 +7,7 @@ BENCH_PKGS  := . ./internal/core ./internal/stream ./internal/pubsub ./internal/
 BENCH_TIME  ?= 300ms
 BENCH_COUNT ?= 1
 
-.PHONY: ci vet build test race flake bench bench-smoke alloc-smoke profile lint metrics-smoke obs-smoke chaos overload e2e
+.PHONY: ci vet build test race flake fuzz bench bench-smoke alloc-smoke profile lint metrics-smoke obs-smoke chaos overload e2e
 
 ## ci: the full gate — vet, build, the test suite under the race detector,
 ## the stratalint analyzers (see DESIGN.md, "Static contracts") with zero
@@ -15,16 +15,16 @@ BENCH_COUNT ?= 1
 ## the data-plane benchmarks so the batched fast paths run under -race too,
 ## the kill-and-recover chaos suite, the overload degradation suite
 ## (DESIGN.md §11), the cross-process observability smoke (DESIGN.md §12),
-## the multi-process chaos scenarios (DESIGN.md §14), and ten repeats of the
+## the multi-process chaos scenarios (DESIGN.md §14), ten repeats of the
 ## durable-log, stream and core packages so a one-in-ten flake fails here,
-## not on main.
-ci: vet build race flake lint bench-smoke alloc-smoke chaos overload obs-smoke e2e
+## not on main, and ten seconds of fuzzing per fuzz target.
+ci: vet build race flake fuzz lint bench-smoke alloc-smoke chaos overload obs-smoke e2e
 
-## selected: prefix for a `go test -run <pattern>` target. `go test` exits 0
-## when the pattern selects nothing ("no tests to run"), so a renamed test
-## would silently leave CI; this fails the target if that happens in any of
-## the listed packages.
-selected = bash -o pipefail -c '"$$0" "$$@" 2>&1 | awk "{print} /no tests to run/ {none=1} END {exit none}"'
+## selected: prefix for a `go test -run <pattern>` or `-fuzz <pattern>`
+## target. `go test` exits 0 when the pattern selects nothing ("no tests to
+## run", "no fuzz tests to fuzz"), so a renamed test would silently leave
+## CI; this fails the target if that happens in any of the listed packages.
+selected = bash -o pipefail -c '"$$0" "$$@" 2>&1 | awk "{print} /no tests to run|no fuzz tests to fuzz/ {none=1} END {exit none}"'
 
 vet:
 	$(GO) vet ./...
@@ -56,6 +56,24 @@ flake:
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
 	$(selected) $(GO) test -race -count=50 -run '^TestConnectorSourceContract$$' ./internal/core
 	$(selected) $(GO) test -race -count=50 -run '^(TestReconnect|TestRestoreFailure|TestActiveSubscriptions)' ./internal/pubsub
+
+## fuzz: each fuzz target for 10 s with two workers, past the seed corpus
+## the test suite runs. A failing input is written under the package's
+## testdata/fuzz/ for the suite to replay; commit it with the fix.
+fuzz_run = $(selected) $(GO) test -run '^$$' -fuzztime 10s -parallel 2 -fuzz
+
+fuzz:
+	$(fuzz_run) '^FuzzOpenSSTable$$' ./internal/kvstore
+	$(fuzz_run) '^FuzzRecover$$' ./internal/seglog
+	$(fuzz_run) '^FuzzClientConn$$' ./internal/pubsub
+	$(fuzz_run) '^FuzzServeConn$$' ./internal/pubsub
+	$(fuzz_run) '^FuzzParseTraceparent$$' ./internal/telemetry
+	$(fuzz_run) '^FuzzUnmarshal$$' ./internal/otimage
+	$(fuzz_run) '^FuzzAggregateRestore$$' ./internal/stream
+	$(fuzz_run) '^FuzzJoinRestore$$' ./internal/stream
+	$(fuzz_run) '^FuzzDecodeTuple$$' ./internal/core
+	$(fuzz_run) '^FuzzCorrelateRestore$$' ./internal/core
+	$(fuzz_run) '^FuzzLoadCheckpoint$$' ./internal/core
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation). Any unsuppressed finding

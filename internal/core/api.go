@@ -542,13 +542,7 @@ func (fw *Framework) CorrelateEvents(name string, in *StreamRef, l int, f Correl
 		if branch >= 0 {
 			opName = fmt.Sprintf("%s.%d", name, branch)
 		}
-		if fw.ckptEnabled {
-			// The correlate buffers live inside the Process closure, out of
-			// the engine's reach; register them as framework-level
-			// checkpoint state instead.
-			fw.registerCkptProvider(opName, state.snapshot, state.restore)
-		}
-		return stream.Process(fw.query, opName, s, state.ingest, state.finish)
+		return stream.Process(fw.query, opName, s, state.ingest, state.finish, state)
 	}
 
 	if cfg.parallelism > 1 {
@@ -565,7 +559,8 @@ func (fw *Framework) CorrelateEvents(name string, in *StreamRef, l int, f Correl
 	return out
 }
 
-// correlateState is the per-operator-instance state of CorrelateEvents.
+// correlateState is the per-operator-instance state of CorrelateEvents: the
+// fn, onEnd and checkpointed state of its Process.
 type correlateState struct {
 	l int
 	f CorrelateFunc

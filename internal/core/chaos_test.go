@@ -389,9 +389,9 @@ func TestChaosRestoreFailureChargedToBudget(t *testing.T) {
 		t.Fatalf("CheckpointNow: %v", err)
 	}
 
-	// Corrupt the correlate provider's blob inside epoch 1: gob decode will
+	// Corrupt the correlate operator's blob inside epoch 1: gob decode will
 	// fail on every restore attempt.
-	key := append(ckptEpochPrefix("chaos", 1), "custom/cor"...)
+	key := append(ckptEpochPrefix("chaos", 1), "op/cor"...)
 	if _, err := r.mgr.Store().Get(key); err != nil {
 		t.Fatalf("checkpoint blob %q missing: %v", key, err)
 	}

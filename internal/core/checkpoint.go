@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -23,8 +24,12 @@ import (
 //	ckpt/<pipeline>/<epoch:%016x>/meta          gob ckptMeta
 //	ckpt/<pipeline>/<epoch:%016x>/op/<name>     operator state blob
 //	ckpt/<pipeline>/<epoch:%016x>/src/<name>    8-byte BE resume offset
-//	ckpt/<pipeline>/<epoch:%016x>/custom/<name> framework-level state blob
 //	ckpt/<pipeline>/<epoch:%016x>/sink/<name>   8-byte BE sink sequence
+//
+// Every op/ blob is the Snapshot of a stream.Snapshotter the engine found
+// on the operator of that name: Aggregate windows, Join buffers, and the
+// correlateEvents layer buffers (the state of their Process). An epoch
+// holding any other record is damaged and does not load.
 //
 // Every key of one epoch plus the latest pointer is written in ONE kvstore
 // batch (a single WAL record), so an epoch is visible if and only if it is
@@ -77,7 +82,6 @@ type ckptMeta struct {
 	TakenAt int64 // unix nanos
 	Ops     int
 	Sources int
-	Customs int
 	Sinks   int
 }
 
@@ -99,36 +103,20 @@ func be64(v uint64) []byte {
 	return b[:]
 }
 
-// ckptProvider is framework-level state that the engine's operators do not
-// own (e.g. CorrelateEvents buffers, which live inside a Process closure).
-// snapshot runs only while the query is quiesced; restore only before Run.
-type ckptProvider struct {
-	snapshot func() ([]byte, error)
-	restore  func([]byte) error
-}
-
-// restoredCheckpoint is a loaded epoch waiting to be applied to a rebuilt
-// pipeline.
-type restoredCheckpoint struct {
-	epoch   uint64
-	snap    *stream.QuerySnapshot
-	customs map[string][]byte
-	sinks   map[string]uint64
-}
-
-// ckptCapture is one consistent cut: the engine snapshot plus the
-// framework-level state captured inside the quiesced window.
-type ckptCapture struct {
-	snap    *stream.QuerySnapshot
-	customs map[string][]byte
-	sinks   map[string]uint64
+// ckptEpoch is one consistent cut: the engine snapshot plus the durable
+// sinks' sequence cursors, captured in the same quiesced window. epoch is
+// its number once written or loaded.
+type ckptEpoch struct {
+	epoch uint64
+	snap  *stream.QuerySnapshot
+	sinks map[string]uint64
 }
 
 // enableCheckpointing marks the framework as checkpoint-managed and hands
 // it the restored epoch (nil on a fresh start). The manager calls it before
 // the user build function runs, so sources built during build see their
 // restored offsets.
-func (fw *Framework) enableCheckpointing(restored *restoredCheckpoint) {
+func (fw *Framework) enableCheckpointing(restored *ckptEpoch) {
 	fw.ckptEnabled = true
 	fw.restored = restored
 	if restored != nil {
@@ -146,20 +134,8 @@ func (fw *Framework) restoredPos(source string) uint64 {
 	return fw.restored.snap.Positions[source]
 }
 
-// registerCkptProvider attaches framework-level snapshot state under a
-// unique name (stage builders call it once per operator instance).
-func (fw *Framework) registerCkptProvider(name string, snapshot func() ([]byte, error), restore func([]byte) error) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if fw.providers == nil {
-		fw.providers = make(map[string]ckptProvider)
-	}
-	fw.providers[name] = ckptProvider{snapshot: snapshot, restore: restore}
-}
-
-// finishRestore applies the loaded epoch to the freshly built query:
-// operator blobs into their Snapshotter operators, custom blobs into their
-// providers. Source offsets were already consumed at build time
+// finishRestore applies the loaded epoch's operator blobs to the freshly
+// built query. Source offsets were already consumed at build time
 // (restoredPos) and sink sequences at DeliverDurable registration. Any
 // failure is wrapped in ErrCheckpointRestore.
 func (fw *Framework) finishRestore() error {
@@ -169,67 +145,34 @@ func (fw *Framework) finishRestore() error {
 	if err := fw.query.RestoreCheckpoint(fw.restored.snap); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointRestore, err)
 	}
-	fw.mu.Lock()
-	providers := make(map[string]ckptProvider, len(fw.providers))
-	for k, v := range fw.providers {
-		providers[k] = v
-	}
-	fw.mu.Unlock()
-	for name, blob := range fw.restored.customs {
-		p, ok := providers[name]
-		if !ok {
-			return fmt.Errorf("%w: no state provider %q in rebuilt pipeline", ErrCheckpointRestore, name)
-		}
-		if err := p.restore(blob); err != nil {
-			return fmt.Errorf("%w: provider %q: %v", ErrCheckpointRestore, name, err)
-		}
-	}
 	return nil
 }
 
-// captureCheckpoint quiesces the query and captures engine state, provider
-// blobs, and sink sequence cursors in one consistent cut. The provider and
-// sink reads run inside the quiesced window, where every operator goroutine
-// is parked, so the plain fields they read are stable.
-func (fw *Framework) captureCheckpoint(ctx context.Context) (*ckptCapture, error) {
-	cap := &ckptCapture{
-		customs: make(map[string][]byte),
-		sinks:   make(map[string]uint64),
-	}
+// captureCheckpoint quiesces the query and captures engine state and sink
+// sequence cursors in one consistent cut. The sink reads run inside the
+// quiesced window, where every operator goroutine is parked, so the plain
+// fields they read are stable.
+func (fw *Framework) captureCheckpoint(ctx context.Context) (*ckptEpoch, error) {
+	cut := &ckptEpoch{sinks: make(map[string]uint64)}
 	snap, err := fw.query.Checkpoint(ctx, func(*stream.QuerySnapshot) error {
 		fw.mu.Lock()
-		providers := make(map[string]ckptProvider, len(fw.providers))
-		for k, v := range fw.providers {
-			providers[k] = v
-		}
-		sinks := make(map[string]*durableSink, len(fw.durableSinks))
-		for k, v := range fw.durableSinks {
-			sinks[k] = v
-		}
-		fw.mu.Unlock()
-		for name, p := range providers {
-			blob, err := p.snapshot()
-			if err != nil {
-				return fmt.Errorf("snapshot provider %q: %w", name, err)
-			}
-			cap.customs[name] = blob
-		}
-		for name, s := range sinks {
-			cap.sinks[name] = s.seq
+		defer fw.mu.Unlock()
+		for name, s := range fw.durableSinks {
+			cut.sinks[name] = s.seq
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cap.snap = snap
-	return cap, nil
+	cut.snap = snap
+	return cut, nil
 }
 
-// writeCheckpoint persists one epoch atomically and returns the total blob
-// size written.
-func writeCheckpoint(store *kvstore.DB, pipeline string, epoch uint64, cap *ckptCapture) (int, error) {
-	prefix := ckptEpochPrefix(pipeline, epoch)
+// writeCheckpoint persists cut as epoch cut.epoch atomically and returns
+// the total blob size written.
+func writeCheckpoint(store *kvstore.DB, pipeline string, cut *ckptEpoch) (int, error) {
+	prefix := ckptEpochPrefix(pipeline, cut.epoch)
 	key := func(parts ...string) []byte {
 		k := append([]byte(nil), prefix...)
 		for _, p := range parts {
@@ -239,35 +182,30 @@ func writeCheckpoint(store *kvstore.DB, pipeline string, epoch uint64, cap *ckpt
 	}
 	var b kvstore.Batch
 	size := 0
-	for name, blob := range cap.snap.Ops {
+	for name, blob := range cut.snap.Ops {
 		b.Put(key("op/", name), blob)
 		size += len(blob)
 	}
-	for name, pos := range cap.snap.Positions {
+	for name, pos := range cut.snap.Positions {
 		b.Put(key("src/", name), be64(pos))
 		size += 8
 	}
-	for name, blob := range cap.customs {
-		b.Put(key("custom/", name), blob)
-		size += len(blob)
-	}
-	for name, seq := range cap.sinks {
+	for name, seq := range cut.sinks {
 		b.Put(key("sink/", name), be64(seq))
 		size += 8
 	}
 	meta, err := gobEncodeMeta(ckptMeta{
-		Epoch:   epoch,
+		Epoch:   cut.epoch,
 		TakenAt: time.Now().UnixNano(),
-		Ops:     len(cap.snap.Ops),
-		Sources: len(cap.snap.Positions),
-		Customs: len(cap.customs),
-		Sinks:   len(cap.sinks),
+		Ops:     len(cut.snap.Ops),
+		Sources: len(cut.snap.Positions),
+		Sinks:   len(cut.sinks),
 	})
 	if err != nil {
 		return 0, err
 	}
 	b.Put(key("meta"), meta)
-	b.Put(ckptLatestKey(pipeline), be64(epoch))
+	b.Put(ckptLatestKey(pipeline), be64(cut.epoch))
 	if err := store.Apply(&b); err != nil {
 		return 0, err
 	}
@@ -316,8 +254,9 @@ func pruneEpochs(store *kvstore.DB, pipeline string, keepFrom uint64) error {
 // when the pointed-to epoch is missing its meta record (defense against a
 // store that predates atomic epochs). An epoch whose meta record does not
 // decode, names another epoch, or counts other records than the epoch
-// holds is damaged: loading it fails rather than restoring part of it.
-func loadCheckpoint(store *kvstore.DB, pipeline string) (*restoredCheckpoint, error) {
+// holds, or that holds a record of no known kind, is damaged: loading it
+// fails rather than restoring part of it.
+func loadCheckpoint(store *kvstore.DB, pipeline string) (*ckptEpoch, error) {
 	epochs, err := listEpochs(store, pipeline)
 	if err != nil {
 		return nil, err
@@ -339,48 +278,53 @@ func loadCheckpoint(store *kvstore.DB, pipeline string) (*restoredCheckpoint, er
 		return nil, nil
 	}
 	epoch := epochs[len(epochs)-1]
-	rc := &restoredCheckpoint{
+	rc := &ckptEpoch{
 		epoch: epoch,
 		snap: &stream.QuerySnapshot{
 			Ops:       make(map[string][]byte),
 			Positions: make(map[string]uint64),
 		},
-		customs: make(map[string][]byte),
-		sinks:   make(map[string]uint64),
+		sinks: make(map[string]uint64),
 	}
 	var meta ckptMeta
 	var metaErr error
+	var unknown string
 	prefix := ckptEpochPrefix(pipeline, epoch)
 	err = store.ScanPrefix(prefix, func(k, v []byte) bool {
 		rest := string(k[len(prefix):])
+		kind, name, _ := strings.Cut(rest, "/")
 		switch {
 		case rest == "meta":
 			metaErr = gob.NewDecoder(bytes.NewReader(v)).Decode(&meta)
-		case len(rest) > 3 && rest[:3] == "op/":
-			rc.snap.Ops[rest[3:]] = append([]byte(nil), v...)
-		case len(rest) > 4 && rest[:4] == "src/":
+		case kind == "op" && name != "":
+			rc.snap.Ops[name] = append([]byte(nil), v...)
+		case kind == "src" && name != "":
 			if len(v) == 8 {
-				rc.snap.Positions[rest[4:]] = binary.BigEndian.Uint64(v)
+				rc.snap.Positions[name] = binary.BigEndian.Uint64(v)
 			}
-		case len(rest) > 7 && rest[:7] == "custom/":
-			rc.customs[rest[7:]] = append([]byte(nil), v...)
-		case len(rest) > 5 && rest[:5] == "sink/":
+		case kind == "sink" && name != "":
 			if len(v) == 8 {
-				rc.sinks[rest[5:]] = binary.BigEndian.Uint64(v)
+				rc.sinks[name] = binary.BigEndian.Uint64(v)
 			}
+		default:
+			unknown = rest
+			return false
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
+	if unknown != "" {
+		return nil, fmt.Errorf("epoch %x: unknown record %q", epoch, unknown)
+	}
 	if metaErr != nil {
 		return nil, fmt.Errorf("epoch %x: meta: %w", epoch, metaErr)
 	}
 	if meta.Epoch != epoch || meta.Ops != len(rc.snap.Ops) || meta.Sources != len(rc.snap.Positions) ||
-		meta.Customs != len(rc.customs) || meta.Sinks != len(rc.sinks) {
-		return nil, fmt.Errorf("epoch %x: meta %+v does not describe its %d ops, %d sources, %d customs and %d sinks",
-			epoch, meta, len(rc.snap.Ops), len(rc.snap.Positions), len(rc.customs), len(rc.sinks))
+		meta.Sinks != len(rc.sinks) {
+		return nil, fmt.Errorf("epoch %x: meta %+v does not describe its %d ops, %d sources and %d sinks",
+			epoch, meta, len(rc.snap.Ops), len(rc.snap.Positions), len(rc.sinks))
 	}
 	return rc, nil
 }
@@ -418,8 +362,8 @@ type correlateSnapBuf struct {
 	LastClosed int
 }
 
-// snapshot serializes the correlate buffers (runs only while quiesced).
-func (cs *correlateState) snapshot() ([]byte, error) {
+// Snapshot serializes the correlate buffers (runs only while quiesced).
+func (cs *correlateState) Snapshot() ([]byte, error) {
 	out := make([]correlateSnapBuf, 0, len(cs.perKey))
 	for _, b := range cs.perKey {
 		out = append(out, correlateSnapBuf{
@@ -441,10 +385,10 @@ func (cs *correlateState) snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// restore rebuilds the correlate buffers from a snapshot (runs before Run).
+// Restore rebuilds the correlate buffers from a snapshot (runs before Run).
 // A blob that does not decode, or names one specimen twice, is rejected and
 // leaves the buffers as they were.
-func (cs *correlateState) restore(blob []byte) error {
+func (cs *correlateState) Restore(blob []byte) error {
 	var bufs []correlateSnapBuf
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&bufs); err != nil {
 		return err

@@ -73,7 +73,7 @@ func gobBlob(tb testing.TB, v any) []byte {
 // buffers as they were, or restore buffers that close every open window and
 // snapshot again.
 func FuzzCorrelateRestore(f *testing.F) {
-	blob, err := correlateFixture(f).snapshot()
+	blob, err := correlateFixture(f).Snapshot()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -88,13 +88,13 @@ func FuzzCorrelateRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		cs := correlateFixture(t)
 		before := cs.perKey
-		if err := cs.restore(blob); err != nil {
+		if err := cs.Restore(blob); err != nil {
 			if reflect.ValueOf(cs.perKey).UnsafePointer() != reflect.ValueOf(before).UnsafePointer() {
 				t.Fatalf("restore failed (%v) but replaced the buffers", err)
 			}
 			return
 		}
-		if _, err := cs.snapshot(); err != nil {
+		if _, err := cs.Snapshot(); err != nil {
 			t.Fatalf("restored buffers do not snapshot: %v", err)
 		}
 		if err := cs.finish(func(EventTuple) error { return nil }); err != nil {
@@ -112,15 +112,15 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { store.Close() })
-	capture := &ckptCapture{
+	capture := &ckptEpoch{
+		epoch: 3,
 		snap: &stream.QuerySnapshot{
 			Ops:       map[string][]byte{"agg": []byte("state")},
 			Positions: map[string]uint64{"src": 42},
 		},
-		customs: map[string][]byte{"corr": []byte("buffers")},
-		sinks:   map[string]uint64{"out": 7},
+		sinks: map[string]uint64{"out": 7},
 	}
-	if _, err := writeCheckpoint(store, "p", 3, capture); err != nil {
+	if _, err := writeCheckpoint(store, "p", capture); err != nil {
 		f.Fatal(err)
 	}
 	meta, err := store.Get(append(ckptEpochPrefix("p", 3), "meta"...))
@@ -166,4 +166,46 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Fatalf("op blob = %q, stored %q", rc.snap.Ops["agg"], op)
 		}
 	})
+}
+
+// TestLoadCheckpointRejectsUnknownRecord: an epoch whose meta describes its
+// records but that also holds a record of no known kind is damaged. That
+// covers the custom/ records of epochs written before correlate state
+// became an operator blob: restoring such an epoch would start the
+// correlate windows empty.
+func TestLoadCheckpointRejectsUnknownRecord(t *testing.T) {
+	store, err := kvstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cut := &ckptEpoch{
+		epoch: 1,
+		snap: &stream.QuerySnapshot{
+			Ops:       map[string][]byte{"agg": []byte("state")},
+			Positions: map[string]uint64{"src": 42},
+		},
+		sinks: map[string]uint64{"out": 7},
+	}
+	for _, record := range []string{"", "bogus/x", "custom/cor", "op/"} {
+		if _, err := writeCheckpoint(store, "p", cut); err != nil {
+			t.Fatal(err)
+		}
+		if record != "" {
+			if err := store.Put(append(ckptEpochPrefix("p", 1), record...), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rc, err := loadCheckpoint(store, "p")
+		if record == "" {
+			if err != nil || rc == nil || rc.epoch != 1 {
+				t.Fatalf("intact epoch: loaded %v, err %v", rc, err)
+			}
+		} else if err == nil {
+			t.Fatalf("epoch with a %q record loaded", record)
+		}
+		if _, err := store.DeletePrefix([]byte("ckpt/")); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

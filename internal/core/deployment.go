@@ -240,7 +240,7 @@ func (m *Manager) Store() *kvstore.DB { return m.store }
 // buildFramework constructs and composes one incarnation of a pipeline.
 // For checkpointed pipelines it loads the newest epoch BEFORE the user
 // build function runs — positioned sources read their resume offset at
-// build time — and applies operator and provider state after the build.
+// build time — and applies operator state after the build.
 func (m *Manager) buildFramework(name string, build func(fw *Framework) error, cfg deployConfig, st *ckptStats) (*Framework, error) {
 	fw, err := New(WithStore(m.store), WithBroker(m.broker), WithName(name),
 		WithTraceSampling(m.traceEvery))
@@ -466,17 +466,18 @@ func (m *Manager) checkpointPipeline(ctx context.Context, p *Pipeline) error {
 			return fail(err)
 		}
 	}
-	cap, err := fw.captureCheckpoint(ctx)
+	cut, err := fw.captureCheckpoint(ctx)
 	if err != nil {
 		return fail(err)
 	}
 	epoch := fw.lastEpoch + 1
+	cut.epoch = epoch
 	if hook := checkpointCrash; hook != nil {
 		if err := hook("pre-apply"); err != nil {
 			return fail(err)
 		}
 	}
-	size, err := writeCheckpoint(m.store, p.name, epoch, cap)
+	size, err := writeCheckpoint(m.store, p.name, cut)
 	if err != nil {
 		return fail(err)
 	}

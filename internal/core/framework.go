@@ -103,11 +103,10 @@ type Framework struct {
 
 	// Checkpoint wiring (see checkpoint.go). ckptEnabled, restored, and
 	// lastEpoch are written before the user build function runs and read
-	// afterwards, so they need no locking; the maps are guarded by mu.
+	// afterwards, so they need no locking; durableSinks is guarded by mu.
 	ckptEnabled  bool
-	restored     *restoredCheckpoint
+	restored     *ckptEpoch
 	lastEpoch    uint64
-	providers    map[string]ckptProvider
 	durableSinks map[string]*durableSink
 
 	// Degraded-operation state, written by the manager's overload

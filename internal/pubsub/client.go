@@ -188,6 +188,9 @@ func (c *Conn) PublishMsg(m Message) error {
 	if err := ValidateSubject(m.Subject); err != nil {
 		return err
 	}
+	if err := checkPublishSize(&m); err != nil {
+		return err
+	}
 	if c.isClosed() {
 		return ErrClosed
 	}

@@ -222,10 +222,10 @@ func (rc *ReconnectConn) PublishMsg(m Message) error {
 	if err := ValidateSubject(m.Subject); err != nil {
 		return err
 	}
-	if total := msgFrameSize(pubOp(m.Traceparent), m.Traceparent, m.Subject, m.Reply, len(m.Data)); total > maxFrameSize {
-		// Reject oversized publishes before buffering: a poison message in
-		// the pending buffer would wedge every future flush.
-		return fmt.Errorf("pubsub: frame too large (%d bytes)", total)
+	// Reject oversized publishes before buffering: a poison message in the
+	// pending buffer would wedge every future flush.
+	if err := checkPublishSize(&m); err != nil {
+		return err
 	}
 	rc.mu.Lock()
 	for {

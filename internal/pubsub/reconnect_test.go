@@ -391,8 +391,9 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 // TestFrameSizeBoundary pins where both clients draw the frame-size line: a
 // publish or deliver frame of exactly maxFrameSize bytes (op byte onward) is
 // written whole and one byte more is refused, and a ReconnectConn's check
-// before buffering, made here while disconnected, draws it at the same byte
-// for traced and untraced publishes alike.
+// before buffering, made here while disconnected, accepts a publish whose
+// deliver frame is exactly maxFrameSize and refuses one byte more, for
+// traced and untraced publishes alike.
 func TestFrameSizeBoundary(t *testing.T) {
 	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	const subject, reply = "big.frame", "inbox.1"
@@ -431,18 +432,18 @@ func TestFrameSizeBoundary(t *testing.T) {
 	for _, c := range []struct {
 		op byte
 		tp string
-	}{{opPub, ""}, {opPubT, tp}} {
+	}{{opMsg, ""}, {opMsgT, tp}} {
 		fits := maxFrameSize - header(c.op)
 		m := Message{Subject: subject, Reply: reply, Data: data[:fits], Traceparent: c.tp}
 		if err := h.rc.PublishMsg(m); err != nil {
-			t.Fatalf("traced=%v: publish of exactly maxFrameSize: %v", c.tp != "", err)
+			t.Fatalf("traced=%v: publish delivered in exactly maxFrameSize: %v", c.tp != "", err)
 		}
 		if got := h.rc.Pending(); got != 1 {
 			t.Fatalf("traced=%v: Pending() = %d, want 1", c.tp != "", got)
 		}
 		m.Data = data[:fits+1]
 		if err := h.rc.PublishMsg(m); err == nil {
-			t.Fatalf("traced=%v: publish one byte over maxFrameSize was buffered", c.tp != "")
+			t.Fatalf("traced=%v: publish delivered one byte over maxFrameSize was buffered", c.tp != "")
 		}
 		h.rc.mu.Lock()
 		h.rc.pending = nil // release the buffered copy

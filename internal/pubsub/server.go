@@ -210,7 +210,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			// No copy: Data aliases the frame, and a pooled frame rides along
 			// so each forwarding delivery can hold it (Broker.PublishMsg).
 			m := Message{Subject: string(subj), Reply: string(reply), Data: data, Traceparent: string(tp), frame: fr}
-			if err := s.broker.PublishMsg(m); err != nil {
+			if err := checkPublishSize(&m); err != nil {
+				sendErr(err)
+			} else if err := s.broker.PublishMsg(m); err != nil {
 				sendErr(err)
 			}
 		case opSub:
@@ -248,11 +250,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					// Traced messages ride opMsgT so the subscriber's
 					// process can continue the span. Both variants go
 					// through the zero-allocation frame path.
-					fop := opMsg
-					if msg.Traceparent != "" {
-						fop = opMsgT
-					}
-					err := cw.writeMsg(fop, sid, msg.Seq, msg.Traceparent, msg.Subject, msg.Reply, msg.Data)
+					err := cw.writeMsg(msgOp(msg.Traceparent), sid, msg.Seq, msg.Traceparent, msg.Subject, msg.Reply, msg.Data)
 					// Written or copied into the bufio buffer either way:
 					// the delivery's reference ends here.
 					msg.frame.release()

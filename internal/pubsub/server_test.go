@@ -336,3 +336,47 @@ func TestTCPLargeFrameSharedByTwoSubscribers(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizeDeliverKeepsSubscriber: a publish that fits a frame but whose
+// deliver frame, 16 bytes longer, does not is refused by the client before
+// it is written, and by the server when a peer writes it anyway. Either way
+// the broker never takes it, so no TCP subscriber's forwarder fails on it
+// and drops its subscription: the next publish still arrives.
+func TestOversizeDeliverKeepsSubscriber(t *testing.T) {
+	b, srv := startTestServer(t)
+	subC := dialTest(t, srv)
+	sub, err := subC.Subscribe("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := subC.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// A publish frame of exactly maxFrameSize: op, two lengths, the subject.
+	data := make([]byte, maxFrameSize-(1+2+len("big")+2))
+
+	pub := dialTest(t, srv)
+	if err := pub.Publish("big", data); err == nil {
+		t.Fatal("client accepted a publish whose deliver frame exceeds maxFrameSize")
+	}
+	// Bypass the client's check: the server must answer with an error
+	// frame (the client closes on it) and publish nothing.
+	raw := dialTest(t, srv)
+	if err := raw.cw.writeMsg(opPub, 0, 0, "", "big", "", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.cw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the server's error frame", raw.isClosed)
+	if !b.HasSubscriber("big") {
+		t.Fatal("the oversize publish dropped the TCP subscription")
+	}
+
+	if err := pub.Publish("big", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, sub.C); string(m.Data) != "small" {
+		t.Fatalf("got %d bytes, want the small publish", len(m.Data))
+	}
+}

@@ -69,6 +69,26 @@ func pubOp(tp string) byte {
 	return opPub
 }
 
+// msgOp is the deliver op for a message with traceparent tp.
+func msgOp(tp string) byte {
+	if tp != "" {
+		return opMsgT
+	}
+	return opMsg
+}
+
+// checkPublishSize bounds a publish by the frame that delivers it, 16 bytes
+// longer (sid and seq): a publish whose deliver frame exceeds maxFrameSize
+// would reach the broker but fail every TCP subscriber's forwarder, which
+// then drops its subscription. Both clients check before writing or
+// buffering, the server before publishing.
+func checkPublishSize(m *Message) error {
+	if total := msgFrameSize(msgOp(m.Traceparent), m.Traceparent, m.Subject, m.Reply, len(m.Data)); total > maxFrameSize {
+		return fmt.Errorf("pubsub: publish too large (%d-byte deliver frame)", total)
+	}
+	return nil
+}
+
 // writeFrameTo writes one frame into w's buffer without flushing — the write
 // phase of a send. The caller serializes access to w and decides when the
 // buffered frames hit the socket (see corkedWriter for the flush policy).

@@ -2,10 +2,7 @@ package stream
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
-	"sync"
-	"time"
 )
 
 // WindowSpec describes the time windows of an Aggregate operator, in the
@@ -59,35 +56,19 @@ func Aggregate[In Timestamped, K comparable, Out any](
 	agg AggregateFunc[K, In, Out],
 	opts ...OpOption,
 ) *Stream[Out] {
-	o := applyOpts(opts)
-	out := newStream[Out](q, name, o.buffer)
-	in.claim(q, name)
 	if key == nil || agg == nil {
 		q.recordErr(ErrNilUDF)
-		return out
+		return Process[In, Out](q, name, in, nil, nil, nil, opts...)
 	}
 	if spec.Size <= 0 || spec.Advance <= 0 {
 		q.recordErr(fmt.Errorf("%w (size=%d advance=%d)", ErrBadWindow, spec.Size, spec.Advance))
-		return out
+		return Process[In, Out](q, name, in, nil, nil, nil, opts...)
 	}
-	stats := q.metrics.Op(name)
-	watchOutput(stats, out.ch)
-	stats.installShed(o.shedGate, &q.knobs)
-	q.addOperator(&aggregateOp[In, K, Out]{
-		name:    name,
-		in:      in.ch,
-		out:     out.ch,
-		spec:    spec,
-		key:     key,
-		agg:     agg,
-		g:       q.qz.newGuard(),
-		batch:   q.batchSize,
-		stats:   stats,
-		open:    make(map[winKey[K]]*winState[In]),
-		inPool:  chunkPoolFor[In](),
-		recycle: !in.shared,
-	})
-	return out
+	a := &aggregateOp[In, K, Out]{
+		name: name, spec: spec, key: key, agg: agg,
+		open: make(map[winKey[K]]*winState[In]),
+	}
+	return Process(q, name, in, a.ingest, a.flushAll, a, opts...)
 }
 
 type winKey[K comparable] struct {
@@ -102,19 +83,13 @@ type winState[In any] struct {
 	closed bool
 }
 
+// aggregateOp is the window state of one Aggregate operator: the fn, onEnd
+// and state of its Process.
 type aggregateOp[In Timestamped, K comparable, Out any] struct {
-	name  string
-	in    chan []In
-	out   chan []Out
-	spec  WindowSpec
-	key   KeyFunc[In, K]
-	agg   AggregateFunc[K, In, Out]
-	g     *opGuard
-	batch int
-	stats *OpStats
-
-	inPool  *sync.Pool
-	recycle bool
+	name string
+	spec WindowSpec
+	key  KeyFunc[In, K]
+	agg  AggregateFunc[K, In, Out]
 
 	open    map[winKey[K]]*winState[In]
 	pending winHeap[K]
@@ -123,51 +98,7 @@ type aggregateOp[In Timestamped, K comparable, Out any] struct {
 	sawAny  bool
 }
 
-func (a *aggregateOp[In, K, Out]) opName() string { return a.name }
-
-func (a *aggregateOp[In, K, Out]) run(ctx context.Context) (err error) {
-	defer closeGated(a.g, a.out)
-	defer a.g.exit(&err)
-	defer recoverPanic(&err)
-	em := newChunkEmitter(ctx, a.g.qz, a.out, a.batch, a.stats)
-	emitFn := Emit[Out](em.emit)
-	for {
-		a.g.idle()
-		select {
-		case chunk, ok := <-a.in:
-			a.g.recv(ok)
-			if !ok {
-				if err := a.flushAll(emitFn); err != nil {
-					return err
-				}
-				return em.flush()
-			}
-			a.stats.addIn(int64(len(chunk)))
-			start := time.Now()
-			for _, v := range chunk {
-				if err := a.ingest(v, emitFn); err != nil {
-					return err
-				}
-			}
-			a.stats.observeServiceChunk(time.Since(start), len(chunk))
-			if a.sawAny {
-				a.stats.observeEventTime(a.maxTS)
-			}
-			if a.recycle {
-				recycleChunk(a.inPool, chunk)
-			}
-			if err := em.flush(); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
 func (a *aggregateOp[In, K, Out]) ingest(v In, emitFn Emit[Out]) error {
-	// The operator's watermark is advanced once per chunk (in run) from
-	// a.maxTS, not per tuple here.
 	ts := v.EventTime()
 	if !a.sawAny || ts > a.maxTS {
 		a.maxTS = ts

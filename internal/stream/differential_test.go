@@ -92,7 +92,7 @@ func TestBatchDifferential(t *testing.T) {
 					}
 					return nil
 				},
-				func(emit Emit[string]) error { return emit(fmt.Sprint(sums)) })}
+				func(emit Emit[string]) error { return emit(fmt.Sprint(sums)) }, nil)}
 		}},
 		{name: "aggregate-tumbling", build: func(q *Query) []*Stream[string] {
 			src := AddSource(q, "src", FromSlice(items))

@@ -85,7 +85,7 @@ func TestProcessOnEndFlush(t *testing.T) {
 			sum += v.Val
 			return nil
 		},
-		func(emit Emit[int]) error { return emit(sum) })
+		func(emit Emit[int]) error { return emit(sum) }, nil)
 	var got []int
 	AddSink(q, "sink", out, ToSlice(&got))
 	if err := runQuery(t, q); err != nil {
@@ -100,7 +100,7 @@ func TestProcessNilOnEnd(t *testing.T) {
 	q := NewQuery("process2")
 	src := AddSource(q, "src", FromSlice(ints(3)))
 	out := Process(q, "id", src,
-		func(v At[int], emit Emit[At[int]]) error { return emit(v) }, nil)
+		func(v At[int], emit Emit[At[int]]) error { return emit(v) }, nil, nil)
 	var got []At[int]
 	AddSink(q, "sink", out, ToSlice(&got))
 	if err := runQuery(t, q); err != nil {

@@ -91,6 +91,8 @@ type joinOp[L Timestamped, R Timestamped, K comparable, Out any] struct {
 
 func (j *joinOp[L, R, K, Out]) opName() string { return j.name }
 
+func (j *joinOp[L, R, K, Out]) opState() Snapshotter { return j }
+
 func (j *joinOp[L, R, K, Out]) run(ctx context.Context) (err error) {
 	defer closeGated(j.g, j.out)
 	defer j.g.exit(&err)

@@ -47,7 +47,7 @@ func TestPanickingUDFFailsQueryCleanly(t *testing.T) {
 			src := AddSource(q, "src", FromSlice([]int{1}))
 			p := Process(q, "boom", src, func(v int, emit Emit[int]) error {
 				panic("udf exploded")
-			}, nil)
+			}, nil, nil)
 			AddSink(q, "sink", p, Discard[int]())
 		}},
 		{"aggregate", func(q *Query) {

@@ -138,6 +138,28 @@ func (g *opGuard) idle() {
 	g.busy.Store(false)
 }
 
+// drain is the receive loop of every operator goroutine but the join's: it
+// marks g idle before each blocking receive and busy after it, hands each
+// chunk to fn, and returns nil at end-of-stream, fn's first error, or the
+// context's.
+func drain[T any](ctx context.Context, g *opGuard, in <-chan []T, fn func([]T) error) error {
+	for {
+		g.idle()
+		select {
+		case chunk, ok := <-in:
+			g.recv(ok)
+			if !ok {
+				return nil
+			}
+			if err := fn(chunk); err != nil {
+				return err
+			}
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
 // exit is deferred by every operator run: it records a failing exit with the
 // quiescer (so an in-flight checkpoint aborts instead of snapshotting a
 // half-mutated operator) and clears the busy flag. It must run before the

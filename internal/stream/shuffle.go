@@ -67,45 +67,36 @@ func (s *shuffleOp[T]) run(ctx context.Context) (err error) {
 	qz := s.g.qz
 	n := uint64(len(s.outs))
 	parts := make([][]T, n)
-	for {
-		s.g.idle()
-		select {
-		case chunk, ok := <-s.in:
-			s.g.recv(ok)
-			if !ok {
-				return nil
+	return drain(ctx, s.g, s.in, func(chunk []T) error {
+		s.stats.addIn(int64(len(chunk)))
+		// Partition the chunk, preserving input order within each branch,
+		// then send each non-empty sub-chunk. Sub-chunks come from the pool
+		// (sized so one never grows): the downstream consumer owns them. The
+		// input chunk is fully copied out, so it can be recycled before the
+		// sends.
+		for i := range chunk {
+			idx := s.hash(chunk[i]) % n
+			if parts[idx] == nil {
+				parts[idx] = getChunk[T](s.pool, len(chunk))
 			}
-			s.stats.addIn(int64(len(chunk)))
-			// Partition the chunk, preserving input order within each
-			// branch, then send each non-empty sub-chunk. Sub-chunks come
-			// from the pool (sized so one never grows): the downstream
-			// consumer owns them. The input chunk is fully copied out, so
-			// it can be recycled before the sends.
-			for i := range chunk {
-				idx := s.hash(chunk[i]) % n
-				if parts[idx] == nil {
-					parts[idx] = getChunk[T](s.pool, len(chunk))
-				}
-				parts[idx] = append(parts[idx], chunk[i])
-			}
-			if s.recycle {
-				recycleChunk(s.pool, chunk)
-			}
-			for i, p := range parts {
-				if len(p) == 0 {
-					continue
-				}
-				parts[i] = nil
-				s.stats.observeBatch(len(p))
-				if err := sendChunk(qz, ctx, s.outs[i], p); err != nil {
-					return err
-				}
-				s.stats.addOut(int64(len(p)))
-			}
-		case <-ctx.Done():
-			return ctx.Err()
+			parts[idx] = append(parts[idx], chunk[i])
 		}
-	}
+		if s.recycle {
+			recycleChunk(s.pool, chunk)
+		}
+		for i, p := range parts {
+			if len(p) == 0 {
+				continue
+			}
+			parts[i] = nil
+			s.stats.observeBatch(len(p))
+			if err := sendChunk(qz, ctx, s.outs[i], p); err != nil {
+				return err
+			}
+			s.stats.addOut(int64(len(p)))
+		}
+		return nil
+	})
 }
 
 // Fanout registers a 1→n duplicator: every input tuple is sent to all n
@@ -154,25 +145,16 @@ func (f *fanoutOp[T]) run(ctx context.Context) (err error) {
 	defer f.g.exit(&err)
 	defer recoverPanic(&err)
 	qz := f.g.qz
-	for {
-		f.g.idle()
-		select {
-		case chunk, ok := <-f.in:
-			f.g.recv(ok)
-			if !ok {
-				return nil
+	return drain(ctx, f.g, f.in, func(chunk []T) error {
+		f.stats.addIn(int64(len(chunk)))
+		for _, ch := range f.outs {
+			if err := sendChunk(qz, ctx, ch, chunk); err != nil {
+				return err
 			}
-			f.stats.addIn(int64(len(chunk)))
-			for _, ch := range f.outs {
-				if err := sendChunk(qz, ctx, ch, chunk); err != nil {
-					return err
-				}
-				f.stats.addOut(int64(len(chunk)))
-			}
-		case <-ctx.Done():
-			return ctx.Err()
+			f.stats.addOut(int64(len(chunk)))
 		}
-	}
+		return nil
+	})
 }
 
 // Merge registers an n→1 union that forwards tuples in arrival order. The
@@ -235,26 +217,16 @@ func (m *mergeOp[T]) run(ctx context.Context) (err error) {
 			var berr error
 			defer wg.Done()
 			defer g.exit(&berr)
-			qz := g.qz
-			for {
-				g.idle()
-				select {
-				case chunk, ok := <-in:
-					g.recv(ok)
-					if !ok {
-						return
-					}
-					m.stats.addIn(int64(len(chunk)))
-					if berr = sendChunk(qz, ctx, m.out, chunk); berr != nil {
-						errOnce.Do(func() { firstErr = berr })
-						return
-					}
-					m.stats.addOut(int64(len(chunk)))
-				case <-ctx.Done():
-					berr = ctx.Err()
-					errOnce.Do(func() { firstErr = berr })
-					return
+			berr = drain(ctx, g, in, func(chunk []T) error {
+				m.stats.addIn(int64(len(chunk)))
+				if err := sendChunk(g.qz, ctx, m.out, chunk); err != nil {
+					return err
 				}
+				m.stats.addOut(int64(len(chunk)))
+				return nil
+			})
+			if berr != nil {
+				errOnce.Do(func() { firstErr = berr })
 			}
 		}(in, m.guards[i])
 	}

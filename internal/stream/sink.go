@@ -49,62 +49,55 @@ func (s *sinkOp[T]) opName() string { return s.name }
 func (s *sinkOp[T]) run(ctx context.Context) (err error) {
 	defer s.g.exit(&err)
 	defer recoverPanic(&err)
-	for {
-		s.g.idle()
-		select {
-		case chunk, ok := <-s.in:
-			s.g.recv(ok)
-			if !ok {
-				return nil
+	return drain(ctx, s.g, s.in, s.consume)
+}
+
+// consume runs fn over one input chunk.
+func (s *sinkOp[T]) consume(chunk []T) error {
+	observeChunkArrival(s.stats, chunk)
+	orig := chunk
+	if s.gate != nil {
+		// Chunks are forwarded by reference downstream of Fanout, so the
+		// backing array may be shared with a sibling branch — never
+		// compact in place. Copy lazily: the all-admitted common case
+		// allocates nothing, and each tuple is admitted exactly once
+		// (admit counts what it sheds).
+		kept := chunk
+		for i := range chunk {
+			if s.gate.admit(&chunk[i]) {
+				continue
 			}
-			observeChunkArrival(s.stats, chunk)
-			orig := chunk
-			if s.gate != nil {
-				// Chunks are forwarded by reference downstream of Fanout, so
-				// the backing array may be shared with a sibling branch —
-				// never compact in place. Copy lazily: the all-admitted
-				// common case allocates nothing, and each tuple is admitted
-				// exactly once (admit counts what it sheds).
-				kept := chunk
-				for i := range chunk {
-					if s.gate.admit(&chunk[i]) {
-						continue
-					}
-					kept = append(make([]T, 0, len(chunk)-1), chunk[:i]...)
-					for j := i + 1; j < len(chunk); j++ {
-						if s.gate.admit(&chunk[j]) {
-							kept = append(kept, chunk[j])
-						}
-					}
-					break
-				}
-				chunk = kept
-			}
-			start := time.Now()
-			for _, v := range chunk {
-				if err := s.fn(v); err != nil {
-					return err
+			kept = append(make([]T, 0, len(chunk)-1), chunk[:i]...)
+			for j := i + 1; j < len(chunk); j++ {
+				if s.gate.admit(&chunk[j]) {
+					kept = append(kept, chunk[j])
 				}
 			}
-			d := time.Since(start)
-			s.stats.observeServiceChunk(d, len(chunk))
-			if len(chunk) > 0 {
-				per := d / time.Duration(len(chunk))
-				for i := range chunk {
-					finishTrace(s.name, &chunk[i], per, s.traces)
-				}
-			}
-			// The sink is the end of the line for its chunk: recycle it
-			// (unless it is shared with a Fanout sibling). A lazily-copied
-			// kept slice is left to the collector — that path only runs
-			// while shedding.
-			if s.recycle {
-				recycleChunk(s.pool, orig)
-			}
-		case <-ctx.Done():
-			return ctx.Err()
+			break
+		}
+		chunk = kept
+	}
+	start := time.Now()
+	for _, v := range chunk {
+		if err := s.fn(v); err != nil {
+			return err
 		}
 	}
+	d := time.Since(start)
+	s.stats.observeServiceChunk(d, len(chunk))
+	if len(chunk) > 0 {
+		per := d / time.Duration(len(chunk))
+		for i := range chunk {
+			finishTrace(s.name, &chunk[i], per, s.traces)
+		}
+	}
+	// The sink is the end of the line for its chunk: recycle it (unless it
+	// is shared with a Fanout sibling). A lazily-copied kept slice is left
+	// to the collector — that path only runs while shedding.
+	if s.recycle {
+		recycleChunk(s.pool, orig)
+	}
+	return nil
 }
 
 // ToSlice returns a SinkFunc that appends every tuple to *dst, plus nothing

@@ -8,14 +8,28 @@ import (
 	"fmt"
 )
 
-// Snapshotter is implemented by stateful operators that can serialize their
-// state. Snapshot is only called by Query.Checkpoint while the query is
-// quiesced (no tuple in flight, the operator goroutine parked at a channel
-// receive); Restore is only called before Run, on a freshly built query.
+// Snapshotter is the checkpointed state of a stateful operator: a Process's
+// state argument, an Aggregate's windows, a Join's buffers. Snapshot is only
+// called by Query.Checkpoint while the query is quiesced (no tuple in
+// flight, the operator goroutine parked at a channel receive); Restore is
+// only called before Run, on a freshly built query.
 // Blobs are opaque to the engine — each operator owns its own encoding.
 type Snapshotter interface {
 	Snapshot() ([]byte, error)
 	Restore([]byte) error
+}
+
+// stateful is implemented by operators that may carry checkpointed state.
+type stateful interface {
+	opState() Snapshotter
+}
+
+// stateOf returns op's checkpointed state, or nil when it has none.
+func stateOf(op operator) Snapshotter {
+	if s, ok := op.(stateful); ok {
+		return s.opState()
+	}
+	return nil
 }
 
 // positioned is implemented by sources that track a replay position (see
@@ -27,7 +41,7 @@ type positioned interface {
 }
 
 // QuerySnapshot is one consistent cut of a running query: the serialized
-// state of every Snapshotter operator plus the resume position of every
+// state of every stateful operator plus the resume position of every
 // positioned source. All tuples emitted before each recorded position have
 // been fully absorbed into the recorded states; no tuple at or past a
 // position has touched them.
@@ -90,7 +104,7 @@ func (q *Query) Checkpoint(ctx context.Context, fn func(*QuerySnapshot) error) (
 		Positions: make(map[string]uint64),
 	}
 	for _, op := range ops {
-		if s, ok := op.(Snapshotter); ok {
+		if s := stateOf(op); s != nil {
 			blob, err := s.Snapshot()
 			if err != nil {
 				return nil, fmt.Errorf("snapshot operator %q: %w", op.opName(), err)
@@ -110,7 +124,7 @@ func (q *Query) Checkpoint(ctx context.Context, fn func(*QuerySnapshot) error) (
 }
 
 // RestoreCheckpoint loads a snapshot's operator state into a freshly built,
-// not-yet-run query. The query must contain a Snapshotter operator for every
+// not-yet-run query. The query must contain a stateful operator for every
 // blob in the snapshot (same names — the topology must match the one that
 // was checkpointed); operators without a blob start fresh. Source positions
 // are not applied here: builders resolve them at build time (see
@@ -139,8 +153,8 @@ func (q *Query) RestoreCheckpoint(snap *QuerySnapshot) error {
 			errs = append(errs, fmt.Errorf("restore: no operator %q in query", name))
 			continue
 		}
-		s, ok := op.(Snapshotter)
-		if !ok {
+		s := stateOf(op)
+		if s == nil {
 			errs = append(errs, fmt.Errorf("restore: operator %q is not restorable", name))
 			continue
 		}

@@ -26,12 +26,12 @@ func blobVariants(blob []byte) [][]byte {
 	return out
 }
 
-// snapshotterOf returns the operator named name of q.
+// snapshotterOf returns the state of the operator named name of q.
 func snapshotterOf(tb testing.TB, q *Query, name string) Snapshotter {
 	tb.Helper()
 	for _, op := range q.ops {
 		if op.opName() == name {
-			return op.(Snapshotter)
+			return stateOf(op)
 		}
 	}
 	tb.Fatalf("no operator %q", name)

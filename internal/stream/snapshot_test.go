@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,6 +152,77 @@ func TestCheckpointAggregateEquivalence(t *testing.T) {
 				t.Fatalf("split at %d: outputs diverge\n  A = %v\n  B = %v\n  want = %v", k, outA, outB, *baseline)
 			}
 		})
+	}
+}
+
+// runningSums is a Process's checkpointed state: a running sum per key.
+type runningSums struct {
+	sums map[string]int
+}
+
+func (r *runningSums) Snapshot() ([]byte, error) { return gobEncode(r.sums) }
+
+func (r *runningSums) Restore(b []byte) error {
+	sums := map[string]int{}
+	if err := gobDecode(b, &sums); err != nil {
+		return err
+	}
+	r.sums = sums
+	return nil
+}
+
+// processSumBuild feeds a stateless FlatMap into a Process whose state is
+// per-key running sums, emitted with every tuple and once more at
+// end-of-stream.
+func processSumBuild(q *Query, src *Stream[keyed]) *[]string {
+	st := &runningSums{sums: map[string]int{}}
+	tagged := FlatMap(q, "tag", src, func(v keyed, emit Emit[keyed]) error { return emit(v) })
+	sums := Process(q, "sum", tagged,
+		func(v keyed, emit Emit[string]) error {
+			st.sums[v.key] += v.val
+			return emit(fmt.Sprintf("%s=%d", v.key, st.sums[v.key]))
+		},
+		func(emit Emit[string]) error { return emit(fmt.Sprint(st.sums)) },
+		st)
+	got := new([]string)
+	AddSink(q, "sink", sums, ToSlice(got))
+	return got
+}
+
+// TestCheckpointProcessStateEquivalence: a Process's state argument is
+// checkpointed and restored like an Aggregate's windows, and a stateless
+// FlatMap contributes no blob and accepts none.
+func TestCheckpointProcessStateEquivalence(t *testing.T) {
+	items := ckptItems(40)
+
+	baseQ := NewQuery("baseline")
+	baseline := processSumBuild(baseQ, AddPositionedSource(baseQ, "src", 0, feedFrom(items, 0)))
+	if err := runQuery(t, baseQ); err != nil {
+		t.Fatalf("baseline Run() error = %v", err)
+	}
+	for _, k := range []int{0, 1, 7, 21, len(items)} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			outA, outB := runSplit(t, items, k, processSumBuild)
+			got := append(append([]string{}, outA...), outB...)
+			if fmt.Sprint(got) != fmt.Sprint(*baseline) {
+				t.Fatalf("split at %d: outputs diverge\n  A = %v\n  B = %v\n  want = %v", k, outA, outB, *baseline)
+			}
+		})
+	}
+
+	qa := NewQuery("blobs")
+	qa.EnableSnapshots()
+	fed := make(chan struct{})
+	processSumBuild(qa, AddPositionedSource(qa, "src", 0, feedFirst(items, 7, fed)))
+	snap := checkpointParked(t, qa, fed)
+	if _, ok := snap.Ops["sum"]; !ok || len(snap.Ops) != 1 {
+		t.Fatalf("snapshot ops = %v, want only the Process's blob", snap.Ops)
+	}
+	qb := NewQuery("blobs-b")
+	processSumBuild(qb, AddPositionedSource(qb, "src", 0, feedFrom(items, 0)))
+	err := qb.RestoreCheckpoint(&QuerySnapshot{Ops: map[string][]byte{"tag": snap.Ops["sum"]}})
+	if err == nil || !strings.Contains(err.Error(), "not restorable") {
+		t.Fatalf("restoring a blob into the stateless FlatMap: err = %v, want not restorable", err)
 	}
 }
 

@@ -58,12 +58,15 @@ flake:
 	$(selected) $(GO) test -race -count=50 -run '^(TestReconnect|TestRestoreFailure|TestActiveSubscriptions)' ./internal/pubsub
 
 ## fuzz: each fuzz target for 10 s with two workers, past the seed corpus
-## the test suite runs. A failing input is written under the package's
+## the test suite runs. Minimising a new interesting input is capped at 100
+## runs, so the 10 s go to fuzzing (uncapped, one minimisation can take a
+## target's whole budget). A failing input is written under the package's
 ## testdata/fuzz/ for the suite to replay; commit it with the fix.
-fuzz_run = $(selected) $(GO) test -run '^$$' -fuzztime 10s -parallel 2 -fuzz
+fuzz_run = $(selected) $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 100x -parallel 2 -fuzz
 
 fuzz:
 	$(fuzz_run) '^FuzzOpenSSTable$$' ./internal/kvstore
+	$(fuzz_run) '^FuzzDecodeWALRecord$$' ./internal/kvstore
 	$(fuzz_run) '^FuzzRecover$$' ./internal/seglog
 	$(fuzz_run) '^FuzzClientConn$$' ./internal/pubsub
 	$(fuzz_run) '^FuzzServeConn$$' ./internal/pubsub
@@ -72,8 +75,8 @@ fuzz:
 	$(fuzz_run) '^FuzzAggregateRestore$$' ./internal/stream
 	$(fuzz_run) '^FuzzJoinRestore$$' ./internal/stream
 	$(fuzz_run) '^FuzzDecodeTuple$$' ./internal/core
-	$(fuzz_run) '^FuzzCorrelateRestore$$' ./internal/core
 	$(fuzz_run) '^FuzzLoadCheckpoint$$' ./internal/core
+	$(fuzz_run) '^FuzzCorrelateRestore$$' ./internal/core
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation). Any unsuppressed finding

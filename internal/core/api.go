@@ -537,12 +537,11 @@ func (fw *Framework) CorrelateEvents(name string, in *StreamRef, l int, f Correl
 	cfg := applyStageOpts(opts)
 
 	buildOp := func(branch int, s *stream.Stream[EventTuple]) *stream.Stream[EventTuple] {
-		state := newCorrelateState(l, f)
 		opName := name
 		if branch >= 0 {
 			opName = fmt.Sprintf("%s.%d", name, branch)
 		}
-		return stream.Process(fw.query, opName, s, state.ingest, state.finish, state)
+		return stream.Aggregate(fw.query, opName, s, l, specimenOf, layerPane, correlate(l, f))
 	}
 
 	if cfg.parallelism > 1 {
@@ -559,141 +558,64 @@ func (fw *Framework) CorrelateEvents(name string, in *StreamRef, l int, f Correl
 	return out
 }
 
-// correlateState is the per-operator-instance state of CorrelateEvents: the
-// fn, onEnd and checkpointed state of its Process.
-type correlateState struct {
-	l int
-	f CorrelateFunc
-	// perKey buffers events per (job, specimen).
-	perKey map[string]*specimenBuffer
-}
+// specimenKey is the key of correlateEvents' windows.
+type specimenKey struct{ Job, Specimen string }
 
-type specimenBuffer struct {
-	job      string
-	specimen string
-	// layers maps layer number → its buffered events.
-	layers     map[int][]EventTuple
-	lastClosed int
-	// window is the buffer closeLayer refills for every window, so a deep
-	// window costs one slice per specimen rather than one per layer.
-	window []EventTuple
-}
+func specimenOf(t EventTuple) specimenKey { return specimenKey{t.Job, t.Specimen} }
 
-func newCorrelateState(l int, f CorrelateFunc) *correlateState {
-	return &correlateState{l: l, f: f, perKey: make(map[string]*specimenBuffer)}
-}
+// layerPane puts an event in its layer's pane; the end-of-layer marker is
+// the punctuation that closes the layer.
+func layerPane(t EventTuple) (int, bool) { return t.Layer, t.isMarker() }
 
-func (cs *correlateState) buffer(t EventTuple) *specimenBuffer {
-	k := t.Job + "\x00" + t.Specimen
-	b, ok := cs.perKey[k]
-	if !ok {
-		b = &specimenBuffer{job: t.Job, specimen: t.Specimen, layers: make(map[int][]EventTuple)}
-		cs.perKey[k] = b
-	}
-	return b
-}
-
-func (cs *correlateState) ingest(t EventTuple, emit stream.Emit[EventTuple]) error {
-	b := cs.buffer(t)
-	if !t.isMarker() {
-		b.layers[t.Layer] = append(b.layers[t.Layer], t)
-		return nil
-	}
-	if t.Layer <= b.lastClosed {
-		return nil // duplicate marker (e.g. two partition stages)
-	}
-	return cs.closeLayer(b, t.Layer, t.TS, t.AvailableAt, t.Trace, emit)
-}
-
-// closeLayer runs F over the window ending at layer and evicts layers that
-// fell out of every future window. Results inherit the closing marker's
-// trace (when sampled) so window outputs remain attributable.
-func (cs *correlateState) closeLayer(b *specimenBuffer, layer int, ts time.Time, avail time.Time, trace *telemetry.Trace, emit stream.Emit[EventTuple]) error {
-	b.lastClosed = layer
-	w := CorrelateWindow{
-		Job:         b.job,
-		Specimen:    b.specimen,
-		Layer:       layer,
-		L:           cs.l,
-		AvailableAt: avail,
-	}
-	// Fused overload metadata of the window: results are as important as
-	// the most important contributing event, and useful only while every
-	// deadlined input still is.
-	wPrio := 0
-	var wDeadline time.Time
-	w.Events = b.window[:0]
-	// Count the L layers rather than compare against layer, which would
-	// wrap and never end for a window closing at math.MaxInt.
-	first := layer - cs.l + 1
-	for i := 0; i < cs.l; i++ {
-		evs := b.layers[first+i]
-		w.Events = append(w.Events, evs...)
-		for _, e := range evs {
-			if e.AvailableAt.After(w.AvailableAt) {
-				w.AvailableAt = e.AvailableAt
+// correlate runs F over one closed window and stamps its results. Results
+// inherit the closing marker's trace (when sampled) so window outputs
+// remain attributable.
+func correlate(l int, f CorrelateFunc) stream.AggregateFunc[specimenKey, EventTuple, EventTuple] {
+	return func(w stream.Window[specimenKey, EventTuple], emit stream.Emit[EventTuple]) error {
+		// Fused overload metadata of the window: results are as important
+		// as the most important contributing event, and useful only while
+		// every deadlined input still is.
+		avail := w.Close.AvailableAt
+		prio := 0
+		var deadline time.Time
+		for _, e := range w.Tuples {
+			if e.AvailableAt.After(avail) {
+				avail = e.AvailableAt
 			}
-			if e.Priority > wPrio {
-				wPrio = e.Priority
+			if e.Priority > prio {
+				prio = e.Priority
 			}
-			wDeadline = earliestDeadline(wDeadline, e.Deadline)
+			deadline = earliestDeadline(deadline, e.Deadline)
 		}
-	}
-	// Evict layers below the next window's reach.
-	for l := range b.layers {
-		if l <= first {
-			delete(b.layers, l)
-		}
-	}
-	err := cs.f(w, func(o EventTuple) error {
-		if o.TS.IsZero() {
-			o.TS = ts
-		}
-		o.Job = b.job
-		o.Specimen = b.specimen
-		if o.Layer == 0 {
-			o.Layer = layer
-		}
-		o.Portion = DefaultPortion
-		if o.AvailableAt.IsZero() {
-			o.AvailableAt = w.AvailableAt
-		}
-		if o.Priority == 0 {
-			o.Priority = wPrio
-		}
-		if o.Deadline.IsZero() {
-			o.Deadline = wDeadline
-		}
-		if o.Trace == nil {
-			o.Trace = trace
-		}
-		return emit(o)
-	})
-	// Drop the copies' references so evicted layers' payloads can be
-	// collected, and keep the (possibly grown) buffer for the next window.
-	clear(w.Events)
-	b.window = w.Events[:0]
-	return err
-}
-
-// finish closes, per specimen, any layer that buffered events but whose
-// marker never arrived (defensive: with well-formed pipelines markers
-// always follow their layer's events).
-func (cs *correlateState) finish(emit stream.Emit[EventTuple]) error {
-	for _, b := range cs.perKey {
-		maxLayer := 0
-		for l := range b.layers {
-			if l > maxLayer {
-				maxLayer = l
+		// Copied out of w, so that the emit closure does not move the
+		// closing tuple to the heap once per window.
+		key, layer, ts, trace := w.Key, w.Pane, w.Close.TS, w.Close.Trace
+		cw := CorrelateWindow{Job: key.Job, Specimen: key.Specimen, Layer: layer, L: l, Events: w.Tuples, AvailableAt: avail}
+		return f(cw, func(o EventTuple) error {
+			if o.TS.IsZero() {
+				o.TS = ts
 			}
-		}
-		if maxLayer > b.lastClosed {
-			if err := cs.closeLayer(b, maxLayer, time.Time{}, time.Time{}, nil, emit); err != nil {
-				return err
+			o.Job = key.Job
+			o.Specimen = key.Specimen
+			if o.Layer == 0 {
+				o.Layer = layer
 			}
-		}
+			o.Portion = DefaultPortion
+			if o.AvailableAt.IsZero() {
+				o.AvailableAt = avail
+			}
+			if o.Priority == 0 {
+				o.Priority = prio
+			}
+			if o.Deadline.IsZero() {
+				o.Deadline = deadline
+			}
+			if o.Trace == nil {
+				o.Trace = trace
+			}
+			return emit(o)
+		})
 	}
-	return nil
 }
 
 // Deliver attaches an expert-facing sink to a stream: fn runs for every

@@ -27,9 +27,9 @@ import (
 //	ckpt/<pipeline>/<epoch:%016x>/sink/<name>   8-byte BE sink sequence
 //
 // Every op/ blob is the Snapshot of a stream.Snapshotter the engine found
-// on the operator of that name: Aggregate windows, Join buffers, and the
-// correlateEvents layer buffers (the state of their Process). An epoch
-// holding any other record is damaged and does not load.
+// on the operator of that name: Aggregate panes (correlateEvents' layer
+// windows among them) and Join buffers. An epoch holding any other record
+// is damaged and does not load.
 //
 // Every key of one epoch plus the latest pointer is written in ONE kvstore
 // batch (a single WAL record), so an epoch is visible if and only if it is
@@ -352,62 +352,4 @@ type durableSink struct {
 	// accounting (its seq is consumed but no effects commit), and on replay
 	// the deadline is still in the past, so suppression is deterministic.
 	expired atomic.Int64
-}
-
-// correlateSnapBuf mirrors specimenBuffer with exported fields for gob.
-type correlateSnapBuf struct {
-	Job        string
-	Specimen   string
-	Layers     map[int][]EventTuple
-	LastClosed int
-}
-
-// Snapshot serializes the correlate buffers (runs only while quiesced).
-func (cs *correlateState) Snapshot() ([]byte, error) {
-	out := make([]correlateSnapBuf, 0, len(cs.perKey))
-	for _, b := range cs.perKey {
-		out = append(out, correlateSnapBuf{
-			Job: b.job, Specimen: b.specimen,
-			Layers: b.layers, LastClosed: b.lastClosed,
-		})
-	}
-	// Deterministic blob bytes across runs (map iteration order varies).
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Specimen < out[j].Specimen
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore rebuilds the correlate buffers from a snapshot (runs before Run).
-// A blob that does not decode, or names one specimen twice, is rejected and
-// leaves the buffers as they were.
-func (cs *correlateState) Restore(blob []byte) error {
-	var bufs []correlateSnapBuf
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&bufs); err != nil {
-		return err
-	}
-	perKey := make(map[string]*specimenBuffer, len(bufs))
-	for _, b := range bufs {
-		k := b.Job + "\x00" + b.Specimen
-		if _, dup := perKey[k]; dup {
-			return fmt.Errorf("correlate snapshot: specimen %q of job %q twice", b.Specimen, b.Job)
-		}
-		layers := b.Layers
-		if layers == nil {
-			layers = make(map[int][]EventTuple)
-		}
-		perKey[k] = &specimenBuffer{
-			job: b.Job, specimen: b.Specimen,
-			layers: layers, lastClosed: b.LastClosed,
-		}
-	}
-	cs.perKey = perKey
-	return nil
 }

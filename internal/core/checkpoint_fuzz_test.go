@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,35 +35,6 @@ func blobVariants(blob []byte) [][]byte {
 	return out
 }
 
-// correlateFixture is a correlate state with two specimens' events buffered
-// across a closed and an open layer, the shape a live checkpoint captures.
-func correlateFixture(tb testing.TB) *correlateState {
-	cs := newCorrelateState(3, func(w CorrelateWindow, emit func(EventTuple) error) error {
-		return emit(EventTuple{KV: map[string]any{"n": int64(len(w.Events))}})
-	})
-	drop := func(EventTuple) error { return nil }
-	for layer := 1; layer <= 3; layer++ {
-		for _, spec := range []string{"s1", "s2"} {
-			ev := EventTuple{TS: time.UnixMicro(int64(layer)), Job: "j", Layer: layer, Specimen: spec, KV: map[string]any{"hot": layer%2 == 0}}
-			if err := cs.ingest(ev, drop); err != nil {
-				tb.Fatal(err)
-			}
-			if layer < 3 {
-				if err := cs.ingest(layerMarker(ev), drop); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}
-	}
-	return cs
-}
-
-// layerMarker is the end-of-layer marker the framework sends after ev's
-// layer.
-func layerMarker(ev EventTuple) EventTuple {
-	return EventTuple{TS: ev.TS, Job: ev.Job, Layer: ev.Layer, Specimen: ev.Specimen, Portion: markerPortion}
-}
-
 func gobBlob(tb testing.TB, v any) []byte {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -69,36 +43,141 @@ func gobBlob(tb testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
-// FuzzCorrelateRestore: arbitrary bytes either fail to restore, leaving the
-// buffers as they were, or restore buffers that close every open window and
-// snapshot again.
-func FuzzCorrelateRestore(f *testing.F) {
-	blob, err := correlateFixture(f).Snapshot()
-	if err != nil {
-		f.Fatal(err)
+// correlateQuery builds a query around the operator CorrelateEvents
+// compiles to, named "cor": an Aggregate over layer panes with L = 3 and an
+// F that counts each window's events. src feeds it; the sink records each
+// result as specimen/layer:count.
+func correlateQuery(src stream.SourceFunc[EventTuple]) (*stream.Query, *[]string) {
+	q := stream.NewQuery("cor")
+	q.EnableSnapshots()
+	f := func(w CorrelateWindow, emit func(EventTuple) error) error {
+		return emit(EventTuple{KV: map[string]any{"n": int64(len(w.Events))}})
 	}
-	for _, b := range blobVariants(blob) {
+	cor := stream.Aggregate(q, "cor", stream.AddSource(q, "events", src), 3, specimenOf, layerPane, correlate(3, f))
+	var out []string
+	stream.AddSink(q, "out", cor, func(t EventTuple) error {
+		out = append(out, fmt.Sprintf("%s/%d:%v", t.Specimen, t.Layer, t.KV["n"]))
+		return nil
+	})
+	return q, &out
+}
+
+// correlateFixture is the "cor" blob of a live checkpoint: two specimens'
+// events buffered across two closed layers and an open one.
+func correlateFixture(tb testing.TB) []byte {
+	fed := make(chan struct{})
+	q, _ := correlateQuery(func(ctx context.Context, emit stream.Emit[EventTuple]) error {
+		for layer := 1; layer <= 3; layer++ {
+			for _, spec := range []string{"s1", "s2"} {
+				ev := EventTuple{TS: time.UnixMicro(int64(layer)), Job: "j", Layer: layer, Specimen: spec, KV: map[string]any{"hot": layer%2 == 0}}
+				if err := emit(ev); err != nil {
+					return err
+				}
+				if layer < 3 {
+					if err := emit(newMarker(ev, spec)); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		close(fed)
+		<-ctx.Done()
+		return nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- q.Run(ctx) }()
+	<-fed
+	snap, err := q.Checkpoint(ctx, nil)
+	cancel()
+	if runErr := <-done; runErr != nil && !errors.Is(runErr, context.Canceled) {
+		tb.Fatal(runErr)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap.Ops["cor"]
+}
+
+// restoreCorrelate restores the fixture and then blob into a fresh "cor"
+// query, checkpoints it and runs it to the end of its (empty) input, which
+// closes every open window. It returns blob's restore error, the results of
+// the closing windows and the "cor" blob of the checkpoint.
+func restoreCorrelate(t *testing.T, fixture, blob []byte) (restoreErr error, out []string, again []byte) {
+	started, release := make(chan struct{}), make(chan struct{})
+	q, res := correlateQuery(func(ctx context.Context, _ stream.Emit[EventTuple]) error {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil
+	})
+	if err := q.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": fixture}}); err != nil {
+		t.Fatalf("fixture does not restore: %v", err)
+	}
+	restoreErr = q.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": blob}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- q.Run(ctx) }()
+	<-started
+	snap, err := q.Checkpoint(ctx, nil)
+	close(release)
+	if runErr := <-done; runErr != nil {
+		t.Fatalf("restored buffers do not close (restore err %v): %v", restoreErr, runErr)
+	}
+	if err != nil {
+		t.Fatalf("restored buffers do not snapshot (restore err %v): %v", restoreErr, err)
+	}
+	return restoreErr, *res, snap.Ops["cor"]
+}
+
+// correlateSnap has the gob shape of the "cor" blob (the Aggregate's keys,
+// each with its last closed layer and buffered layers), for seeds the
+// operator could not have written.
+type correlateSnap struct {
+	Keys []correlateKeySnap
+}
+
+type correlateKeySnap struct {
+	Key        specimenKey
+	LastClosed int
+	Panes      []correlatePaneSnap
+}
+
+type correlatePaneSnap struct {
+	Pane   int
+	Tuples []EventTuple
+}
+
+// FuzzCorrelateRestore: arbitrary bytes either fail to restore, leaving the
+// buffers as they were, or restore buffers that snapshot again into a blob
+// that restores, and close every open window at the end of input.
+func FuzzCorrelateRestore(f *testing.F) {
+	fixture := correlateFixture(f)
+	for _, b := range blobVariants(fixture) {
 		f.Add(b)
 	}
-	ev := []EventTuple{{Job: "j", Specimen: "s", Layer: math.MaxInt}}
+	ev := EventTuple{Job: "j", Specimen: "s", Layer: math.MaxInt}
 	// A window closing at the largest layer.
-	f.Add(gobBlob(f, []correlateSnapBuf{{Job: "j", Specimen: "s", Layers: map[int][]EventTuple{math.MaxInt: ev}}}))
+	f.Add(gobBlob(f, correlateSnap{Keys: []correlateKeySnap{{Key: specimenKey{"j", "s"}, Panes: []correlatePaneSnap{{Pane: math.MaxInt, Tuples: []EventTuple{ev}}}}}}))
 	// One specimen twice.
-	f.Add(gobBlob(f, []correlateSnapBuf{{Job: "j", Specimen: "s"}, {Job: "j", Specimen: "s"}}))
+	f.Add(gobBlob(f, correlateSnap{Keys: []correlateKeySnap{{Key: specimenKey{"j", "s"}}, {Key: specimenKey{"j", "s"}}}}))
+	// The fixture closes layer 3 of both specimens over layers 1-3.
+	want := []string{"s1/3:3", "s2/3:3"}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		cs := correlateFixture(t)
-		before := cs.perKey
-		if err := cs.Restore(blob); err != nil {
-			if reflect.ValueOf(cs.perKey).UnsafePointer() != reflect.ValueOf(before).UnsafePointer() {
-				t.Fatalf("restore failed (%v) but replaced the buffers", err)
+		restoreErr, out, again := restoreCorrelate(t, fixture, blob)
+		if restoreErr != nil {
+			if !slices.Equal(out, want) {
+				t.Fatalf("restore failed (%v) but the buffers closed into %v, want %v", restoreErr, out, want)
 			}
 			return
 		}
-		if _, err := cs.Snapshot(); err != nil {
-			t.Fatalf("restored buffers do not snapshot: %v", err)
-		}
-		if err := cs.finish(func(EventTuple) error { return nil }); err != nil {
-			t.Fatalf("restored buffers do not close: %v", err)
+		fresh, _ := correlateQuery(func(context.Context, stream.Emit[EventTuple]) error { return nil })
+		if err := fresh.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": again}}); err != nil {
+			t.Fatalf("snapshot of restored buffers does not restore: %v", err)
 		}
 	})
 }
@@ -207,5 +286,37 @@ func TestLoadCheckpointRejectsUnknownRecord(t *testing.T) {
 		if _, err := store.DeletePrefix([]byte("ckpt/")); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// legacyCorrelateBuf is one specimen of the correlate state as checkpoints
+// held it before correlateEvents compiled to the engine's Aggregate: the
+// blob was a bare list of these.
+type legacyCorrelateBuf struct {
+	Job        string
+	Specimen   string
+	Layers     map[int][]EventTuple
+	LastClosed int
+}
+
+// TestRestoreRejectsLegacyCorrelateBlob: gob matches struct fields by name,
+// so a legacy blob must not decode into the Aggregate's key list as empty
+// windows. An epoch holding one fails to load instead of dropping the
+// buffered layers.
+func TestRestoreRejectsLegacyCorrelateBlob(t *testing.T) {
+	r := newChaosRig(t)
+	ev := EventTuple{Job: "j", Specimen: DefaultSpecimen, Layer: 1, KV: map[string]any{"score": 10.0}}
+	legacy := gobBlob(t, []legacyCorrelateBuf{{Job: "j", Specimen: DefaultSpecimen, Layers: map[int][]EventTuple{1: {ev}}}})
+	cut := &ckptEpoch{
+		epoch: 1,
+		snap:  &stream.QuerySnapshot{Ops: map[string][]byte{"cor": legacy}, Positions: map[string]uint64{"raw": 0}},
+		sinks: map[string]uint64{},
+	}
+	if _, err := writeCheckpoint(r.mgr.Store(), "chaos", cut); err != nil {
+		t.Fatal(err)
+	}
+	_, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour))
+	if !errors.Is(err, ErrCheckpointRestore) || !strings.Contains(err.Error(), `restore operator "cor"`) {
+		t.Fatalf("Deploy over a legacy correlate blob: err = %v, want ErrCheckpointRestore from operator \"cor\"", err)
 	}
 }

@@ -70,15 +70,17 @@ func decodeBatch(body []byte, apply func(kind byte, key, value []byte)) error {
 		}
 		kind := body[pos]
 		pos++
+		// Lengths compare as uint64 against the bytes left: int(len) wraps
+		// negative for a length of 2^63 or more.
 		klen, n := binary.Uvarint(body[pos:])
-		if n <= 0 || pos+n+int(klen) > len(body) {
+		if n <= 0 || klen > uint64(len(body)-pos-n) {
 			return fmt.Errorf("%w: bad batch key", ErrCorrupt)
 		}
 		pos += n
 		key := body[pos : pos+int(klen)]
 		pos += int(klen)
 		vlen, n := binary.Uvarint(body[pos:])
-		if n <= 0 || pos+n+int(vlen) > len(body) {
+		if n <= 0 || vlen > uint64(len(body)-pos-n) {
 			return fmt.Errorf("%w: bad batch value", ErrCorrupt)
 		}
 		pos += n

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -114,4 +115,61 @@ func TestDecodeBatchCorruption(t *testing.T) {
 			t.Errorf("case %d: decodeBatch accepted corrupt input", i)
 		}
 	}
+}
+
+// TestDecodeBatchHugeLength: a key or value length of 2^63 or more must be
+// rejected as corrupt, not wrap negative past the bounds check.
+func TestDecodeBatchHugeLength(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<63)
+	for name, body := range map[string][]byte{
+		"key":   append([]byte{1, walPut}, append(huge, 'k')...),
+		"value": append([]byte{1, walPut, 1, 'k'}, append(huge, 'v')...),
+	} {
+		err := decodeBatch(body, func(byte, []byte, []byte) {})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s length 1<<63: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// walPayload encodes one WAL record payload, as wal.append does.
+func walPayload(kind byte, key, value []byte) []byte {
+	b := binary.AppendUvarint([]byte{kind}, uint64(len(key)))
+	return append(append(b, key...), value...)
+}
+
+// FuzzDecodeWALRecord: a record payload either fails with ErrCorrupt or
+// decodes to operations that, re-encoded as a batch record, decode to the
+// same operations. No payload panics.
+func FuzzDecodeWALRecord(f *testing.F) {
+	var b Batch
+	b.Put([]byte("k1"), []byte("v1"))
+	b.Delete([]byte("k2"))
+	b.Put([]byte("k3"), nil)
+	f.Add(walPayload(walBatch, nil, b.marshal()))
+	f.Add(walPayload(walPut, []byte("key"), []byte("value")))
+	f.Add(walPayload(walDelete, []byte("key"), nil))
+	f.Add([]byte{walBatch, 0, 1, walPut, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Add([]byte{walBatch, 0, 1, walPut, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var got Batch
+		collect := func(into *Batch) func(byte, []byte, []byte) {
+			return func(kind byte, key, value []byte) {
+				into.ops = append(into.ops, batchOp{kind: kind, key: key, value: value})
+			}
+		}
+		if err := decodeRecord(payload, collect(&got)); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected with %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		var again Batch
+		if err := decodeRecord(walPayload(walBatch, nil, got.marshal()), collect(&again)); err != nil {
+			t.Fatalf("re-encoded operations do not decode: %v", err)
+		}
+		if fmt.Sprint(again.ops) != fmt.Sprint(got.ops) {
+			t.Fatalf("re-encoded operations decode to %v, want %v", again.ops, got.ops)
+		}
+	})
 }

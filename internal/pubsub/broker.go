@@ -125,8 +125,16 @@ type Subscription struct {
 func (s *Subscription) Pattern() string { return s.pattern }
 
 // Dropped returns how many messages this subscription discarded due to its
-// overflow policy.
+// overflow policy, or because a server could not forward them on the wire.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
+
+// discard drops msg for this subscription: the reference it holds on msg's
+// frame ends, and the drop is counted.
+func (s *Subscription) discard(msg Message) {
+	msg.frame.release()
+	s.dropped.Add(1)
+	s.broker.droppedTotal.Add(1)
+}
 
 // Unsubscribe detaches the subscription from the broker and closes C.
 // Unsubscribing twice is a no-op.
@@ -155,9 +163,7 @@ func (s *Subscription) deliver(msg Message) bool {
 			default:
 				select {
 				case old := <-s.ch:
-					old.frame.release()
-					s.dropped.Add(1)
-					s.broker.droppedTotal.Add(1)
+					s.discard(old)
 				default:
 				}
 			}
@@ -167,9 +173,7 @@ func (s *Subscription) deliver(msg Message) bool {
 		case s.ch <- msg:
 			return true
 		default:
-			msg.frame.release()
-			s.dropped.Add(1)
-			s.broker.droppedTotal.Add(1)
+			s.discard(msg)
 			return true
 		}
 	default: // Block

@@ -77,7 +77,7 @@ func (b *Broker) Collect(w *telemetry.Writer) {
 	w.Counter("strata_pubsub_published_total",
 		"Messages published to the broker.", float64(st.Published))
 	w.Counter("strata_pubsub_dropped_total",
-		"Messages discarded by subscription overflow policies.",
+		"Messages discarded by subscription overflow policies or too large to forward.",
 		float64(b.droppedTotal.Load()))
 	w.Gauge("strata_pubsub_subscriptions",
 		"Live subscriptions.", float64(st.Subscriptions))

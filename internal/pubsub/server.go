@@ -247,6 +247,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			go func(sid uint64, sub *Subscription) {
 				defer fwdWG.Done()
 				for msg := range sub.C {
+					// A delivery too large for the wire (an in-process
+					// publish: TCP publishes are checked on arrival) is
+					// dropped for this subscriber, which stays subscribed.
+					if checkPublishSize(&msg) != nil {
+						sub.discard(msg)
+						continue
+					}
 					// Traced messages ride opMsgT so the subscriber's
 					// process can continue the span. Both variants go
 					// through the zero-allocation frame path.

@@ -380,3 +380,30 @@ func TestOversizeDeliverKeepsSubscriber(t *testing.T) {
 		t.Fatalf("got %d bytes, want the small publish", len(m.Data))
 	}
 }
+
+// TestOversizeInProcessPublishKeepsTCPSubscriber: an in-process publish
+// whose deliver frame exceeds maxFrameSize cannot be forwarded. The server
+// drops that one delivery and keeps the TCP subscription.
+func TestOversizeInProcessPublishKeepsTCPSubscriber(t *testing.T) {
+	b, srv := startTestServer(t)
+	subC := dialTest(t, srv)
+	sub, err := subC.Subscribe("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := subC.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish("big", make([]byte, maxFrameSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Publish("big", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, sub.C); string(m.Data) != "small" {
+		t.Fatalf("got %d bytes, want the small publish", len(m.Data))
+	}
+	if !b.HasSubscriber("big") {
+		t.Fatal("the oversize delivery dropped the TCP subscription")
+	}
+}

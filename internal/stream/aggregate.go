@@ -1,206 +1,174 @@
 package stream
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 )
 
-// WindowSpec describes the time windows of an Aggregate operator, in the
-// same units as Timestamped.EventTime (microseconds). For each group-by key,
-// windows cover the periods [l*Advance, l*Advance+Size) for integer l, as in
-// the paper's Aggregate definition.
-//
-// Slack is an optional out-of-order tolerance: a window is flushed only when
-// the observed event time passes its end by at least Slack. Use it after
-// Merge, whose output interleaves parallel branches in arrival order.
-type WindowSpec struct {
-	Size    int64
-	Advance int64
-	Slack   int64
-}
+// PaneFunc assigns a tuple to its pane and reports whether the tuple is
+// punctuation that closes the pane rather than data that belongs in it.
+// Panes are numbered from 1.
+type PaneFunc[In any] func(In) (pane int, closes bool)
 
-// Tumbling returns a WindowSpec for non-overlapping windows of the given
-// size.
-func Tumbling(size int64) WindowSpec { return WindowSpec{Size: size, Advance: size} }
-
-// Window is the unit handed to an AggregateFunc: all tuples of one group-by
-// key falling in [Start, End), in arrival order.
+// Window is the unit handed to an AggregateFunc: for one key, every tuple of
+// the panes (Pane-l, Pane] in pane order, each pane's tuples in arrival
+// order. Close is the punctuation that closed Pane, or the zero In when the
+// end of the stream closed it. Tuples is the operator's reused buffer and
+// is valid only during the call: an AggregateFunc copies what it keeps.
 type Window[K comparable, In any] struct {
 	Key    K
-	Start  int64
-	End    int64
+	Pane   int
+	Close  In
 	Tuples []In
 }
 
 // AggregateFunc turns one closed window into zero or more output tuples.
-// The Tuples slice is owned by the callee after the call; the engine does
-// not reuse it.
 type AggregateFunc[K comparable, In, Out any] func(w Window[K, In], emit Emit[Out]) error
 
 // KeyFunc extracts the group-by key of a tuple.
 type KeyFunc[In any, K comparable] func(In) K
 
-// Aggregate registers a keyed, windowed stateful operator. Input event times
-// must be non-decreasing (up to spec.Slack); tuples arriving after their
-// window has been flushed are dropped and counted on the operator's stats as
-// consumed-but-not-produced.
-//
-// Windows are flushed in (end time, creation order) order, both as event
-// time advances and at end-of-stream.
-func Aggregate[In Timestamped, K comparable, Out any](
+// Aggregate registers a keyed count window over panes, the paper's
+// Aggregate: per key, each tuple is stored once in its pane, and the
+// punctuation closing pane p runs agg over the last l panes (p-l, p]. The
+// panes no later window reaches are then evicted. Punctuation at or below
+// the key's last closed pane is a duplicate and is ignored; a tuple for a
+// pane already evicted is kept only until the key's next close. At end of
+// stream, each key whose highest buffered pane is past its last closed one
+// closes that pane, keys in first-seen order.
+func Aggregate[In any, K comparable, Out any](
 	q *Query,
 	name string,
 	in *Stream[In],
-	spec WindowSpec,
+	l int,
 	key KeyFunc[In, K],
+	pane PaneFunc[In],
 	agg AggregateFunc[K, In, Out],
 	opts ...OpOption,
 ) *Stream[Out] {
-	if key == nil || agg == nil {
+	if key == nil || pane == nil || agg == nil {
 		q.recordErr(ErrNilUDF)
 		return Process[In, Out](q, name, in, nil, nil, nil, opts...)
 	}
-	if spec.Size <= 0 || spec.Advance <= 0 {
-		q.recordErr(fmt.Errorf("%w (size=%d advance=%d)", ErrBadWindow, spec.Size, spec.Advance))
+	if l < 1 {
+		q.recordErr(fmt.Errorf("%w (l=%d)", ErrBadWindow, l))
 		return Process[In, Out](q, name, in, nil, nil, nil, opts...)
 	}
 	a := &aggregateOp[In, K, Out]{
-		name: name, spec: spec, key: key, agg: agg,
-		open: make(map[winKey[K]]*winState[In]),
+		name: name, l: l, key: key, pane: pane, agg: agg,
+		index: make(map[K]*keyPanes[K, In]),
 	}
 	return Process(q, name, in, a.ingest, a.flushAll, a, opts...)
 }
 
-type winKey[K comparable] struct {
-	key   K
-	start int64
+// paneBuf is one buffered pane.
+type paneBuf[In any] struct {
+	Pane   int
+	Tuples []In
 }
 
-type winState[In any] struct {
-	end    int64
-	seq    int64 // creation order, tiebreak for deterministic flushing
-	tuples []In
-	closed bool
+// keyPanes is one key's window state: the last pane punctuation closed and
+// the buffered panes in ascending order. It and paneBuf export their fields
+// because the operator's snapshot encodes them as they are.
+type keyPanes[K comparable, In any] struct {
+	Key        K
+	LastClosed int
+	Panes      []paneBuf[In]
 }
 
 // aggregateOp is the window state of one Aggregate operator: the fn, onEnd
 // and state of its Process.
-type aggregateOp[In Timestamped, K comparable, Out any] struct {
+type aggregateOp[In any, K comparable, Out any] struct {
 	name string
-	spec WindowSpec
+	l    int
 	key  KeyFunc[In, K]
+	pane PaneFunc[In]
 	agg  AggregateFunc[K, In, Out]
 
-	open    map[winKey[K]]*winState[In]
-	pending winHeap[K]
-	nextSeq int64
-	maxTS   int64
-	sawAny  bool
+	// keys lists every key seen in first-seen order, which makes the
+	// end-of-stream flush and the snapshot deterministic; index finds a
+	// key's entry.
+	keys  []*keyPanes[K, In]
+	index map[K]*keyPanes[K, In]
+	// window is the buffer every Window's Tuples reuses. It is empty
+	// between calls, so a snapshot leaves it out.
+	window []In
 }
 
-func (a *aggregateOp[In, K, Out]) ingest(v In, emitFn Emit[Out]) error {
-	ts := v.EventTime()
-	if !a.sawAny || ts > a.maxTS {
-		a.maxTS = ts
-		a.sawAny = true
-	}
+func (a *aggregateOp[In, K, Out]) ingest(v In, emit Emit[Out]) error {
 	k := a.key(v)
-	// Assign v to every window [l*Advance, l*Advance+Size) containing ts.
-	lMin := floorDiv(ts-a.spec.Size, a.spec.Advance) + 1
-	lMax := floorDiv(ts, a.spec.Advance)
-	for l := lMin; l <= lMax; l++ {
-		start := l * a.spec.Advance
-		end := start + a.spec.Size
-		if end+a.spec.Slack <= a.maxTS {
-			// The window was (or would already have been) flushed:
-			// the tuple is late beyond the slack. Drop it for this
-			// window.
-			continue
-		}
-		wk := winKey[K]{key: k, start: start}
-		st, ok := a.open[wk]
-		if !ok {
-			st = &winState[In]{end: end, seq: a.nextSeq}
-			a.nextSeq++
-			a.open[wk] = st
-			heap.Push(&a.pending, winRef[K]{key: wk, end: end, seq: st.seq})
-		}
-		st.tuples = append(st.tuples, v)
+	ks := a.index[k]
+	if ks == nil {
+		ks = &keyPanes[K, In]{Key: k}
+		a.index[k] = ks
+		a.keys = append(a.keys, ks)
 	}
-	return a.flushReady(emitFn)
-}
-
-// flushReady closes every window whose end (plus slack) has been passed by
-// the observed event time.
-func (a *aggregateOp[In, K, Out]) flushReady(emitFn Emit[Out]) error {
-	for a.pending.Len() > 0 {
-		top := a.pending[0]
-		if top.end+a.spec.Slack > a.maxTS {
-			return nil
-		}
-		heap.Pop(&a.pending)
-		if err := a.closeWindow(top.key, emitFn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushAll closes every remaining window at end-of-stream, in (end, seq)
-// order.
-func (a *aggregateOp[In, K, Out]) flushAll(emitFn Emit[Out]) error {
-	for a.pending.Len() > 0 {
-		top := heap.Pop(&a.pending).(winRef[K])
-		if err := a.closeWindow(top.key, emitFn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *aggregateOp[In, K, Out]) closeWindow(wk winKey[K], emitFn Emit[Out]) error {
-	st, ok := a.open[wk]
-	if !ok || st.closed {
+	p, closes := a.pane(v)
+	if !closes {
+		ks.add(p, v)
 		return nil
 	}
-	st.closed = true
-	delete(a.open, wk)
-	w := Window[K, In]{Key: wk.key, Start: wk.start, End: st.end, Tuples: st.tuples}
-	return a.agg(w, emitFn)
-}
-
-// winRef is a heap entry pointing at an open window.
-type winRef[K comparable] struct {
-	key winKey[K]
-	end int64
-	seq int64
-}
-
-type winHeap[K comparable] []winRef[K]
-
-func (h winHeap[K]) Len() int { return len(h) }
-func (h winHeap[K]) Less(i, j int) bool {
-	if h[i].end != h[j].end {
-		return h[i].end < h[j].end
+	if p <= ks.LastClosed {
+		return nil
 	}
-	return h[i].seq < h[j].seq
-}
-func (h winHeap[K]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *winHeap[K]) Push(x any)   { *h = append(*h, x.(winRef[K])) }
-func (h *winHeap[K]) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+	return a.close(ks, p, v, emit)
 }
 
-// floorDiv returns floor(a/b) for positive b, correct for negative a (Go's
-// integer division truncates toward zero).
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
+// flushAll closes, at end of stream, each key's highest buffered pane that
+// no punctuation closed.
+func (a *aggregateOp[In, K, Out]) flushAll(emit Emit[Out]) error {
+	var none In
+	for _, ks := range a.keys {
+		if n := len(ks.Panes); n > 0 && ks.Panes[n-1].Pane > ks.LastClosed {
+			if err := a.close(ks, ks.Panes[n-1].Pane, none, emit); err != nil {
+				return err
+			}
+		}
 	}
-	return q
+	return nil
+}
+
+// close runs agg over the window that c closes at pane p, after evicting
+// the panes no later window reaches.
+func (a *aggregateOp[In, K, Out]) close(ks *keyPanes[K, In], p int, c In, emit Emit[Out]) error {
+	ks.LastClosed = p
+	// LastClosed only grows from 0, so p >= 1 and first cannot overflow.
+	first := p - a.l + 1
+	w := a.window[:0]
+	for _, pb := range ks.Panes {
+		if pb.Pane >= first && pb.Pane <= p {
+			w = append(w, pb.Tuples...)
+		}
+	}
+	ks.evict(first)
+	err := a.agg(Window[K, In]{Key: ks.Key, Pane: p, Close: c, Tuples: w}, emit)
+	// Drop the copies' references so evicted tuples can be collected.
+	clear(w)
+	a.window = w[:0]
+	return err
+}
+
+// add stores v in pane p. A tuple almost always belongs to the newest pane,
+// so the search runs from the end.
+func (ks *keyPanes[K, In]) add(p int, v In) {
+	i := len(ks.Panes)
+	for i > 0 && ks.Panes[i-1].Pane > p {
+		i--
+	}
+	if i > 0 && ks.Panes[i-1].Pane == p {
+		ks.Panes[i-1].Tuples = append(ks.Panes[i-1].Tuples, v)
+		return
+	}
+	ks.Panes = slices.Insert(ks.Panes, i, paneBuf[In]{Pane: p, Tuples: []In{v}})
+}
+
+// evict drops the panes at or below first: the next window starts above it.
+func (ks *keyPanes[K, In]) evict(first int) {
+	i := 0
+	for i < len(ks.Panes) && ks.Panes[i].Pane <= first {
+		i++
+	}
+	n := copy(ks.Panes, ks.Panes[i:])
+	clear(ks.Panes[n:])
+	ks.Panes = ks.Panes[:n]
 }

@@ -62,17 +62,20 @@ func BenchmarkPipelineDepth(b *testing.B) {
 	}
 }
 
-func BenchmarkAggregateTumbling(b *testing.B) {
+func BenchmarkAggregatePanes(b *testing.B) {
 	const tuples = 100000
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := NewQuery("bench", WithQueryBuffer(1024))
 		src := AddSource(q, "src", benchSource(tuples))
-		agg := Aggregate(q, "agg", src, Tumbling(100),
+		// 16 keys over panes of 100 tuples, each pane closed by its last
+		// tuple, in windows of 4 panes.
+		agg := Aggregate(q, "agg", src, 4,
 			func(v At[int]) int { return v.Val % 16 },
-			Count[int, At[int]]())
-		AddSink(q, "sink", agg, Discard[WindowValue[int, int]]())
+			func(v At[int]) (int, bool) { return int(v.TS/100) + 1, v.TS%100 >= 84 },
+			func(w Window[int, At[int]], emit Emit[int]) error { return emit(len(w.Tuples)) })
+		AddSink(q, "sink", agg, Discard[int]())
 		if err := q.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}

@@ -24,12 +24,16 @@ func diffInput(seed int64, n int) []keyed {
 
 func keyOf(v keyed) string { return v.key }
 
+// keyedPane puts a keyed tuple in pane ts/8+1; a tuple whose val is a
+// multiple of 5 is instead the punctuation that closes that pane.
+func keyedPane(v keyed) (int, bool) { return int(v.ts/8) + 1, v.val%5 == 0 }
+
 func winString(w Window[string, keyed], emit Emit[string]) error {
 	sum := 0
 	for _, v := range w.Tuples {
 		sum += v.val
 	}
-	return emit(fmt.Sprintf("%s@[%d,%d)=%d/%d", w.Key, w.Start, w.End, sum, len(w.Tuples)))
+	return emit(fmt.Sprintf("%s@%d/%d=%d/%d", w.Key, w.Pane, w.Close.ts, sum, len(w.Tuples)))
 }
 
 // TestBatchDifferential runs every kept operator on the same seeded random
@@ -96,11 +100,11 @@ func TestBatchDifferential(t *testing.T) {
 		}},
 		{name: "aggregate-tumbling", build: func(q *Query) []*Stream[string] {
 			src := AddSource(q, "src", FromSlice(items))
-			return []*Stream[string]{Aggregate(q, "agg", src, Tumbling(16), keyOf, winString)}
+			return []*Stream[string]{Aggregate(q, "agg", src, 1, keyOf, keyedPane, winString)}
 		}},
 		{name: "aggregate-sliding", build: func(q *Query) []*Stream[string] {
 			src := AddSource(q, "src", FromSlice(items))
-			return []*Stream[string]{Aggregate(q, "agg", src, WindowSpec{Size: 24, Advance: 8}, keyOf, winString)}
+			return []*Stream[string]{Aggregate(q, "agg", src, 3, keyOf, keyedPane, winString)}
 		}},
 		{name: "join", unordered: true, build: func(q *Query) []*Stream[string] {
 			ls := AddSource(q, "left", FromSlice(left))

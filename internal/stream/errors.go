@@ -23,9 +23,9 @@ var (
 	// as the input of an operator added to a different query.
 	ErrCrossQuery = errors.New("stream: stream belongs to a different query")
 
-	// ErrBadWindow is recorded when a window specification has
-	// a non-positive size or advance.
-	ErrBadWindow = errors.New("stream: window size and advance must be positive")
+	// ErrBadWindow is recorded for an Aggregate over fewer than one pane
+	// or a Join with a negative window.
+	ErrBadWindow = errors.New("stream: window size out of range")
 
 	// ErrQueryFinished is returned by Run when the query has already
 	// completed a run. Queries are one-shot: channels are closed on drain,

@@ -52,8 +52,9 @@ func TestPanickingUDFFailsQueryCleanly(t *testing.T) {
 		}},
 		{"aggregate", func(q *Query) {
 			src := AddSource(q, "src", FromSlice([]At[int]{{TS: 1, Val: 1}, {TS: 100, Val: 2}}))
-			a := Aggregate(q, "boom", src, Tumbling(10),
+			a := Aggregate(q, "boom", src, 1,
 				func(At[int]) int { return 0 },
+				func(v At[int]) (int, bool) { return 1, v.TS > 1 },
 				func(w Window[int, At[int]], emit Emit[int]) error { panic("udf exploded") })
 			AddSink(q, "sink", a, Discard[int]())
 		}},

@@ -20,8 +20,8 @@ type EndFunc[Out any] func(emit Emit[Out]) error
 // stores its Snapshot blob under the operator's name, and RestoreCheckpoint
 // hands that blob back to its Restore. It must cover everything fn and
 // onEnd keep across tuples; an operator whose fn keeps state with a nil
-// state loses that state on recovery. STRATA's correlateEvents is a Process
-// whose state is its layer buffers.
+// state loses that state on recovery. An Aggregate is a Process whose state
+// is its panes; STRATA's correlateEvents is an Aggregate.
 func Process[In, Out any](
 	q *Query,
 	name string,

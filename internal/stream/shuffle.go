@@ -158,8 +158,8 @@ func (f *fanoutOp[T]) run(ctx context.Context) (err error) {
 }
 
 // Merge registers an n→1 union that forwards tuples in arrival order. The
-// output's event times are NOT globally ordered across branches; feed it to
-// an Aggregate with a Slack allowance when windows need them in order.
+// output's event times are NOT globally ordered across branches; an
+// Aggregate downstream needs none, since punctuation closes its panes.
 func Merge[T any](q *Query, name string, ins []*Stream[T], opts ...OpOption) *Stream[T] {
 	o := applyOpts(opts)
 	out := newStream[T](q, name, o.buffer)

@@ -76,7 +76,7 @@ func joinFuzzBuild(q *Query) {
 
 // FuzzAggregateRestore: arbitrary bytes either fail to restore an aggregate,
 // leaving it as it was, or restore a state that snapshots and restores
-// again. The seeds are a real snapshot with open windows and its damaged
+// again. The seeds are a real snapshot with open panes and its damaged
 // copies.
 func FuzzAggregateRestore(f *testing.F) {
 	qa := NewQuery("seed")
@@ -86,14 +86,16 @@ func FuzzAggregateRestore(f *testing.F) {
 	for _, b := range blobVariants(checkpointParked(f, qa, fed).Ops["sum"]) {
 		f.Add(b)
 	}
-	// Windows the operator could not have written: twice the same, one of
-	// the wrong size, one numbered past NextSeq.
-	for _, s := range []aggSnap[string, keyed]{
-		{Open: []aggWinSnap[string, keyed]{{Key: "a", Start: 0, End: 10}, {Key: "a", Start: 0, End: 10, Seq: 1}}, NextSeq: 2},
-		{Open: []aggWinSnap[string, keyed]{{Key: "a", Start: 0, End: 3}}, NextSeq: 1},
-		{Open: []aggWinSnap[string, keyed]{{Key: "a", Start: 0, End: 10, Seq: 5}}, NextSeq: 1},
+	// Blobs the operator could not have written: a key twice, a pane twice,
+	// panes out of order, a key closed below pane 0.
+	pane := func(p int) paneBuf[keyed] { return paneBuf[keyed]{Pane: p, Tuples: []keyed{{ts: 1, key: "a", val: 1}}} }
+	for _, keys := range [][]*keyPanes[string, keyed]{
+		{{Key: "a"}, {Key: "a", LastClosed: 1}},
+		{{Key: "a", LastClosed: -1, Panes: []paneBuf[keyed]{pane(-5)}}},
+		{{Key: "a", Panes: []paneBuf[keyed]{pane(2), pane(2)}}},
+		{{Key: "a", Panes: []paneBuf[keyed]{pane(3), pane(2)}}},
 	} {
-		b, err := gobEncode(s)
+		b, err := gobEncode(aggSnap[string, keyed]{Keys: keys})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -1,75 +1,50 @@
 package stream
 
-import (
-	"container/heap"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the Snapshotter contract for the built-in stateful
-// operators. Each operator serializes into a gob mirror struct with exported
-// fields; auxiliary structures (the aggregate's pending heap) are rebuilt
-// from the primary state on restore rather than serialized, so the blob
-// carries no redundancy that could drift.
+// operators. Each operator serializes into gob structs with exported
+// fields, and Restore rejects a blob the operator could not have written,
+// leaving the operator as it was.
 //
 // Snapshot runs only at a quiescent point (see quiesce.go) and Restore only
 // before Run, so neither needs locking.
 
 // --- Aggregate -------------------------------------------------------------
 
-type aggWinSnap[K comparable, In any] struct {
-	Key    K
-	Start  int64
-	End    int64
-	Seq    int64
-	Tuples []In
-}
-
+// aggSnap is an Aggregate's blob: its keys in first-seen order, each with
+// its last closed pane and its panes. The list is wrapped in a struct so
+// that a blob whose top level is a bare list fails to decode instead of
+// restoring empty windows.
 type aggSnap[K comparable, In any] struct {
-	Open    []aggWinSnap[K, In]
-	NextSeq int64
-	MaxTS   int64
-	SawAny  bool
+	Keys []*keyPanes[K, In]
 }
 
 func (a *aggregateOp[In, K, Out]) Snapshot() ([]byte, error) {
-	s := aggSnap[K, In]{NextSeq: a.nextSeq, MaxTS: a.maxTS, SawAny: a.sawAny}
-	for wk, st := range a.open {
-		s.Open = append(s.Open, aggWinSnap[K, In]{
-			Key: wk.key, Start: wk.start, End: st.end, Seq: st.seq, Tuples: st.tuples,
-		})
-	}
-	// Deterministic blob bytes (map iteration order is random).
-	sort.Slice(s.Open, func(i, j int) bool { return s.Open[i].Seq < s.Open[j].Seq })
-	return gobEncode(s)
+	return gobEncode(aggSnap[K, In]{Keys: a.keys})
 }
 
-// Restore rejects a blob this operator could not have written — a window
-// twice, a window not of its spec's size, a window numbered at or past
-// NextSeq — and leaves the operator as it was.
+// Restore rejects a blob that holds a key twice, closes a key below pane 0,
+// or lists a key's panes out of strictly ascending order (a pane twice
+// among them).
 func (a *aggregateOp[In, K, Out]) Restore(b []byte) error {
 	var s aggSnap[K, In]
 	if err := gobDecode(b, &s); err != nil {
 		return err
 	}
-	open := make(map[winKey[K]]*winState[In], len(s.Open))
-	var pending winHeap[K]
-	for _, w := range s.Open {
-		wk := winKey[K]{key: w.Key, start: w.Start}
-		if _, dup := open[wk]; dup || w.End != w.Start+a.spec.Size || w.Seq < 0 || w.Seq >= s.NextSeq {
-			return fmt.Errorf("aggregate %q: bad snapshot window [%d,%d) seq %d of %d",
-				a.name, w.Start, w.End, w.Seq, s.NextSeq)
+	index := make(map[K]*keyPanes[K, In], len(s.Keys))
+	for _, ks := range s.Keys {
+		if _, dup := index[ks.Key]; dup || ks.LastClosed < 0 {
+			return fmt.Errorf("aggregate %q: snapshot holds key %v twice or closed at pane %d", a.name, ks.Key, ks.LastClosed)
 		}
-		open[wk] = &winState[In]{end: w.End, seq: w.Seq, tuples: w.Tuples}
-		// The pending heap mirrors the open set exactly at quiescence (a
-		// window is popped from the heap at the moment it closes), so it is
-		// rebuilt rather than serialized.
-		heap.Push(&pending, winRef[K]{key: wk, end: w.End, seq: w.Seq})
+		for i := 1; i < len(ks.Panes); i++ {
+			if ks.Panes[i].Pane <= ks.Panes[i-1].Pane {
+				return fmt.Errorf("aggregate %q: snapshot panes of key %v out of order at pane %d", a.name, ks.Key, ks.Panes[i].Pane)
+			}
+		}
+		index[ks.Key] = ks
 	}
-	a.open, a.pending = open, pending
-	a.nextSeq = s.NextSeq
-	a.maxTS = s.MaxTS
-	a.sawAny = s.SawAny
+	a.keys, a.index, a.window = s.Keys, index, nil
 	return nil
 }
 

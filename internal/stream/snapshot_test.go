@@ -105,18 +105,11 @@ func runSplit[Out any](t *testing.T, items []keyed, k int, build func(q *Query, 
 	return *gotA, *gotB
 }
 
-// sumBuild is the canonical stateful pipeline: sliding-window sums with
-// slack, so open windows (the snapshotted state) span several input tuples.
+// sumBuild is the canonical stateful pipeline: per-key sums over the last
+// three panes, so open panes (the snapshotted state) span several input
+// tuples.
 func sumBuild(q *Query, src *Stream[keyed]) *[]string {
-	agg := Aggregate(q, "sum", src, WindowSpec{Size: 10, Advance: 5, Slack: 3},
-		func(v keyed) string { return v.key },
-		func(w Window[string, keyed], emit Emit[string]) error {
-			sum := 0
-			for _, v := range w.Tuples {
-				sum += v.val
-			}
-			return emit(fmt.Sprintf("%s@[%d,%d)=%d", w.Key, w.Start, w.End, sum))
-		})
+	agg := Aggregate(q, "sum", src, 3, keyOf, keyedPane, winString)
 	got := new([]string)
 	AddSink(q, "sink", agg, ToSlice(got))
 	return got
@@ -309,10 +302,14 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	q.EnableSnapshots()
 	src := AddPositionedSource(q, "src", 0, feedFrom(items, 0))
 	var got []string
-	agg := Aggregate(q, "sum", src, Tumbling(100),
-		func(v keyed) string { return v.key },
+	// Panes of 100 tuples, each closed by its last tuple.
+	agg := Aggregate(q, "sum", src, 1, keyOf,
+		func(v keyed) (int, bool) { return int(v.ts/100) + 1, v.ts%100 == 99 },
 		func(w Window[string, keyed], emit Emit[string]) error {
-			return emit(fmt.Sprintf("[%d,%d)=%d", w.Start, w.End, len(w.Tuples)))
+			if len(w.Tuples) != 99 {
+				return fmt.Errorf("pane %d holds %d tuples, want 99", w.Pane, len(w.Tuples))
+			}
+			return emit(fmt.Sprintf("%d=%d", w.Pane, len(w.Tuples)))
 		})
 	AddSink(q, "sink", agg, ToSlice(&got))
 

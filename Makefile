@@ -70,6 +70,7 @@ fuzz:
 	$(fuzz_run) '^FuzzRecover$$' ./internal/seglog
 	$(fuzz_run) '^FuzzClientConn$$' ./internal/pubsub
 	$(fuzz_run) '^FuzzServeConn$$' ./internal/pubsub
+	$(fuzz_run) '^FuzzRemoteLogDecode$$' ./internal/pubsub
 	$(fuzz_run) '^FuzzParseTraceparent$$' ./internal/telemetry
 	$(fuzz_run) '^FuzzUnmarshal$$' ./internal/otimage
 	$(fuzz_run) '^FuzzAggregateRestore$$' ./internal/stream

@@ -114,7 +114,7 @@ func BenchmarkReceiveDecode8MiB(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	subC, err := pubsub.Dial(srv.Addr())
+	subC, err := pubsub.DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkReceiveDecode8MiB(b *testing.B) {
 	if err := subC.Ping(5 * time.Second); err != nil {
 		b.Fatal(err)
 	}
-	pubC, err := pubsub.Dial(srv.Addr())
+	pubC, err := pubsub.DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

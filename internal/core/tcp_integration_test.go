@@ -44,9 +44,9 @@ func TestPipelineAcrossTCP(t *testing.T) {
 	go func() { analysisErr <- analysis.Run(ctx) }()
 	time.Sleep(50 * time.Millisecond) // let the tap subscribe
 
-	// Machine host: a plain TCP client publishing encoded tuples (what a
+	// Machine host: a TCP client publishing encoded tuples (what a
 	// collector process on the machine's controller would do).
-	machine, err := pubsub.Dial(srv.Addr())
+	machine, err := pubsub.DialReconnect(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -368,8 +368,8 @@ func TestE2ECorruptWireThenRedial(t *testing.T) {
 	r.verifyDone(90 * time.Second)
 }
 
-// TestE2ESlowConsumerEviction wedges an unrelated subscriber (a direct TCP
-// client that never reads) and floods its subject until the broker's
+// TestE2ESlowConsumerEviction wedges an unrelated subscriber (a client whose
+// subscription is never read) and floods its subject until the broker's
 // slow-consumer timeout evicts it, then proves the worker's replay was
 // untouched by the overload response.
 func TestE2ESlowConsumerEviction(t *testing.T) {
@@ -377,17 +377,18 @@ func TestE2ESlowConsumerEviction(t *testing.T) {
 	r.append(1, 20)
 	r.startWorker()
 
-	wedged, err := pubsub.Dial(r.brokerAddr)
+	wedged, err := pubsub.DialReconnect(r.brokerAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wedged.Close()
-	// Tiny client buffer, never read: TCP back-pressure propagates to the
-	// broker's forwarding goroutine, which stalls past the eviction timeout.
+	// Tiny client buffer, never read: the client's read loop parks on it, and
+	// TCP back-pressure propagates to the broker's forwarding goroutine,
+	// which stalls past the eviction timeout.
 	if _, err := wedged.Subscribe("strata.e2e.flood", pubsub.WithSubBuffer(1)); err != nil {
 		t.Fatal(err)
 	}
-	flooder, err := pubsub.Dial(r.brokerAddr)
+	flooder, err := pubsub.DialReconnect(r.brokerAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"strata/internal/obslog"
+	"strata/internal/seglog"
 )
 
 // compactLocked merges every SSTable into a single new table. Within the
@@ -99,6 +100,9 @@ func (db *DB) compactLocked() error {
 			return fmt.Errorf("kvstore: remove old sstable: %w", err)
 		}
 		db.cache.dropTable(t.num)
+	}
+	if err := seglog.SyncDir(db.dir); err != nil {
+		return fmt.Errorf("kvstore: sync dir: %w", err)
 	}
 	db.compactions++
 	db.compactionSeconds.ObserveDuration(time.Since(start))

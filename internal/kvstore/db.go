@@ -20,6 +20,8 @@ const (
 	walFileName   = "wal.log"
 	sstFilePrefix = "sst-"
 	sstFileSuffix = ".sst"
+	// tmpSuffix marks a table still being written; Open deletes it.
+	tmpSuffix = ".tmp"
 )
 
 // options tune a DB. WithSyncWrites is the one Open option; the rest stay at
@@ -129,17 +131,29 @@ func Open(dir string, optFns ...Option) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: read dir: %w", err)
 	}
+	// A table is a file named exactly sstPath(num); a .tmp file is a table a
+	// crash cut short, and goes.
 	var nums []uint64
+	removed := false
 	for _, de := range names {
 		name := de.Name()
-		if !strings.HasPrefix(name, sstFilePrefix) || !strings.HasSuffix(name, sstFileSuffix) {
+		if strings.HasPrefix(name, sstFilePrefix) && strings.HasSuffix(name, sstFileSuffix+tmpSuffix) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("kvstore: remove partial sstable: %w", err)
+			}
+			removed = true
 			continue
 		}
 		var num uint64
-		if _, err := fmt.Sscanf(name, sstFilePrefix+"%d"+sstFileSuffix, &num); err != nil {
+		if _, err := fmt.Sscanf(name, sstFilePrefix+"%d"+sstFileSuffix, &num); err != nil || filepath.Base(db.sstPath(num)) != name {
 			continue
 		}
 		nums = append(nums, num)
+	}
+	if removed {
+		if err := seglog.SyncDir(dir); err != nil {
+			return nil, fmt.Errorf("kvstore: sync dir: %w", err)
+		}
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	for _, num := range nums {
@@ -402,6 +416,7 @@ func (db *DB) flushLocked() error {
 	db.mem = newMemtable(db.opts.seed + int64(num) + 1)
 
 	// The flushed entries are durable in the SSTable; start a fresh WAL.
+	// Creating it fsyncs the directory, which makes the removal durable too.
 	if err := db.wal.log.Close(); err != nil {
 		return err
 	}

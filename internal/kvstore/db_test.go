@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +300,59 @@ func TestRecoveryFromSSTablesAndWAL(t *testing.T) {
 	mustGet(t, db2, "k000", "overwritten-in-wal")
 	mustGet(t, db2, "k050", "flushed")
 	mustGet(t, db2, "wal-only", "yes")
+}
+
+// flushedStore leaves a closed store in a new directory holding one table.
+func flushedStore(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, db, "k", "flushed")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestOpenSkipsMisnamedTable: a file that parses as a table number but is
+// not named exactly as the store names that table is not a table.
+func TestOpenSkipsMisnamedTable(t *testing.T) {
+	dir := flushedStore(t)
+	planted := filepath.Join(dir, "sst-99.sst")
+	if err := os.WriteFile(planted, []byte("not a table"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open with a planted %s: %v", filepath.Base(planted), err)
+	}
+	defer db.Close()
+	mustGet(t, db, "k", "flushed")
+}
+
+// TestOpenRemovesPartialTable: a table a crash cut short lies under its
+// .tmp name, and Open deletes it.
+func TestOpenRemovesPartialTable(t *testing.T) {
+	dir := flushedStore(t)
+	partial := filepath.Join(dir, "sst-00000007.sst.tmp")
+	if err := os.WriteFile(partial, []byte("STRATAKV torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := os.Stat(partial); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("partial table after Open: %v, want it removed", err)
+	}
+	mustGet(t, db, "k", "flushed")
 }
 
 func TestScan(t *testing.T) {

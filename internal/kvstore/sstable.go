@@ -9,7 +9,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+
+	"strata/internal/seglog"
 )
 
 // SSTable file layout (little endian):
@@ -52,9 +55,12 @@ type indexEntry struct {
 }
 
 // writeSSTable writes entries (sorted by key, unique) to path and returns the
-// number of entries written.
+// number of entries written. The table is written and fsynced under
+// path+tmpSuffix, then renamed into place and its directory fsynced, so
+// path holds either nothing or the whole table, durably.
 func writeSSTable(path string, entries []entry) (int, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	tmp := path + tmpSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("create sstable: %w", err)
 	}
@@ -66,6 +72,12 @@ func writeSSTable(path string, entries []entry) (int, error) {
 	}
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("close sstable: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return 0, fmt.Errorf("install sstable: %w", err)
+	}
+	if err := seglog.SyncDir(filepath.Dir(path)); err != nil {
+		return 0, fmt.Errorf("sync sstable dir: %w", err)
 	}
 	return len(entries), nil
 }

@@ -40,10 +40,7 @@ func TestActiveSubscriptionsMidRestoreWindow(t *testing.T) {
 
 	// Window shape 2: a different conn installed than the one the
 	// subscription was attached to (link abandoned mid-restore).
-	other, err := Dial(h.proxy.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := dialLink(t, h.proxy.Addr(), defaultFlushInterval)
 	h.rc.mu.Lock()
 	h.rc.conn = other
 	h.rc.mu.Unlock()

@@ -37,12 +37,19 @@ func BenchmarkBrokerPublishFanOut8(b *testing.B) {
 	br := NewBroker()
 	defer br.Close()
 	var subs []*Subscription
+	var drained sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		sub, err := br.Subscribe("bench", WithSubBuffer(1024), WithOverflow(DropOldest))
+		sub, err := br.Subscribe("bench", WithSubBuffer(1024))
 		if err != nil {
 			b.Fatal(err)
 		}
 		subs = append(subs, sub)
+		drained.Add(1)
+		go func() {
+			defer drained.Done()
+			for range sub.C {
+			}
+		}()
 	}
 	data := make([]byte, 256)
 	b.ReportAllocs()
@@ -56,6 +63,7 @@ func BenchmarkBrokerPublishFanOut8(b *testing.B) {
 	for _, s := range subs {
 		s.Unsubscribe()
 	}
+	drained.Wait()
 }
 
 func BenchmarkBrokerWildcardMatch(b *testing.B) {
@@ -85,7 +93,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	}
 	defer srv.Close()
 
-	subC, err := Dial(srv.Addr())
+	subC, err := DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	if err := subC.Ping(5 * time.Second); err != nil {
 		b.Fatal(err)
 	}
-	pubC, err := Dial(srv.Addr())
+	pubC, err := DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,7 +127,8 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 // consumes them, and the run ends when the last delivery lands. interval sets
 // the write-side cork on both the server and the clients; 0 reproduces the
 // old flush-every-frame wire behavior, so corked vs uncorked quantifies the
-// flush amortization directly.
+// flush amortization directly. The clients are bare links: a ReconnectConn
+// always corks at defaultFlushInterval.
 func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int) {
 	br := NewBroker()
 	defer br.Close()
@@ -131,27 +140,15 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 	}
 	defer srv.Close()
 
-	var subs []*ClientSub
+	var subs []*subEnd
 	for i := 0; i < fanout; i++ {
-		subC, err := dial(srv.Addr(), interval)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer subC.Close()
-		sub, err := subC.Subscribe("bench", WithSubBuffer(4096))
-		if err != nil {
-			b.Fatal(err)
-		}
+		subC := dialLink(b, srv.Addr(), interval)
+		subs = append(subs, subscribeLink(b, subC, "bench", WithSubBuffer(4096)))
 		if err := subC.Ping(5 * time.Second); err != nil {
 			b.Fatal(err)
 		}
-		subs = append(subs, sub)
 	}
-	pubC, err := dial(srv.Addr(), interval)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pubC.Close()
+	pubC := dialLink(b, srv.Addr(), interval)
 
 	data := make([]byte, 256)
 	// One drainer per subscriber: draining sequentially would stall the
@@ -159,7 +156,7 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 	var drained sync.WaitGroup
 	for _, sub := range subs {
 		drained.Add(1)
-		go func(sub *ClientSub) {
+		go func(sub *subEnd) {
 			defer drained.Done()
 			for i := 0; i < b.N; i++ {
 				<-sub.C
@@ -174,7 +171,7 @@ func benchTCPPublishThroughput(b *testing.B, interval time.Duration, fanout int)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pubC.Publish("bench", data); err != nil {
+		if err := pubC.PublishMsg(Message{Subject: "bench", Data: data}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +205,7 @@ func BenchmarkTCPLargeImagePayload(b *testing.B) {
 	}
 	defer srv.Close()
 
-	subC, err := Dial(srv.Addr())
+	subC, err := DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,7 +217,7 @@ func BenchmarkTCPLargeImagePayload(b *testing.B) {
 	if err := subC.Ping(5 * time.Second); err != nil {
 		b.Fatal(err)
 	}
-	pubC, err := Dial(srv.Addr())
+	pubC, err := DialReconnect(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // backing array to every matching subscriber, so consumers must treat it as
 // read-only, and may retain it for as long as they like. An in-process
 // publisher gives its slice away with Publish/PublishMsg and must not write
-// to it afterwards. A TCP publisher (Conn, ReconnectConn) keeps its buffer:
+// to it afterwards. A TCP publisher (ReconnectConn) keeps its buffer:
 // the bytes are on the wire or copied into the pending ring when PublishMsg
 // returns, and the buffer may be reused. On the receiving side of a TCP hop
 // Data is the single copy of the hop. The client's read loop reads a
@@ -47,19 +47,19 @@ type Message struct {
 	frame *frame
 }
 
-// OverflowPolicy selects what a full subscription buffer does with new
+// overflowPolicy selects what a full subscription buffer does with new
 // messages.
-type OverflowPolicy int
+type overflowPolicy int
 
 const (
-	// Block makes Publish wait until the subscriber drains (back-pressure,
+	// block makes Publish wait until the subscriber drains (back-pressure,
 	// the default). This couples publisher progress to the slowest
-	// blocking subscriber, like a bounded in-process queue.
-	Block OverflowPolicy = iota + 1
-	// DropOldest evicts the oldest buffered message to admit the new one.
-	DropOldest
-	// DropNewest discards the incoming message.
-	DropNewest
+	// subscriber, like a bounded in-process queue; slow-consumer eviction
+	// bounds the wait (WithSlowConsumerTimeout).
+	block overflowPolicy = iota
+	// dropNewest discards the incoming message: the request inbox, which
+	// wants the first reply only.
+	dropNewest
 )
 
 // SubOption customizes a subscription.
@@ -67,13 +67,12 @@ type SubOption func(*subConfig)
 
 type subConfig struct {
 	buffer  int
-	policy  OverflowPolicy
-	queue   string
+	policy  overflowPolicy
 	forward bool
 }
 
 // WithSubBuffer sets the subscription's buffer capacity (default 256): n
-// messages on the broker and on both TCP clients, Conn and ReconnectConn.
+// messages on the broker and on a ReconnectConn.
 func WithSubBuffer(n int) SubOption {
 	return func(c *subConfig) {
 		if n > 0 {
@@ -82,16 +81,9 @@ func WithSubBuffer(n int) SubOption {
 	}
 }
 
-// WithOverflow sets the subscription's overflow policy (default Block).
-func WithOverflow(p OverflowPolicy) SubOption {
+// withOverflow sets the subscription's overflow policy (default block).
+func withOverflow(p overflowPolicy) SubOption {
 	return func(c *subConfig) { c.policy = p }
-}
-
-// WithQueue places the subscription in the named queue group: each message
-// matching the group's pattern is delivered to exactly one member,
-// round-robin. This is how several workers share a topic's load.
-func WithQueue(name string) SubOption {
-	return func(c *subConfig) { c.queue = name }
 }
 
 // forwarded marks the subscription the server makes for a TCP subscriber:
@@ -107,8 +99,7 @@ type Subscription struct {
 	C <-chan Message
 
 	pattern string
-	queue   string
-	policy  OverflowPolicy
+	policy  overflowPolicy
 	ch      chan Message
 	broker  *Broker
 	id      uint64
@@ -145,8 +136,7 @@ func (s *Subscription) Unsubscribe() {
 // deliver places msg in the subscription buffer according to the overflow
 // policy. It returns false only when the subscription is closed, or is
 // closed while blocked. A delivery that does not end in the buffer drops
-// the reference it holds on msg's frame, and so does the message DropOldest
-// evicts.
+// the reference it holds on msg's frame.
 func (s *Subscription) deliver(msg Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,20 +145,7 @@ func (s *Subscription) deliver(msg Message) bool {
 		return false
 	}
 	switch s.policy {
-	case DropOldest:
-		for {
-			select {
-			case s.ch <- msg:
-				return true
-			default:
-				select {
-				case old := <-s.ch:
-					s.discard(old)
-				default:
-				}
-			}
-		}
-	case DropNewest:
+	case dropNewest:
 		select {
 		case s.ch <- msg:
 			return true
@@ -176,12 +153,12 @@ func (s *Subscription) deliver(msg Message) bool {
 			s.discard(msg)
 			return true
 		}
-	default: // Block
+	default: // block
 		// Hold the lock while blocked: Unsubscribe during a blocked
 		// deliver would otherwise close the channel mid-send. The
 		// trade-off is that Unsubscribe waits for the send; consumers
-		// using Block are expected to drain. (Justified in DESIGN.md,
-		// "Static contracts".)
+		// are expected to drain. (Justified in DESIGN.md, "Static
+		// contracts".)
 		if s.stall > 0 {
 			timer := time.NewTimer(s.stall)
 			//lint:ignore locksend the lock is what makes close safe against this send
@@ -226,7 +203,6 @@ type Broker struct {
 	mu     sync.RWMutex
 	closed bool
 	subs   map[uint64]*Subscription
-	queues map[string]*queueGroup // key: queue name + "\x00" + pattern
 	nextID uint64
 	seq    atomic.Uint64
 
@@ -249,11 +225,11 @@ type Broker struct {
 // BrokerOption customizes a broker at construction.
 type BrokerOption func(*Broker)
 
-// WithSlowConsumerTimeout arms slow-consumer eviction: a Block-policy
-// subscriber that stalls a delivery for longer than d is force-closed (its
-// channel is closed, the subscription removed) so one wedged consumer cannot
-// hold every publisher hostage forever. Durable consumers that must not lose
-// data should read from a LogStore Cursor instead — cursors never stall the
+// WithSlowConsumerTimeout arms slow-consumer eviction: a subscriber that
+// stalls a delivery for longer than d is force-closed (its channel is
+// closed, the subscription removed) so one wedged consumer cannot hold every
+// publisher hostage forever. Durable consumers that must not lose data
+// should read from a LogStore Cursor instead — cursors never stall the
 // broker.
 func WithSlowConsumerTimeout(d time.Duration) BrokerOption {
 	return func(b *Broker) {
@@ -272,19 +248,9 @@ func WithTraceFragments(buf *telemetry.TraceBuffer) BrokerOption {
 	return func(b *Broker) { b.traceBuf = buf }
 }
 
-// queueGroup tracks the members of one (queue, pattern) pair and the
-// round-robin cursor.
-type queueGroup struct {
-	members []*Subscription
-	next    int
-}
-
 // NewBroker creates an empty broker.
 func NewBroker(opts ...BrokerOption) *Broker {
-	b := &Broker{
-		subs:   make(map[uint64]*Subscription),
-		queues: make(map[string]*queueGroup),
-	}
+	b := &Broker{subs: make(map[uint64]*Subscription)}
 	for _, o := range opts {
 		o(b)
 	}
@@ -296,7 +262,7 @@ func (b *Broker) Subscribe(pattern string, opts ...SubOption) (*Subscription, er
 	if err := ValidatePattern(pattern); err != nil {
 		return nil, err
 	}
-	cfg := subConfig{buffer: 256, policy: Block}
+	cfg := subConfig{buffer: 256}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -311,7 +277,6 @@ func (b *Broker) Subscribe(pattern string, opts ...SubOption) (*Subscription, er
 		C:       ch,
 		ch:      ch,
 		pattern: pattern,
-		queue:   cfg.queue,
 		policy:  cfg.policy,
 		broker:  b,
 		id:      b.nextID,
@@ -319,19 +284,8 @@ func (b *Broker) Subscribe(pattern string, opts ...SubOption) (*Subscription, er
 		forward: cfg.forward,
 	}
 	b.subs[sub.id] = sub
-	if cfg.queue != "" {
-		key := queueKey(cfg.queue, pattern)
-		g, ok := b.queues[key]
-		if !ok {
-			g = &queueGroup{}
-			b.queues[key] = g
-		}
-		g.members = append(g.members, sub)
-	}
 	return sub, nil
 }
-
-func queueKey(queue, pattern string) string { return queue + "\x00" + pattern }
 
 func (b *Broker) removeSub(s *Subscription) {
 	b.mu.Lock()
@@ -340,20 +294,6 @@ func (b *Broker) removeSub(s *Subscription) {
 		return
 	}
 	delete(b.subs, s.id)
-	if s.queue != "" {
-		key := queueKey(s.queue, s.pattern)
-		if g, ok := b.queues[key]; ok {
-			for i, m := range g.members {
-				if m == s {
-					g.members = append(g.members[:i], g.members[i+1:]...)
-					break
-				}
-			}
-			if len(g.members) == 0 {
-				delete(b.queues, key)
-			}
-		}
-	}
 	b.mu.Unlock()
 
 	s.mu.Lock()
@@ -364,9 +304,9 @@ func (b *Broker) removeSub(s *Subscription) {
 	s.mu.Unlock()
 }
 
-// Publish delivers data to every subscription whose pattern matches subject
-// (and to one member per matching queue group). Data is not copied; treat it
-// as immutable after publishing (see Message for the ownership rules).
+// Publish delivers data to every subscription whose pattern matches subject.
+// Data is not copied; treat it as immutable after publishing (see Message
+// for the ownership rules).
 func (b *Broker) Publish(subject string, data []byte) error {
 	return b.PublishRequest(subject, "", data)
 }
@@ -391,29 +331,14 @@ func (b *Broker) PublishMsg(m Message) error {
 		return ErrClosed
 	}
 	// Collect targets under the read lock, deliver after releasing it
-	// (Block-policy deliveries may park for a while).
+	// (blocking deliveries may park for a while).
 	var targets []*Subscription
 	for _, s := range b.subs {
-		if s.queue == "" && Match(s.pattern, subject) {
+		if Match(s.pattern, subject) {
 			targets = append(targets, s)
 		}
 	}
-	hasGroups := len(b.queues) > 0
 	b.mu.RUnlock()
-
-	// Queue groups need the write lock briefly for the round-robin cursor;
-	// a broker without groups never serializes its publishers on it.
-	if hasGroups {
-		b.mu.Lock()
-		for _, g := range b.queues {
-			if len(g.members) == 0 || !Match(g.members[0].pattern, subject) {
-				continue
-			}
-			g.next = (g.next + 1) % len(g.members)
-			targets = append(targets, g.members[g.next])
-		}
-		b.mu.Unlock()
-	}
 
 	msg := m
 	msg.Seq = b.seq.Add(1)
@@ -451,7 +376,7 @@ func (b *Broker) PublishMsg(m Message) error {
 }
 
 // HasSubscriber reports whether a publish on subject would reach anyone right
-// now: a subscription (plain or queue member) whose pattern matches it. It is
+// now: a subscription whose pattern matches it. It is
 // for publishers whose payload is expensive to build — the connector taps skip
 // encoding an 8 MB frame nobody listens to. The answer is read from the
 // current subscription set on every call, so a subscription whose Subscribe
@@ -493,7 +418,6 @@ func (b *Broker) Close() error {
 		subs = append(subs, s)
 	}
 	b.subs = make(map[uint64]*Subscription)
-	b.queues = make(map[string]*queueGroup)
 	b.mu.Unlock()
 
 	for _, s := range subs {

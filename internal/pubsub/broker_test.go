@@ -132,66 +132,6 @@ func TestBrokerFanOut(t *testing.T) {
 	}
 }
 
-func TestBrokerQueueGroupLoadBalances(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	const members = 3
-	var subs []*Subscription
-	for i := 0; i < members; i++ {
-		s, err := b.Subscribe("work", WithQueue("pool"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, s)
-	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := b.Publish("work", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := make([]int, members)
-	total := 0
-	for i, s := range subs {
-		for {
-			select {
-			case <-s.C:
-				counts[i]++
-				total++
-				continue
-			default:
-			}
-			break
-		}
-	}
-	if total != n {
-		t.Fatalf("total delivered = %d, want %d (each message to exactly one member)", total, n)
-	}
-	for i, c := range counts {
-		if c != n/members {
-			t.Errorf("member %d received %d, want %d (round robin)", i, c, n/members)
-		}
-	}
-}
-
-func TestBrokerQueueGroupAndPlainSubCoexist(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	plain, err := b.Subscribe("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, err := b.Subscribe("t", WithQueue("g"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish("t", []byte("m")); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, plain.C)
-	recvOne(t, q1.C)
-}
-
 func TestBrokerUnsubscribe(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -210,8 +150,8 @@ func TestBrokerUnsubscribe(t *testing.T) {
 }
 
 // TestBrokerHasSubscriber: the answer follows the live subscription set —
-// plain subscribers and queue members both count, patterns must match, and
-// an unsubscribe is seen at once — without allocating.
+// patterns must match, and an unsubscribe is seen at once — without
+// allocating.
 func TestBrokerHasSubscriber(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -222,7 +162,7 @@ func TestBrokerHasSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	member, err := b.Subscribe("strata.events.>", WithQueue("workers"))
+	member, err := b.Subscribe("strata.events.>")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,34 +187,10 @@ func TestBrokerHasSubscriber(t *testing.T) {
 	}
 }
 
-func TestBrokerDropOldest(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	sub, err := b.Subscribe("x", WithSubBuffer(2), WithOverflow(DropOldest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := b.Publish("x", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Buffer keeps the 2 newest: 3, 4.
-	if m := recvOne(t, sub.C); m.Data[0] != 3 {
-		t.Fatalf("first = %d, want 3", m.Data[0])
-	}
-	if m := recvOne(t, sub.C); m.Data[0] != 4 {
-		t.Fatalf("second = %d, want 4", m.Data[0])
-	}
-	if got := sub.Dropped(); got != 3 {
-		t.Fatalf("Dropped() = %d, want 3", got)
-	}
-}
-
 func TestBrokerDropNewest(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	sub, err := b.Subscribe("x", WithSubBuffer(2), WithOverflow(DropNewest))
+	sub, err := b.Subscribe("x", WithSubBuffer(2), withOverflow(dropNewest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +214,7 @@ func TestBrokerDropNewest(t *testing.T) {
 func TestBrokerBlockBackpressure(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-	sub, err := b.Subscribe("x", WithSubBuffer(1), WithOverflow(Block))
+	sub, err := b.Subscribe("x", WithSubBuffer(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,10 @@ import (
 	"time"
 )
 
-// Conn is a client connection to a pubsub Server. Safe for concurrent use.
-type Conn struct {
+// link is one TCP connection of a ReconnectConn to a pubsub Server: the
+// corked writer for outbound frames and the read loop that delivers inbound
+// messages straight into each subscription's end. Safe for concurrent use.
+type link struct {
 	conn net.Conn
 
 	cw     *corkedWriter
@@ -28,17 +30,13 @@ type Conn struct {
 	done    chan struct{}
 }
 
-// subEnd is the consumer end of a client subscription: the channel the read
-// loop delivers into and the consumer reads. A Conn's own subscriptions
-// (ClientSub) and a ReconnectConn's durable ones (ReconnectSub) both embed
-// it, so a message crosses one channel between the socket and its consumer.
+// subEnd is the consumer end of a ReconnectSub: the channel every link's
+// read loop delivers into and the consumer reads, so a message crosses one
+// channel between the socket and its consumer. The end outlives its links.
 type subEnd struct {
 	C <-chan Message
 
 	ch chan Message
-	// owner is the link that created the end and closes it when the link
-	// ends; nil for a ReconnectSub's end, which outlives its links.
-	owner *Conn
 
 	// Shutdown protocol: quit unblocks an in-flight delivery, then dead is
 	// set and ch closed under sendMu so the dispatcher can never send on a
@@ -49,9 +47,9 @@ type subEnd struct {
 	once   sync.Once
 }
 
-// init makes the end's channel, WithSubBuffer deep (default 256), and
-// returns the WithQueue group; the other options are the broker's.
-func (s *subEnd) init(opts []SubOption) (queue string) {
+// init makes the end's channel, WithSubBuffer deep (default 256); the other
+// options are the broker's.
+func (s *subEnd) init(opts []SubOption) {
 	cfg := subConfig{buffer: 256}
 	for _, o := range opts {
 		o(&cfg)
@@ -59,7 +57,6 @@ func (s *subEnd) init(opts []SubOption) (queue string) {
 	s.ch = make(chan Message, cfg.buffer)
 	s.C = s.ch
 	s.quit = make(chan struct{})
-	return cfg.queue
 }
 
 // shutdown closes the subscription's channels exactly once, aborting any
@@ -93,41 +90,23 @@ func (s *subEnd) deliver(msg Message, linkQuit <-chan struct{}) {
 	}
 }
 
-// ClientSub is a client-side subscription. Read messages from C; C closes
-// when the subscription or connection ends.
-type ClientSub struct {
-	subEnd
-	sid uint64
-}
-
-// Unsubscribe stops the subscription. Safe to call twice.
-func (s *ClientSub) Unsubscribe() error {
-	s.shutdown()
-	return s.owner.unsubscribe(s.sid)
-}
-
-// Dial connects to a pubsub server at addr. Publish frames are corked:
-// buffered and flushed at most once per defaultFlushInterval under sustained
-// load (an idle connection still flushes immediately), so a publish burst
-// costs one syscall per interval instead of one per message. Control frames
-// (subscribe, unsubscribe, ping) always flush inline, as does Close.
-func Dial(addr string) (*Conn, error) {
-	return dial(addr, defaultFlushInterval)
-}
-
-// dial is Dial with the cork interval as a parameter (0 flushes every
-// frame on write).
-func dial(addr string, flushInterval time.Duration) (*Conn, error) {
+// dial connects a link to the pubsub server at addr. Publish frames are
+// corked: buffered and flushed at most once per flushInterval under
+// sustained load (an idle link still flushes immediately; 0 flushes every
+// frame on write), so a publish burst costs one syscall per interval instead
+// of one per message. Control frames (subscribe, unsubscribe, ping) always
+// flush inline, as does Close.
+func dial(addr string, flushInterval time.Duration) (*link, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial: %w", err)
 	}
-	return newConn(nc, flushInterval), nil
+	return newLink(nc, flushInterval), nil
 }
 
-// newConn runs the client protocol over nc.
-func newConn(nc net.Conn, flushInterval time.Duration) *Conn {
-	c := &Conn{
+// newLink runs the client protocol over nc.
+func newLink(nc net.Conn, flushInterval time.Duration) *link {
+	c := &link{
 		conn:   nc,
 		subs:   make(map[uint64]*subEnd),
 		pongCh: make(chan struct{}, 1),
@@ -140,11 +119,11 @@ func newConn(nc net.Conn, flushInterval time.Duration) *Conn {
 }
 
 // send writes a control frame and flushes it before returning.
-func (c *Conn) send(op byte, payload ...[]byte) error {
+func (c *link) send(op byte, payload ...[]byte) error {
 	return c.sendWith(c.cw.writeNow, op, payload...)
 }
 
-func (c *Conn) sendWith(write func(byte, ...[]byte) error, op byte, payload ...[]byte) error {
+func (c *link) sendWith(write func(byte, ...[]byte) error, op byte, payload ...[]byte) error {
 	// Check closed under c.mu before touching the writer: teardown closes
 	// the underlying conn, and racing a write against that close would
 	// surface as a confusing network error instead of ErrClosed.
@@ -154,7 +133,7 @@ func (c *Conn) sendWith(write func(byte, ...[]byte) error, op byte, payload ...[
 	return c.closedErr(write(op, payload...))
 }
 
-func (c *Conn) isClosed() bool {
+func (c *link) isClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
@@ -162,29 +141,18 @@ func (c *Conn) isClosed() bool {
 
 // closedErr normalizes a write error to ErrClosed when the conn was torn
 // down mid-write, so callers see one error for "connection gone".
-func (c *Conn) closedErr(err error) error {
+func (c *link) closedErr(err error) error {
 	if err != nil && c.isClosed() {
 		return ErrClosed
 	}
 	return err
 }
 
-// Publish sends data under subject. The data slice is written out before
-// Publish returns and may be reused by the caller afterwards.
-func (c *Conn) Publish(subject string, data []byte) error {
-	return c.PublishRequest(subject, "", data)
-}
-
-// PublishRequest is Publish with a reply subject attached (the request half
-// of request/reply).
-func (c *Conn) PublishRequest(subject, reply string, data []byte) error {
-	return c.PublishMsg(Message{Subject: subject, Reply: reply, Data: data})
-}
-
 // PublishMsg publishes m.Data under m.Subject with m.Reply attached. When
 // m.Traceparent is set the frame goes out as opPubT, carrying the trace
-// context to the server; otherwise this is exactly PublishRequest.
-func (c *Conn) PublishMsg(m Message) error {
+// context to the server; otherwise as opPub. m.Data is written out before
+// PublishMsg returns and may be reused by the caller afterwards.
+func (c *link) PublishMsg(m Message) error {
 	if err := ValidateSubject(m.Subject); err != nil {
 		return err
 	}
@@ -200,27 +168,10 @@ func (c *Conn) PublishMsg(m Message) error {
 	return c.closedErr(c.cw.writeMsg(pubOp(m.Traceparent), 0, 0, m.Traceparent, m.Subject, m.Reply, m.Data))
 }
 
-// Subscribe registers a subscription on the server. Only WithSubBuffer and
-// WithQueue options apply client-side (overflow is governed by TCP
-// back-pressure: if the client does not drain, the server's forwarding
-// goroutine blocks on the socket).
-func (c *Conn) Subscribe(pattern string, opts ...SubOption) (*ClientSub, error) {
-	if err := ValidatePattern(pattern); err != nil {
-		return nil, err
-	}
-	sub := &ClientSub{subEnd: subEnd{owner: c}}
-	sid, err := c.attach(&sub.subEnd, pattern, sub.init(opts), true)
-	if err != nil {
-		return nil, err
-	}
-	sub.sid = sid
-	return sub, nil
-}
-
 // attach registers end under a fresh sid and writes the SUB frame, either
 // flushed inline (flushNow) or left corked so a caller restoring many
 // subscriptions can batch them and flush once.
-func (c *Conn) attach(end *subEnd, pattern, queue string, flushNow bool) (uint64, error) {
+func (c *link) attach(end *subEnd, pattern string, flushNow bool) (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -237,8 +188,7 @@ func (c *Conn) attach(end *subEnd, pattern, queue string, flushNow bool) (uint64
 	}
 	err := c.sendWith(write, opSub,
 		u64(sid),
-		u16(len(pattern)), []byte(pattern),
-		u16(len(queue)), []byte(queue))
+		u16(len(pattern)), []byte(pattern))
 	if err != nil {
 		c.mu.Lock()
 		delete(c.subs, sid)
@@ -250,7 +200,7 @@ func (c *Conn) attach(end *subEnd, pattern, queue string, flushNow bool) (uint64
 
 // unsubscribe drops sid's registration and withdraws it from the server.
 // A closed link has nothing to withdraw: the server side went with it.
-func (c *Conn) unsubscribe(sid uint64) error {
+func (c *link) unsubscribe(sid uint64) error {
 	c.mu.Lock()
 	_, active := c.subs[sid]
 	delete(c.subs, sid)
@@ -267,7 +217,7 @@ func (c *Conn) unsubscribe(sid uint64) error {
 
 // Ping round-trips a ping frame, confirming the connection and that all
 // previously sent frames were consumed by the server's read loop.
-func (c *Conn) Ping(timeout time.Duration) error {
+func (c *link) Ping(timeout time.Duration) error {
 	if err := c.send(opPing); err != nil {
 		return err
 	}
@@ -281,7 +231,7 @@ func (c *Conn) Ping(timeout time.Duration) error {
 	}
 }
 
-func (c *Conn) err() error {
+func (c *link) err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.readErr != nil {
@@ -290,8 +240,9 @@ func (c *Conn) err() error {
 	return ErrClosed
 }
 
-// Close tears down the connection and every subscription.
-func (c *Conn) Close() error {
+// Close tears down the link. The ends it delivered into stay open: their
+// subscriptions move to the ReconnectConn's next link.
+func (c *link) Close() error {
 	if !c.markClosed() {
 		return ErrClosed
 	}
@@ -308,7 +259,7 @@ func (c *Conn) Close() error {
 // or opMsgT header is read into a scratch buffer reused across frames and
 // the message's data into an allocation of its own, so Data starts at an
 // allocation boundary and holds nothing but the data.
-func (c *Conn) readLoop() {
+func (c *link) readLoop() {
 	defer close(c.done)
 	fr := frameReader{r: bufio.NewReaderSize(c.conn, 1<<16)}
 	for {
@@ -450,34 +401,21 @@ func (f *frameReader) msg(traced bool) (sid uint64, m Message, err error) {
 	return sid, m, nil
 }
 
-// markClosed marks c closed, drops every registration and shuts down the
-// ends c created, reporting false if c was closed already. Ends a
-// ReconnectConn attached stay open: their subscriptions move to its next
-// link.
-func (c *Conn) markClosed() bool {
+// markClosed marks c closed and drops every registration, reporting false
+// if c was closed already.
+func (c *link) markClosed() bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return false
 	}
 	c.closed = true
-	var owned []*subEnd
-	for _, s := range c.subs {
-		if s.owner == c {
-			owned = append(owned, s)
-		}
-	}
 	c.subs = nil
-	c.mu.Unlock()
-	for _, s := range owned {
-		s.shutdown()
-	}
 	return true
 }
 
-// teardown records the first read error and closes the link's own
-// subscriptions so their consumers unblock.
-func (c *Conn) teardown(err error) {
+// teardown records the first read error and closes the link.
+func (c *link) teardown(err error) {
 	c.mu.Lock()
 	if c.readErr == nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 		c.readErr = err

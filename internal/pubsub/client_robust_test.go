@@ -12,16 +12,16 @@ import (
 
 // TestUnsubscribeRacesConnClose drives Unsubscribe and Close concurrently
 // from many goroutines. Run under -race this pins the send/teardown
-// synchronization: neither side may write a frame to a torn-down conn or
+// synchronization: neither side may write a frame to a torn-down link or
 // close a channel mid-send.
 func TestUnsubscribeRacesConnClose(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_, srv := startTestServer(t)
-		c, err := Dial(srv.Addr())
+		c, err := DialReconnect(srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs := make([]*ClientSub, 4)
+		subs := make([]*ReconnectSub, 4)
 		for j := range subs {
 			sub, err := c.Subscribe("race.>")
 			if err != nil {
@@ -33,7 +33,7 @@ func TestUnsubscribeRacesConnClose(t *testing.T) {
 		start := make(chan struct{})
 		for _, sub := range subs {
 			wg.Add(1)
-			go func(sub *ClientSub) {
+			go func(sub *ReconnectSub) {
 				defer wg.Done()
 				<-start
 				if err := sub.Unsubscribe(); err != nil && !errors.Is(err, ErrClosed) {
@@ -68,8 +68,9 @@ func TestUnsubscribeRacesConnClose(t *testing.T) {
 }
 
 // TestPublishOnTornDownConnReturnsErrClosed kills the server out from under
-// a client and verifies that once the teardown lands, Publish and Subscribe
-// report ErrClosed rather than raw network errors.
+// a link and verifies that once the teardown lands, publishing and
+// subscribing report ErrClosed rather than raw network errors (the signal a
+// ReconnectConn buffers on and redials after).
 func TestPublishOnTornDownConnReturnsErrClosed(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
@@ -77,16 +78,12 @@ func TestPublishOnTornDownConnReturnsErrClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv.Close() // server gone; client readLoop tears the conn down
+	c := dialLink(t, srv.Addr(), defaultFlushInterval)
+	srv.Close() // server gone; the link's readLoop tears it down
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.Publish("x", nil)
+		err := c.PublishMsg(Message{Subject: "x"})
 		if errors.Is(err, ErrClosed) {
 			break
 		}
@@ -98,8 +95,8 @@ func TestPublishOnTornDownConnReturnsErrClosed(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := c.Subscribe("x"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Subscribe on torn-down conn = %v, want ErrClosed", err)
+	if _, err := c.attach(new(subEnd), "x", true); !errors.Is(err, ErrClosed) {
+		t.Fatalf("attach on torn-down link = %v, want ErrClosed", err)
 	}
 }
 
@@ -133,7 +130,7 @@ func TestPingTimeoutAgainstMuteServer(t *testing.T) {
 		}
 	}()
 
-	c, err := Dial(ln.Addr().String())
+	c, err := DialReconnect(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

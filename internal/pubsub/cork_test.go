@@ -99,11 +99,7 @@ func TestCorkedWriterCloseFlushesBufferedFrames(t *testing.T) {
 func TestClientFlushesSavedUnderBurst(t *testing.T) {
 	_, srv := startTestServer(t)
 
-	sub, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("Dial sub: %v", err)
-	}
-	defer sub.Close()
+	sub := dialTest(t, srv)
 	cs, err := sub.Subscribe("burst", WithSubBuffer(256))
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -115,15 +111,11 @@ func TestClientFlushesSavedUnderBurst(t *testing.T) {
 
 	// An hour-long interval so only the flusher's initial idle flush and the
 	// Ping barrier ever hit the socket: coalescing becomes deterministic.
-	pub, err := dial(srv.Addr(), time.Hour)
-	if err != nil {
-		t.Fatalf("Dial pub: %v", err)
-	}
-	defer pub.Close()
+	pub := dialLink(t, srv.Addr(), time.Hour)
 
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := pub.Publish("burst", []byte{byte(i)}); err != nil {
+		if err := pub.PublishMsg(Message{Subject: "burst", Data: []byte{byte(i)}}); err != nil {
 			t.Fatalf("Publish %d: %v", i, err)
 		}
 	}

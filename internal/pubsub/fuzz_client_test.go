@@ -57,11 +57,11 @@ func clientReference(in []byte, sid uint64) (want []Message, rejects bool) {
 	return want, false
 }
 
-// FuzzClientConn feeds arbitrary server→client bytes to a Conn over
-// net.Pipe with one subscription open. The client must not panic, must
+// FuzzClientConn feeds arbitrary server→client bytes to a link over
+// net.Pipe with one subscription attached. The link must not panic, must
 // deliver exactly the messages of well-formed frames (none whose header
-// runs past its frame), and must tear the connection down by itself at the
-// first frame it has to reject.
+// runs past its frame), and must tear itself down at the first frame it has
+// to reject.
 func FuzzClientConn(f *testing.F) {
 	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	msg := fuzzFrame(opMsg, msgPayload(1, 1, "", "layer.1.ot", "", "pixels")...)
@@ -83,17 +83,16 @@ func FuzzClientConn(f *testing.F) {
 		client, server := net.Pipe()
 		defer server.Close()
 		go func() { _, _ = io.Copy(io.Discard, server) }() // the SUB frame
-		c := newConn(client, 0)
-		defer func() {
-			_ = c.Close()
-			<-c.done
-		}()
-		sub, err := c.Subscribe("layer.>")
+		c := newLink(client, 0)
+		defer c.Close()
+		sub := &subEnd{}
+		sub.init(nil)
+		sid, err := c.attach(sub, "layer.>", true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sub.sid != 1 {
-			t.Fatalf("first subscription has sid %d, want 1", sub.sid)
+		if sid != 1 {
+			t.Fatalf("first subscription has sid %d, want 1", sid)
 		}
 		delivered := make(chan []Message, 1)
 		go func() {
@@ -103,18 +102,19 @@ func FuzzClientConn(f *testing.F) {
 			}
 			delivered <- got
 		}()
-		// The client stops reading at a rejected frame and closes its end,
+		// The link stops reading at a rejected frame and closes its end,
 		// which fails the rest of this write.
 		_, _ = server.Write(in)
 		if !rejects {
 			_ = server.Close()
 		}
-		var got []Message
 		select {
-		case got = <-delivered:
+		case <-c.done:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("the subscription did not end within 5s (rejects=%v, input %x)", rejects, in)
+			t.Fatalf("the link did not end within 5s (rejects=%v, input %x)", rejects, in)
 		}
+		sub.shutdown() // the read loop is gone: nothing more arrives
+		got := <-delivered
 		same := len(got) == len(want)
 		for i := 0; same && i < len(got); i++ {
 			g, w := got[i], want[i]

@@ -28,8 +28,8 @@ func pubPayload(subject, reply, data string) [][]byte {
 	return [][]byte{u16(len(subject)), []byte(subject), u16(len(reply)), []byte(reply), []byte(data)}
 }
 
-func subPayload(sid uint64, pattern, queue string) [][]byte {
-	return [][]byte{u64(sid), u16(len(pattern)), []byte(pattern), u16(len(queue)), []byte(queue)}
+func subPayload(sid uint64, pattern string) [][]byte {
+	return [][]byte{u64(sid), u16(len(pattern)), []byte(pattern)}
 }
 
 // serveBytes runs one serveConn session over net.Pipe: it writes in, drains
@@ -67,12 +67,13 @@ func serveBytes(t *testing.T, s *Server, in []byte) {
 // from a fresh connection to a subscriber.
 func FuzzServeConn(f *testing.F) {
 	pub := fuzzFrame(opPub, pubPayload("layer.1.ot", "", "pixels")...)
-	sub := fuzzFrame(opSub, subPayload(7, "layer.*.ot", "")...)
+	sub := fuzzFrame(opSub, subPayload(7, "layer.*.ot")...)
 	f.Add(pub)
 	f.Add(fuzzFrame(opPubT, append([][]byte{u16(len("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")),
 		[]byte("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")}, pubPayload("layer.2.ot", "inbox.1", "px")...)...))
 	f.Add(sub)
-	f.Add(fuzzFrame(opSub, subPayload(8, "layer.>", "workers")...))
+	f.Add(fuzzFrame(opSub, subPayload(8, "layer.>")...))
+	f.Add(fuzzFrame(opSub, append(subPayload(9, "layer.>"), u16(7), []byte("workers"))...)) // an old client's queue group
 	f.Add(fuzzFrame(opUnsub, u64(7)))
 	f.Add(fuzzFrame(opPing))
 	// A whole session: subscribe, publish into the subscription, ping,

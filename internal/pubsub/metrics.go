@@ -104,9 +104,6 @@ func (b *Broker) Collect(w *telemetry.Writer) {
 			telemetry.L("id", strconv.FormatUint(s.id, 10)),
 			telemetry.L("pattern", s.pattern),
 		}
-		if s.queue != "" {
-			labels = append(labels, telemetry.L("queue", s.queue))
-		}
 		w.Gauge("strata_pubsub_sub_pending",
 			"Messages buffered in the subscription awaiting the consumer.",
 			float64(len(s.ch)), labels...)

@@ -31,7 +31,7 @@ func TestBrokerCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := b.Subscribe("jobs.>", WithSubBuffer(1), WithOverflow(DropNewest))
+	small, err := b.Subscribe("jobs.>", WithSubBuffer(1), withOverflow(dropNewest))
 	if err != nil {
 		t.Fatal(err)
 	}

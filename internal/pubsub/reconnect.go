@@ -54,8 +54,8 @@ func WithReconnectWait(min, max time.Duration) ReconnectOption {
 	}
 }
 
-// ReconnectConn is a self-healing client connection to a pubsub Server. It
-// wraps Conn with automatic redial (exponential backoff plus jitter),
+// ReconnectConn is the client connection to a pubsub Server: a self-healing
+// link with automatic redial (exponential backoff plus jitter),
 // re-subscription of every active subscription after a reconnect, a bounded
 // buffer for publishes issued while disconnected, and heartbeat-based
 // liveness. It is the client a pipeline that
@@ -67,7 +67,7 @@ type ReconnectConn struct {
 
 	mu         sync.Mutex
 	notFull    *sync.Cond // pending buffer drained / state changed
-	conn       *Conn      // nil while disconnected
+	conn       *link      // nil while disconnected
 	closed     bool
 	subs       map[uint64]*ReconnectSub
 	nextID     uint64
@@ -78,7 +78,7 @@ type ReconnectConn struct {
 	// its link by up to pingTimeout, and its stale error must not be blamed
 	// for a later, unrelated disconnect.
 	hbErr  error
-	hbConn *Conn
+	hbConn *link
 
 	quit chan struct{} // closed by Close
 	done chan struct{} // closed when the supervisor exits
@@ -95,12 +95,11 @@ type ReconnectSub struct {
 	rc      *ReconnectConn
 	id      uint64
 	pattern string
-	queue   string
 
 	// link is the conn the subscription's SUB frame last went out on and sid
 	// its id there; guarded by rc.mu. restore attaches every subscription
 	// whose link is not the incoming conn.
-	link *Conn
+	link *link
 	sid  uint64
 }
 
@@ -138,7 +137,7 @@ func DialReconnect(addr string, opts ...ReconnectOption) (*ReconnectConn, error)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	conn, err := Dial(addr)
+	conn, err := dial(addr, defaultFlushInterval)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +267,7 @@ func (rc *ReconnectConn) Subscribe(pattern string, opts ...SubOption) (*Reconnec
 		return nil, err
 	}
 	s := &ReconnectSub{rc: rc, pattern: pattern}
-	s.queue = s.init(opts)
+	s.init(opts)
 	rc.mu.Lock()
 	if rc.closed {
 		rc.mu.Unlock()
@@ -293,8 +292,8 @@ func (rc *ReconnectConn) Subscribe(pattern string, opts ...SubOption) (*Reconnec
 // nil) and leaves the frame corked for its one flush. The wire subscription
 // is withdrawn if s was unsubscribed meanwhile, the installed link is no
 // longer the expected one, or s is already attached to conn.
-func (rc *ReconnectConn) attach(conn *Conn, s *ReconnectSub, restoring bool) error {
-	sid, err := conn.attach(&s.subEnd, s.pattern, s.queue, !restoring)
+func (rc *ReconnectConn) attach(conn *link, s *ReconnectSub, restoring bool) error {
+	sid, err := conn.attach(&s.subEnd, s.pattern, !restoring)
 	if err != nil {
 		return err
 	}
@@ -363,7 +362,7 @@ func (rc *ReconnectConn) Close() error {
 // supervise owns the connection lifecycle: wait for the live link to drop,
 // then redial-with-backoff, restore subscriptions, flush pending publishes,
 // and go back to waiting. It exits when the conn is closed.
-func (rc *ReconnectConn) supervise(conn *Conn) {
+func (rc *ReconnectConn) supervise(conn *link) {
 	defer close(rc.done)
 	for {
 		rc.startHeartbeat(conn)
@@ -404,14 +403,14 @@ func (rc *ReconnectConn) supervise(conn *Conn) {
 
 // redial dials with exponential backoff and jitter until a link is up and
 // fully restored, or the conn is closed.
-func (rc *ReconnectConn) redial() (*Conn, bool) {
+func (rc *ReconnectConn) redial() (*link, bool) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-time.After(rc.backoff(attempt)):
 		case <-rc.quit:
 			return nil, false
 		}
-		conn, err := Dial(rc.addr)
+		conn, err := dial(rc.addr, defaultFlushInterval)
 		if err != nil {
 			continue
 		}
@@ -435,7 +434,7 @@ func (rc *ReconnectConn) redial() (*Conn, bool) {
 // remain, so Subscribe/Publish calls racing the restore are not stranded. A
 // failed restore leaves its subscriptions attached to a conn that is never
 // installed, so the next restore attaches them again.
-func (rc *ReconnectConn) restore(conn *Conn) error {
+func (rc *ReconnectConn) restore(conn *link) error {
 	for {
 		rc.mu.Lock()
 		if rc.closed {
@@ -504,7 +503,7 @@ func (rc *ReconnectConn) requeue(batch []Message, from int) {
 // pong does not arrive within cfg.pingTimeout closes the link, which the
 // supervisor observes as a disconnect and repairs. Detects half-open
 // connections that TCP alone would keep "established" for hours.
-func (rc *ReconnectConn) startHeartbeat(conn *Conn) {
+func (rc *ReconnectConn) startHeartbeat(conn *link) {
 	go func() {
 		t := time.NewTicker(rc.cfg.heartbeat)
 		defer t.Stop()

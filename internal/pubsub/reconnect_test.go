@@ -388,7 +388,7 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFrameSizeBoundary pins where both clients draw the frame-size line: a
+// TestFrameSizeBoundary pins where the client draws the frame-size line: a
 // publish or deliver frame of exactly maxFrameSize bytes (op byte onward) is
 // written whole and one byte more is refused, and a ReconnectConn's check
 // before buffering, made here while disconnected, accepts a publish whose
@@ -490,10 +490,7 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 	rc.pending = []Message{{Subject: "poison..subject", Data: []byte("x")}}
 	rc.mu.Unlock()
 
-	connA, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	connA := dialLink(t, srv.Addr(), defaultFlushInterval)
 	if err := rc.restore(connA); err == nil {
 		t.Fatal("restore should fail on the poisoned flush")
 	}
@@ -509,10 +506,7 @@ func TestRestoreFailureDetachesPartialSubscriptions(t *testing.T) {
 
 	// The next restore pass (redial's retry) must re-establish the
 	// subscription on the fresh link and deliver end-to-end.
-	connB, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	connB := dialLink(t, srv.Addr(), defaultFlushInterval)
 	if err := rc.restore(connB); err != nil {
 		t.Fatalf("second restore: %v", err)
 	}
@@ -547,11 +541,7 @@ func TestServerReapsIdleConnections(t *testing.T) {
 	defer srv.Close()
 
 	// Silent client: reaped.
-	silent, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer silent.Close()
+	silent := dialLink(t, srv.Addr(), defaultFlushInterval)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if err := silent.Ping(100 * time.Millisecond); err != nil {

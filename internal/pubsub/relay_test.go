@@ -50,9 +50,9 @@ func relayIndex(t *testing.T, subject string) int {
 
 // TestTCPRelayFramesOutliveEveryWrite relays 200 distinct 8 MiB frames
 // through Serve, each read into a pooled buffer, to four subscribers at
-// once: a TCP Block subscriber, a TCP subscriber whose forwarder
-// subscription is DropOldest with a buffer of 1 (so queued frames are
-// evicted unwritten), an in-process subscriber holding every Data it
+// once: a TCP blocking subscriber, a TCP subscriber whose forwarder
+// subscription is the request inbox's drop-newest with a buffer of 1 (so
+// frames that find it full are discarded unwritten), an in-process subscriber holding every Data it
 // receives to the end (its frames escape and must never be reused), and a
 // TCP subscriber that stops reading midway and is evicted as a slow
 // consumer. Every delivered payload must match byte for byte: a frame
@@ -68,7 +68,7 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 		withForwardOptions(func(pattern string) []SubOption {
 			switch pattern {
 			case "*.*.*":
-				return []SubOption{WithOverflow(DropOldest), WithSubBuffer(1)}
+				return []SubOption{withOverflow(dropNewest), WithSubBuffer(1)}
 			case "relay.>":
 				return []SubOption{WithSubBuffer(4)}
 			}
@@ -88,7 +88,7 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write(fuzzFrame(opSub, subPayload(1, "relay.>", "")...)); err != nil {
+	if _, err := raw.Write(fuzzFrame(opSub, subPayload(1, "relay.>")...)); err != nil {
 		t.Fatal(err)
 	}
 	var stopReading atomic.Bool
@@ -126,7 +126,7 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Conn{blockC, dropC} {
+	for _, c := range []*ReconnectConn{blockC, dropC} {
 		if err := c.Ping(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +139,8 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The Block subscriber paces the publisher (at most window frames
-	// ahead), so no Block forwarder queues more than a few frames.
+	// The blocking subscriber paces the publisher (at most window frames
+	// ahead), so no blocking forwarder queues more than a few frames.
 	credit := make(chan struct{}, window)
 	wg.Add(1)
 	go func() {
@@ -158,20 +158,29 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 			<-credit
 		}
 	}()
+	// The drop-newest subscriber receives, in order, every frame its
+	// forwarder did not discard; the broker's drop count is final once the
+	// publisher's last Ping returns.
+	published := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := -1
-		for last < frames-1 {
+		done := published
+		last, got, want := -1, 0, -1
+		for got != want {
 			select {
 			case m := <-dropSub.C:
 				i := relayIndex(t, m.Subject)
 				if i <= last || !payloads.ok(m.Data, i) {
-					t.Errorf("drop-oldest subscriber: %s after frame %d is out of order or damaged", m.Subject, last)
+					t.Errorf("drop-newest subscriber: %s after frame %d is out of order or damaged", m.Subject, last)
 				}
 				last = i
+				got++
+			case <-done:
+				done = nil
+				want = frames - int(b.droppedTotal.Load())
 			case <-time.After(30 * time.Second):
-				t.Errorf("drop-oldest subscriber: the last frame never arrived (last %d)", last)
+				t.Errorf("drop-newest subscriber: received %d frames, want %d", got, want)
 				return
 			}
 		}
@@ -200,6 +209,7 @@ func TestTCPRelayFramesOutliveEveryWrite(t *testing.T) {
 	if err := pub.Ping(30 * time.Second); err != nil { // every frame published
 		t.Fatal(err)
 	}
+	close(published)
 	held.Unsubscribe()
 	_ = raw.Close()
 	wg.Wait()

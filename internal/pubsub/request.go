@@ -27,7 +27,7 @@ func nextInbox() string {
 // machine-side responder acknowledges.
 func (b *Broker) Request(subject string, data []byte, timeout time.Duration) (Message, error) {
 	inbox := nextInbox()
-	sub, err := b.Subscribe(inbox, WithSubBuffer(1), WithOverflow(DropNewest))
+	sub, err := b.Subscribe(inbox, WithSubBuffer(1), withOverflow(dropNewest))
 	if err != nil {
 		return Message{}, err
 	}

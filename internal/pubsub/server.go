@@ -14,15 +14,15 @@ import (
 )
 
 // Server exposes a Broker over TCP using the wire protocol in wire.go.
-// Remote clients (see Dial) publish into and subscribe from the same broker
-// as in-process users, so a pipeline can span machines — the role Kafka
-// plays in the paper's prototype.
+// Remote clients (see DialReconnect) publish into and subscribe from the
+// same broker as in-process users, so a pipeline can span machines — the
+// role Kafka plays in the paper's prototype.
 type Server struct {
 	broker        *Broker
 	ln            net.Listener
 	logf          func(format string, args ...any) // obslog "pubsub" at Warn
 	idleTimeout   time.Duration
-	flushInterval time.Duration // cork on outbound frames; see Dial
+	flushInterval time.Duration // cork on outbound frames; see dial
 	// forwardOpts, when set, adds subscription options to the forwarder
 	// subscription made for a SUB frame with the given pattern (a test
 	// seam: the wire carries no overflow policy or buffer size).
@@ -49,10 +49,9 @@ type ServerOption func(*Server)
 //
 // Idleness is judged by inbound frames only: outbound message fan-out does
 // not count. Every client must therefore send something within d — a
-// DialReconnect client's heartbeat (default every 30s) qualifies, but a
-// plain Dial client that only subscribes sends nothing after the SUB frame
-// and WILL be reaped as healthy-but-silent. Enable this only when all
-// clients use DialReconnect (or ping on their own schedule).
+// DialReconnect client's heartbeat (default every 30s) qualifies; a raw
+// peer that only subscribes sends nothing after the SUB frame and is
+// reaped as healthy-but-silent.
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) {
 		if d > 0 {
@@ -218,15 +217,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		case opSub:
 			c := cursor{b: payload}
 			sid := c.u64()
-			pat, queue := c.str(), c.str()
+			pat := c.str()
 			if c.err != nil {
 				sendErr(c.err)
 				return
 			}
-			opts := []SubOption{forwarded()}
-			if len(queue) > 0 {
-				opts = append(opts, WithQueue(string(queue)))
+			// Bytes after the pattern are a field this server does not
+			// know (an older client's queue group): refuse the subscription
+			// rather than silently join as a plain subscriber.
+			if extra := len(c.rest()); extra > 0 {
+				sendErr(fmt.Errorf("pubsub: %d unknown bytes after the SUB pattern", extra))
+				continue
 			}
+			opts := []SubOption{forwarded()}
 			if s.forwardOpts != nil {
 				opts = append(opts, s.forwardOpts(string(pat))...)
 			}

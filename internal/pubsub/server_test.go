@@ -1,9 +1,12 @@
 package pubsub
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,14 +27,40 @@ func startTestServer(t *testing.T) (*Broker, *Server) {
 	return b, srv
 }
 
-func dialTest(t *testing.T, srv *Server) *Conn {
+// dialTest connects a client to srv, closed at cleanup.
+func dialTest(t *testing.T, srv *Server) *ReconnectConn {
 	t.Helper()
-	c, err := Dial(srv.Addr())
+	c, err := DialReconnect(srv.Addr())
 	if err != nil {
-		t.Fatalf("Dial() error = %v", err)
+		t.Fatalf("DialReconnect() error = %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// dialLink connects one bare link, the connection a ReconnectConn runs its
+// protocol over, with cork interval flushInterval; it is closed at cleanup.
+func dialLink(tb testing.TB, addr string, flushInterval time.Duration) *link {
+	tb.Helper()
+	l, err := dial(addr, flushInterval)
+	if err != nil {
+		tb.Fatalf("dial() error = %v", err)
+	}
+	tb.Cleanup(func() { l.Close() })
+	return l
+}
+
+// subscribeLink subscribes pattern on l straight into a fresh end, as a
+// ReconnectConn attaches its subscriptions, with the SUB frame flushed.
+// Nothing closes the end when l closes.
+func subscribeLink(tb testing.TB, l *link, pattern string, opts ...SubOption) *subEnd {
+	tb.Helper()
+	end := &subEnd{}
+	end.init(opts)
+	if _, err := l.attach(end, pattern, true); err != nil {
+		tb.Fatalf("attach(%q) error = %v", pattern, err)
+	}
+	return end
 }
 
 func TestTCPPublishToLocalSubscriber(t *testing.T) {
@@ -147,53 +176,36 @@ func TestTCPUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestTCPQueueGroupAcrossClients(t *testing.T) {
-	_, srv := startTestServer(t)
-	pubC := dialTest(t, srv)
-	var subs []*ClientSub
-	for i := 0; i < 3; i++ {
-		c := dialTest(t, srv)
-		s, err := c.Subscribe("jobs", WithQueue("workers"))
+// TestTCPSubWithTrailingBytesRefused: a SUB frame with bytes after its
+// pattern, which is what a client asking for a queue group sends, is answered
+// with an error frame and subscribes nothing; the connection stays usable.
+func TestTCPSubWithTrailingBytesRefused(t *testing.T) {
+	b, srv := startTestServer(t)
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	sub := fuzzFrame(opSub, append(subPayload(1, "jobs"), u16(len("workers")), []byte("workers"))...)
+	if _, err := raw.Write(append(sub, fuzzFrame(opPing)...)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(raw)
+	for _, want := range []byte{opErr, opPong} {
+		op, payload, _, err := readRelayFrame(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Ping(5 * time.Second); err != nil {
-			t.Fatal(err)
+		if op != want {
+			t.Fatalf("server answered op %d (%q), want %d", op, payload, want)
 		}
-		subs = append(subs, s)
-	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := pubC.Publish("jobs", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
+		if op == opErr && !strings.Contains(string(payload), "after the SUB pattern") {
+			t.Fatalf("error frame %q does not name the trailing bytes", payload)
 		}
 	}
-	// Every message goes to exactly one member.
-	deadline := time.After(5 * time.Second)
-	counts := make([]int, len(subs))
-	for total := 0; total < n; {
-		progressed := false
-		for i, s := range subs {
-			select {
-			case <-s.C:
-				counts[i]++
-				total++
-				progressed = true
-			default:
-			}
-		}
-		if !progressed {
-			select {
-			case <-deadline:
-				t.Fatalf("timed out: counts=%v", counts)
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("member %d received nothing; counts=%v", i, counts)
-		}
+	if b.HasSubscriber("jobs") {
+		t.Fatal("a SUB frame with trailing bytes subscribed")
 	}
 }
 
@@ -203,12 +215,8 @@ func TestTCPServerCloseDisconnectsClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := client.Subscribe("x")
-	if err != nil {
+	client := dialTest(t, srv)
+	if _, err := client.Subscribe("x"); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Ping(5 * time.Second); err != nil {
@@ -217,13 +225,12 @@ func TestTCPServerCloseDisconnectsClients(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-sub.C:
-		if ok {
-			t.Fatal("expected closed channel after server shutdown")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription did not close after server shutdown")
+	waitUntil(t, "the client to see the server go", func() bool { return !client.IsConnected() })
+	if err := client.Ping(time.Second); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("Ping after server shutdown = %v, want ErrDisconnected", err)
+	}
+	if n := b.Stats().Subscriptions; n != 0 {
+		t.Fatalf("%d broker subscriptions outlive the server", n)
 	}
 	b.Close()
 }
@@ -250,9 +257,9 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
+			c, err := DialReconnect(srv.Addr())
 			if err != nil {
-				t.Errorf("Dial error = %v", err)
+				t.Errorf("DialReconnect error = %v", err)
 				return
 			}
 			defer c.Close()
@@ -295,7 +302,7 @@ func TestTCPLargeFrameSharedByTwoSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var subs []*ClientSub
+	var subs []*ReconnectSub
 	for i := 0; i < 2; i++ {
 		c := dialTest(t, srv)
 		sub, err := c.Subscribe("img", WithSubBuffer(frames))
@@ -361,7 +368,7 @@ func TestOversizeDeliverKeepsSubscriber(t *testing.T) {
 	}
 	// Bypass the client's check: the server must answer with an error
 	// frame (the client closes on it) and publish nothing.
-	raw := dialTest(t, srv)
+	raw := dialLink(t, srv.Addr(), defaultFlushInterval)
 	if err := raw.cw.writeMsg(opPub, 0, 0, "", "big", "", data); err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@
 //
 // Subjects are dot-separated token hierarchies ("strata.raw.ot.job42") with
 // NATS-style wildcards in subscription patterns: '*' matches exactly one
-// token, '>' matches one or more trailing tokens. Subscriptions are buffered
-// with an explicit overflow policy, and queue groups load-balance a subject
-// across a set of subscribers. A TCP server/client pair (see server.go,
-// client.go) extends the broker across processes.
+// token, '>' matches one or more trailing tokens. Every subscription whose
+// pattern matches receives each message; a full subscription blocks the
+// publisher, up to the broker's slow-consumer timeout. A TCP server and its
+// client, ReconnectConn (see server.go, reconnect.go), extend the broker
+// across processes.
 package pubsub
 
 import (

@@ -34,12 +34,12 @@ func TestTraceparentAcrossWire(t *testing.T) {
 	}
 	defer srv.Close()
 
-	pubConn, err := Dial(srv.Addr())
+	pubConn, err := DialReconnect(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pubConn.Close()
-	subConn, err := Dial(srv.Addr())
+	subConn, err := DialReconnect(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

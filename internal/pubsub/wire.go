@@ -16,7 +16,7 @@ import (
 //	payload  op-specific (all integers little endian)
 //
 //	opPub:   subjLen uint16, subject, replyLen uint16, reply, data...
-//	opSub:   sid uint64, patLen uint16, pattern, queueLen uint16, queue
+//	opSub:   sid uint64, patLen uint16, pattern
 //	opUnsub: sid uint64
 //	opMsg:   sid uint64, seq uint64, subjLen uint16, subject, replyLen uint16, reply, data...
 //	opPing/opPong: empty
@@ -80,7 +80,7 @@ func msgOp(tp string) byte {
 // checkPublishSize bounds a publish by the frame that delivers it, 16 bytes
 // longer (sid and seq): a publish whose deliver frame exceeds maxFrameSize
 // would reach the broker but fail every TCP subscriber's forwarder, which
-// then drops its subscription. Both clients check before writing or
+// then drops its subscription. The client checks before writing or
 // buffering, the server before publishing.
 func checkPublishSize(m *Message) error {
 	if total := msgFrameSize(msgOp(m.Traceparent), m.Traceparent, m.Subject, m.Reply, len(m.Data)); total > maxFrameSize {

@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,9 +95,18 @@ type Log struct {
 // when non-nil, is called with the position and payload of every intact
 // record in order (the payload is only valid during the call), and a
 // replay error aborts the open. sync selects whether Commit and Close
-// fsync. stats may be nil.
+// fsync. stats may be nil. Creating the file fsyncs its directory, so a
+// record committed to a new log does not vanish with the directory entry.
 func Open(path string, sync bool, stats *Stats, replay func(pos int64, payload []byte) error) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if errors.Is(err, os.ErrNotExist) {
+		if f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err == nil {
+			err = SyncDir(filepath.Dir(path))
+			if err != nil {
+				err = errors.Join(err, f.Close())
+			}
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("seglog: open: %w", err)
 	}
@@ -108,6 +118,16 @@ func Open(path string, sync bool, stats *Stats, replay func(pos int64, payload [
 		return nil, errors.Join(fmt.Errorf("seglog: recover %s: %w", path, err), f.Close())
 	}
 	return &Log{f: f, sync: sync, stats: stats, w: bufio.NewWriter(f), size: size, committed: size}, nil
+}
+
+// SyncDir fsyncs directory dir, making the files created, renamed or
+// removed in it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // recoverFile scans f from the start, feeds every intact record to replay

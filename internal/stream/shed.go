@@ -43,9 +43,11 @@ type Sheddable interface {
 // WithShedGate installs a shed gate on the operator being built, opting it
 // in to the query's dynamic OverloadKnobs. Shed decisions are made at
 // enqueue time — before a tuple is buffered for the operator's output edge —
-// so a gated operator never blocks on tuples the knobs would discard. Shed
-// tuples still advance the operator's watermark (heartbeat-only progress),
-// so event-time windows downstream keep closing.
+// so a gated operator never blocks on tuples the knobs would discard; a
+// sink, which has no output edge, decides as it dequeues. Shed tuples still
+// advance the operator's watermark, which feeds the watermark-lag metric
+// and the overload controller's pressure reading (windows close on
+// punctuation, which is never shed).
 func WithShedGate() OpOption {
 	return func(o *opOptions) { o.shedGate = true }
 }
@@ -145,16 +147,20 @@ func (k *OverloadKnobs) boostedLinger(base time.Duration) time.Duration {
 // use while the query runs.
 func (q *Query) Overload() *OverloadKnobs { return &q.knobs }
 
-// shedGate makes the per-tuple shed decision for one operator's output edge.
-// Nil gates (operators without WithShedGate) are inert.
+// shedGate makes the per-tuple shed decision for one operator. An emitter's
+// gate watches its output edge out. A sink's gate has no edge (out is nil):
+// its backlog ages out inside its input queue, after admission, so it
+// re-checks deadlines as it dequeues, and the priority floor, which needs a
+// full edge, never applies. Nil gates (operators without WithShedGate) are
+// inert.
 type shedGate[T any] struct {
 	knobs *OverloadKnobs
 	out   chan []T
 	stats *OpStats
 }
 
-// newShedGate builds the gate an emitter installs, or nil when the operator
-// was not opted in.
+// newShedGate builds the gate an emitter (or, with a nil out, a sink)
+// installs, or nil when the operator was not opted in.
 func newShedGate[T any](out chan []T, stats *OpStats) *shedGate[T] {
 	gated, knobs := stats.shedSetup()
 	if !gated {
@@ -201,11 +207,11 @@ func shedPriorityOf[T any](v *T) int {
 	return 0
 }
 
-// admit decides *v's fate before it is kept buffered for the edge: true means
-// the caller proceeds as usual (buffer, and possibly block); false means v
+// admit decides *v's fate before it is kept buffered for the edge (or, at a
+// sink, serviced): true means the caller proceeds as usual; false means v
 // was shed — counted, its event time folded into the watermark, and nothing
 // else owed. v must point into caller-owned storage (the emitter's open
-// chunk); admit never retains it.
+// chunk, the sink's input chunk); admit never retains it.
 func (g *shedGate[T]) admit(v *T) bool {
 	if g == nil || !g.knobs.engaged.Load() || !sheddableOf(v) {
 		return true
@@ -216,7 +222,7 @@ func (g *shedGate[T]) admit(v *T) bool {
 			return false
 		}
 	}
-	if floor := int(g.knobs.floor.Load()); floor > 0 && len(g.out) == cap(g.out) {
+	if floor := int(g.knobs.floor.Load()); floor > 0 && g.out != nil && len(g.out) == cap(g.out) {
 		if shedPriorityOf(v) < floor {
 			shedTuple(g.stats, v, &g.stats.shedLowPri, "lowpri")
 			return false
@@ -226,48 +232,13 @@ func (g *shedGate[T]) admit(v *T) bool {
 }
 
 // shedTuple counts one shed tuple and folds its event time into the operator's
-// watermark — the heartbeat that keeps downstream event-time progress (and
-// therefore window closing) intact even though the payload is gone.
+// watermark, so the watermark-lag metric and the overload controller's
+// pressure reading still see the operator's progress though the payload is
+// gone.
 func shedTuple[T any](s *OpStats, v *T, counter *atomic.Int64, reason string) {
 	counter.Add(1)
 	s.noteShedBurst(reason)
 	if t, ok := eventTimeOf(v); ok {
 		s.observeEventTime(t)
 	}
-}
-
-// sinkGate is the receive-side counterpart of shedGate for operators with no
-// output edge. Emit-side gates catch tuples that expired on their way *into*
-// a queue; a slow sink's backlog ages out *inside* its input queue, after
-// admission, so the sink re-checks deadlines as it dequeues — dropping an
-// expired tuple costs one time.Now instead of the sink's full service time.
-// Only deadline shedding applies (there is no edge for a priority floor);
-// shed tuples are counted and heartbeat the watermark exactly like
-// emit-side sheds.
-type sinkGate[T any] struct {
-	knobs *OverloadKnobs
-	stats *OpStats
-}
-
-// newSinkGate builds the drain-side gate, or nil when the sink was not
-// opted in with WithShedGate.
-func newSinkGate[T any](stats *OpStats) *sinkGate[T] {
-	gated, knobs := stats.shedSetup()
-	if !gated {
-		return nil
-	}
-	return &sinkGate[T]{knobs: knobs, stats: stats}
-}
-
-// admit reports whether the sink should service *v; false means v was shed
-// as expired (counted, watermark heartbeat folded in).
-func (g *sinkGate[T]) admit(v *T) bool {
-	if !g.knobs.engaged.Load() || !g.knobs.dropExpired.Load() || !sheddableOf(v) {
-		return true
-	}
-	if dl, ok := shedDeadlineOf(v); ok && !dl.IsZero() && time.Now().After(dl) {
-		shedTuple(g.stats, v, &g.stats.shedExpired, "expired")
-		return false
-	}
-	return true
 }

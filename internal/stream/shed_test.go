@@ -250,27 +250,37 @@ func TestOverloadSinkGateDropsAgedBacklog(t *testing.T) {
 	}
 }
 
-// TestOverloadSinkGateInertIsTransparent: a gated sink under neutral knobs
-// delivers everything, even long-expired tuples.
+// TestOverloadSinkGateInertIsTransparent: a gated sink delivers everything,
+// even long-expired priority-0 tuples, under neutral knobs and under an
+// engaged priority floor, which applies only where there is an output edge
+// to fill.
 func TestOverloadSinkGateInertIsTransparent(t *testing.T) {
-	const n = 100
-	items := make([]loadTuple, n)
-	for i := range items {
-		items[i] = loadTuple{TS: int64(i), Val: i, Deadline: time.Now().Add(-time.Hour)}
-	}
-	q := NewQuery("inertsink", withQueryBatch(8))
-	src := AddSource(q, "src", FromSlice(items))
-	var got []loadTuple
-	AddSink(q, "sink", src, ToSlice(&got), WithShedGate())
-	if err := runQuery(t, q); err != nil {
-		t.Fatalf("Run() error = %v", err)
-	}
-	if len(got) != n {
-		t.Fatalf("sink got %d tuples, want %d (inert sink gate must not shed)", len(got), n)
-	}
-	exp, low := q.Metrics().Op("sink").Shed()
-	if exp+low != 0 {
-		t.Fatalf("inert sink gate shed (%d, %d), want zero", exp, low)
+	for _, row := range []struct {
+		name  string
+		floor int
+	}{{"neutral", 0}, {"priority floor", 10}} {
+		t.Run(row.name, func(t *testing.T) {
+			const n = 100
+			items := make([]loadTuple, n)
+			for i := range items {
+				items[i] = loadTuple{TS: int64(i), Val: i, Deadline: time.Now().Add(-time.Hour)}
+			}
+			q := NewQuery("inertsink", withQueryBatch(8))
+			q.Overload().SetShedLate(false, row.floor)
+			src := AddSource(q, "src", FromSlice(items))
+			var got []loadTuple
+			AddSink(q, "sink", src, ToSlice(&got), WithShedGate())
+			if err := runQuery(t, q); err != nil {
+				t.Fatalf("Run() error = %v", err)
+			}
+			if len(got) != n {
+				t.Fatalf("sink got %d tuples, want %d (the sink gate must not shed)", len(got), n)
+			}
+			exp, low := q.Metrics().Op("sink").Shed()
+			if exp+low != 0 {
+				t.Fatalf("sink gate shed (%d, %d), want zero", exp, low)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ func AddSink[T any](q *Query, name string, in *Stream[T], fn SinkFunc[T], opts .
 	stats.installShed(o.shedGate, &q.knobs)
 	q.addOperator(&sinkOp[T]{
 		name: name, in: in.ch, fn: fn, g: q.qz.newGuard(), stats: stats,
-		traces: q.traces, gate: newSinkGate[T](stats),
+		traces: q.traces, gate: newShedGate[T](nil, stats),
 		pool: chunkPoolFor[T](), recycle: !in.shared,
 	})
 }
@@ -39,7 +39,7 @@ type sinkOp[T any] struct {
 	g       *opGuard
 	stats   *OpStats
 	traces  *telemetry.TraceBuffer
-	gate    *sinkGate[T]
+	gate    *shedGate[T]
 	pool    *sync.Pool
 	recycle bool
 }

@@ -50,12 +50,16 @@ race:
 ## unsubscribes against context cancellation on all four connector
 ## transports (in-process broker, TCP broker, local log, remote log); plus
 ## 50 repeats of the reconnect tests, which race a ReconnectConn's attach
-## and restore against unsubscribes, link swaps and failed restores.
+## and restore against unsubscribes, link swaps and failed restores; plus 50
+## repeats of the tests that compare parallel pipelines with sequential or
+## unchained ones, since a parallel stage's branches run concurrently once a
+## layer's specimens are reshuffled across them.
 flake:
 	$(GO) test -race -count=10 ./internal/seglog ./internal/kvstore ./internal/pubsub ./internal/stream ./internal/core ./internal/cluster
 	$(selected) $(GO) test -race -count=200 -run '^TestTraceAndWatermarkThroughChunkedEdges$$' ./internal/stream
 	$(selected) $(GO) test -race -count=50 -run '^TestConnectorSourceContract$$' ./internal/core
 	$(selected) $(GO) test -race -count=50 -run '^(TestReconnect|TestRestoreFailure|TestActiveSubscriptions)' ./internal/pubsub
+	$(selected) $(GO) test -race -count=50 -run '^(TestParallelStagesSpreadSpecimens|TestStageChainDifferential|TestPipelineParallelismMatchesSequential)$$' ./internal/core ./internal/bench
 
 ## fuzz: each fuzz target for 10 s with two workers, past the seed corpus
 ## the test suite runs. Minimising a new interesting input is capped at 100
@@ -78,6 +82,7 @@ fuzz:
 	$(fuzz_run) '^FuzzDecodeTuple$$' ./internal/core
 	$(fuzz_run) '^FuzzLoadCheckpoint$$' ./internal/core
 	$(fuzz_run) '^FuzzCorrelateRestore$$' ./internal/core
+	$(fuzz_run) '^FuzzDecodeCommand$$' ./internal/core
 
 ## lint: the whole module (./... includes internal/lint itself — the
 ## analyzers run on their own implementation). Any unsuppressed finding

@@ -64,7 +64,9 @@ type stageConfig struct {
 // WithParallelism runs the stage as n parallel replicas, hash-partitioned
 // on (job, specimen) so each specimen's tuples stay ordered on one branch —
 // the paper's "disjoint layer portions analyzed in a pipelined/parallel
-// fashion".
+// fashion". A stage fed whole layers partitions by job alone (a layer
+// tuple has no specimen yet); the parallel stage after it reshuffles the
+// specimens it emitted.
 func WithParallelism(n int) StageOption {
 	return func(c *stageConfig) {
 		if n > 0 {
@@ -283,7 +285,13 @@ var maxChainStages = 0
 // when the parallelism matches, and starts a new chain otherwise. Parallel
 // chains keep their output split into per-branch streams, so a later chain
 // with the same parallelism reuses the branches instead of re-merging and
-// re-shuffling (every STRATA stage hashes on the same (job, specimen) key).
+// re-shuffling, as long as they are split on (job, specimen).
+//
+// A parallel stage on a layer-granular input is the exception: it receives
+// whole layers, all under DefaultSpecimen, so its branches are split by job
+// only (out.byJob). Its chain ends there, and the next parallel consumer
+// reshuffles on the specimens it emitted, so that one layer's specimens
+// spread over every branch.
 func (fw *Framework) subLayerStage(
 	out, in *StreamRef,
 	opts []StageOption,
@@ -292,7 +300,8 @@ func (fw *Framework) subLayerStage(
 ) {
 	par := applyStageOpts(opts).parallelism
 	stage := stageRun{fill: fill, emitMarkers: in.layerGranular, fn: fn}
-	if c := in.chain; c != nil && c.par == par && (maxChainStages == 0 || len(c.stages) < maxChainStages) {
+	out.byJob = par > 1 && in.layerGranular
+	if c := in.chain; c != nil && !in.byJob && c.par == par && (maxChainStages == 0 || len(c.stages) < maxChainStages) {
 		in.chained = true
 		out.chain = &stageChain{
 			par:    par,

@@ -43,7 +43,14 @@ func TestStageChainDifferential(t *testing.T) {
 	params := bench.PipelineParams{CellEdgePx: 2 + rng.Intn(4), L: 1 + rng.Intn(4)}
 	for _, par := range []int{1, 2} {
 		params.Parallelism = par
-		chained, events := runAlgorithm1(t, job, replay, layout.LayerMM, params, "spec+cell+cellLabel")
+		// At parallelism 1 the whole pipeline is one chain; in parallel,
+		// spec takes whole layers and ends its chain, and cell reshuffles
+		// its specimens.
+		chain := "spec+cell+cellLabel"
+		if par > 1 {
+			chain = "cell+cellLabel"
+		}
+		chained, events := runAlgorithm1(t, job, replay, layout.LayerMM, params, chain)
 		restore := core.SetMaxChainStages(1)
 		unchained, _ := runAlgorithm1(t, job, replay, layout.LayerMM, params, "cellLabel")
 		restore()

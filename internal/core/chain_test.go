@@ -38,13 +38,15 @@ func passThrough(t EventTuple, emit func(EventTuple) error) error { return emit(
 // TestStageChainCompilesOneOperatorPerBranch: consecutive Partition and
 // DetectEvent stages of equal parallelism become one operator per branch,
 // named by their stage names joined with "+", and a correlate over them
-// still sees every layer closed.
+// still sees every layer closed. The first stage takes whole layers, so it
+// ends its chain and the next one reshuffles its output on (job, specimen).
 func TestStageChainCompilesOneOperatorPerBranch(t *testing.T) {
 	fw := newTestFramework(t)
 	src := fw.AddSource("src", layersSource("j", 4, nil))
 	spec := fw.Partition("spec", src, specimensOf(3), WithParallelism(2))
 	cell := fw.Partition("cell", spec, passThrough, WithParallelism(2))
-	label := fw.DetectEvent("label", cell, passThrough, WithParallelism(2))
+	sub := fw.Partition("sub", cell, passThrough, WithParallelism(2))
+	label := fw.DetectEvent("label", sub, passThrough, WithParallelism(2))
 	cor := fw.CorrelateEvents("out", label, 1, func(w CorrelateWindow, emit func(EventTuple) error) error {
 		return emit(EventTuple{KV: map[string]any{"n": int64(len(w.Events))}})
 	}, WithParallelism(2))
@@ -63,15 +65,96 @@ func TestStageChainCompilesOneOperatorPerBranch(t *testing.T) {
 		t.Fatalf("delivered %d results, want 12", results)
 	}
 	ops := opNames(fw)
-	for _, want := range []string{"spec+cell+label.0", "spec+cell+label.1"} {
+	for _, want := range []string{"spec.0", "spec.1", "cell.shuffle", "cell+sub+label.0", "cell+sub+label.1", "out.0", "out.1"} {
 		if !ops[want] {
 			t.Errorf("no operator %q in %v", want, ops)
 		}
 	}
-	for _, stage := range []string{"spec.0", "cell.0", "label.0"} {
+	for _, stage := range []string{"spec+cell+sub+label.0", "cell.0", "sub.0", "label.0", "out.shuffle"} {
 		if ops[stage] {
-			t.Errorf("stage %q compiled on its own: %v", stage, ops)
+			t.Errorf("operator %q compiled: %v", stage, ops)
 		}
+	}
+}
+
+// TestParallelStagesSpreadSpecimens drives one job whose layers split into
+// 12 specimens through Partition, Partition, DetectEvent and CorrelateEvents
+// at parallelism 2. The layer stage sees every layer on one branch, but the
+// specimens it emits must spread over both branches of the stages behind
+// it, each specimen on exactly one branch. Specimen i yields 2^i tuples per
+// layer on each branch it reaches (2^i - 1 cells and its end-of-layer
+// marker into the detect chain, 2^i results out of the correlate), so a
+// branch's output count per layer is the bit set of its specimens.
+func TestParallelStagesSpreadSpecimens(t *testing.T) {
+	const layers, specimens = 3, 12
+	all := uint64(1)<<specimens - 1
+	fw := newTestFramework(t)
+	src := fw.AddSource("src", layersSource("j", layers, nil))
+	spec := fw.Partition("spec", src, func(t EventTuple, emit func(EventTuple) error) error {
+		for i := 0; i < specimens; i++ {
+			if err := emit(EventTuple{Specimen: fmt.Sprintf("s%02d", i), KV: map[string]any{"i": int64(i)}}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, WithParallelism(2))
+	cell := fw.Partition("cell", spec, func(t EventTuple, emit func(EventTuple) error) error {
+		i, _ := t.GetInt("i")
+		for c := 1; c < 1<<i; c++ {
+			if err := emit(EventTuple{Specimen: t.Specimen, Portion: fmt.Sprintf("c%d", c)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, WithParallelism(2))
+	label := fw.DetectEvent("label", cell, passThrough, WithParallelism(2))
+	cor := fw.CorrelateEvents("out", label, 1, func(w CorrelateWindow, emit func(EventTuple) error) error {
+		var i int
+		if _, err := fmt.Sscanf(w.Specimen, "s%d", &i); err != nil {
+			return err
+		}
+		if len(w.Events) != 1<<i-1 {
+			return fmt.Errorf("window of %s/%d holds %d events, want %d", w.Specimen, w.Layer, len(w.Events), 1<<i-1)
+		}
+		for r := 0; r < 1<<i; r++ {
+			if err := emit(EventTuple{}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, WithParallelism(2))
+	results := make(map[string]int)
+	fw.Deliver("expert", cor, func(t EventTuple) error {
+		results[fmt.Sprintf("%s/%d", t.Specimen, t.Layer)]++
+		return nil
+	})
+	if err := runFW(t, fw); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != layers*specimens {
+		t.Fatalf("results for %d (specimen, layer) windows, want %d", len(results), layers*specimens)
+	}
+	out := make(map[string]int64)
+	for _, s := range fw.Query().Metrics().Snapshot() {
+		out[s.Name] = s.Out
+	}
+	// sets returns the specimen bit set of each branch of op.
+	sets := func(op string) [2]uint64 {
+		var bs [2]uint64
+		for b := range bs {
+			n := out[fmt.Sprintf("%s.%d", op, b)]
+			if n == 0 || n%layers != 0 {
+				t.Fatalf("%s.%d emitted %d tuples, want a non-zero multiple of %d layers; ops %v", op, b, n, layers, out)
+			}
+			bs[b] = uint64(n / layers)
+		}
+		if bs[0]&bs[1] != 0 || bs[0]|bs[1] != all {
+			t.Fatalf("%s branches hold specimen sets %012b and %012b, want disjoint sets covering %012b", op, bs[0], bs[1], all)
+		}
+		return bs
+	}
+	if detect, cor := sets("cell+label"), sets("out"); detect != cor {
+		t.Fatalf("a specimen's detect branch is not its correlate branch: %012b vs %012b", detect, cor)
 	}
 }
 
@@ -156,7 +239,8 @@ func TestStageChainEventTapPublishesOnce(t *testing.T) {
 	}
 	fw := newTestFramework(t, WithBroker(broker))
 	src := fw.AddSource("src", layersSource("J", 6, nil))
-	p := fw.Partition("p", src, specimensOf(3), WithParallelism(2))
+	spec := fw.Partition("spec", src, specimensOf(3), WithParallelism(2))
+	p := fw.Partition("p", spec, passThrough, WithParallelism(2))
 	d := fw.DetectEvent("d", p, func(t EventTuple, emit func(EventTuple) error) error {
 		return emit(EventTuple{KV: map[string]any{"id": fmt.Sprintf("%s/%d", t.Specimen, t.Layer)}})
 	}, WithParallelism(2))

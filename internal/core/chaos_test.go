@@ -24,6 +24,8 @@ type chaosRig struct {
 	subject string
 
 	cps *faultinject.Crashpoints
+	// par is the parallelism of the detect and correlate stages (0: 1).
+	par int
 
 	mu      sync.Mutex
 	results []EventTuple
@@ -88,7 +90,7 @@ func (r *chaosRig) build(fw *Framework) error {
 		}
 		p, _ := t.KV["power"].(float64)
 		return emit(EventTuple{KV: map[string]any{"score": p * 10}})
-	})
+	}, WithParallelism(r.par))
 	cor := fw.CorrelateEvents("cor", det, chaosWindow, func(w CorrelateWindow, emit func(EventTuple) error) error {
 		sum := 0.0
 		for _, e := range w.Events {
@@ -96,7 +98,7 @@ func (r *chaosRig) build(fw *Framework) error {
 			sum += s
 		}
 		return emit(EventTuple{KV: map[string]any{"sum": sum}})
-	})
+	}, WithParallelism(r.par))
 	fw.DeliverDurable("out", cor, func(seq uint64, t EventTuple, b *kvstore.Batch) error {
 		sum, _ := t.KV["sum"].(float64)
 		var buf [16]byte

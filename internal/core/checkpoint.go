@@ -21,7 +21,7 @@ import (
 // Checkpoint storage layout, all under the pipeline's shared store:
 //
 //	ckpt/<pipeline>/latest                      8-byte BE epoch number
-//	ckpt/<pipeline>/<epoch:%016x>/meta          gob ckptMeta
+//	ckpt/<pipeline>/<epoch:%016x>/meta          gob ckptMeta, with the plan
 //	ckpt/<pipeline>/<epoch:%016x>/op/<name>     operator state blob
 //	ckpt/<pipeline>/<epoch:%016x>/src/<name>    8-byte BE resume offset
 //	ckpt/<pipeline>/<epoch:%016x>/sink/<name>   8-byte BE sink sequence
@@ -29,7 +29,12 @@ import (
 // Every op/ blob is the Snapshot of a stream.Snapshotter the engine found
 // on the operator of that name: Aggregate panes (correlateEvents' layer
 // windows among them) and Join buffers. An epoch holding any other record
-// is damaged and does not load.
+// is damaged and does not load. The meta record lists the operators of the
+// query that wrote the epoch (stream.QuerySnapshot.Plan), and an epoch
+// restores only into a build of the same plan: at another parallelism, a
+// replica's blob would land on a replica that no longer receives its
+// specimens. An epoch written before plans were recorded has none, and
+// fails to restore for the same reason.
 //
 // Every key of one epoch plus the latest pointer is written in ONE kvstore
 // batch (a single WAL record), so an epoch is visible if and only if it is
@@ -83,6 +88,8 @@ type ckptMeta struct {
 	Ops     int
 	Sources int
 	Sinks   int
+	// Plan is the operator names of the query that wrote the epoch.
+	Plan []string
 }
 
 func ckptPipelinePrefix(pipeline string) []byte {
@@ -200,6 +207,7 @@ func writeCheckpoint(store *kvstore.DB, pipeline string, cut *ckptEpoch) (int, e
 		Ops:     len(cut.snap.Ops),
 		Sources: len(cut.snap.Positions),
 		Sinks:   len(cut.sinks),
+		Plan:    cut.snap.Plan,
 	})
 	if err != nil {
 		return 0, err
@@ -326,6 +334,7 @@ func loadCheckpoint(store *kvstore.DB, pipeline string) (*ckptEpoch, error) {
 		return nil, fmt.Errorf("epoch %x: meta %+v does not describe its %d ops, %d sources and %d sinks",
 			epoch, meta, len(rc.snap.Ops), len(rc.snap.Positions), len(rc.sinks))
 	}
+	rc.snap.Plan = meta.Plan
 	return rc, nil
 }
 

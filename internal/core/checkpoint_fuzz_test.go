@@ -62,6 +62,9 @@ func correlateQuery(src stream.SourceFunc[EventTuple]) (*stream.Query, *[]string
 	return q, &out
 }
 
+// correlatePlan is the plan of correlateQuery: its operators' names.
+var correlatePlan = []string{"cor", "events", "out"}
+
 // correlateFixture is the "cor" blob of a live checkpoint: two specimens'
 // events buffered across two closed layers and an open one.
 func correlateFixture(tb testing.TB) []byte {
@@ -114,10 +117,10 @@ func restoreCorrelate(t *testing.T, fixture, blob []byte) (restoreErr error, out
 		}
 		return nil
 	})
-	if err := q.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": fixture}}); err != nil {
+	if err := q.RestoreCheckpoint(&stream.QuerySnapshot{Plan: correlatePlan, Ops: map[string][]byte{"cor": fixture}}); err != nil {
 		t.Fatalf("fixture does not restore: %v", err)
 	}
-	restoreErr = q.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": blob}})
+	restoreErr = q.RestoreCheckpoint(&stream.QuerySnapshot{Plan: correlatePlan, Ops: map[string][]byte{"cor": blob}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
@@ -176,7 +179,7 @@ func FuzzCorrelateRestore(f *testing.F) {
 			return
 		}
 		fresh, _ := correlateQuery(func(context.Context, stream.Emit[EventTuple]) error { return nil })
-		if err := fresh.RestoreCheckpoint(&stream.QuerySnapshot{Ops: map[string][]byte{"cor": again}}); err != nil {
+		if err := fresh.RestoreCheckpoint(&stream.QuerySnapshot{Plan: correlatePlan, Ops: map[string][]byte{"cor": again}}); err != nil {
 			t.Fatalf("snapshot of restored buffers does not restore: %v", err)
 		}
 	})
@@ -184,7 +187,7 @@ func FuzzCorrelateRestore(f *testing.F) {
 
 // FuzzLoadCheckpoint: whatever bytes an epoch's meta, operator and position
 // records hold, loading either fails or returns exactly the epoch the meta
-// record describes.
+// record describes, with the plan it records.
 func FuzzLoadCheckpoint(f *testing.F) {
 	store, err := kvstore.Open(f.TempDir())
 	if err != nil {
@@ -194,6 +197,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	capture := &ckptEpoch{
 		epoch: 3,
 		snap: &stream.QuerySnapshot{
+			Plan:      []string{"agg", "out", "src"},
 			Ops:       map[string][]byte{"agg": []byte("state")},
 			Positions: map[string]uint64{"src": 42},
 		},
@@ -243,6 +247,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(rc.snap.Ops["agg"], op) {
 			t.Fatalf("op blob = %q, stored %q", rc.snap.Ops["agg"], op)
+		}
+		if !slices.Equal(rc.snap.Plan, m.Plan) {
+			t.Fatalf("plan = %v, meta records %v", rc.snap.Plan, m.Plan)
 		}
 	})
 }
@@ -305,18 +312,96 @@ type legacyCorrelateBuf struct {
 // buffered layers.
 func TestRestoreRejectsLegacyCorrelateBlob(t *testing.T) {
 	r := newChaosRig(t)
+	r.appendLayers(t, 1, 1)
+	r.checkpointAndStop(t, 1)
 	ev := EventTuple{Job: "j", Specimen: DefaultSpecimen, Layer: 1, KV: map[string]any{"score": 10.0}}
 	legacy := gobBlob(t, []legacyCorrelateBuf{{Job: "j", Specimen: DefaultSpecimen, Layers: map[int][]EventTuple{1: {ev}}}})
-	cut := &ckptEpoch{
-		epoch: 1,
-		snap:  &stream.QuerySnapshot{Ops: map[string][]byte{"cor": legacy}, Positions: map[string]uint64{"raw": 0}},
-		sinks: map[string]uint64{},
-	}
-	if _, err := writeCheckpoint(r.mgr.Store(), "chaos", cut); err != nil {
+	if err := r.mgr.Store().Put(append(ckptEpochPrefix("chaos", 1), "op/cor"...), legacy); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour))
 	if !errors.Is(err, ErrCheckpointRestore) || !strings.Contains(err.Error(), `restore operator "cor"`) {
 		t.Fatalf("Deploy over a legacy correlate blob: err = %v, want ErrCheckpointRestore from operator \"cor\"", err)
 	}
+}
+
+// checkpointAndStop deploys the rig's pipeline with manual checkpoints,
+// waits for n results, writes epoch 1 and decommissions the pipeline.
+func (r *chaosRig) checkpointAndStop(t *testing.T, n int) {
+	t.Helper()
+	if _, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	r.waitResults(t, n)
+	if err := r.mgr.CheckpointNow("chaos"); err != nil {
+		t.Fatalf("CheckpointNow: %v", err)
+	}
+	if err := r.mgr.Decommission("chaos"); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("Decommission: %v", err)
+	}
+}
+
+// TestCheckpointRestoresOnlyIntoItsPlan: correlate state is held per (job,
+// specimen) on the replica its specimens are routed to, so an epoch written
+// at parallelism 2 must not restore into a build at parallelism 4, where
+// cor.0 and cor.1 would receive other specimens than the ones whose windows
+// their blobs hold. Nor may an epoch that records no plan (written before
+// plans were recorded) restore. The plan that wrote the epoch restores it,
+// and its windows carry on across the restart.
+func TestCheckpointRestoresOnlyIntoItsPlan(t *testing.T) {
+	r := newChaosRig(t)
+	r.par = 2
+	r.appendLayers(t, 1, 10)
+	r.checkpointAndStop(t, 10)
+
+	r.par = 4
+	_, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour))
+	if !errors.Is(err, ErrCheckpointRestore) || !strings.Contains(err.Error(), "cor.3") {
+		t.Fatalf("Deploy at parallelism 4 over a parallelism-2 epoch: err = %v, want ErrCheckpointRestore naming cor.3", err)
+	}
+
+	// The same epoch with the plan dropped from its meta record, as an
+	// epoch of an older version.
+	r.par = 2
+	metaKey := append(ckptEpochPrefix("chaos", 1), "meta"...)
+	raw, err := r.mgr.Store().Get(metaKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta ckptMeta
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(meta.Plan, "cor.1") {
+		t.Fatalf("epoch plan %v does not name cor.1", meta.Plan)
+	}
+	plan := meta.Plan
+	meta.Plan = nil
+	if err := r.mgr.Store().Put(metaKey, gobBlob(t, meta)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour)); !errors.Is(err, ErrCheckpointRestore) {
+		t.Fatalf("Deploy over an epoch without a plan: err = %v, want ErrCheckpointRestore", err)
+	}
+	meta.Plan = plan
+	if err := r.mgr.Store().Put(metaKey, gobBlob(t, meta)); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := r.mgr.Deploy("chaos", r.build, WithCheckpointInterval(time.Hour))
+	if err != nil {
+		t.Fatalf("Deploy at the epoch's own plan: %v", err)
+	}
+	r.appendLayers(t, 11, 14)
+	r.waitResults(t, 14)
+	if err := r.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := p.ckpt.restores.Load(); got != 1 {
+		t.Fatalf("restores = %d, want 1", got)
+	}
+	r.verifyResults(t, 14)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,52 @@ func TestCommandCodec(t *testing.T) {
 	if _, err := DecodeCommand([]byte("{not json")); err == nil {
 		t.Fatal("DecodeCommand should reject garbage")
 	}
+}
+
+// FuzzDecodeCommand: DecodeCommand parses bytes off a control subject.
+// Whatever they hold, it returns an error or a command, never panics, and a
+// command it accepts encodes into bytes that decode to the same command.
+// An empty Params map and no map are the same command: EncodeCommand omits
+// both.
+func FuzzDecodeCommand(f *testing.F) {
+	valid, err := EncodeCommand(Command{Job: "j1", Layer: 7, Action: ActionAdjust,
+		Params: map[string]float64{"energy_scale": 0.9}, Reason: "too many very_warm clusters"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		nil,
+		[]byte("{not json"),
+		[]byte("null"),
+		[]byte(`{"job":"j","layer":-1,"action":99,"params":{},"reason":""}`),
+		[]byte(`{"params":{"a":1e308,"a":-0,"b":5e-324},"job":"\ud800\u00e9","extra":[1,{"x":null}]}`),
+		[]byte(`{"layer":1.5}`),
+		[]byte(`{"layer":99999999999999999999}`),
+		[]byte(`{"params":{"a":"1"}}`),
+		[]byte("{\"job\":\"\xff\xfe\"}"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeCommand(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeCommand(c)
+		if err != nil {
+			t.Fatalf("accepted %q as %+v, which does not encode: %v", data, c, err)
+		}
+		again, err := DecodeCommand(enc)
+		if err != nil {
+			t.Fatalf("accepted %q as %+v, whose encoding %q does not decode: %v", data, c, enc, err)
+		}
+		if again.Job != c.Job || again.Layer != c.Layer || again.Action != c.Action ||
+			again.Reason != c.Reason || !maps.Equal(again.Params, c.Params) {
+			t.Fatalf("accepted %q as %+v, which round-trips through %q to %+v", data, c, enc, again)
+		}
+	})
 }
 
 func TestActionString(t *testing.T) {

@@ -57,6 +57,13 @@ type StreamRef struct {
 	// consumer compiles it into s or branches.
 	chain   *stageChain
 	chained bool
+	// byJob marks the output of a parallel stage whose input was
+	// layer-granular. Layer tuples all carry DefaultSpecimen, so the shuffle
+	// in front of that stage split them by job alone: every specimen of a
+	// job sits on one branch. No stage extends such a chain, and a parallel
+	// consumer reshuffles its branches on (job, specimen) instead of reusing
+	// them.
+	byJob bool
 }
 
 // Name returns the stream's name.
@@ -79,11 +86,12 @@ func (r *StreamRef) singleStream(fw *Framework, consumer string) *stream.Stream[
 	return stream.Merge(fw.query, consumer+".in-merge", r.branches)
 }
 
-// branchStreams returns the ref as n hash-partitioned branches, reusing the
-// upstream split when the parallelism matches and shuffling otherwise.
+// branchStreams returns the ref as n branches hash-partitioned on (job,
+// specimen). It reuses the upstream split when that split is already on
+// (job, specimen) with n branches, and merges and reshuffles otherwise.
 func (r *StreamRef) branchStreams(fw *Framework, consumer string, n int) []*stream.Stream[EventTuple] {
 	r.compile(fw)
-	if r.s == nil && len(r.branches) == n {
+	if r.s == nil && len(r.branches) == n && !r.byJob {
 		return r.branches
 	}
 	return stream.Shuffle(fw.query, consumer+".shuffle", r.singleStream(fw, consumer), n, specimenHash)

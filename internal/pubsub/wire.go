@@ -157,7 +157,11 @@ type frame struct {
 }
 
 // getFrame returns a frame with room for n bytes and one reference, taken
-// from home, the pool, or the heap in that order.
+// from home, the pool, or the heap in that order. A frame from the heap
+// comes with a spare of the same size put in home: the next frame can
+// arrive before a forwarder has written this one, and without the spare,
+// whichever frame first lost that race would allocate the connection's
+// second buffer.
 func getFrame(home chan *frame, n int) *frame {
 	var f *frame
 	select {
@@ -167,15 +171,28 @@ func getFrame(home chan *frame, n int) *frame {
 	}
 	if f == nil {
 		f = new(frame)
+		select {
+		case home <- &frame{buf: make([]byte, 0, frameCap(n))}:
+		default:
+		}
 	}
 	if cap(f.buf) < n {
-		f.buf = make([]byte, n)
+		f.buf = make([]byte, n, frameCap(n))
 	}
 	f.buf = f.buf[:n]
 	f.home = home
 	f.refs.Store(1)
 	f.escaped.Store(false)
 	return f
+}
+
+// frameCap is the capacity a frame buffer for n bytes is allocated with:
+// n rounded up past the next multiple of relayPoolMin. Frames of one
+// stream differ by a few bytes (a reply subject's counter gains a digit, a
+// header value grows), and the headroom lets a buffer take the next,
+// slightly longer frame instead of being replaced by one.
+func frameCap(n int) int {
+	return (n + relayPoolMin) &^ (relayPoolMin - 1)
 }
 
 func (f *frame) retain() {

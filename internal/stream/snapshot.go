@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Snapshotter is the checkpointed state of a stateful operator: a Process's
@@ -46,6 +47,11 @@ type positioned interface {
 // been fully absorbed into the recorded states; no tuple at or past a
 // position has touched them.
 type QuerySnapshot struct {
+	// Plan lists the names of the query's operators, sorted. A snapshot
+	// restores only into a query of the same plan: a blob's name says whose
+	// state it is, not which keys reach that operator, and a plan with
+	// another replica count routes keys to other replicas.
+	Plan []string
 	// Ops maps operator name to its state blob.
 	Ops map[string][]byte
 	// Positions maps source name to the offset replay should resume from.
@@ -100,6 +106,7 @@ func (q *Query) Checkpoint(ctx context.Context, fn func(*QuerySnapshot) error) (
 	defer resume()
 
 	snap := &QuerySnapshot{
+		Plan:      planOf(ops),
 		Ops:       make(map[string][]byte),
 		Positions: make(map[string]uint64),
 	}
@@ -123,11 +130,21 @@ func (q *Query) Checkpoint(ctx context.Context, fn func(*QuerySnapshot) error) (
 	return snap, nil
 }
 
+// planOf returns the names of ops, sorted: the plan a snapshot records.
+func planOf(ops []operator) []string {
+	plan := make([]string, len(ops))
+	for i, op := range ops {
+		plan[i] = op.opName()
+	}
+	slices.Sort(plan)
+	return plan
+}
+
 // RestoreCheckpoint loads a snapshot's operator state into a freshly built,
-// not-yet-run query. The query must contain a stateful operator for every
-// blob in the snapshot (same names — the topology must match the one that
-// was checkpointed); operators without a blob start fresh. Source positions
-// are not applied here: builders resolve them at build time (see
+// not-yet-run query. The snapshot's plan must be the query's (see
+// QuerySnapshot.Plan), and the query must contain a stateful operator for
+// every blob in the snapshot; operators without a blob start fresh. Source
+// positions are not applied here: builders resolve them at build time (see
 // AddPositionedSource) so a checkpoint taken before the source's first emit
 // still records the restored offset.
 func (q *Query) RestoreCheckpoint(snap *QuerySnapshot) error {
@@ -141,6 +158,10 @@ func (q *Query) RestoreCheckpoint(snap *QuerySnapshot) error {
 	}
 	if q.finished {
 		return ErrQueryFinished
+	}
+	if plan := planOf(q.ops); !slices.Equal(snap.Plan, plan) {
+		return fmt.Errorf("restore: snapshot of another plan (only in the snapshot: %v; only in the query: %v)",
+			missingFrom(plan, snap.Plan), missingFrom(snap.Plan, plan))
 	}
 	byName := make(map[string]operator, len(q.ops))
 	for _, op := range q.ops {
@@ -163,6 +184,17 @@ func (q *Query) RestoreCheckpoint(snap *QuerySnapshot) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// missingFrom returns the names of from that set lacks.
+func missingFrom(set, from []string) []string {
+	var out []string
+	for _, name := range from {
+		if !slices.Contains(set, name) {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // gobEncode/gobDecode are the shared blob codec for the built-in operators.

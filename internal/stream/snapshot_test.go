@@ -213,7 +213,7 @@ func TestCheckpointProcessStateEquivalence(t *testing.T) {
 	}
 	qb := NewQuery("blobs-b")
 	processSumBuild(qb, AddPositionedSource(qb, "src", 0, feedFrom(items, 0)))
-	err := qb.RestoreCheckpoint(&QuerySnapshot{Ops: map[string][]byte{"tag": snap.Ops["sum"]}})
+	err := qb.RestoreCheckpoint(&QuerySnapshot{Plan: snap.Plan, Ops: map[string][]byte{"tag": snap.Ops["sum"]}})
 	if err == nil || !strings.Contains(err.Error(), "not restorable") {
 		t.Fatalf("restoring a blob into the stateless FlatMap: err = %v, want not restorable", err)
 	}
@@ -463,24 +463,38 @@ func TestCheckpointCallbackRunsQuiesced(t *testing.T) {
 	}
 }
 
-// TestRestoreCheckpointValidation: unknown operators in the snapshot are an
-// error (the topology must match), and a nil snapshot is a no-op.
+// TestRestoreCheckpointValidation: a snapshot of another plan, or with a
+// blob for an operator that is unknown or stateless, is an error (the
+// topology must match), and a nil snapshot is a no-op.
 func TestRestoreCheckpointValidation(t *testing.T) {
 	q := NewQuery("validate")
 	src := AddSource(q, "src", FromSlice([]keyed{}))
 	AddSink(q, "sink", src, Discard[keyed]())
 
+	plan := planOf(q.ops)
+	if fmt.Sprint(plan) != "[sink src]" {
+		t.Fatalf("plan = %v, want [sink src]", plan)
+	}
 	if err := q.RestoreCheckpoint(nil); err != nil {
 		t.Fatalf("RestoreCheckpoint(nil) error = %v", err)
 	}
-	err := q.RestoreCheckpoint(&QuerySnapshot{Ops: map[string][]byte{"ghost": nil}})
-	if err == nil {
-		t.Fatal("RestoreCheckpoint with unknown operator: want error")
+	if err := q.RestoreCheckpoint(&QuerySnapshot{Plan: plan}); err != nil {
+		t.Fatalf("RestoreCheckpoint of the query's plan, no blobs: error = %v", err)
+	}
+	for _, other := range [][]string{nil, {"sink"}, {"sink", "src", "src.1"}} {
+		err := q.RestoreCheckpoint(&QuerySnapshot{Plan: other})
+		if err == nil || !strings.Contains(err.Error(), "another plan") {
+			t.Fatalf("RestoreCheckpoint of plan %v: err = %v, want another plan", other, err)
+		}
+	}
+	err := q.RestoreCheckpoint(&QuerySnapshot{Plan: plan, Ops: map[string][]byte{"ghost": nil}})
+	if err == nil || !strings.Contains(err.Error(), "no operator") {
+		t.Fatalf("RestoreCheckpoint with unknown operator: err = %v, want no operator", err)
 	}
 	// An operator that exists but holds no state is equally invalid.
-	err = q.RestoreCheckpoint(&QuerySnapshot{Ops: map[string][]byte{"sink": nil}})
-	if err == nil {
-		t.Fatal("RestoreCheckpoint targeting a stateless operator: want error")
+	err = q.RestoreCheckpoint(&QuerySnapshot{Plan: plan, Ops: map[string][]byte{"sink": nil}})
+	if err == nil || !strings.Contains(err.Error(), "not restorable") {
+		t.Fatalf("RestoreCheckpoint targeting a stateless operator: err = %v, want not restorable", err)
 	}
 }
 

@@ -112,8 +112,10 @@ bench-smoke:
 ## reuse), on the 8 MB image plane (one frame-sized buffer per encode and
 ## per client hop, none per decode, none in the broker or the LogServer,
 ## so one for a client receiving and decoding an image tuple; nothing for
-## an unwatched connector tap)
-## and on one deep correlate window's DBSCAN (a frontier bounded by n).
+## an unwatched connector tap),
+## on one deep correlate window's DBSCAN (a frontier bounded by n), and on
+## stage chains one and eight stages deep (a fixed cost per run, nothing
+## per tuple).
 ## Any allocs/op or B/op above alloc_budget.json fails the build — see
 ## DESIGN.md §13 "Memory model".
 alloc-smoke:
@@ -123,6 +125,7 @@ alloc-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkEncodeTuple/image2000|BenchmarkDecodeTuple/image2000|BenchmarkTapImage|BenchmarkReceiveDecode8MiB' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkTCPLargeImagePayload|BenchmarkRemoteFetch8MiB' -benchtime=20x -benchmem ./internal/pubsub >> alloc-smoke.out
 	$(GO) test -run='^$$' -bench='BenchmarkDBSCANDeepWindow' -benchtime=20x -benchmem ./internal/cluster >> alloc-smoke.out
+	$(GO) test -run='^$$' -bench='BenchmarkStageChain/depth[18]$$' -benchtime=20x -benchmem ./internal/core >> alloc-smoke.out
 	./bin/benchjson -budget alloc_budget.json < alloc-smoke.out
 	@rm -f alloc-smoke.out
 

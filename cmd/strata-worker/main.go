@@ -127,7 +127,7 @@ func run() error {
 
 	build := func(fw *core.Framework) error {
 		src := fw.AddRemoteReplaySource("raw", rc, *subject, *total)
-		det := fw.DetectEvent("det", src, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+		det := fw.DetectEvent("det", src, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 			if err := cps.Hit(fmt.Sprintf("detect.layer.%d", t.Layer)); err != nil {
 				// A crashpoint is a process death, not a pipeline error: no
 				// deferred cleanup, no checkpoint, no graceful drain — the
@@ -136,7 +136,7 @@ func run() error {
 				os.Exit(3)
 			}
 			p, _ := t.KV["power"].(float64)
-			return emit(core.EventTuple{KV: map[string]any{"score": p * 10}})
+			return emit(&core.EventTuple{KV: map[string]any{"score": p * 10}})
 		})
 		cor := fw.CorrelateEvents("cor", det, *window, func(w core.CorrelateWindow, emit func(core.EventTuple) error) error {
 			sum := 0.0

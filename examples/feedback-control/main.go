@@ -102,7 +102,7 @@ func run() error {
 	})
 
 	// Detect: fraction of very-warm cells across the whole bed.
-	warm := fw.DetectEvent("warmth", src, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+	warm := fw.DetectEvent("warmth", src, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 		img, ok := t.GetImage("ot")
 		if !ok {
 			return fmt.Errorf("layer tuple without image")
@@ -130,7 +130,8 @@ func run() error {
 			}
 		}
 		frac := float64(veryWarm) / float64(total)
-		return emit(t.WithKV("very_warm_fraction", frac))
+		out := t.WithKV("very_warm_fraction", frac)
+		return emit(&out)
 	})
 
 	shares := fw.Share(warm, 2)

@@ -97,13 +97,14 @@ func run() error {
 	// Pipeline 1 (deployed from layer 1): coarse mean-emission monitor.
 	p1, err := mgr.Deploy("mean-monitor", func(fw *core.Framework) error {
 		in := fw.AddBrokerSource("tap", rawSubject, len(replay))
-		det := fw.DetectEvent("mean", in, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+		det := fw.DetectEvent("mean", in, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 			img, ok := t.GetImage("ot")
 			if !ok {
 				return fmt.Errorf("no image")
 			}
 			mean, _ := img.MeanNonZero()
-			return emit(t.WithKV("mean", mean))
+			out := t.WithKV("mean", mean)
+			return emit(&out)
 		})
 		fw.Deliver("expert", det, func(t core.EventTuple) error {
 			mean, _ := t.GetFloat("mean")
@@ -127,7 +128,7 @@ func run() error {
 	allSeen := make(chan struct{})
 	p2, err := mgr.Deploy("porosity-risk", func(fw *core.Framework) error {
 		in := fw.AddReplaySource("replay+live", topics, rawSubject, true)
-		det := fw.DetectEvent("risk", in, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+		det := fw.DetectEvent("risk", in, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 			img, ok := t.GetImage("ot")
 			if !ok {
 				return fmt.Errorf("no image")
@@ -148,7 +149,8 @@ func run() error {
 					low++
 				}
 			}
-			return emit(t.WithKV("risk", float64(low)/float64(total)))
+			out := t.WithKV("risk", float64(low)/float64(total))
+			return emit(&out)
 		})
 		count := 0
 		fw.Deliver("expert", det, func(t core.EventTuple) error {

@@ -179,7 +179,7 @@ func mergedCollector(feed *bench.ReplayFeed) core.CollectFunc {
 	}
 }
 
-func specimenPartition(t core.EventTuple, emit func(core.EventTuple) error) error {
+func specimenPartition(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 	img, ok := t.GetImage("ot")
 	if !ok {
 		return fmt.Errorf("no OT image in %v", t)
@@ -194,7 +194,7 @@ func specimenPartition(t core.EventTuple, emit func(core.EventTuple) error) erro
 		if err != nil {
 			return err
 		}
-		err = emit(core.EventTuple{
+		err = emit(&core.EventTuple{
 			Specimen: fmt.Sprintf("spec%02d", id),
 			KV: map[string]any{
 				"img": sub,
@@ -210,7 +210,7 @@ func specimenPartition(t core.EventTuple, emit func(core.EventTuple) error) erro
 }
 
 func cellPartition(mmpp float64) core.PartitionFunc {
-	return func(t core.EventTuple, emit func(core.EventTuple) error) error {
+	return func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 		img, _ := t.GetImage("img")
 		ox, _ := t.GetInt("ox")
 		oy, _ := t.GetInt("oy")
@@ -219,7 +219,7 @@ func cellPartition(mmpp float64) core.PartitionFunc {
 			return err
 		}
 		for _, c := range cells {
-			err := emit(core.EventTuple{
+			err := emit(&core.EventTuple{
 				Specimen: t.Specimen,
 				Portion:  fmt.Sprintf("c%d-%d", c.Col, c.Row),
 				KV: map[string]any{
@@ -237,7 +237,7 @@ func cellPartition(mmpp float64) core.PartitionFunc {
 }
 
 func labelCells(fw *core.Framework) core.DetectFunc {
-	return func(t core.EventTuple, emit func(core.EventTuple) error) error {
+	return func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 		ref, err := fw.GetFloat("strata/ot/reference_emission")
 		if err != nil {
 			return err

@@ -70,14 +70,15 @@ func run() error {
 	})
 
 	// detectEvent: flag layers deviating beyond the stored threshold.
-	alerts := fw.DetectEvent("deviation", source, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+	alerts := fw.DetectEvent("deviation", source, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 		maxDev, err := fw.GetFloat("temp/max_deviation")
 		if err != nil {
 			return err
 		}
 		temp, _ := t.GetFloat("temp")
 		if dev := math.Abs(temp - 1000); dev > maxDev {
-			return emit(t.WithKV("deviation", dev))
+			out := t.WithKV("deviation", dev)
+			return emit(&out)
 		}
 		return nil
 	})

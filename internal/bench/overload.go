@@ -124,7 +124,7 @@ func RunOverloadExperiment(ctx context.Context, cfg ExperimentConfig) (OverloadR
 				}
 				return nil
 			})
-			det := fw.DetectEvent("det", src, func(t core.EventTuple, emit func(core.EventTuple) error) error {
+			det := fw.DetectEvent("det", src, func(t *core.EventTuple, emit func(*core.EventTuple) error) error {
 				return emit(t)
 			})
 			fw.Deliver("sink", det, func(t core.EventTuple) error {

@@ -25,11 +25,20 @@ type CollectFunc func(ctx context.Context, emit func(EventTuple) error) error
 // one input tuple into tuples for independently-analyzable parts, setting
 // Specimen and Portion (and any payload) on each emitted tuple. The wrapper
 // copies TS, Job, Layer, and AvailableAt from the input, per Table 1.
-type PartitionFunc func(t EventTuple, emit func(EventTuple) error) error
+//
+// Tuples are borrowed, not owned: t is valid only until F returns, and each
+// tuple F emits only until that emit call returns. F must not modify t or
+// keep it past the call; it may reuse one output tuple for every emit. The
+// wrapper fills the emitted tuple's lineage fields in place, so F sets
+// every field it relies on before each emit.
+type PartitionFunc func(t *EventTuple, emit func(*EventTuple) error) error
 
 // DetectFunc is the user function F of the detectEvent method: it turns one
-// input tuple into zero or more event tuples.
-type DetectFunc func(t EventTuple, emit func(EventTuple) error) error
+// input tuple into zero or more event tuples. It borrows t and its outputs
+// as a PartitionFunc does. The wrapper fills only the lineage fields an
+// output leaves at their zero value, so an output tuple reused across
+// inputs must be reset (*o = EventTuple{...}) before each emit.
+type DetectFunc func(t *EventTuple, emit func(*EventTuple) error) error
 
 // CorrelateWindow is the unit handed to a CorrelateFunc: every event tuple
 // of one (job, specimen) across the window's layers (Layer-L, Layer],
@@ -66,7 +75,8 @@ type stageConfig struct {
 // the paper's "disjoint layer portions analyzed in a pipelined/parallel
 // fashion". A stage fed whole layers partitions by job alone (a layer
 // tuple has no specimen yet); the parallel stage after it reshuffles the
-// specimens it emitted.
+// specimens it emitted. Such a whole-layer stage feeds one replica per job
+// in flight: with a single build, the other n-1 replicas sit idle.
 func WithParallelism(n int) StageOption {
 	return func(c *stageConfig) {
 		if n > 0 {
@@ -296,7 +306,7 @@ func (fw *Framework) subLayerStage(
 	out, in *StreamRef,
 	opts []StageOption,
 	fill stageFill,
-	fn func(t EventTuple, emit func(EventTuple) error) error,
+	fn func(t *EventTuple, emit func(*EventTuple) error) error,
 ) {
 	par := applyStageOpts(opts).parallelism
 	stage := stageRun{fill: fill, emitMarkers: in.layerGranular, fn: fn}
@@ -371,13 +381,15 @@ func (c *stageChain) operator() stream.FlatMapFunc[EventTuple, EventTuple] {
 	runs := make([]*stageRun, len(c.stages))
 	for i := range c.stages {
 		st := c.stages[i]
-		st.emitOut = func(o EventTuple) error { return st.emitOne(&o) }
+		st.emitOut = st.emitOne
 		runs[i] = &st
 	}
 	for i := 0; i+1 < len(runs); i++ {
 		runs[i].next = runs[i+1]
 	}
 	first, last := runs[0], runs[len(runs)-1]
+	// The engine hands the tuple over by value; it is copied once into in,
+	// which lives as long as the operator, and borrowed from there.
 	var in EventTuple
 	return func(t EventTuple, emit stream.Emit[EventTuple]) error {
 		last.emit = emit
@@ -405,24 +417,29 @@ const (
 // metadata fill, the specimen tracker, and the marker emitter) with one
 // long-lived struct and a single emit closure created at construction, so
 // the steady per-tuple path allocates nothing. Tuples travel down the chain
-// by pointer: a stage's output is copied once, into its out slot, and the
-// next stage reads it there.
+// by pointer and are never copied inside it: a stage fills the lineage of
+// the tuple its function emitted in place and hands that same pointer to
+// the next stage, which borrows it until its run returns. Only the last
+// stage copies, into the engine's output chunk.
 type stageRun struct {
 	fill        stageFill
 	emitMarkers bool
-	fn          func(t EventTuple, emit func(EventTuple) error) error
+	fn          func(t *EventTuple, emit func(*EventTuple) error) error
 
 	// emitOut is the emit handed to fn, built once; a closure or method
 	// value built per tuple would allocate each call.
-	emitOut func(EventTuple) error
+	emitOut func(*EventTuple) error
 	// next is the chain's following stage; the last stage hands its output
 	// to the engine's emit instead.
 	next *stageRun
 	emit stream.Emit[EventTuple]
 	// in is the tuple being processed, valid for the duration of one run()
-	// call; out holds the tuple being handed to next.
-	in  *EventTuple
-	out EventTuple
+	// call.
+	in *EventTuple
+	// marker is the end-of-layer marker being passed on. It lives in the
+	// stage, not on run's stack: a pointer handed down the chain reaches
+	// user functions, so a local would move to the heap once per marker.
+	marker EventTuple
 	// seen/specimens are cleared and reused across tuples.
 	seen      map[string]bool
 	specimens []string
@@ -446,6 +463,9 @@ func (st *stageRun) emitOne(o *EventTuple) error {
 			o.Portion = DefaultPortion
 		}
 	case fillDetect:
+		if o == t {
+			break // a filter passes its input on: nothing to fill
+		}
 		if o.TS.IsZero() {
 			o.TS = t.TS
 		}
@@ -478,6 +498,13 @@ func (st *stageRun) emitOne(o *EventTuple) error {
 		st.seen[o.Specimen] = true
 		st.specimens = append(st.specimens, o.Specimen)
 	}
+	// The next stage is called from here, not through pass: the compiler
+	// does not inline pass (it recurses through run), and a frame less per
+	// stage is a return less to predict. The copy out of the chain stays
+	// in pass, so that this frame holds no tuple.
+	if st.next != nil {
+		return st.next.run(o)
+	}
 	return st.pass(o)
 }
 
@@ -486,8 +513,7 @@ func (st *stageRun) pass(o *EventTuple) error {
 	if st.next == nil {
 		return st.emit(*o)
 	}
-	st.out = *o
-	return st.next.run(&st.out)
+	return st.next.run(o)
 }
 
 func (st *stageRun) run(t *EventTuple) error {
@@ -503,7 +529,7 @@ func (st *stageRun) run(t *EventTuple) error {
 		}
 		st.specimens = st.specimens[:0]
 	}
-	err := st.fn(*t, st.emitOut)
+	err := st.fn(t, st.emitOut)
 	if err != nil {
 		return err
 	}
@@ -516,8 +542,8 @@ func (st *stageRun) run(t *EventTuple) error {
 			st.specimens = append(st.specimens, DefaultSpecimen)
 		}
 		for _, sp := range st.specimens {
-			m := newMarker(*t, sp)
-			if err := st.pass(&m); err != nil {
+			st.marker = newMarker(t, sp)
+			if err := st.pass(&st.marker); err != nil {
 				return err
 			}
 		}

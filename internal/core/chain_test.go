@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,9 +27,9 @@ func opNames(fw *Framework) map[string]bool {
 
 // specimensOf is a partition function emitting n specimens per layer.
 func specimensOf(n int) PartitionFunc {
-	return func(t EventTuple, emit func(EventTuple) error) error {
+	return func(t *EventTuple, emit func(*EventTuple) error) error {
 		for i := 0; i < n; i++ {
-			if err := emit(EventTuple{Specimen: fmt.Sprintf("s%d", i)}); err != nil {
+			if err := emit(&EventTuple{Specimen: fmt.Sprintf("s%d", i)}); err != nil {
 				return err
 			}
 		}
@@ -33,7 +37,7 @@ func specimensOf(n int) PartitionFunc {
 	}
 }
 
-func passThrough(t EventTuple, emit func(EventTuple) error) error { return emit(t) }
+func passThrough(t *EventTuple, emit func(*EventTuple) error) error { return emit(t) }
 
 // TestStageChainCompilesOneOperatorPerBranch: consecutive Partition and
 // DetectEvent stages of equal parallelism become one operator per branch,
@@ -90,18 +94,18 @@ func TestParallelStagesSpreadSpecimens(t *testing.T) {
 	all := uint64(1)<<specimens - 1
 	fw := newTestFramework(t)
 	src := fw.AddSource("src", layersSource("j", layers, nil))
-	spec := fw.Partition("spec", src, func(t EventTuple, emit func(EventTuple) error) error {
+	spec := fw.Partition("spec", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		for i := 0; i < specimens; i++ {
-			if err := emit(EventTuple{Specimen: fmt.Sprintf("s%02d", i), KV: map[string]any{"i": int64(i)}}); err != nil {
+			if err := emit(&EventTuple{Specimen: fmt.Sprintf("s%02d", i), KV: map[string]any{"i": int64(i)}}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, WithParallelism(2))
-	cell := fw.Partition("cell", spec, func(t EventTuple, emit func(EventTuple) error) error {
+	cell := fw.Partition("cell", spec, func(t *EventTuple, emit func(*EventTuple) error) error {
 		i, _ := t.GetInt("i")
 		for c := 1; c < 1<<i; c++ {
-			if err := emit(EventTuple{Specimen: t.Specimen, Portion: fmt.Sprintf("c%d", c)}); err != nil {
+			if err := emit(&EventTuple{Specimen: t.Specimen, Portion: fmt.Sprintf("c%d", c)}); err != nil {
 				return err
 			}
 		}
@@ -241,8 +245,8 @@ func TestStageChainEventTapPublishesOnce(t *testing.T) {
 	src := fw.AddSource("src", layersSource("J", 6, nil))
 	spec := fw.Partition("spec", src, specimensOf(3), WithParallelism(2))
 	p := fw.Partition("p", spec, passThrough, WithParallelism(2))
-	d := fw.DetectEvent("d", p, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{KV: map[string]any{"id": fmt.Sprintf("%s/%d", t.Specimen, t.Layer)}})
+	d := fw.DetectEvent("d", p, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{KV: map[string]any{"id": fmt.Sprintf("%s/%d", t.Specimen, t.Layer)}})
 	}, WithParallelism(2))
 	delivered := 0
 	fw.Deliver("out", d, func(EventTuple) error { delivered++; return nil })
@@ -271,6 +275,133 @@ func TestStageChainEventTapPublishesOnce(t *testing.T) {
 	}
 }
 
+// borrowedRun runs src → spec (3 specimens) → cell (5 cells each) →
+// label → a one-layer correlate, and returns every window's summary in
+// delivery order per specimen. spec and cell either emit fresh tuples or
+// reuse one and poison it after each emit returns; label is the detect
+// stage under test. A window lists every event it holds, so a tuple the
+// framework kept past an emit shows up as poison, a wrong cell or a
+// missing layer.
+func borrowedRun(t *testing.T, par int, reuse bool, label DetectFunc) map[string][]string {
+	t.Helper()
+	fw := newTestFramework(t)
+	// emitEach emits n tuples built by mk, either fresh or through one
+	// reused tuple that is poisoned as soon as each emit returns.
+	emitEach := func(n int, emit func(*EventTuple) error, mk func(i int) EventTuple) error {
+		var o EventTuple
+		for i := 0; i < n; i++ {
+			fresh := mk(i)
+			out := &fresh
+			if reuse {
+				o = fresh
+				out = &o
+			}
+			if err := emit(out); err != nil {
+				return err
+			}
+			if reuse {
+				o = EventTuple{Specimen: "poison", Portion: "poison", Layer: -1, KV: map[string]any{"c": int64(-1)}}
+			}
+		}
+		return nil
+	}
+	src := fw.AddSource("src", layersSource("j", 6, nil))
+	spec := fw.Partition("spec", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emitEach(3, emit, func(i int) EventTuple { return EventTuple{Specimen: fmt.Sprintf("s%d", i)} })
+	}, WithParallelism(par))
+	cell := fw.Partition("cell", spec, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emitEach(5, emit, func(c int) EventTuple {
+			return EventTuple{
+				Specimen: t.Specimen,
+				Portion:  fmt.Sprintf("c%d", c),
+				KV:       map[string]any{"c": int64(c)},
+				Cell:     otimage.Cell{Col: c, Region: otimage.Rect{X1: 1, Y1: 1}, Mean: float64(100*t.Layer + c)},
+			}
+		})
+	}, WithParallelism(par))
+	det := fw.DetectEvent("label", cell, label, WithParallelism(par))
+	cor := fw.CorrelateEvents("out", det, 1, func(w CorrelateWindow, emit func(EventTuple) error) error {
+		var b strings.Builder
+		for _, e := range w.Events {
+			c, _ := e.GetInt("c")
+			fmt.Fprintf(&b, " %s/%d/%s:%d:%g", e.Specimen, e.Layer, e.Portion, c, e.Cell.Mean)
+		}
+		return emit(EventTuple{KV: map[string]any{"events": b.String()}})
+	}, WithParallelism(par))
+	var mu sync.Mutex
+	got := map[string][]string{}
+	fw.Deliver("expert", cor, func(t EventTuple) error {
+		events, _ := t.GetString("events")
+		mu.Lock()
+		defer mu.Unlock()
+		got[t.Specimen] = append(got[t.Specimen], fmt.Sprintf("%d:%s", t.Layer, events))
+		return nil
+	})
+	if err := runFW(t, fw); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// labelEven passes even cells on as they are and emits a new tuple for odd
+// ones: both a borrowed input and a stage's own output leave the chain.
+func labelEven(t *EventTuple, emit func(*EventTuple) error) error {
+	c, _ := t.GetInt("c")
+	if c%2 == 0 {
+		return emit(t)
+	}
+	return emit(&EventTuple{Portion: t.Portion + "'", KV: map[string]any{"c": 10 * c}, Cell: t.Cell})
+}
+
+// TestStageChainBorrowedTuples pins the borrowed-pointer contract of
+// PartitionFunc and DetectFunc: an emitted tuple is the framework's only
+// until emit returns, so a Partition that reuses one output tuple, and
+// overwrites it once each emit returns, must give the same results as one
+// that emits fresh tuples — chained or not, at parallelism 1 and 2. A stage
+// that keeps its input past the call breaks the contract, and the
+// comparison must catch it.
+func TestStageChainBorrowedTuples(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		for _, maxStages := range []int{0, 1} {
+			restore := SetMaxChainStages(maxStages)
+			fresh := borrowedRun(t, par, false, labelEven)
+			reused := borrowedRun(t, par, true, labelEven)
+			restore()
+			if len(fresh) != 3 {
+				t.Fatalf("parallelism %d, max chain %d: results for %d specimens, want 3", par, maxStages, len(fresh))
+			}
+			for sp, want := range fresh {
+				if len(want) != 6 || strings.Contains(strings.Join(want, ""), "poison") {
+					t.Fatalf("parallelism %d, max chain %d, %s: fresh run delivered %q", par, maxStages, sp, want)
+				}
+				if got := reused[sp]; !slices.Equal(got, want) {
+					t.Fatalf("parallelism %d, max chain %d, %s:\nreused %q\nfresh  %q", par, maxStages, sp, got, want)
+				}
+			}
+		}
+	}
+
+	// A label stage that keeps the pointer it was handed and reads it on
+	// the next call: with fresh tuples it reads the previous cell, with a
+	// reused one the poison written after emit returned.
+	var prev *EventTuple
+	keeps := func(t *EventTuple, emit func(*EventTuple) error) error {
+		if prev != nil && prev.Layer == t.Layer && prev.Specimen == t.Specimen {
+			if err := emit(&EventTuple{Portion: prev.Portion, KV: map[string]any{"c": int64(0)}, Cell: prev.Cell}); err != nil {
+				return err
+			}
+		}
+		prev = t
+		return nil
+	}
+	fresh := borrowedRun(t, 1, false, keeps)
+	prev = nil
+	reused := borrowedRun(t, 1, true, keeps)
+	if maps.EqualFunc(fresh, reused, slices.Equal[[]string]) {
+		t.Fatalf("a stage keeping its input past the call went unnoticed: %q", fresh)
+	}
+}
+
 // BenchmarkStageChain prices a chain's depth: one Partition that splits each
 // layer into cell tuples, followed by 0, 3 or 7 pass-through DetectEvents,
 // over 100k cell tuples per run. A chain is one operator whatever its
@@ -278,15 +409,16 @@ func TestStageChainEventTapPublishesOnce(t *testing.T) {
 // channel hop.
 func BenchmarkStageChain(b *testing.B) {
 	const layers, cellsPerLayer = 100, 1000
-	cell := func(layer, i int) EventTuple {
-		return EventTuple{
-			Specimen: "spec01",
-			Portion:  "c",
-			Cell: otimage.Cell{
-				Col: i % 40, Row: i / 40,
-				Region: otimage.Rect{X0: i % 40, Y0: i / 40, X1: i%40 + 1, Y1: i/40 + 1},
-				Mean:   float64(layer + i),
-			},
+	// The partition reuses one output tuple, as the borrowed-pointer
+	// contract allows: it sets the identity and the cell, and the stage
+	// fills the lineage on every emit.
+	setCell := func(o *EventTuple, layer, i int) {
+		o.Specimen = "spec01"
+		o.Portion = "c"
+		o.Cell = otimage.Cell{
+			Col: i % 40, Row: i / 40,
+			Region: otimage.Rect{X0: i % 40, Y0: i / 40, X1: i%40 + 1, Y1: i/40 + 1},
+			Mean:   float64(layer + i),
 		}
 	}
 	for _, depth := range []int{1, 4, 8} {
@@ -300,9 +432,11 @@ func BenchmarkStageChain(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := fw.AddSource("src", layersSource("j", layers, nil))
-				ref := fw.Partition("cells", src, func(t EventTuple, emit func(EventTuple) error) error {
+				var o EventTuple
+				ref := fw.Partition("cells", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 					for c := 0; c < cellsPerLayer; c++ {
-						if err := emit(cell(t.Layer, c)); err != nil {
+						setCell(&o, t.Layer, c)
+						if err := emit(&o); err != nil {
 							return err
 						}
 					}

@@ -84,12 +84,12 @@ func (r *chaosRig) appendLayers(t *testing.T, from, to int) {
 // both in the store (out/<seq>) and in memory.
 func (r *chaosRig) build(fw *Framework) error {
 	src := fw.AddReplaySource("raw", r.store, r.subject, true)
-	det := fw.DetectEvent("det", src, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("det", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		if err := r.cps.Hit(fmt.Sprintf("detect.layer.%d", t.Layer)); err != nil {
 			return err
 		}
 		p, _ := t.KV["power"].(float64)
-		return emit(EventTuple{KV: map[string]any{"score": p * 10}})
+		return emit(&EventTuple{KV: map[string]any{"score": p * 10}})
 	}, WithParallelism(r.par))
 	cor := fw.CorrelateEvents("cor", det, chaosWindow, func(w CorrelateWindow, emit func(EventTuple) error) error {
 		sum := 0.0

@@ -77,7 +77,7 @@ func correlateFixture(tb testing.TB) []byte {
 					return err
 				}
 				if layer < 3 {
-					if err := emit(newMarker(ev, spec)); err != nil {
+					if err := emit(newMarker(&ev, spec)); err != nil {
 						return err
 					}
 				}

@@ -126,7 +126,7 @@ func TestTupleHelpers(t *testing.T) {
 	if s := mod.String(); s == "" {
 		t.Fatal("String() empty")
 	}
-	m := newMarker(base, "sp")
+	m := newMarker(&base, "sp")
 	if !m.isMarker() || m.Job != "j" || m.Layer != 2 || m.Specimen != "sp" {
 		t.Fatalf("marker = %+v", m)
 	}

@@ -39,7 +39,7 @@ func TestTapWithoutSubscriberCostsNothing(t *testing.T) {
 	}
 	tap, passed := rawTap(broker, telemetry.NewTraceBuffer(8))
 	tup := imageTuple("job", otimage.New(2000, 2000, 0.125))
-	marker := newMarker(tup, DefaultSpecimen)
+	marker := newMarker(&tup, DefaultSpecimen)
 
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := tap(tup); err != nil {
@@ -92,7 +92,7 @@ func TestTapServesSubscriberJoiningMidStream(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := tap(newMarker(tup, DefaultSpecimen)); err != nil {
+			if err := tap(newMarker(&tup, DefaultSpecimen)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -148,8 +148,8 @@ func TestSharedStreamKeepsKindForDownstream(t *testing.T) {
 	// A shared detect stream must still be accepted by CorrelateEvents.
 	fw := newTestFramework(t)
 	src := fw.AddSource("s", layersSource("j", 4, nil))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{})
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{})
 	})
 	parts := fw.Share(det, 2)
 	cor := fw.CorrelateEvents("c", parts[0], 2, func(w CorrelateWindow, emit func(EventTuple) error) error {
@@ -181,7 +181,7 @@ func TestControllerIssuesAcknowledgedCommands(t *testing.T) {
 	src := fw.AddSource("s", layersSource("jobC", 6, func(l int) map[string]any {
 		return map[string]any{"severity": float64(l)}
 	}))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		return emit(t)
 	})
 	var acks []Command
@@ -229,7 +229,7 @@ func TestControllerUnacknowledgedCommandFailsPipeline(t *testing.T) {
 	// No machine port listening: the request must time out and abort.
 	fw := newTestFramework(t, WithBroker(broker))
 	src := fw.AddSource("s", layersSource("jobX", 1, nil))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		return emit(t)
 	})
 	fw.AttachController("ctl", det, func(t EventTuple) (Command, bool) {

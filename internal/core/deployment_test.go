@@ -265,7 +265,7 @@ func TestLateDeployedPipelineReplaysRecordedData(t *testing.T) {
 	var layers []int
 	late, err := m.Deploy("late-detector", func(fw *Framework) error {
 		in := fw.AddReplaySource("replay", store, RawSubject("ot", "J"), false)
-		det := fw.DetectEvent("d", in, func(t EventTuple, emit func(EventTuple) error) error {
+		det := fw.DetectEvent("d", in, func(t *EventTuple, emit func(*EventTuple) error) error {
 			if v, _ := t.GetFloat("v"); v >= 3 {
 				return emit(t)
 			}

@@ -226,8 +226,8 @@ func TestFuseSameTauRejectsSkew(t *testing.T) {
 func TestFuseComposition(t *testing.T) {
 	fw := newTestFramework(t)
 	src := fw.AddSource("s", layersSource("j", 1, nil))
-	part := fw.Partition("p", src, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{Specimen: "x", Portion: "y"})
+	part := fw.Partition("p", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{Specimen: "x", Portion: "y"})
 	})
 	fw.Fuse("bad", src, part) // partition output is not fusable
 	if err := fw.Err(); !errors.Is(err, ErrBadPipeline) {
@@ -238,9 +238,9 @@ func TestFuseComposition(t *testing.T) {
 func TestPartitionSetsMetadataAndMarkers(t *testing.T) {
 	fw := newTestFramework(t)
 	src := fw.AddSource("ot", layersSource("j", 3, nil))
-	part := fw.Partition("spec", src, func(t EventTuple, emit func(EventTuple) error) error {
+	part := fw.Partition("spec", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		for s := 0; s < 2; s++ {
-			err := emit(EventTuple{
+			err := emit(&EventTuple{
 				Specimen: fmt.Sprintf("spec%d", s),
 				Portion:  DefaultPortion,
 				KV:       map[string]any{"n": int64(s)},
@@ -281,12 +281,12 @@ func TestDetectEventFilters(t *testing.T) {
 	src := fw.AddSource("ot", layersSource("j", 10, func(l int) map[string]any {
 		return map[string]any{"temp": float64(l * 10)}
 	}))
-	det := fw.DetectEvent("hot", src, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("hot", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		temp, _ := t.GetFloat("temp")
 		if temp <= 50 {
 			return nil
 		}
-		return emit(EventTuple{KV: map[string]any{"overheat": temp}})
+		return emit(&EventTuple{KV: map[string]any{"overheat": temp}})
 	})
 	var got []EventTuple
 	fw.Deliver("out", det, func(t EventTuple) error {
@@ -318,13 +318,13 @@ func TestDetectUsesKVStore(t *testing.T) {
 	src := fw.AddSource("ot", layersSource("j", 5, func(l int) map[string]any {
 		return map[string]any{"v": float64(l * 10)}
 	}))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		thr, err := fw.GetFloat("threshold")
 		if err != nil {
 			return err
 		}
 		if v, _ := t.GetFloat("v"); v > thr {
-			return emit(EventTuple{})
+			return emit(&EventTuple{})
 		}
 		return nil
 	})
@@ -341,12 +341,12 @@ func TestDetectUsesKVStore(t *testing.T) {
 func TestCorrelateEventsWindowsAcrossLayers(t *testing.T) {
 	fw := newTestFramework(t)
 	src := fw.AddSource("ot", layersSource("j", 6, nil))
-	part := fw.Partition("spec", src, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{Specimen: "A", Portion: DefaultPortion})
+	part := fw.Partition("spec", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{Specimen: "A", Portion: DefaultPortion})
 	})
-	det := fw.DetectEvent("ev", part, func(t EventTuple, emit func(EventTuple) error) error {
+	det := fw.DetectEvent("ev", part, func(t *EventTuple, emit func(*EventTuple) error) error {
 		// One event per layer, tagged with its layer.
-		return emit(EventTuple{KV: map[string]any{"src_layer": int64(t.Layer)}})
+		return emit(&EventTuple{KV: map[string]any{"src_layer": int64(t.Layer)}})
 	})
 	const L = 3
 	type window struct {
@@ -411,7 +411,7 @@ func TestCorrelateRequiresDetectInput(t *testing.T) {
 func TestCorrelateRejectsBadL(t *testing.T) {
 	fw := newTestFramework(t)
 	src := fw.AddSource("s", layersSource("j", 1, nil))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error { return nil })
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error { return nil })
 	fw.CorrelateEvents("c", det, 0, func(w CorrelateWindow, emit func(EventTuple) error) error { return nil })
 	if err := fw.Err(); !errors.Is(err, ErrBadPipeline) {
 		t.Fatalf("Err() = %v, want ErrBadPipeline", err)
@@ -422,17 +422,17 @@ func TestPipelineParallelismEquivalence(t *testing.T) {
 	run := func(par int) map[string]int {
 		fw := newTestFramework(t)
 		src := fw.AddSource("ot", layersSource("j", 8, nil))
-		part := fw.Partition("spec", src, func(t EventTuple, emit func(EventTuple) error) error {
+		part := fw.Partition("spec", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 			for s := 0; s < 4; s++ {
-				if err := emit(EventTuple{Specimen: fmt.Sprintf("s%d", s)}); err != nil {
+				if err := emit(&EventTuple{Specimen: fmt.Sprintf("s%d", s)}); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
-		det := fw.DetectEvent("ev", part, func(t EventTuple, emit func(EventTuple) error) error {
+		det := fw.DetectEvent("ev", part, func(t *EventTuple, emit func(*EventTuple) error) error {
 			if (t.Layer+len(t.Specimen))%2 == 0 {
-				return emit(EventTuple{})
+				return emit(&EventTuple{})
 			}
 			return nil
 		}, WithParallelism(par))
@@ -482,8 +482,8 @@ func TestConnectorsPublishOnBroker(t *testing.T) {
 
 	fw := newTestFramework(t, WithBroker(broker))
 	src := fw.AddSource("ot", layersSource("jobX", 3, nil))
-	det := fw.DetectEvent("d", src, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{KV: map[string]any{"e": int64(t.Layer)}})
+	det := fw.DetectEvent("d", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{KV: map[string]any{"e": int64(t.Layer)}})
 	})
 	fw.Deliver("out", det, func(EventTuple) error { return nil })
 	if err := runFW(t, fw); err != nil {
@@ -536,9 +536,9 @@ func TestBrokerSourceBridgesFrameworks(t *testing.T) {
 	// Consumer framework: taps the raw connector, detects, delivers.
 	consumer := newTestFramework(t, WithBroker(broker), WithName("consumer"))
 	in := consumer.AddBrokerSource("tap", RawSubject("ot", "J"), 4)
-	det := consumer.DetectEvent("d", in, func(t EventTuple, emit func(EventTuple) error) error {
+	det := consumer.DetectEvent("d", in, func(t *EventTuple, emit func(*EventTuple) error) error {
 		if v, _ := t.GetFloat("v"); v >= 2 {
-			return emit(EventTuple{})
+			return emit(&EventTuple{})
 		}
 		return nil
 	})
@@ -579,11 +579,11 @@ func TestLatencyPropagation(t *testing.T) {
 	src := fw.AddSource("s", func(ctx context.Context, emit func(EventTuple) error) error {
 		return emit(EventTuple{TS: time.UnixMicro(1), Job: "j", Layer: 1, AvailableAt: avail})
 	})
-	part := fw.Partition("p", src, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{Specimen: "A"})
+	part := fw.Partition("p", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{Specimen: "A"})
 	})
-	det := fw.DetectEvent("d", part, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{})
+	det := fw.DetectEvent("d", part, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{})
 	})
 	cor := fw.CorrelateEvents("c", det, 1, func(w CorrelateWindow, emit func(EventTuple) error) error {
 		if !w.AvailableAt.Equal(avail) {
@@ -663,16 +663,16 @@ func TestConnectorTapsWithParallelStages(t *testing.T) {
 	}
 	fw := newTestFramework(t, WithBroker(broker))
 	src := fw.AddSource("s", layersSource("J", 4, nil))
-	part := fw.Partition("p", src, func(t EventTuple, emit func(EventTuple) error) error {
+	part := fw.Partition("p", src, func(t *EventTuple, emit func(*EventTuple) error) error {
 		for i := 0; i < 3; i++ {
-			if err := emit(EventTuple{Specimen: fmt.Sprintf("s%d", i)}); err != nil {
+			if err := emit(&EventTuple{Specimen: fmt.Sprintf("s%d", i)}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, WithParallelism(3))
-	det := fw.DetectEvent("d", part, func(t EventTuple, emit func(EventTuple) error) error {
-		return emit(EventTuple{})
+	det := fw.DetectEvent("d", part, func(t *EventTuple, emit func(*EventTuple) error) error {
+		return emit(&EventTuple{})
 	}, WithParallelism(3))
 	cor := fw.CorrelateEvents("c", det, 2, func(w CorrelateWindow, emit func(EventTuple) error) error {
 		return emit(EventTuple{})

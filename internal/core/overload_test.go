@@ -67,8 +67,8 @@ func TestOverloadControllerLadder(t *testing.T) {
 			<-ctx.Done() // stay live so the pipeline (and its queues) persist
 			return ctx.Err()
 		})
-		det := fw.DetectEvent("det", src, func(t EventTuple, emit func(EventTuple) error) error {
-			return emit(EventTuple{KV: map[string]any{"x": 1.0}})
+		det := fw.DetectEvent("det", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+			return emit(&EventTuple{KV: map[string]any{"x": 1.0}})
 		})
 		fw.Deliver("out", det, func(EventTuple) error {
 			for sinkBlocked.Load() {
@@ -306,8 +306,8 @@ func TestOverloadShedExpiredAccounting(t *testing.T) {
 			}
 			return nil
 		})
-		det := fw.DetectEvent("det", src, func(t EventTuple, emit func(EventTuple) error) error {
-			return emit(EventTuple{KV: map[string]any{"layer": float64(t.Layer)}})
+		det := fw.DetectEvent("det", src, func(t *EventTuple, emit func(*EventTuple) error) error {
+			return emit(&EventTuple{KV: map[string]any{"layer": float64(t.Layer)}})
 		})
 		fw.Deliver("out", det, func(t EventTuple) error {
 			if !t.Deadline.IsZero() && time.Now().After(t.Deadline) {

@@ -26,7 +26,7 @@ func TestPipelineAcrossTCP(t *testing.T) {
 	analysis := newTestFramework(t, WithBroker(broker), WithName("analysis-host"))
 	const layers = 6
 	in := analysis.AddBrokerSource("tap", RawSubject("ot", "tcp-job"), layers)
-	det := analysis.DetectEvent("hot", in, func(t EventTuple, emit func(EventTuple) error) error {
+	det := analysis.DetectEvent("hot", in, func(t *EventTuple, emit func(*EventTuple) error) error {
 		if v, _ := t.GetFloat("temp"); v > 1020 {
 			return emit(t)
 		}

@@ -24,13 +24,14 @@ func deployTraced(t *testing.T, name string, layers int) *Manager {
 	})
 	p, err := m.Deploy(name, func(fw *Framework) error {
 		src := fw.AddSource("src", layersSource("job", layers, nil))
-		parts := fw.Partition("split", src, func(in EventTuple, emit func(EventTuple) error) error {
+		parts := fw.Partition("split", src, func(in *EventTuple, emit func(*EventTuple) error) error {
 			out := in
 			out.Specimen = "spec-a"
 			return emit(out)
 		})
-		events := fw.DetectEvent("detect", parts, func(in EventTuple, emit func(EventTuple) error) error {
-			return emit(in.WithKV("flag", true))
+		events := fw.DetectEvent("detect", parts, func(in *EventTuple, emit func(*EventTuple) error) error {
+			out := in.WithKV("flag", true)
+			return emit(&out)
 		})
 		fw.Deliver("expert", events, func(EventTuple) error { return nil })
 		return nil
@@ -97,12 +98,12 @@ func TestTraceSamplingThroughPipeline(t *testing.T) {
 	defer m.Close()
 	p, err := m.Deploy("traced", func(fw *Framework) error {
 		src := fw.AddSource("src", layersSource("job", 4, nil))
-		parts := fw.Partition("split", src, func(in EventTuple, emit func(EventTuple) error) error {
+		parts := fw.Partition("split", src, func(in *EventTuple, emit func(*EventTuple) error) error {
 			out := in
 			out.Specimen = "spec-a"
 			return emit(out)
 		})
-		events := fw.DetectEvent("detect", parts, func(in EventTuple, emit func(EventTuple) error) error {
+		events := fw.DetectEvent("detect", parts, func(in *EventTuple, emit func(*EventTuple) error) error {
 			return emit(in)
 		})
 		fw.Deliver("expert", events, func(EventTuple) error { return nil })

@@ -109,7 +109,7 @@ func (t EventTuple) EventTime() int64 { return t.TS.UnixMicro() }
 func (t EventTuple) TraceContext() *telemetry.Trace { return t.Trace }
 
 // isMarker reports whether the tuple is internal end-of-layer punctuation.
-func (t EventTuple) isMarker() bool { return t.Portion == markerPortion }
+func (t *EventTuple) isMarker() bool { return t.Portion == markerPortion }
 
 // ShedPriority implements stream.Prioritized.
 func (t EventTuple) ShedPriority() int { return t.Priority }
@@ -138,7 +138,7 @@ func earliestDeadline(a, b time.Time) time.Time {
 // newMarker builds the punctuation tuple closing (job, layer, specimen).
 // It inherits the closing tuple's trace so correlate results triggered by
 // the marker stay attributable to the sampled tuple's journey.
-func newMarker(from EventTuple, specimen string) EventTuple {
+func newMarker(from *EventTuple, specimen string) EventTuple {
 	return EventTuple{
 		TS:          from.TS,
 		Job:         from.Job,
@@ -154,17 +154,20 @@ func newMarker(from EventTuple, specimen string) EventTuple {
 // WithKV returns a shallow copy of t with key set to value in a copied KV
 // map (the original tuple's map is never mutated — tuples are shared across
 // fan-outs).
-func (t EventTuple) WithKV(key string, value any) EventTuple {
+func (t *EventTuple) WithKV(key string, value any) EventTuple {
 	kv := make(map[string]any, len(t.KV)+1)
 	for k, v := range t.KV {
 		kv[k] = v
 	}
 	kv[key] = value
-	t.KV = kv
-	return t
+	c := *t
+	c.KV = kv
+	return c
 }
 
-// String returns a compact, human-readable rendering.
+// String returns a compact, human-readable rendering. It keeps a value
+// receiver, like the stream interface methods above, so that a tuple
+// printed by value formats the same as one printed by pointer.
 func (t EventTuple) String() string {
 	return fmt.Sprintf("⟨%s job=%s layer=%d spec=%s portion=%s |kv|=%d⟩",
 		t.TS.Format("15:04:05.000"), t.Job, t.Layer, t.Specimen, t.Portion, len(t.KV))
@@ -174,56 +177,56 @@ func (t EventTuple) String() string {
 // absent or has a different type.
 
 // GetString returns the string payload value under key.
-func (t EventTuple) GetString(key string) (string, bool) {
+func (t *EventTuple) GetString(key string) (string, bool) {
 	v, ok := t.KV[key].(string)
 	return v, ok
 }
 
 // GetInt returns the int64 payload value under key.
-func (t EventTuple) GetInt(key string) (int64, bool) {
+func (t *EventTuple) GetInt(key string) (int64, bool) {
 	v, ok := t.KV[key].(int64)
 	return v, ok
 }
 
 // GetFloat returns the float64 payload value under key.
-func (t EventTuple) GetFloat(key string) (float64, bool) {
+func (t *EventTuple) GetFloat(key string) (float64, bool) {
 	v, ok := t.KV[key].(float64)
 	return v, ok
 }
 
 // GetBool returns the bool payload value under key.
-func (t EventTuple) GetBool(key string) (bool, bool) {
+func (t *EventTuple) GetBool(key string) (bool, bool) {
 	v, ok := t.KV[key].(bool)
 	return v, ok
 }
 
 // GetBytes returns the []byte payload value under key.
-func (t EventTuple) GetBytes(key string) ([]byte, bool) {
+func (t *EventTuple) GetBytes(key string) ([]byte, bool) {
 	v, ok := t.KV[key].([]byte)
 	return v, ok
 }
 
 // GetImage returns the *otimage.Image payload value under key.
-func (t EventTuple) GetImage(key string) (*otimage.Image, bool) {
+func (t *EventTuple) GetImage(key string) (*otimage.Image, bool) {
 	v, ok := t.KV[key].(*otimage.Image)
 	return v, ok
 }
 
 // GetView returns the otimage.View payload value under key.
-func (t EventTuple) GetView(key string) (otimage.View, bool) {
+func (t *EventTuple) GetView(key string) (otimage.View, bool) {
 	v, ok := t.KV[key].(otimage.View)
 	return v, ok
 }
 
 // GetCell returns the otimage.Cell payload value under key.
-func (t EventTuple) GetCell(key string) (otimage.Cell, bool) {
+func (t *EventTuple) GetCell(key string) (otimage.Cell, bool) {
 	v, ok := t.KV[key].(otimage.Cell)
 	return v, ok
 }
 
 // CellStats returns the tuple's inline cell payload. ok is false when the
 // tuple carries none (a cell's pixel region is never empty).
-func (t EventTuple) CellStats() (otimage.Cell, bool) {
+func (t *EventTuple) CellStats() (otimage.Cell, bool) {
 	return t.Cell, !t.Cell.Region.Empty()
 }
 

@@ -24,7 +24,9 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,9 +212,9 @@ func (f *framework) collectArtifacts() {
 				continue
 			}
 			reported[path] = true
-			d, err := obslog.ReadDump(path)
+			d, err := readDump(path)
 			switch {
-			case errors.Is(err, obslog.ErrTornDump):
+			case errors.Is(err, errTornDump):
 				// The process died while dumping: damaged evidence, noted
 				// and kept, never a reason to stop collecting.
 				f.t.Logf("harness: %s: torn flight-recorder dump %s", p.spec.Name, path)
@@ -233,6 +235,28 @@ func (f *framework) collectArtifacts() {
 		f.t.Logf("harness: failure artifacts under %s (%d endpoints snapshotted)",
 			f.artifactDir, len(endpoints))
 	}
+}
+
+// errTornDump reports a flight-recorder dump file whose JSON is truncated
+// or otherwise unparseable — the signature of a process that died while
+// writing it (or of a pre-atomic-rename dump). collectArtifacts treats it
+// as "evidence damaged", not as a reason to stop collecting.
+var errTornDump = errors.New("harness: torn flight-recorder dump")
+
+// readDump parses a flight-recorder dump file. A missing file returns the
+// os error; a present-but-unparseable file returns errTornDump (wrapped
+// with detail), so the harness collects what exists and flags the tear
+// instead of wedging on it.
+func readDump(path string) (*obslog.Dump, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var d obslog.Dump
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", errTornDump, path, err)
+	}
+	return &d, nil
 }
 
 // sanitize maps a test name to a path-safe directory name.

@@ -151,29 +151,6 @@ func (r *FlightRecorder) DumpToDir(dir, reason string) (string, error) {
 	return path, nil
 }
 
-// ErrTornDump reports a flight-recorder dump file whose JSON is truncated
-// or otherwise unparseable — the signature of a process that died while
-// writing it (or of a pre-atomic-rename dump). Callers collecting dumps as
-// failure artifacts should treat it as "evidence damaged", not as a reason
-// to stop collecting.
-var ErrTornDump = fmt.Errorf("obslog: torn flight-recorder dump")
-
-// ReadDump parses a flight-recorder dump file. A missing file returns the
-// os error; a present-but-unparseable file returns ErrTornDump (wrapped
-// with detail) so harnesses can collect what exists and flag the tear
-// instead of wedging on it.
-func ReadDump(path string) (*Dump, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrTornDump, path, err)
-	}
-	return &d, nil
-}
-
 // Collect implements telemetry.Collector with the flight recorder's own
 // series.
 func (r *FlightRecorder) Collect(w *telemetry.Writer) {

@@ -3,6 +3,7 @@ package obslog
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -135,5 +136,36 @@ func TestFlightRecorderExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, body)
 		}
+	}
+}
+
+// TestDumpToDirIsAtomic: the dump lands via temp-file-plus-rename, so the
+// final flightrec-<pid>.json is complete the instant it exists and no .tmp
+// residue survives a successful dump.
+func TestDumpToDirIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	r := NewFlightRecorder(8)
+	r.Record(Event{Level: "INFO", Component: "core", Msg: "epoch sealed"})
+
+	path, err := r.DumpToDir(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, fmt.Sprintf("flightrec-%d.json", os.Getpid())); path != want {
+		t.Errorf("dump path = %q, want %q", path, want)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("temp file left behind after successful dump: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Dump
+	if err := json.Unmarshal(data, &d); err != nil {
+		t.Fatalf("fresh dump does not parse: %v", err)
+	}
+	if len(d.Events) != 1 || d.Events[0].Msg != "epoch sealed" {
+		t.Errorf("dump events = %+v", d.Events)
 	}
 }

@@ -70,13 +70,14 @@ func TestEndToEndMetricsSmoke(t *testing.T) {
 			}
 			return nil
 		})
-		parts := fw.Partition("split", src, func(in core.EventTuple, emit func(core.EventTuple) error) error {
+		parts := fw.Partition("split", src, func(in *core.EventTuple, emit func(*core.EventTuple) error) error {
 			out := in
 			out.Specimen = "spec-1"
 			return emit(out)
 		})
-		events := fw.DetectEvent("detect", parts, func(in core.EventTuple, emit func(core.EventTuple) error) error {
-			return emit(in.WithKV("hot", true))
+		events := fw.DetectEvent("detect", parts, func(in *core.EventTuple, emit func(*core.EventTuple) error) error {
+			out := in.WithKV("hot", true)
+			return emit(&out)
 		})
 		fw.Deliver("expert", events, func(core.EventTuple) error {
 			delivered <- struct{}{}
